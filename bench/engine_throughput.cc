@@ -12,7 +12,9 @@
 // Determinism contract:
 //  * Both engines are asserted byte-equivalent first: a short traced run in
 //    each mode must produce the identical event trace and metrics. Only
-//    then is anything timed.
+//    then is anything timed. The compat channel probes Reaches for every
+//    endpoint on every frame, so this also checks the overhauled channel's
+//    cached per-sender receiver lists against that full walk.
 //  * The deterministic section (events_executed, delivered events, bytes,
 //    the trace fingerprint) is byte-identical for any --jobs; scripts/
 //    check.sh cmp-gates --deterministic-only output across --jobs values.

@@ -26,7 +26,12 @@ class FaultOverlayPropagation : public PropagationModel {
 
   // ---- fault surface (driven by FaultInjector) ----
 
-  void BlackoutLink(NodeId from, NodeId to) { blackouts_.insert(MakeKey(from, to)); }
+  // Only blackouts, partitions and the calls that clear them change Reaches,
+  // so only they bump the reach version; degrades leave it alone.
+  void BlackoutLink(NodeId from, NodeId to) {
+    blackouts_.insert(MakeKey(from, to));
+    BumpReachVersion();
+  }
   void DegradeLink(NodeId from, NodeId to, double delivery) {
     degraded_[MakeKey(from, to)] = delivery;
   }
@@ -34,6 +39,7 @@ class FaultOverlayPropagation : public PropagationModel {
   void RestoreLink(NodeId from, NodeId to) {
     blackouts_.erase(MakeKey(from, to));
     degraded_.erase(MakeKey(from, to));
+    BumpReachVersion();
   }
   // Caps delivery on every link `node` participates in, either direction.
   void DegradeNode(NodeId node, double delivery) { node_degrade_[node] = delivery; }
@@ -45,6 +51,7 @@ class FaultOverlayPropagation : public PropagationModel {
     partition_side_.clear();
     for (NodeId node : group_a) partition_side_[node] = 0;
     for (NodeId node : group_b) partition_side_[node] = 1;
+    BumpReachVersion();
   }
 
   // Clears every overlay override (blackouts, degradations, partition).
@@ -53,6 +60,7 @@ class FaultOverlayPropagation : public PropagationModel {
     degraded_.clear();
     node_degrade_.clear();
     partition_side_.clear();
+    BumpReachVersion();
   }
 
   // ---- PropagationModel ----
@@ -79,6 +87,10 @@ class FaultOverlayPropagation : public PropagationModel {
       probability = std::min(probability, it->second);
     }
     return probability;
+  }
+
+  uint64_t reach_version() const override {
+    return PropagationModel::reach_version() + inner_->reach_version();
   }
 
   PropagationModel& inner() { return *inner_; }

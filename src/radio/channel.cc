@@ -31,8 +31,31 @@ Channel::ReceiverSlot& Channel::SlotFor(NodeId node) {
   return slots_[slot_of_[node] - 1];
 }
 
+const std::vector<Channel::Receiver>& Channel::ReceiversOf(NodeId sender, bool ascending) {
+  ReceiverList& list = receiver_lists_[sender];
+  const uint64_t reach_version = propagation_->reach_version();
+  if (list.epoch == epoch_ && list.reach_version == reach_version && list.ascending == ascending) {
+    return list.receivers;
+  }
+  list.epoch = epoch_;
+  list.reach_version = reach_version;
+  list.ascending = ascending;
+  list.receivers.clear();
+  for (const auto& [node, endpoint] : endpoints_) {
+    if (node != sender && propagation_->Reaches(sender, node)) {
+      list.receivers.push_back(Receiver{node, endpoint, &slots_[slot_of_[node] - 1]});
+    }
+  }
+  if (ascending) {
+    std::sort(list.receivers.begin(), list.receivers.end(),
+              [](const Receiver& a, const Receiver& b) { return a.node < b.node; });
+  }
+  return list.receivers;
+}
+
 void Channel::Attach(ChannelEndpoint* endpoint) {
   const NodeId node = endpoint->node_id();
+  ++epoch_;
   endpoints_[node] = endpoint;
   // Restore counters parked by a previous Detach (a reattach after a
   // blackout), and remember their value now so NodeStatsSinceAttach can
@@ -53,6 +76,7 @@ void Channel::Attach(ChannelEndpoint* endpoint) {
 }
 
 void Channel::Detach(NodeId node) {
+  ++epoch_;
   endpoints_.erase(node);
   auto stats_it = node_stats_.find(node);
   if (stats_it != node_stats_.end()) {
@@ -184,22 +208,9 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
     }
   }
 
-  for (auto& [node, endpoint] : endpoints_) {
-    if (node == sender || !endpoint->IsAlive() || !endpoint->IsAwake() ||
-        !propagation_->Reaches(sender, node)) {
-      continue;
-    }
+  auto receive = [&](NodeId node, ChannelEndpoint* endpoint, ChannelStats* receiver_stats,
+                     std::vector<std::pair<uint64_t, size_t>>* in_air) {
     ++stats_.receptions_attempted;
-    ChannelStats* receiver_stats;
-    std::vector<std::pair<uint64_t, size_t>>* in_air;
-    if (compat_lookups_) {
-      receiver_stats = &node_stats_[node];
-      in_air = &ongoing_[node];
-    } else {
-      ReceiverSlot& slot = slots_[slot_of_[node] - 1];
-      receiver_stats = slot.stats;
-      in_air = &slot.in_air;
-    }
     ++receiver_stats->receptions_attempted;
     bool corrupted = endpoint->IsTransmitting();
     // Overlap with anything already in the air at this receiver corrupts
@@ -207,15 +218,26 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
     if (!in_air->empty()) {
       corrupted = true;
       for (const auto& [other_tx, index] : *in_air) {
-        if (compat_lookups_) {
-          active_[other_tx].receptions[index].corrupted = true;
-        } else {
-          ResolveTx(other_tx)->receptions[index].corrupted = true;
-        }
+        ActiveTx* other = compat_lookups_ ? &active_[other_tx] : ResolveTx(other_tx);
+        other->receptions[index].corrupted = true;
       }
     }
     tx.receptions.push_back(Reception{node, corrupted, false, endpoint, receiver_stats});
     in_air->emplace_back(tx_id, tx.receptions.size() - 1);
+  };
+  if (compat_lookups_) {
+    for (auto& [node, endpoint] : endpoints_) {
+      if (node != sender && endpoint->IsAlive() && endpoint->IsAwake() &&
+          propagation_->Reaches(sender, node)) {
+        receive(node, endpoint, &node_stats_[node], &ongoing_[node]);
+      }
+    }
+  } else {
+    for (const Receiver& receiver : ReceiversOf(sender, /*ascending=*/false)) {
+      if (receiver.endpoint->IsAlive() && receiver.endpoint->IsAwake()) {
+        receive(receiver.node, receiver.endpoint, receiver.slot->stats, &receiver.slot->in_air);
+      }
+    }
   }
 
   if (transmit_observer_ != nullptr) {
@@ -231,21 +253,17 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
 }
 
 void Channel::DeliverRemote(NodeId sender, const Fragment& fragment, SimDuration airtime) {
-  remote_delivery_scratch_.clear();
-  for (const auto& [node, endpoint] : endpoints_) {
-    remote_delivery_scratch_.push_back(node);
-  }
-  std::sort(remote_delivery_scratch_.begin(), remote_delivery_scratch_.end());
-
   const uint64_t link_packet = (static_cast<uint64_t>(fragment.src) << 32) | fragment.message_seq;
-  for (NodeId node : remote_delivery_scratch_) {
-    ChannelEndpoint* endpoint = endpoints_[node];
-    if (node == sender || !endpoint->IsAlive() || !endpoint->IsAwake() ||
-        !propagation_->Reaches(sender, node)) {
+  // OnFrameDelivered may Transmit, which can build another sender's list but
+  // never this one (the sender is not attached here).
+  for (const Receiver& receiver : ReceiversOf(sender, /*ascending=*/true)) {
+    const NodeId node = receiver.node;
+    ChannelEndpoint* endpoint = receiver.endpoint;
+    if (!endpoint->IsAlive() || !endpoint->IsAwake()) {
       continue;
     }
     ++stats_.receptions_attempted;
-    ChannelStats& receiver_stats = node_stats_[node];
+    ChannelStats& receiver_stats = *receiver.slot->stats;
     ++receiver_stats.receptions_attempted;
     bool busy = endpoint->IsTransmitting();
     if (!busy) {
@@ -254,8 +272,8 @@ void Channel::DeliverRemote(NodeId sender, const Fragment& fragment, SimDuration
       if (compat_lookups_) {
         auto in_air_it = ongoing_.find(node);
         busy = in_air_it != ongoing_.end() && !in_air_it->second.empty();
-      } else if (node < slot_of_.size() && slot_of_[node] != 0) {
-        busy = !slots_[slot_of_[node] - 1].in_air.empty();
+      } else {
+        busy = !receiver.slot->in_air.empty();
       }
     }
     if (busy) {
@@ -306,16 +324,16 @@ void Channel::FinishTransmit(uint64_t tx_id) {
     free_tx_slots_.push_back(slot);
   }
 
-  const uint64_t link_packet =
-      (static_cast<uint64_t>(tx.fragment.src) << 32) | tx.fragment.message_seq;
+  // Unregister every reception from its receiver's in-air list before the
+  // first delivery: OnFrameDelivered may Transmit, and that must not find
+  // this finished (and freed) transmission still in the air at a receiver
+  // resolved later in the loop below. Cancelled receptions (the receiver
+  // detached mid-flight) were already dropped by Detach.
   for (size_t i = 0; i < tx.receptions.size(); ++i) {
     const Reception& reception = tx.receptions[i];
     if (reception.cancelled) {
-      // The receiver detached mid-flight; Detach already dropped its
-      // ongoing_ entry and the reception resolves to nothing.
       continue;
     }
-    // Unregister this reception from the receiver's in-air list.
     if (compat_lookups_) {
       auto in_air_it = ongoing_.find(reception.receiver);
       if (in_air_it != ongoing_.end()) {
@@ -339,7 +357,14 @@ void Channel::FinishTransmit(uint64_t tx_id) {
         }
       }
     }
+  }
 
+  const uint64_t link_packet =
+      (static_cast<uint64_t>(tx.fragment.src) << 32) | tx.fragment.message_seq;
+  for (const Reception& reception : tx.receptions) {
+    if (reception.cancelled) {
+      continue;
+    }
     ChannelEndpoint* endpoint = reception.endpoint;
     ChannelStats* receiver_stats = reception.stats;
     if (compat_lookups_) {

@@ -69,10 +69,12 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
 
   void Attach(ChannelEndpoint* endpoint);
 
-  // Pre-overhaul reception bookkeeping: resolve the receiver's endpoint and
-  // stats through the hash tables on every reception outcome instead of the
-  // pointers cached at Transmit. Outcomes are identical; only lookup cost
-  // differs. The measured baseline for bench/engine_throughput.
+  // Pre-overhaul reception bookkeeping: probe Reaches for every endpoint on
+  // every frame instead of walking the sender's receiver list, and resolve
+  // the receiver's endpoint and stats through the hash tables on every
+  // reception outcome instead of the pointers cached at Transmit. Outcomes
+  // are identical; only lookup cost differs. The measured baseline for
+  // bench/engine_throughput.
   void set_compat_lookups(bool compat) { compat_lookups_ = compat; }
 
   // Detaches `node` and scrubs its in-flight receptions: transmissions still
@@ -84,7 +86,8 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   void Detach(NodeId node);
 
   // True if any in-flight transmission puts energy at `node` (including the
-  // node's own transmission).
+  // node's own transmission). Reachability is evaluated now, not at the
+  // transmission's start, so a link severed mid-flight stops counting.
   bool CarrierBusyAt(NodeId node) const;
 
   // Puts `fragment` on the air for `duration`. Reception outcomes resolve
@@ -168,11 +171,37 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   };
   ReceiverSlot& SlotFor(NodeId node);
 
+  // One sender's cached receivers: every attached endpoint other than the
+  // sender that the propagation model Reaches, with the per-frame lookups
+  // resolved. Liveness, awake and half-duplex stay per-frame checks. A list
+  // is valid while the channel's attach epoch and the model's reach version
+  // both match the ones it was built at; otherwise the next use rebuilds it
+  // with one walk of endpoints_. Reception order drives the RNG draws in
+  // FinishTransmit, so a local sender's list keeps endpoints_ iteration
+  // order (the order the compat walk visits) and a remote sender's list is
+  // ascending by id (DeliverRemote's documented order).
+  struct Receiver {
+    NodeId node;
+    ChannelEndpoint* endpoint;
+    ReceiverSlot* slot;  // into slots_; Attach bumps the epoch before it can move
+  };
+  struct ReceiverList {
+    uint64_t epoch = 0;
+    uint64_t reach_version = 0;
+    bool ascending = false;
+    std::vector<Receiver> receivers;
+  };
+  // Returns `sender`'s list, rebuilding it first if stale. Lists live in a
+  // node-based map, so building one (say from a Transmit reentered through
+  // OnFrameDelivered) never moves another that is being iterated.
+  const std::vector<Receiver>& ReceiversOf(NodeId sender, bool ascending);
+
   Simulator* sim_;
   std::unique_ptr<PropagationModel> propagation_;
   bool compat_lookups_ = false;
   TransmitObserver* transmit_observer_ = nullptr;
-  std::vector<NodeId> remote_delivery_scratch_;
+  uint64_t epoch_ = 1;  // bumped by Attach and Detach
+  std::unordered_map<NodeId, ReceiverList> receiver_lists_;
   Rng rng_;
   std::unordered_map<NodeId, ChannelEndpoint*> endpoints_;
   uint64_t next_tx_id_ = 1;

@@ -23,19 +23,19 @@ DiskPropagation::DiskPropagation(double range, double default_delivery_probabili
 
 void DiskPropagation::SetPosition(NodeId node, Position position) {
   positions_[node] = position;
-  InvalidateReachCache();
+  BumpReachVersion();
 }
 
 void DiskPropagation::SetLinkQuality(NodeId from, NodeId to, LinkQuality quality) {
   link_quality_[MakeKey(from, to)] = quality;
   blocked_.erase(MakeKey(from, to));
-  InvalidateReachCache();
+  BumpReachVersion();
 }
 
 void DiskPropagation::BlockLink(NodeId from, NodeId to) {
   blocked_[MakeKey(from, to)] = true;
   link_quality_.erase(MakeKey(from, to));
-  InvalidateReachCache();
+  BumpReachVersion();
 }
 
 const Position* DiskPropagation::GetPosition(NodeId node) const {
@@ -55,40 +55,7 @@ std::vector<NodeId> DiskPropagation::LinkOverrideTargets(NodeId from) const {
 }
 
 bool DiskPropagation::Reaches(NodeId from, NodeId to) const {
-  if (from == to) {
-    return false;
-  }
-  if (!reach_cache_enabled_) {
-    return ReachesUncached(from, to);
-  }
-  if (reach_stride_ == 0) {
-    // (Re)size the memo to cover every id the tables mention. Stays empty
-    // (stride 1) until the first id shows up.
-    NodeId max_id = 0;
-    for (const auto& [node, position] : positions_) {
-      max_id = std::max(max_id, node);
-    }
-    for (const auto& [key, quality] : link_quality_) {
-      max_id = std::max({max_id, static_cast<NodeId>(key >> 32), static_cast<NodeId>(key)});
-    }
-    for (const auto& [key, blocked] : blocked_) {
-      max_id = std::max({max_id, static_cast<NodeId>(key >> 32), static_cast<NodeId>(key)});
-    }
-    reach_stride_ = std::min(max_id + 1, kReachCacheMaxNodes);
-    reach_cache_.assign(static_cast<size_t>(reach_stride_) * reach_stride_, -1);
-  }
-  if (from < reach_stride_ && to < reach_stride_) {
-    int8_t& slot = reach_cache_[static_cast<size_t>(from) * reach_stride_ + to];
-    if (slot < 0) {
-      slot = ReachesUncached(from, to) ? 1 : 0;
-    }
-    return slot != 0;
-  }
-  return ReachesUncached(from, to);
-}
-
-bool DiskPropagation::ReachesUncached(NodeId from, NodeId to) const {
-  if (blocked_.contains(MakeKey(from, to))) {
+  if (from == to || blocked_.contains(MakeKey(from, to))) {
     return false;
   }
   if (link_quality_.contains(MakeKey(from, to))) {
@@ -119,6 +86,7 @@ double DiskPropagation::DeliveryProbability(NodeId from, NodeId to, SimTime now)
 
 void ExplicitTopology::AddLink(NodeId from, NodeId to, LinkQuality quality) {
   links_[{from, to}] = quality;
+  BumpReachVersion();
 }
 
 void ExplicitTopology::AddSymmetricLink(NodeId a, NodeId b, LinkQuality quality) {
@@ -126,7 +94,10 @@ void ExplicitTopology::AddSymmetricLink(NodeId a, NodeId b, LinkQuality quality)
   AddLink(b, a, quality);
 }
 
-void ExplicitTopology::RemoveLink(NodeId from, NodeId to) { links_.erase({from, to}); }
+void ExplicitTopology::RemoveLink(NodeId from, NodeId to) {
+  links_.erase({from, to});
+  BumpReachVersion();
+}
 
 bool ExplicitTopology::Reaches(NodeId from, NodeId to) const {
   return from != to && links_.contains({from, to});

@@ -31,6 +31,21 @@ class PropagationModel {
   // Probability that a single frame from `from` decodes at `to` at `now`,
   // given no collision. Zero when !Reaches(from, to).
   virtual double DeliveryProbability(NodeId from, NodeId to, SimTime now) const = 0;
+
+  // Moves whenever some Reaches answer may have changed; Channel rebuilds its
+  // cached per-sender receiver lists when it does. A static model keeps the
+  // constant default. A mutable model calls BumpReachVersion in every
+  // mutator that can change Reaches. Every decorator or wrapper around
+  // another model must override this and add the inner model's version to
+  // its own: the default only sees the wrapper's own bumps, so a wrapper
+  // that forgets keeps Channel on stale lists once the inner model changes.
+  virtual uint64_t reach_version() const { return reach_version_; }
+
+ protected:
+  void BumpReachVersion() { ++reach_version_; }
+
+ private:
+  uint64_t reach_version_ = 0;
 };
 
 // Per-directed-link quality override.
@@ -61,15 +76,7 @@ class DiskPropagation : public PropagationModel {
   // unless explicitly overridden.
   void set_inter_floor_range(double range) {
     inter_floor_range_ = range;
-    InvalidateReachCache();
-  }
-  // The memoized reachability matrix is part of the hot-path memory-layout
-  // overhaul; the compat engine turns it off to reproduce the pre-overhaul
-  // hash-table-per-query lookups it is the measured baseline for. Answers
-  // are identical either way.
-  void set_reach_cache_enabled(bool enabled) {
-    reach_cache_enabled_ = enabled;
-    InvalidateReachCache();
+    BumpReachVersion();
   }
 
   bool Reaches(NodeId from, NodeId to) const override;
@@ -95,28 +102,12 @@ class DiskPropagation : public PropagationModel {
     return (static_cast<uint64_t>(from) << 32) | to;
   }
 
-  // Reachability is pure geometry plus the static override tables, so the
-  // answer for a pair never changes between topology mutations. The hot path
-  // (one Reaches per endpoint per transmission, plus carrier sense) reads a
-  // dense stride x stride byte matrix instead of chasing three hash tables
-  // and a sqrt. Any mutator clears the cache; ids >= kReachCacheMaxNodes
-  // (huge synthetic topologies) fall through to the uncached computation.
-  static constexpr NodeId kReachCacheMaxNodes = 1024;
-  bool ReachesUncached(NodeId from, NodeId to) const;
-  void InvalidateReachCache() {
-    reach_cache_.clear();
-    reach_stride_ = 0;
-  }
-
   double range_;
   double inter_floor_range_ = 0.0;
   double default_delivery_probability_;
   std::unordered_map<NodeId, Position> positions_;
   std::unordered_map<LinkKey, LinkQuality> link_quality_;
   std::unordered_map<LinkKey, bool> blocked_;
-  bool reach_cache_enabled_ = true;
-  mutable std::vector<int8_t> reach_cache_;  // -1 unknown, else 0/1
-  mutable NodeId reach_stride_ = 0;
 };
 
 // Explicit topology: only listed directed links exist. Useful for tests and

@@ -29,6 +29,7 @@ ShadowingPropagation::ShadowingPropagation(ShadowingConfig config, uint64_t seed
 
 void ShadowingPropagation::SetPosition(NodeId node, Position position) {
   positions_[node] = position;
+  BumpReachVersion();
 }
 
 double ShadowingPropagation::ShadowDb(NodeId from, NodeId to) const {

@@ -191,11 +191,7 @@ Fig8Result RunFig8(const Fig8Params& params) {
     }
     propagation = std::move(shadowed);
   } else {
-    auto disk = MakePropagation(layout, params.link_delivery);
-    // The compat baseline also forgoes the reach memo (it did not exist
-    // pre-overhaul); answers are identical, only lookup cost differs.
-    disk->set_reach_cache_enabled(!compat_channel);
-    propagation = std::move(disk);
+    propagation = MakePropagation(layout, params.link_delivery);
   }
   Channel channel(&sim, std::move(propagation));
   channel.set_compat_lookups(compat_channel);

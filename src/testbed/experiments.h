@@ -59,8 +59,9 @@ struct Fig8Params {
   // share a file stream; must outlive the run.
   TraceSink* trace_sink = nullptr;
   // Run on the pre-overhaul engine (compacting binary-heap scheduler,
-  // serialize-per-hop wire path, hash-table channel bookkeeping instead of
-  // the reach memo and dense slots). Byte-identical results either way; the
+  // serialize-per-hop wire path, hash-table channel bookkeeping and a
+  // Reaches probe per endpoint per frame instead of dense slots and
+  // per-sender receiver lists). Byte-identical results either way; the
   // measured baseline for bench/engine_throughput.
   bool compat_engine = false;
   // Per-subsystem compat toggles, for the step-by-step measurements in
@@ -69,7 +70,7 @@ struct Fig8Params {
   // combination.
   bool compat_scheduler = false;  // compacting binary heap
   bool compat_wire = false;       // serialize per hop (no pooled bodies)
-  bool compat_channel = false;    // hash-table lookups, no reach memo
+  bool compat_channel = false;    // hash-table lookups, no receiver lists
   // Run on the spatially sharded parallel core (src/testbed/sharded_world.h)
   // instead of one monolithic Simulator. 0 or 1 keeps the sequential engine.
   // Sharded runs are deterministic at any thread count but are a border

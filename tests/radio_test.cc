@@ -3,7 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
+#include <vector>
+
 #include "src/core/node.h"
+#include "src/fault/fault_overlay.h"
 #include "src/naming/keys.h"
 #include "src/radio/channel.h"
 #include "src/radio/energy.h"
@@ -11,7 +18,9 @@
 #include "src/radio/mac.h"
 #include "src/radio/propagation.h"
 #include "src/radio/radio.h"
+#include "src/radio/shadowing.h"
 #include "src/sim/simulator.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace diffusion {
@@ -346,15 +355,124 @@ class RecordingEndpoint : public ChannelEndpoint {
     (void)fragment;
     (void)airtime;
     ++delivered_;
+    if (on_delivered_) {
+      on_delivered_();
+    }
   }
 
   int delivered() const { return delivered_; }
+  // Runs after every delivery, from inside the channel's delivery loop.
+  void set_on_delivered(std::function<void()> hook) { on_delivered_ = std::move(hook); }
 
  private:
   NodeId id_;
   bool transmitting_;
   int delivered_ = 0;
+  std::function<void()> on_delivered_;
 };
+
+constexpr SimDuration kFrameAirtime = 10 * kMillisecond;
+
+Fragment TestFrame(NodeId src) {
+  Fragment frame;
+  frame.src = src;
+  frame.payload.assign(20, 0x5a);
+  return frame;
+}
+
+// Attaches a RecordingEndpoint per id and drives one frame at a time, so no
+// two frames overlap and every outcome is a pure reachability question.
+class FrameDriver {
+ public:
+  FrameDriver(Simulator* sim, Channel* channel, std::vector<NodeId> ids)
+      : sim_(sim), channel_(channel), ids_(std::move(ids)) {
+    for (NodeId id : ids_) {
+      Attach(id);
+    }
+  }
+
+  // Attaches a fresh endpoint under `id` (a reattach gets a new object).
+  void Attach(NodeId id) {
+    endpoints_.push_back(std::make_unique<RecordingEndpoint>(id));
+    channel_->Attach(endpoints_.back().get());
+  }
+
+  // Transmits one frame from `sender`; while it is on the air, records which
+  // other known ids sense carrier and which the channel attempted to reach.
+  // Returns the ids that decoded it.
+  std::set<NodeId> Send(NodeId sender) {
+    std::vector<int> before;
+    before.reserve(endpoints_.size());
+    for (const auto& endpoint : endpoints_) {
+      before.push_back(endpoint->delivered());
+    }
+    std::vector<uint64_t> attempted_before;
+    for (NodeId id : ids_) {
+      attempted_before.push_back(channel_->NodeStats(id).receptions_attempted);
+    }
+    channel_->Transmit(sender, TestFrame(sender), kFrameAirtime);
+    sensed_.clear();
+    attempted_.clear();
+    for (size_t i = 0; i < ids_.size(); ++i) {
+      const NodeId id = ids_[i];
+      if (id != sender && channel_->CarrierBusyAt(id)) {
+        sensed_.insert(id);
+      }
+      if (channel_->NodeStats(id).receptions_attempted > attempted_before[i]) {
+        attempted_.insert(id);
+      }
+    }
+    sim_->RunUntil(sim_->now() + 2 * kFrameAirtime);
+    std::set<NodeId> delivered;
+    for (size_t i = 0; i < before.size(); ++i) {
+      if (endpoints_[i]->delivered() > before[i]) {
+        delivered.insert(endpoints_[i]->node_id());
+      }
+    }
+    return delivered;
+  }
+
+  // Who sensed carrier during the last Send.
+  const std::set<NodeId>& sensed() const { return sensed_; }
+  // Whom the last Send was put on the air for, decoded or not. A receiver
+  // left on a stale list shows up here even when the model's zero delivery
+  // probability keeps it from decoding.
+  const std::set<NodeId>& attempted() const { return attempted_; }
+
+ private:
+  Simulator* sim_;
+  Channel* channel_;
+  std::vector<NodeId> ids_;
+  std::vector<std::unique_ptr<RecordingEndpoint>> endpoints_;
+  std::set<NodeId> sensed_;
+  std::set<NodeId> attempted_;
+};
+
+// MakeCliqueChannel's clique of ids 1..count, behind a fault overlay.
+std::unique_ptr<Channel> MakeOverlayCliqueChannel(Simulator* sim, size_t count,
+                                                  FaultOverlayPropagation** overlay) {
+  auto topology = std::make_unique<ExplicitTopology>();
+  for (NodeId a = 1; a <= count; ++a) {
+    for (NodeId b = a + 1; b <= count; ++b) {
+      topology->AddSymmetricLink(a, b);
+    }
+  }
+  auto wrapped = std::make_unique<FaultOverlayPropagation>(std::move(topology));
+  *overlay = wrapped.get();
+  return std::make_unique<Channel>(sim, std::move(wrapped));
+}
+
+// Nodes 1 and 2 in range of each other, 3 out of range of both.
+std::unique_ptr<Channel> MakeDiskChannel(Simulator* sim, DiskPropagation** disk) {
+  auto propagation = std::make_unique<DiskPropagation>(10.0);
+  propagation->SetPosition(1, {0, 0, 0});
+  propagation->SetPosition(2, {8, 0, 0});
+  propagation->SetPosition(3, {30, 0, 0});
+  *disk = propagation.get();
+  return std::make_unique<Channel>(sim, std::move(propagation));
+}
+
+using Ids = std::set<NodeId>;
 
 }  // namespace
 
@@ -421,6 +539,429 @@ TEST(ChannelTest, DetachedReceiverStopsMidFlightCleanly) {
   EXPECT_EQ(channel->stats().collisions, 0u);
   EXPECT_EQ(channel->stats().propagation_losses, 0u);
   EXPECT_EQ(channel->stats().deliveries, 0u);
+}
+
+// ---- Receiver-list invalidation ----
+//
+// The channel caches each sender's receivers. Every test below first sends
+// traffic so the lists exist, then changes what Reaches answers (or who is
+// attached) and checks both the next frame's receivers and carrier sense. A
+// mutator that forgot to move the reach version or the attach epoch would
+// leave the old list in place and fail here.
+
+TEST(ChannelTest, OverlayBlackoutAndRestoreRebuildReceivers) {
+  Simulator sim(21);
+  FaultOverlayPropagation* overlay = nullptr;
+  auto channel = MakeOverlayCliqueChannel(&sim, 3, &overlay);
+  FrameDriver driver(&sim, channel.get(), {1, 2, 3});
+  EXPECT_EQ(driver.Send(1), (Ids{2, 3}));
+
+  overlay->BlackoutLink(1, 2);
+  EXPECT_EQ(driver.Send(1), (Ids{3}));
+  EXPECT_EQ(driver.attempted(), (Ids{3}));
+  EXPECT_EQ(driver.sensed(), (Ids{3}));
+  EXPECT_EQ(driver.Send(2), (Ids{1, 3}));  // only 1 -> 2 is blacked out
+
+  overlay->RestoreLink(1, 2);
+  EXPECT_EQ(driver.Send(1), (Ids{2, 3}));
+  EXPECT_EQ(driver.sensed(), (Ids{2, 3}));
+}
+
+TEST(ChannelTest, OverlayPartitionAndHealRebuildReceivers) {
+  Simulator sim(22);
+  FaultOverlayPropagation* overlay = nullptr;
+  auto channel = MakeOverlayCliqueChannel(&sim, 4, &overlay);
+  FrameDriver driver(&sim, channel.get(), {1, 2, 3, 4});
+  EXPECT_EQ(driver.Send(1), (Ids{2, 3, 4}));
+  EXPECT_EQ(driver.Send(3), (Ids{1, 2, 4}));
+
+  overlay->Partition({1, 2}, {3});
+  EXPECT_EQ(driver.Send(1), (Ids{2, 4}));
+  EXPECT_EQ(driver.attempted(), (Ids{2, 4}));
+  EXPECT_EQ(driver.sensed(), (Ids{2, 4}));
+  EXPECT_EQ(driver.Send(3), (Ids{4}));
+  EXPECT_EQ(driver.attempted(), (Ids{4}));
+  EXPECT_EQ(driver.sensed(), (Ids{4}));
+
+  overlay->Heal();
+  EXPECT_EQ(driver.Send(1), (Ids{2, 3, 4}));
+  EXPECT_EQ(driver.sensed(), (Ids{2, 3, 4}));
+  EXPECT_EQ(driver.Send(3), (Ids{1, 2, 4}));
+}
+
+TEST(ChannelTest, OverlayDegradeKeepsReceiversButDropsFrames) {
+  // A degrade never changes Reaches, so the receiver stays listed and still
+  // senses carrier; only the frame is lost.
+  Simulator sim(23);
+  FaultOverlayPropagation* overlay = nullptr;
+  auto channel = MakeOverlayCliqueChannel(&sim, 3, &overlay);
+  FrameDriver driver(&sim, channel.get(), {1, 2, 3});
+  EXPECT_EQ(driver.Send(1), (Ids{2, 3}));
+  const uint64_t version = overlay->reach_version();
+
+  overlay->DegradeLink(1, 2, 0.0);
+  EXPECT_EQ(overlay->reach_version(), version);
+  EXPECT_EQ(driver.Send(1), (Ids{3}));
+  EXPECT_EQ(driver.attempted(), (Ids{2, 3}));
+  EXPECT_EQ(driver.sensed(), (Ids{2, 3}));
+  EXPECT_EQ(channel->stats().propagation_losses, 1u);
+}
+
+TEST(ChannelTest, LinkOverrideAddsOutOfRangeReceiver) {
+  Simulator sim(24);
+  DiskPropagation* disk = nullptr;
+  auto channel = MakeDiskChannel(&sim, &disk);
+  FrameDriver driver(&sim, channel.get(), {1, 2, 3});
+  EXPECT_EQ(driver.Send(1), (Ids{2}));
+  EXPECT_EQ(driver.sensed(), (Ids{2}));
+
+  disk->SetLinkQuality(1, 3, LinkQuality{});
+  EXPECT_EQ(driver.Send(1), (Ids{2, 3}));
+  EXPECT_EQ(driver.sensed(), (Ids{2, 3}));
+  EXPECT_EQ(driver.Send(3), Ids{});  // the override is one-way
+}
+
+TEST(ChannelTest, BlockLinkRemovesReceiver) {
+  Simulator sim(25);
+  DiskPropagation* disk = nullptr;
+  auto channel = MakeDiskChannel(&sim, &disk);
+  FrameDriver driver(&sim, channel.get(), {1, 2, 3});
+  EXPECT_EQ(driver.Send(1), (Ids{2}));
+
+  disk->BlockLink(1, 2);
+  EXPECT_EQ(driver.Send(1), Ids{});
+  EXPECT_EQ(driver.attempted(), Ids{});
+  EXPECT_EQ(driver.sensed(), Ids{});
+  EXPECT_EQ(driver.Send(2), (Ids{1}));
+}
+
+TEST(ChannelTest, PositionAndFloorChangesRebuildReceivers) {
+  Simulator sim(26);
+  DiskPropagation* disk = nullptr;
+  auto channel = MakeDiskChannel(&sim, &disk);
+  FrameDriver driver(&sim, channel.get(), {1, 2, 3});
+  EXPECT_EQ(driver.Send(1), (Ids{2}));
+
+  disk->SetPosition(3, {0, 9, 0});  // next to 1
+  EXPECT_EQ(driver.Send(1), (Ids{2, 3}));
+  disk->SetPosition(3, {0, 9, 1});  // one floor up
+  EXPECT_EQ(driver.Send(1), (Ids{2}));
+  EXPECT_EQ(driver.attempted(), (Ids{2}));
+  EXPECT_EQ(driver.sensed(), (Ids{2}));
+  disk->set_inter_floor_range(10.0);
+  EXPECT_EQ(driver.Send(1), (Ids{2, 3}));
+  EXPECT_EQ(driver.sensed(), (Ids{2, 3}));
+}
+
+TEST(ChannelTest, ExplicitTopologyAndShadowingMutatorsRebuildReceivers) {
+  {
+    Simulator sim(27);
+    auto topology = std::make_unique<ExplicitTopology>();
+    ExplicitTopology* links = topology.get();
+    links->AddLink(1, 2);
+    Channel channel(&sim, std::move(topology));
+    FrameDriver driver(&sim, &channel, {1, 2, 3});
+    EXPECT_EQ(driver.Send(1), (Ids{2}));
+    links->AddLink(1, 3);
+    EXPECT_EQ(driver.Send(1), (Ids{2, 3}));
+    links->RemoveLink(1, 2);
+    EXPECT_EQ(driver.Send(1), (Ids{3}));
+    EXPECT_EQ(driver.attempted(), (Ids{3}));
+    EXPECT_EQ(driver.sensed(), (Ids{3}));
+  }
+  {
+    // Zero shadowing: a hard disk at reference_range (margin checks only, so
+    // carrier sense is the deterministic observable).
+    Simulator sim(28);
+    ShadowingConfig config;
+    config.shadowing_sigma_db = 0.0;
+    auto shadowing = std::make_unique<ShadowingPropagation>(config, 7);
+    ShadowingPropagation* model = shadowing.get();
+    model->SetPosition(1, {0, 0, 0});
+    model->SetPosition(2, {5, 0, 0});
+    Channel channel(&sim, std::move(shadowing));
+    FrameDriver driver(&sim, &channel, {1, 2});
+    (void)driver.Send(1);
+    EXPECT_EQ(driver.attempted(), (Ids{2}));
+    EXPECT_EQ(driver.sensed(), (Ids{2}));
+    model->SetPosition(2, {500, 0, 0});
+    EXPECT_EQ(driver.Send(1), Ids{});
+    EXPECT_EQ(driver.attempted(), Ids{});
+    EXPECT_EQ(driver.sensed(), Ids{});
+  }
+}
+
+TEST(ChannelTest, DetachAndReattachRebuildReceivers) {
+  Simulator sim(29);
+  auto channel = MakeCliqueChannel(&sim, 3);
+  FrameDriver driver(&sim, channel.get(), {1, 2, 3});
+  EXPECT_EQ(driver.Send(1), (Ids{2, 3}));
+
+  channel->Detach(2);
+  EXPECT_EQ(driver.Send(1), (Ids{3}));
+  EXPECT_EQ(driver.attempted(), (Ids{3}));
+  // A detached node still senses carrier: the model says energy reaches it.
+  EXPECT_EQ(driver.sensed(), (Ids{2, 3}));
+
+  driver.Attach(2);  // a fresh endpoint under the same id
+  EXPECT_EQ(driver.Send(1), (Ids{2, 3}));
+  EXPECT_EQ(driver.sensed(), (Ids{2, 3}));
+}
+
+// ---- Receiver lists vs a brute-force Reaches scan ----
+
+// Random topology mutations, detach/attach, local frames (some with a
+// mid-flight mutation or detach) and remote frames. Every frame's receivers,
+// every carrier-sense answer and every remote delivery order must match a
+// direct scan of the model over the attached endpoints. All link
+// probabilities are 0 or 1, so delivery is exactly predictable.
+void RunReceiverDifferential(uint64_t seed, std::unique_ptr<PropagationModel> owned,
+                             const std::function<void(Rng&)>& mutate) {
+  constexpr NodeId kLocal = 10;  // ids 1..10 may attach
+  constexpr NodeId kAll = 12;    // 11 and 12 only send remote frames
+  Simulator sim(seed);
+  PropagationModel* model = owned.get();
+  Channel channel(&sim, std::move(owned));
+  std::vector<std::unique_ptr<RecordingEndpoint>> endpoints;
+  std::map<NodeId, RecordingEndpoint*> attached;
+  std::vector<NodeId> log;
+  auto attach = [&](NodeId id) {
+    endpoints.push_back(std::make_unique<RecordingEndpoint>(id));
+    endpoints.back()->set_on_delivered([&log, id] { log.push_back(id); });
+    channel.Attach(endpoints.back().get());
+    attached[id] = endpoints.back().get();
+  };
+  auto detach = [&](NodeId id) {
+    channel.Detach(id);
+    attached.erase(id);
+  };
+  // Ascending, like the map.
+  auto reached = [&](NodeId sender) {
+    std::vector<NodeId> ids;
+    for (const auto& [id, endpoint] : attached) {
+      if (id != sender && model->Reaches(sender, id)) {
+        ids.push_back(id);
+      }
+    }
+    return ids;
+  };
+  for (NodeId id = 1; id <= kLocal; ++id) {
+    attach(id);
+  }
+
+  Rng rng(seed);
+  for (int step = 0; step < 600; ++step) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " step " << step);
+    // Mostly frames, so lists get reused between changes.
+    const int64_t op = rng.NextInt(0, 9);
+    if (op < 2) {
+      mutate(rng);
+    } else if (op == 2) {
+      const NodeId id = static_cast<NodeId>(rng.NextInt(1, kLocal));
+      if (attached.contains(id)) {
+        detach(id);
+      } else {
+        attach(id);
+      }
+    } else if (op == 3) {
+      const NodeId sender = static_cast<NodeId>(rng.NextInt(kLocal + 1, kAll));
+      log.clear();
+      const uint64_t attempted_before = channel.stats().receptions_attempted;
+      channel.DeliverRemote(sender, TestFrame(sender), kFrameAirtime);
+      // A stale entry would be attempted and lost, not decoded: count it.
+      EXPECT_EQ(channel.stats().receptions_attempted - attempted_before, reached(sender).size());
+      std::vector<NodeId> expected;
+      for (NodeId id : reached(sender)) {
+        if (model->DeliveryProbability(sender, id, sim.now()) > 0.5) {
+          expected.push_back(id);
+        }
+      }
+      EXPECT_EQ(log, expected);
+    } else if (!attached.empty()) {
+      auto pick = attached.begin();
+      std::advance(pick, rng.NextInt(0, static_cast<int64_t>(attached.size()) - 1));
+      const NodeId sender = pick->first;
+      const SimTime start = sim.now();
+      std::vector<NodeId> candidates = reached(sender);
+      log.clear();
+      const uint64_t attempted_before = channel.stats().receptions_attempted;
+      channel.Transmit(sender, TestFrame(sender), kFrameAirtime);
+      EXPECT_EQ(channel.stats().receptions_attempted - attempted_before, candidates.size());
+      if (rng.NextBool(0.3)) {
+        if (rng.NextBool(0.5)) {
+          mutate(rng);
+        } else {
+          auto victim = attached.begin();
+          std::advance(victim, rng.NextInt(0, static_cast<int64_t>(attached.size()) - 1));
+          detach(victim->first);  // may be the sender itself
+        }
+      }
+      for (NodeId id = 1; id <= kAll; ++id) {
+        EXPECT_EQ(channel.CarrierBusyAt(id), id == sender || model->Reaches(sender, id))
+            << "carrier at " << id << " from " << sender;
+      }
+      sim.RunUntil(start + 2 * kFrameAirtime);
+      std::set<NodeId> expected;
+      for (NodeId id : candidates) {
+        if (attached.contains(id) && model->DeliveryProbability(sender, id, start) > 0.5) {
+          expected.insert(id);
+        }
+      }
+      EXPECT_EQ(std::set<NodeId>(log.begin(), log.end()), expected) << "frame from " << sender;
+      EXPECT_EQ(log.size(), expected.size());
+    }
+  }
+  // Not vacuous: plenty of frames found receivers.
+  EXPECT_GT(channel.stats().deliveries, 50u);
+  for (const auto& endpoint : endpoints) {
+    endpoint->set_on_delivered(nullptr);
+  }
+}
+
+TEST(ChannelTest, ReceiverListsMatchBruteForceOverDiskAndFaultOverlay) {
+  for (uint64_t seed : {101u, 102u, 103u}) {
+    constexpr NodeId kAll = 12;
+    auto random_position = [](Rng& rng) {
+      return Position{rng.NextDoubleIn(0, 40), rng.NextDoubleIn(0, 40),
+                      static_cast<int>(rng.NextInt(0, 1))};
+    };
+    Rng layout(seed * 7);
+    auto disk_owned = std::make_unique<DiskPropagation>(15.0);
+    DiskPropagation* disk = disk_owned.get();
+    for (NodeId id = 1; id <= kAll; ++id) {
+      disk->SetPosition(id, random_position(layout));
+    }
+    auto overlay_owned = std::make_unique<FaultOverlayPropagation>(std::move(disk_owned));
+    FaultOverlayPropagation* overlay = overlay_owned.get();
+    RunReceiverDifferential(seed, std::move(overlay_owned), [&](Rng& rng) {
+      const NodeId a = static_cast<NodeId>(rng.NextInt(1, kAll));
+      const NodeId b = static_cast<NodeId>(rng.NextInt(1, kAll));
+      switch (rng.NextInt(0, 8)) {
+        case 0:
+          disk->SetPosition(a, random_position(rng));
+          break;
+        case 1:
+          disk->SetLinkQuality(a, b, LinkQuality{});
+          break;
+        case 2:
+          disk->BlockLink(a, b);
+          break;
+        case 3:
+          disk->set_inter_floor_range(rng.NextBool(0.5) ? 0.0 : 20.0);
+          break;
+        case 4:
+          overlay->BlackoutLink(a, b);
+          break;
+        case 5:
+          overlay->RestoreLink(a, b);
+          break;
+        case 6: {
+          std::vector<NodeId> left;
+          std::vector<NodeId> right;
+          for (NodeId id = 1; id <= kAll; ++id) {
+            const int64_t side = rng.NextInt(0, 2);  // 2: in neither group
+            if (side < 2) {
+              (side == 0 ? left : right).push_back(id);
+            }
+          }
+          overlay->Partition(left, right);
+          break;
+        }
+        case 7:
+          overlay->Heal();
+          break;
+        default:
+          overlay->DegradeLink(a, b, 0.0);
+          break;
+      }
+    });
+  }
+}
+
+TEST(ChannelTest, ReceiverListsMatchBruteForceOverExplicitTopology) {
+  for (uint64_t seed : {201u, 202u}) {
+    constexpr NodeId kAll = 12;
+    auto owned = std::make_unique<ExplicitTopology>();
+    ExplicitTopology* topology = owned.get();
+    Rng layout(seed * 7);
+    for (int i = 0; i < 40; ++i) {
+      topology->AddLink(static_cast<NodeId>(layout.NextInt(1, kAll)),
+                        static_cast<NodeId>(layout.NextInt(1, kAll)));
+    }
+    RunReceiverDifferential(seed, std::move(owned), [&](Rng& rng) {
+      const NodeId a = static_cast<NodeId>(rng.NextInt(1, kAll));
+      const NodeId b = static_cast<NodeId>(rng.NextInt(1, kAll));
+      if (rng.NextBool(0.5)) {
+        topology->AddLink(a, b);
+      } else {
+        topology->RemoveLink(a, b);
+      }
+    });
+  }
+}
+
+// ---- Reentrancy ----
+
+// A delivery callback that transmits synchronously from senders whose lists
+// do not exist yet, so lists are built (and the list map grows) while the
+// channel is inside its own delivery loop. Pinned under ASan in CI.
+TEST(ChannelTest, TransmitFromDeliveryCallbackBuildsListsSafely) {
+  constexpr NodeId kNodes = 40;
+  constexpr NodeId kRemote = kNodes + 1;
+  for (bool remote : {false, true}) {
+    SCOPED_TRACE(remote ? "inside DeliverRemote" : "inside FinishTransmit");
+    Simulator sim(31);
+    auto topology = std::make_unique<ExplicitTopology>();
+    for (NodeId a = 1; a <= kRemote; ++a) {
+      for (NodeId b = 1; b <= kNodes; ++b) {
+        if (a != b) {
+          topology->AddLink(a, b);
+        }
+      }
+    }
+    Channel channel(&sim, std::move(topology));
+    std::vector<std::unique_ptr<RecordingEndpoint>> endpoints;
+    for (NodeId id = 1; id <= kNodes; ++id) {
+      endpoints.push_back(std::make_unique<RecordingEndpoint>(id));
+      channel.Attach(endpoints.back().get());
+    }
+    // Node 2's first delivery makes every node from 3 up transmit at once.
+    bool fired = false;
+    endpoints[1]->set_on_delivered([&] {
+      if (fired) {
+        return;
+      }
+      fired = true;
+      for (NodeId sender = 3; sender <= kNodes; ++sender) {
+        channel.Transmit(sender, TestFrame(sender), kFrameAirtime);
+      }
+    });
+
+    if (remote) {
+      channel.DeliverRemote(kRemote, TestFrame(kRemote), kFrameAirtime);
+      // Ascending order: 1 and 2 decode; everyone after 2 is now mid-reception
+      // of a local frame and loses the remote one.
+      EXPECT_EQ(endpoints[0]->delivered(), 1);
+      EXPECT_EQ(endpoints[1]->delivered(), 1);
+      EXPECT_EQ(channel.stats().collisions, kNodes - 2);
+    } else {
+      channel.Transmit(1, TestFrame(1), kFrameAirtime);
+      sim.RunUntil(sim.now() + kFrameAirtime);
+      // The first frame had ended, so none of its receivers lost it to the
+      // transmissions its delivery set off.
+      EXPECT_EQ(channel.stats().deliveries, kNodes - 1);
+      EXPECT_EQ(channel.stats().collisions, 0u);
+    }
+    EXPECT_TRUE(fired);
+    sim.RunUntil(sim.now() + 2 * kFrameAirtime);
+    const ChannelStats& stats = channel.stats();
+    EXPECT_EQ(stats.transmissions, (remote ? 0u : 1u) + (kNodes - 2));
+    EXPECT_EQ(stats.receptions_attempted,
+              stats.collisions + stats.propagation_losses + stats.deliveries);
+    for (const auto& endpoint : endpoints) {
+      endpoint->set_on_delivered(nullptr);
+    }
+  }
 }
 
 TEST(MacTest, QueueOverflowDrops) {
