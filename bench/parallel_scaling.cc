@@ -68,6 +68,7 @@ struct RunOutput {
   std::vector<uint64_t> clamped_by_region;
   uint64_t fingerprint = 0;
   uint64_t trace_events = 0;
+  uint64_t barriers_run = 0;
   size_t distinct_events = 0;
   int regions = 0;
   SimDuration window = 0;
@@ -136,6 +137,7 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
   }
   output.fingerprint = trace.fingerprint();
   output.trace_events = trace.count();
+  output.barriers_run = world.engine().barriers_run();
   for (const auto& sink : sinks) {
     output.distinct_events += sink->distinct_events();
   }
@@ -233,14 +235,15 @@ int Main(int argc, char** argv) {
     const unsigned threads = static_cast<unsigned>(bench::IntFlag(argc, argv, "threads", 1));
     const RunOutput run = RunWorld(side, regions, threads, seed, fp_seconds, /*traced=*/true);
     std::printf("nodes=%d regions=%d window_us=%lld events=%llu bytes=%llu border=%llu "
-                "clamped=%llu fp=%llu trace_events=%llu delivered=%zu\n",
+                "clamped=%llu fp=%llu trace_events=%llu delivered=%zu barriers=%llu\n",
                 side * side, run.regions, static_cast<long long>(run.window / kMicrosecond),
                 static_cast<unsigned long long>(run.events_executed),
                 static_cast<unsigned long long>(run.diffusion_bytes),
                 static_cast<unsigned long long>(run.border_frames),
                 static_cast<unsigned long long>(run.deliveries_clamped),
                 static_cast<unsigned long long>(run.fingerprint),
-                static_cast<unsigned long long>(run.trace_events), run.distinct_events);
+                static_cast<unsigned long long>(run.trace_events), run.distinct_events,
+                static_cast<unsigned long long>(run.barriers_run));
     if (!out.empty()) {
       std::vector<bench::BenchResult> results = {
           {"nodes", "count", static_cast<double>(side * side)},
@@ -253,6 +256,7 @@ int Main(int argc, char** argv) {
           {"deliveries_clamped", "count", static_cast<double>(run.deliveries_clamped)},
           {"trace_fingerprint", "hash53", static_cast<double>(run.fingerprint)},
           {"trace_events", "count", static_cast<double>(run.trace_events)},
+          {"barriers_run", "count", static_cast<double>(run.barriers_run)},
       };
       AppendPerRegionClamps(run, &results);
       if (!bench::WriteBenchJson(out, "parallel_scaling", results)) {
@@ -275,7 +279,8 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(fp_runs[i].fingerprint),
                 static_cast<unsigned long long>(fp_runs[i].trace_events));
     if (fp_runs[i].fingerprint != fp_runs[0].fingerprint ||
-        fp_runs[i].trace_events != fp_runs[0].trace_events) {
+        fp_runs[i].trace_events != fp_runs[0].trace_events ||
+        fp_runs[i].barriers_run != fp_runs[0].barriers_run) {
       std::fprintf(stderr, "FAIL: trace diverges between 1 and %u threads\n", kThreadCounts[i]);
       return 1;
     }
@@ -317,6 +322,7 @@ int Main(int argc, char** argv) {
         {"border_frames", "count", static_cast<double>(fp_runs[0].border_frames)},
         {"deliveries_clamped", "count", static_cast<double>(fp_runs[0].deliveries_clamped)},
         {"trace_fingerprint", "hash53", static_cast<double>(fp_runs[0].fingerprint)},
+        {"barriers_run", "count", static_cast<double>(fp_runs[0].barriers_run)},
         {"events_per_sec_t1", "events/s", events_per_sec[0]},
         {"events_per_sec_t2", "events/s", events_per_sec[1]},
         {"events_per_sec_t4", "events/s", events_per_sec[2]},

@@ -187,11 +187,26 @@ void MatchIndex::ReleaseGroup(const Position& position) {
       }
       break;
     }
+    case GroupKind::kNeNum:
+      ne_num_.erase(position.num_key);
+      break;
+    case GroupKind::kNeStr:
+      ne_str_.erase(position.str_key);
+      break;
     case GroupKind::kIntervalRoot:
     case GroupKind::kAny:
     case GroupKind::kUnconstrained:
       break;  // static members; nothing to release
   }
+}
+
+size_t MatchIndex::group_count() const {
+  size_t groups = num_eq_.size() + str_eq_.size() + ge_.size() + gt_.size() + le_.size() +
+                  lt_.size() + ne_num_.size() + ne_str_.size();
+  for (const auto& level_nodes : trie_) {
+    groups += level_nodes.size();
+  }
+  return groups;
 }
 
 bool MatchIndex::Insert(uint32_t id, int32_t priority, const AttributeSet* attrs) {

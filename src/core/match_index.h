@@ -103,6 +103,11 @@ class MatchIndex {
 
   size_t size() const { return size_; }
 
+  // Value-keyed groups currently held (EQ buckets, endpoint-map keys, trie
+  // nodes, NE values). A group is released when its last entry leaves, so
+  // this never exceeds size() and dispatch never walks an empty group.
+  size_t group_count() const;
+
   // Incremented by every successful Insert/Erase. Lets callers detect that
   // precomputed candidate/winner state went stale (e.g. a filter callback
   // mutating the chain mid-batch).

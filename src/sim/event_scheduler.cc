@@ -182,6 +182,13 @@ bool EventScheduler::Empty() const {
   return impl_ == Impl::kCompatBinaryHeap ? live_.empty() : root_ == nullptr;
 }
 
+SimTime EventScheduler::NextEventTime() const {
+  if (impl_ == Impl::kCompatBinaryHeap) {
+    return queue_.empty() ? kNoEventTime : queue_.front().when;
+  }
+  return root_ == nullptr ? kNoEventTime : root_->when;
+}
+
 size_t EventScheduler::pending() const {
   return impl_ == Impl::kCompatBinaryHeap ? live_.size() : live_count_;
 }

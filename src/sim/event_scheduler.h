@@ -24,6 +24,7 @@
 #define SRC_SIM_EVENT_SCHEDULER_H_
 
 #include <cstdint>
+#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -36,6 +37,9 @@ namespace diffusion {
 // Identifies a scheduled event for cancellation. Zero is never a valid id.
 using EventId = uint64_t;
 constexpr EventId kInvalidEventId = 0;
+
+// NextEventTime() of an empty queue: later than every schedulable time.
+constexpr SimTime kNoEventTime = std::numeric_limits<SimTime>::max();
 
 class EventScheduler {
  public:
@@ -63,6 +67,11 @@ class EventScheduler {
 
   // True when no runnable events remain.
   bool Empty() const;
+
+  // Time of the earliest queued event, or kNoEventTime when the queue is
+  // empty. A lower bound on the next event RunOne would run: the compat
+  // heap may report a cancelled head it has not yet popped.
+  SimTime NextEventTime() const;
 
   // Runs the next event, advancing the clock. Returns false if none remain.
   bool RunOne();

@@ -159,9 +159,26 @@ void ShardedEngine::MergeTraces() {
   }
 }
 
+SimTime ShardedEngine::NextEventTime() const {
+  SimTime next = kNoEventTime;
+  for (const auto& sim : sims_) {
+    next = std::min(next, sim->scheduler().NextEventTime());
+  }
+  return next;
+}
+
 uint64_t ShardedEngine::RunUntil(SimTime end) {
   uint64_t before = events_executed();
   while (cursor_ <= end) {
+    // Jump over whole windows before the earliest pending event: they would
+    // run, post and trace nothing. The jump stays on the cursor's window
+    // grid and stops at the window holding `end`, which always runs so every
+    // region's clock reaches `end`.
+    const SimDuration idle = (std::min(NextEventTime(), end) - cursor_) / window_;
+    if (idle > 0) {
+      cursor_ += idle * window_;
+      windows_run_ += static_cast<uint64_t>(idle);
+    }
     // Half-open window [cursor, bound): RunUntil is inclusive, so regions
     // advance to bound-1. The final window is trimmed to end inclusive.
     const SimTime bound = std::min<SimTime>(cursor_ + window_, end + 1);
@@ -173,6 +190,7 @@ uint64_t ShardedEngine::RunUntil(SimTime end) {
     }
     MergeTraces();
     ++windows_run_;
+    ++barriers_run_;
     cursor_ = bound;
   }
   return events_executed() - before;

@@ -8,6 +8,13 @@
 // RegionCoupler hands cross-region work over — single-threaded, in a fixed
 // (time, source region, sequence) order — before the next window starts.
 //
+// Idle windows cost nothing. Before each window the barrier thread peeks
+// every region's earliest pending event; whole windows before it would run,
+// post and trace nothing, so the cursor jumps over them in one step (staying
+// on the same window grid) and only windows holding an event pay the thread
+// handoff, the coupler drain and the trace merge. windows_run() counts grid
+// windows covered, barriers_run() the barriers that actually executed.
+//
 // The window length L is the conservative lookahead: no event executed
 // inside a window may affect another region earlier than the next barrier.
 // For the radio substrate that bound comes from frame airtime (a frame
@@ -51,6 +58,11 @@ class RegionCoupler {
   // ended and schedules it into that region's simulator at or after
   // `barrier`. Runs on the barrier thread with every region quiescent,
   // invoked for regions in ascending order.
+  //
+  // Only barriers closing a window in which some region may have run an
+  // event call it: the engine skips windows with no pending event. A
+  // coupler must therefore only relay work that region events posted and
+  // never originate work of its own (a timer, a post made outside a window).
   virtual void DrainInto(int dst_region, SimTime barrier) = 0;
 };
 
@@ -92,19 +104,25 @@ class ShardedEngine {
   // Routes every region's trace into a per-region buffer and merges the
   // buffers into `sink` at each barrier, ordered by (time, region, per-region
   // emission order). The merged stream is invariant under the thread count.
-  // Null detaches tracing. Constant memory: buffers drain every window.
+  // Null detaches tracing. Constant memory: buffers drain at every barrier.
   void set_merged_trace_sink(TraceSink* sink);
 
   // Advances every region to `end` inclusive (the Simulator::RunUntil
   // convention) in conservative windows, draining the coupler and merging
-  // traces at each barrier. Returns events executed across all regions
-  // during this call. Subsequent calls continue from where the last ended.
+  // traces at each barrier. Windows before the earliest pending event are
+  // skipped without a barrier (see file comment). Returns events executed
+  // across all regions during this call. Subsequent calls continue from
+  // where the last ended.
   uint64_t RunUntil(SimTime end);
 
   // Events executed across all regions since construction.
   uint64_t events_executed() const;
 
+  // Windows of the grid covered since construction, skipped ones included.
   uint64_t windows_run() const { return windows_run_; }
+  // Barriers that actually executed: windows_run() minus the idle windows
+  // skipped. Deterministic, like windows_run().
+  uint64_t barriers_run() const { return barriers_run_; }
 
  private:
   static unsigned ResolveThreads(const ShardedEngineConfig& config);
@@ -112,6 +130,8 @@ class ShardedEngine {
   void RunShare(unsigned tid, SimTime bound);
   void RunWindow(SimTime bound);
   void MergeTraces();  // barrier thread only
+  // Earliest pending event over all regions; barrier thread only.
+  SimTime NextEventTime() const;
   void WorkerLoop(unsigned tid);
 
   const SimDuration window_;
@@ -134,6 +154,7 @@ class ShardedEngine {
 
   SimTime cursor_ DIFFUSION_BARRIER_OWNED = 0;  // start of the next window
   uint64_t windows_run_ DIFFUSION_BARRIER_OWNED = 0;
+  uint64_t barriers_run_ DIFFUSION_BARRIER_OWNED = 0;
 
   // Barrier state. Workers advance their statically assigned regions
   // (region % threads == tid) when `generation_` moves, then decrement

@@ -31,6 +31,14 @@ AttributeSet Range(double lo, double hi) {
 
 AttributeSet Actual(double v) { return {Attribute::Float64(kKey, AttrOp::kIs, v)}; }
 
+// `prefix` followed by `n`. Appended rather than `prefix + std::to_string(n)`,
+// which trips a gcc 12 -Werror=restrict false positive at -O3.
+std::string Numbered(const char* prefix, int64_t n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+
 // Collects the candidate ids ForEachCandidate offers for `message`.
 std::vector<uint32_t> Candidates(const MatchIndex& index, const AttributeSet& message) {
   std::vector<uint32_t> ids;
@@ -161,6 +169,41 @@ TEST(MatchIndexTest, NeGroupsSkipOnlyTheUniformValue) {
   const AttributeSet blue = {Attribute::String(kKey, AttrOp::kIs, "blue")};
   ExpectSoundAndDeduped(entries, index, red, "NE red");
   ExpectSoundAndDeduped(entries, index, blue, "NE blue");
+}
+
+TEST(MatchIndexTest, NeGroupsReleasedWhenTheirLastEntryLeaves) {
+  // Churn through unique NE constants, numeric and string, as per-request
+  // subscriptions would. Each erase must drop its value's group, or every
+  // later dispatch keeps walking a map of empty groups.
+  const AttributeSet keep = {Attribute::Float64(kKey, AttrOp::kEq, 1.0)};
+  MatchIndex index(kKey);
+  ASSERT_TRUE(index.Insert(0, 0, &keep));
+  ASSERT_EQ(index.group_count(), 1u);
+  std::vector<AttributeSet> storage;
+  storage.reserve(400);
+  for (int round = 0; round < 4; ++round) {
+    const size_t first = storage.size();
+    for (int i = 0; i < 50; ++i) {
+      const int value = round * 50 + i;
+      storage.push_back({Attribute::Float64(kKey, AttrOp::kNe, static_cast<double>(value))});
+      storage.push_back({Attribute::String(kKey, AttrOp::kNe, Numbered("req-", value))});
+    }
+    for (size_t slot = first; slot < storage.size(); ++slot) {
+      ASSERT_TRUE(index.Insert(static_cast<uint32_t>(slot + 1), 0, &storage[slot]));
+    }
+    EXPECT_EQ(index.group_count(), 1u + 100u);
+    // Every NE entry is a candidate for an actual that differs from it.
+    EXPECT_EQ(Candidates(index, Actual(-1.0)).size(), 50u);
+    for (size_t slot = first; slot < storage.size(); ++slot) {
+      ASSERT_TRUE(index.Erase(static_cast<uint32_t>(slot + 1)));
+    }
+    // Only the EQ bucket is left: no empty NE group survives to be walked.
+    EXPECT_EQ(index.group_count(), 1u);
+    EXPECT_EQ(index.size(), 1u);
+    EXPECT_EQ(Candidates(index, Actual(1.0)), std::vector<uint32_t>{0});
+  }
+  ASSERT_TRUE(index.Erase(0));
+  EXPECT_EQ(index.group_count(), 0u);
 }
 
 TEST(MatchIndexTest, NanActualSatisfiesNeButNothingElse) {
@@ -385,7 +428,7 @@ Attribute RandomKeyFormal(Rng* rng) {
     case 1:
       return Attribute::Int32(kKey, op, static_cast<int32_t>(rng->NextInt(0, 20)));
     case 2:
-      return Attribute::String(kKey, op, "s" + std::to_string(rng->NextInt(0, 5)));
+      return Attribute::String(kKey, op, Numbered("s", rng->NextInt(0, 5)));
     case 3: {
       const double specials[] = {-kInf, kInf, kNaN, -0.0, 1e308, -1e308, 1e-308};
       return Attribute::Float64(kKey, op, specials[rng->NextInt(0, 6)]);
@@ -402,7 +445,7 @@ Attribute RandomKeyActual(Rng* rng) {
     case 1:
       return Attribute::Int32(kKey, AttrOp::kIs, static_cast<int32_t>(rng->NextInt(0, 20)));
     case 2:
-      return Attribute::String(kKey, AttrOp::kIs, "s" + std::to_string(rng->NextInt(0, 5)));
+      return Attribute::String(kKey, AttrOp::kIs, Numbered("s", rng->NextInt(0, 5)));
     default: {
       const double specials[] = {-kInf, kInf, kNaN, -0.0, 1e308, -1e308};
       return Attribute::Float64(kKey, AttrOp::kIs, specials[rng->NextInt(0, 5)]);
@@ -473,6 +516,7 @@ TEST(MatchIndexTest, RandomizedChurnKeepsIndexConsistent) {
       live.erase(victim);
     }
     ASSERT_EQ(index.size(), live.size());
+    ASSERT_LE(index.group_count(), index.size()) << "an empty group outlived its entries";
     if (step % 10 == 0) {
       AttributeVector message_attrs;
       const int actuals = static_cast<int>(rng.NextInt(0, 3));

@@ -6,7 +6,10 @@
 //       bench/parallel_scaling enforces at 10k nodes, pinned here on small
 //       topologies where the full traces can be compared, and
 //   (c) frames cross region borders correctly (multi-fragment reassembly,
-//       node failures mid-window).
+//       node failures mid-window), and
+//   (d) skipping idle windows changes nothing: barriers stay on the window
+//       grid and a seeded cross-region workload matches a reference that
+//       steps every window.
 
 #include <algorithm>
 #include <atomic>
@@ -28,6 +31,7 @@
 #include "src/testbed/topology.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
+#include "src/util/rng.h"
 
 // Death tests fork (or clone) the process; TSan instrumented binaries do not
 // support that, and the parallel suite runs under TSan in CI.
@@ -465,6 +469,259 @@ TEST(ShardedEngineTest, WindowsAdvanceAllRegions) {
   EXPECT_EQ(engine.events_executed(), 3u);
   for (int region = 0; region < engine.regions(); ++region) {
     EXPECT_EQ(engine.region_sim(region).now(), 100 * kMillisecond);
+  }
+}
+
+// ---- idle-window skipping ----------------------------------------------------
+
+// Records the barrier time of every DrainInto call (region 0's, one per
+// executed barrier) and relays nothing.
+class BarrierLog : public RegionCoupler {
+ public:
+  void DrainInto(int dst_region, SimTime barrier) override {
+    if (dst_region == 0) {
+      barriers.push_back(barrier);
+    }
+  }
+  std::vector<SimTime> barriers;
+};
+
+TEST(ShardedEngineTest, IdleWindowsSkipBarriers) {
+  ShardedEngineConfig config;
+  config.regions = 4;
+  config.threads = 2;
+  config.window = 10 * kMillisecond;
+  ShardedEngine engine(config);
+  BarrierLog log;
+  engine.set_coupler(&log);
+
+  // Three events separated by hundreds of idle windows; each region records
+  // the clock its event saw (one writer per slot).
+  const SimTime at[] = {5 * kMillisecond, 523 * kMillisecond, 2001 * kMillisecond};
+  SimTime seen[3] = {-1, -1, -1};
+  for (int i = 0; i < 3; ++i) {
+    Simulator& sim = engine.region_sim(i);
+    sim.At(at[i], [&sim, &seen, i] { seen[i] = sim.now(); });
+  }
+  const SimTime end = 3 * kSecond;
+  engine.RunUntil(end);
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(seen[i], at[i]);
+  }
+  // [0, 3000 ms) is 300 grid windows, plus the one-tick window holding end.
+  EXPECT_EQ(engine.windows_run(), 301u);
+  // Only the windows holding an event, and the one holding end, ran.
+  EXPECT_EQ(engine.barriers_run(), 4u);
+  EXPECT_EQ(log.barriers, (std::vector<SimTime>{10 * kMillisecond, 530 * kMillisecond,
+                                                2010 * kMillisecond, end + 1}));
+  for (int region = 0; region < engine.regions(); ++region) {
+    EXPECT_EQ(engine.region_sim(region).now(), end);
+  }
+}
+
+TEST(ShardedEngineTest, SkipKeepsTheGridAcrossOffGridCalls) {
+  ShardedEngineConfig config;
+  config.regions = 2;
+  config.threads = 2;
+  config.window = 10 * kMillisecond;
+  ShardedEngine engine(config);
+  BarrierLog log;
+  engine.set_coupler(&log);
+
+  // The first call ends off the grid: its last window is [30 ms, 37 ms].
+  engine.RunUntil(37 * kMillisecond);
+  EXPECT_EQ(engine.windows_run(), 4u);
+  EXPECT_EQ(engine.barriers_run(), 1u);
+  for (int region = 0; region < engine.regions(); ++region) {
+    EXPECT_EQ(engine.region_sim(region).now(), 37 * kMillisecond);
+  }
+
+  // Scheduled from outside at now(): before the next window's start, so
+  // it must block the skip and run at its own time.
+  Simulator& sim = engine.region_sim(1);
+  SimTime seen = -1;
+  sim.At(sim.now(), [&sim, &seen] { seen = sim.now(); });
+  SimTime late_seen = -1;
+  sim.At(150 * kMillisecond, [&sim, &late_seen] { late_seen = sim.now(); });
+  const size_t barriers_before = log.barriers.size();
+  engine.RunUntil(400 * kMillisecond);
+
+  EXPECT_EQ(seen, 37 * kMillisecond);
+  EXPECT_EQ(late_seen, 150 * kMillisecond);
+  // The continuation grid starts at 37 ms + 1 tick: barriers at
+  // 47.001 ms (outside event), 157.001 ms (the 150 ms event) and 400.001 ms
+  // (the window holding end), never anywhere else.
+  const std::vector<SimTime> continued(log.barriers.begin() + static_cast<std::ptrdiff_t>(barriers_before),
+                                       log.barriers.end());
+  EXPECT_EQ(continued, (std::vector<SimTime>{47 * kMillisecond + 1, 157 * kMillisecond + 1,
+                                             400 * kMillisecond + 1}));
+  EXPECT_EQ(engine.windows_run(), 4u + 37u);
+  EXPECT_EQ(engine.barriers_run(), 4u);
+  for (int region = 0; region < engine.regions(); ++region) {
+    EXPECT_EQ(engine.region_sim(region).now(), 400 * kMillisecond);
+  }
+}
+
+// A seeded cross-region workload for the skip differential. Each region
+// runs one chain of events, mostly close together but with long idle gaps;
+// some events post a message to another region, which the coupler delivers
+// at max(barrier, send time + latency) as RegionBridge delivers frames.
+class ChainWorkload : public RegionCoupler {
+ public:
+  struct Logged {
+    SimTime when;
+    int64_t label;
+    bool operator==(const Logged&) const = default;
+  };
+
+  explicit ChainWorkload(std::vector<Simulator*> sims)
+      : sims_(std::move(sims)),
+        logs_(sims_.size()),
+        outbox_(sims_.size(), std::vector<std::vector<Posted>>(sims_.size())) {}
+
+  void Start() {
+    for (size_t r = 0; r < sims_.size(); ++r) {
+      const int region = static_cast<int>(r);
+      sims_[r]->At(static_cast<SimTime>(r) * kMillisecond, [this, region] { Step(region, 0); });
+    }
+  }
+
+  // Schedules an event into `region` at its now(), from outside any window.
+  void Poke(int region) {
+    Simulator* sim = sims_[static_cast<size_t>(region)];
+    sim->At(sim->now(), [this, sim, region] {
+      logs_[static_cast<size_t>(region)].push_back(Logged{sim->now(), -1});
+    });
+  }
+
+  void DrainInto(int dst_region, SimTime barrier) override {
+    Simulator* sim = sims_[static_cast<size_t>(dst_region)];
+    for (auto& row : outbox_) {
+      std::vector<Posted>& posted = row[static_cast<size_t>(dst_region)];
+      for (const Posted& message : posted) {
+        const int64_t label = message.label;
+        sim->At(std::max(barrier, message.arrive), [this, sim, dst_region, label] {
+          logs_[static_cast<size_t>(dst_region)].push_back(Logged{sim->now(), label});
+        });
+      }
+      posted.clear();
+    }
+  }
+
+  const std::vector<std::vector<Logged>>& logs() const { return logs_; }
+
+ private:
+  struct Posted {
+    SimTime arrive;
+    int64_t label;
+  };
+
+  void Step(int region, int64_t step) {
+    Simulator* sim = sims_[static_cast<size_t>(region)];
+    Rng& rng = sim->rng();
+    const int64_t label = region * 1'000'000 + step;
+    logs_[static_cast<size_t>(region)].push_back(Logged{sim->now(), label});
+    const int regions = static_cast<int>(sims_.size());
+    if (regions > 1 && rng.NextBool(0.3)) {
+      int dst = static_cast<int>(rng.NextInt(0, regions - 2));
+      dst += dst >= region ? 1 : 0;
+      outbox_[static_cast<size_t>(region)][static_cast<size_t>(dst)].push_back(
+          Posted{sim->now() + rng.NextInt(0, 3 * kMillisecond), label});
+    }
+    const SimDuration delay = rng.NextBool(0.7)
+                                  ? rng.NextInt(1, 5 * kMillisecond)
+                                  : rng.NextInt(50 * kMillisecond, 400 * kMillisecond);
+    sim->After(delay, [this, region, step] { Step(region, step + 1); });
+  }
+
+  std::vector<Simulator*> sims_;
+  // Per region, written only by that region's events.
+  std::vector<std::vector<Logged>> logs_;
+  // outbox_[src][dst]: written by src's events inside a window, drained on
+  // the barrier thread.
+  std::vector<std::vector<std::vector<Posted>>> outbox_;
+};
+
+// The pre-skip engine: plain Simulators stepped through every window of the
+// grid, draining the coupler at every barrier.
+class EveryWindowReference {
+ public:
+  EveryWindowReference(int regions, uint64_t seed, SimDuration window) : window_(window) {
+    for (int r = 0; r < regions; ++r) {
+      sims_.push_back(std::make_unique<Simulator>(RegionSeed(seed, r)));
+    }
+  }
+
+  std::vector<Simulator*> sims() const {
+    std::vector<Simulator*> out;
+    for (const auto& sim : sims_) {
+      out.push_back(sim.get());
+    }
+    return out;
+  }
+
+  void RunUntil(SimTime end, RegionCoupler* coupler) {
+    while (cursor_ <= end) {
+      const SimTime bound = std::min<SimTime>(cursor_ + window_, end + 1);
+      for (const auto& sim : sims_) {
+        sim->RunUntil(bound - 1);
+      }
+      for (int r = 0; r < static_cast<int>(sims_.size()); ++r) {
+        coupler->DrainInto(r, bound);
+      }
+      cursor_ = bound;
+    }
+  }
+
+ private:
+  SimDuration window_;
+  SimTime cursor_ = 0;
+  std::vector<std::unique_ptr<Simulator>> sims_;
+};
+
+TEST(ShardedEngineTest, SkippingMatchesEveryWindowReference) {
+  const int kRegions = 4;
+  const SimDuration kWindow = 2 * kMillisecond;
+  const SimTime kSplit = 1237 * kMillisecond + 500;  // off the window grid
+  const SimTime kEnd = 5 * kSecond;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    EveryWindowReference reference(kRegions, seed, kWindow);
+    ChainWorkload expected(reference.sims());
+    expected.Start();
+    reference.RunUntil(kSplit, &expected);
+    expected.Poke(2);
+    reference.RunUntil(kEnd, &expected);
+    size_t logged = 0;
+    for (const auto& log : expected.logs()) {
+      logged += log.size();
+    }
+    ASSERT_GT(logged, 100u);
+
+    for (unsigned threads : {1u, 2u}) {
+      ShardedEngineConfig config;
+      config.regions = kRegions;
+      config.threads = threads;
+      config.window = kWindow;
+      config.seed = seed;
+      ShardedEngine engine(config);
+      std::vector<Simulator*> sims;
+      for (int r = 0; r < kRegions; ++r) {
+        sims.push_back(&engine.region_sim(r));
+      }
+      ChainWorkload actual(sims);
+      engine.set_coupler(&actual);
+      actual.Start();
+      engine.RunUntil(kSplit);
+      actual.Poke(2);
+      engine.RunUntil(kEnd);
+
+      EXPECT_EQ(actual.logs(), expected.logs()) << "seed " << seed << " threads " << threads;
+      EXPECT_LT(engine.barriers_run(), engine.windows_run());
+      for (int r = 0; r < kRegions; ++r) {
+        EXPECT_EQ(engine.region_sim(r).now(), kEnd);
+      }
+    }
   }
 }
 

@@ -237,6 +237,31 @@ TEST(SchedulerImplTest, CancelUnderChurnKeepsLiveEventsInOrder) {
   }
 }
 
+TEST(SchedulerImplTest, NextEventTimePeeksTheHead) {
+  for (const auto impl :
+       {EventScheduler::Impl::kPairingHeap, EventScheduler::Impl::kCompatBinaryHeap}) {
+    EventScheduler scheduler(impl);
+    EXPECT_EQ(scheduler.NextEventTime(), kNoEventTime);
+    const EventId head = scheduler.ScheduleAt(10, [] {});
+    scheduler.ScheduleAt(30, [] {});
+    scheduler.ScheduleAt(20, [] {});
+    EXPECT_EQ(scheduler.NextEventTime(), 10);
+    ASSERT_TRUE(scheduler.Cancel(head));
+    if (impl == EventScheduler::Impl::kPairingHeap) {
+      EXPECT_EQ(scheduler.NextEventTime(), 20);  // Cancel unlinks eagerly
+    } else {
+      // The dead head stays queued until a run pops it; still a lower bound.
+      EXPECT_LE(scheduler.NextEventTime(), 20);
+    }
+    EXPECT_EQ(scheduler.RunUntil(15), 0u);
+    EXPECT_EQ(scheduler.NextEventTime(), 20);
+    EXPECT_EQ(scheduler.RunUntil(20), 1u);
+    EXPECT_EQ(scheduler.NextEventTime(), 30);
+    scheduler.RunAll();
+    EXPECT_EQ(scheduler.NextEventTime(), kNoEventTime);
+  }
+}
+
 TEST(SchedulerImplTest, RandomizedWorkloadsAreEquivalent) {
   // Differential test: mirror a random schedule/cancel/run workload on both
   // implementations and require identical execution sequences and clocks.
@@ -266,7 +291,11 @@ TEST(SchedulerImplTest, RandomizedWorkloadsAreEquivalent) {
         const SimTime until = rng.NextInt(0, 2'000);
         EXPECT_EQ(pairing.RunUntil(until), compat.RunUntil(until));
         EXPECT_EQ(pairing.now(), compat.now());
+        // A run leaves the compat head live, so the two peeks agree.
+        EXPECT_EQ(pairing.NextEventTime(), compat.NextEventTime());
       }
+      // Between runs a cancelled compat head can only make its peek earlier.
+      EXPECT_LE(compat.NextEventTime(), pairing.NextEventTime());
     }
     EXPECT_EQ(pairing.RunAll(), compat.RunAll());
     EXPECT_EQ(pairing_log, compat_log);

@@ -82,7 +82,9 @@ Preprocessed Preprocess(const std::string& text) {
           if (i > 0 && code[i - 1] == 'R' && (i < 2 || !IsIdentChar(code[i - 2]))) {
             size_t open = code.find('(', i + 1);
             if (open != std::string::npos) {
-              raw_terminator = ")" + code.substr(i + 1, open - i - 1) + "\"";
+              raw_terminator = ")";
+              raw_terminator.append(code, i + 1, open - i - 1);
+              raw_terminator += '"';
               for (size_t j = i + 1; j <= open && j < code.size(); ++j) {
                 if (code[j] != '\n') {
                   code[j] = ' ';
