@@ -91,6 +91,24 @@ bool ReadNumber(const std::string& text, size_t pos, double* out) {
   return true;
 }
 
+// The whole file, or empty when it cannot be read.
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path);
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+// The value recorded for metric `name` in BenchJson text.
+bool FindValue(const std::string& text, const std::string& name, double* value) {
+  const size_t at = text.find("\"name\": \"" + EscapeJson(name) + "\"");
+  if (at == std::string::npos) {
+    return false;
+  }
+  const size_t value_pos = FindKey(text, "value", at);
+  return value_pos != std::string::npos && ReadNumber(text, value_pos, value);
+}
+
 bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) {
     *error = message;
@@ -187,6 +205,26 @@ bool ValidateBenchJson(const std::string& path, std::string* error) {
     return Fail(error, path + ": \"results\" array is empty");
   }
   return true;
+}
+
+bool ReadBenchValue(const std::string& path, const std::string& name, double* value) {
+  return FindValue(ReadFile(path), name, value);
+}
+
+bool MatchesRecorded(const std::string& path, const std::vector<BenchResult>& expected,
+                     std::string* error) {
+  const std::string text = ReadFile(path);
+  std::string mismatches;
+  for (const BenchResult& row : expected) {
+    double recorded = 0.0;
+    if (!FindValue(text, row.name, &recorded)) {
+      mismatches += (mismatches.empty() ? "" : "; ") + row.name + " missing";
+    } else if (FormatValue(recorded) != FormatValue(row.value)) {
+      mismatches += (mismatches.empty() ? "" : "; ") + row.name + " recorded " +
+                    FormatValue(recorded) + ", now " + FormatValue(row.value);
+    }
+  }
+  return mismatches.empty() || Fail(error, mismatches);
 }
 
 }  // namespace bench

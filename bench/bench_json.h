@@ -46,6 +46,16 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
 // returns false and, when `error` is non-null, stores a one-line diagnosis.
 bool ValidateBenchJson(const std::string& path, std::string* error);
 
+// Reads the recorded value of metric `name` from a file BenchJson wrote.
+// Returns false when the file or the metric is missing.
+bool ReadBenchValue(const std::string& path, const std::string& name, double* value);
+
+// True when `path` records every row of `expected` with the same value at the
+// file's precision. On a mismatch or a missing row returns false and, when
+// `error` is non-null, lists every offending row.
+bool MatchesRecorded(const std::string& path, const std::vector<BenchResult>& expected,
+                     std::string* error);
+
 }  // namespace bench
 }  // namespace diffusion
 

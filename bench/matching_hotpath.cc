@@ -284,34 +284,6 @@ std::vector<AttributeSet> MakeIneqMessages(size_t count, Rng* rng) {
   return messages;
 }
 
-// Pulls the recorded value of one metric back out of a bench JSON file we
-// wrote ourselves (fixed two-space formatting, so a scan is sufficient).
-bool ReadBenchValue(const std::string& path, const std::string& name, double* value) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return false;
-  }
-  std::string text;
-  char buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(file);
-  const std::string needle = "\"name\": \"" + name + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const std::string value_key = "\"value\": ";
-  const size_t value_at = text.find(value_key, at);
-  if (value_at == std::string::npos) {
-    return false;
-  }
-  *value = std::strtod(text.c_str() + value_at + value_key.size(), nullptr);
-  return true;
-}
-
 // Nanoseconds per call of `fn` over the whole message stream, best of `reps`
 // (best-of tolerates scheduler noise better than the mean).
 template <typename Fn>
@@ -344,7 +316,7 @@ int Main(int argc, char** argv) {
     }
     if (require_reduction > 0.0) {
       double recorded = 0.0;
-      if (!ReadBenchValue(check, "ineq_candidate_reduction", &recorded)) {
+      if (!bench::ReadBenchValue(check, "ineq_candidate_reduction", &recorded)) {
         std::fprintf(stderr, "FAIL: %s has no ineq_candidate_reduction metric\n", check.c_str());
         return 1;
       }

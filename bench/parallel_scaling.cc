@@ -156,32 +156,6 @@ void AppendPerRegionClamps(const RunOutput& run, std::vector<bench::BenchResult>
   }
 }
 
-bool ReadBenchValue(const std::string& path, const std::string& name, double* value) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return false;
-  }
-  std::string text;
-  char buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(file);
-  const std::string needle = "\"name\": \"" + name + "\"";
-  const size_t at = text.find(needle);
-  if (at == std::string::npos) {
-    return false;
-  }
-  const std::string value_key = "\"value\": ";
-  const size_t value_at = text.find(value_key, at);
-  if (value_at == std::string::npos) {
-    return false;
-  }
-  *value = std::strtod(text.c_str() + value_at + value_key.size(), nullptr);
-  return true;
-}
-
 int Main(int argc, char** argv) {
   const double require = std::strtod(
       bench::StringFlag(argc, argv, "require-speedup", "0").c_str(), nullptr);
@@ -194,7 +168,7 @@ int Main(int argc, char** argv) {
     }
     if (require > 0.0) {
       double available = 0.0;
-      if (!ReadBenchValue(check, "threads_available", &available)) {
+      if (!bench::ReadBenchValue(check, "threads_available", &available)) {
         std::fprintf(stderr, "FAIL: %s has no threads_available metric\n", check.c_str());
         return 1;
       }
@@ -203,7 +177,7 @@ int Main(int argc, char** argv) {
                     static_cast<int>(available));
       } else {
         double recorded = 0.0;
-        if (!ReadBenchValue(check, "parallel_speedup_4t", &recorded)) {
+        if (!bench::ReadBenchValue(check, "parallel_speedup_4t", &recorded)) {
           std::fprintf(stderr, "FAIL: %s has no parallel_speedup_4t metric\n", check.c_str());
           return 1;
         }

@@ -70,12 +70,6 @@ struct DiffusionConfig {
   // other); without desynchronization their re-broadcasts collide at that
   // neighbor on every single flood.
   SimDuration forward_delay_jitter = 100 * kMillisecond;
-
-  // Pre-overhaul wire path: serialize every transmission to bytes and
-  // re-parse at each receiver, instead of shipping a shared zero-copy body.
-  // Byte-identical behavior either way; kept in-binary as the measured
-  // baseline for bench/engine_throughput.
-  bool compat_wire_path = false;
 };
 
 }  // namespace diffusion

@@ -961,18 +961,9 @@ void DiffusionNode::TransmitMessage(const Message& message) {
   if (!alive_) {
     return;
   }
-  size_t wire_bytes;
-  if (config_.compat_wire_path) {
-    // Encode into the node's scratch buffer; the radio copies what it needs
-    // (fragments) before returning, so the buffer can be reused next hop.
-    tx_writer_.Clear();
-    message.SerializeInto(&tx_writer_);
-    wire_bytes = tx_writer_.size();
-  } else {
-    // Zero-copy path: no encode. WireSize() equals the encoded size exactly
-    // (pinned by arena_test), so every byte count below is unchanged.
-    wire_bytes = message.WireSize();
-  }
+  // Zero-copy: the message is never encoded here. WireSize() equals the
+  // encoded size exactly (pinned by arena_test).
+  const size_t wire_bytes = message.WireSize();
   ++stats_.messages_sent;
   stats_.bytes_sent += wire_bytes;
   if (sim_->tracing()) {
@@ -999,13 +990,8 @@ void DiffusionNode::TransmitMessage(const Message& message) {
     }
     sim_->Trace(TraceEvent{sim_->now(), kind, id_, message.next_hop, message.PacketId(), value});
   }
-  if (config_.compat_wire_path) {
-    radio_.SendMessage(message.next_hop, tx_writer_.data(), PriorityFor(message.type),
-                       /*originated=*/message.origin == id_);
-  } else {
-    radio_.SendBody(message.next_hop, MessageBody::Make(&sim_->slot_pool(), message),
-                    PriorityFor(message.type), /*originated=*/message.origin == id_);
-  }
+  radio_.SendBody(message.next_hop, MessageBody::Make(&sim_->slot_pool(), message),
+                  PriorityFor(message.type), /*originated=*/message.origin == id_);
 }
 
 void DiffusionNode::FloodInterest(Subscription& subscription) {

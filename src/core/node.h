@@ -322,10 +322,6 @@ class DiffusionNode {
   std::unordered_set<EventId> pending_transmits_;
   Rng rng_;
 
-  // Scratch encode buffer reused by TransmitMessage (one allocation per
-  // node instead of one per hop).
-  ByteWriter tx_writer_;
-
   uint32_t next_handle_ = 1;
   uint32_t next_origin_seq_ = 1;
   bool alive_ = true;

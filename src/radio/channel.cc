@@ -21,14 +21,11 @@ ChannelStats operator-(const ChannelStats& a, const ChannelStats& b) {
 }
 
 Channel::ReceiverSlot& Channel::SlotFor(NodeId node) {
-  if (node >= slot_of_.size()) {
-    slot_of_.resize(node + 1, 0);
-  }
-  if (slot_of_[node] == 0) {
+  const auto [it, inserted] = slot_of_.try_emplace(node, static_cast<uint32_t>(slots_.size()));
+  if (inserted) {
     slots_.emplace_back();
-    slot_of_[node] = static_cast<uint32_t>(slots_.size());
   }
-  return slots_[slot_of_[node] - 1];
+  return slots_[it->second];
 }
 
 const std::vector<Channel::Receiver>& Channel::ReceiversOf(NodeId sender, bool ascending) {
@@ -43,7 +40,7 @@ const std::vector<Channel::Receiver>& Channel::ReceiversOf(NodeId sender, bool a
   list.receivers.clear();
   for (const auto& [node, endpoint] : endpoints_) {
     if (node != sender && propagation_->Reaches(sender, node)) {
-      list.receivers.push_back(Receiver{node, endpoint, &slots_[slot_of_[node] - 1]});
+      list.receivers.push_back(Receiver{node, endpoint, slot_of_.at(node)});
     }
   }
   if (ascending) {
@@ -66,12 +63,6 @@ void Channel::Attach(ChannelEndpoint* endpoint) {
     parked_stats_.erase(parked);
   }
   attach_base_[node] = node_stats_[node];
-  // Ids large enough to make the dense slot table unreasonable fall back to
-  // the hash-table bookkeeping wholesale. Attach happens at setup, before
-  // traffic, so the mode is stable by the first transmission.
-  if (node >= (1u << 20)) {
-    compat_lookups_ = true;
-  }
   SlotFor(node).stats = &node_stats_[node];
 }
 
@@ -87,15 +78,9 @@ void Channel::Detach(NodeId node) {
   // Cancel (rather than erase) the node's receptions inside still-active
   // transmissions: other receivers' in-air entries index into the same
   // reception vectors, so positions must stay stable.
-  auto it = ongoing_.find(node);
-  if (it != ongoing_.end()) {
-    for (const auto& [tx_id, index] : it->second) {
-      active_[tx_id].receptions[index].cancelled = true;
-    }
-    ongoing_.erase(it);
-  }
-  if (node < slot_of_.size() && slot_of_[node] != 0) {
-    ReceiverSlot& slot = slots_[slot_of_[node] - 1];
+  auto it = slot_of_.find(node);
+  if (it != slot_of_.end()) {
+    ReceiverSlot& slot = slots_[it->second];
     for (const auto& [tx_id, index] : slot.in_air) {
       ResolveTx(tx_id)->receptions[index].cancelled = true;
     }
@@ -138,11 +123,6 @@ ChannelStats Channel::NodeStatsSinceAttach(NodeId node) const {
 }
 
 bool Channel::CarrierBusyAt(NodeId node) const {
-  for (const auto& [id, tx] : active_) {
-    if (tx.sender == node || propagation_->Reaches(tx.sender, node)) {
-      return true;
-    }
-  }
   for (const TxSlab& slab : tx_slabs_) {
     if (slab.live &&
         (slab.tx.sender == node || propagation_->Reaches(slab.tx.sender, node))) {
@@ -180,7 +160,7 @@ Channel::ActiveTx* Channel::ResolveTx(uint64_t tx_id) {
 }
 
 void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
-  const uint64_t tx_id = compat_lookups_ ? next_tx_id_++ : AllocTx();
+  const uint64_t tx_id = AllocTx();
   ++stats_.transmissions;
   ++node_stats_[sender].transmissions;
 
@@ -189,66 +169,45 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
   tx.fragment = std::move(fragment);
   tx.start = sim_->now();
   tx.duration = duration;
-  if (!compat_lookups_ && !recycled_receptions_.empty()) {
+  if (!recycled_receptions_.empty()) {
     tx.receptions = std::move(recycled_receptions_.back());
     recycled_receptions_.pop_back();
   }
 
   // Half-duplex: the sender's own in-progress receptions are destroyed.
-  if (compat_lookups_) {
-    auto self_it = ongoing_.find(sender);
-    if (self_it != ongoing_.end()) {
-      for (const auto& [other_tx, index] : self_it->second) {
-        active_[other_tx].receptions[index].corrupted = true;
-      }
-    }
-  } else if (sender < slot_of_.size() && slot_of_[sender] != 0) {
-    for (const auto& [other_tx, index] : slots_[slot_of_[sender] - 1].in_air) {
+  if (auto self = slot_of_.find(sender); self != slot_of_.end()) {
+    for (const auto& [other_tx, index] : slots_[self->second].in_air) {
       ResolveTx(other_tx)->receptions[index].corrupted = true;
     }
   }
 
-  auto receive = [&](NodeId node, ChannelEndpoint* endpoint, ChannelStats* receiver_stats,
-                     std::vector<std::pair<uint64_t, size_t>>* in_air) {
+  for (const Receiver& receiver : ReceiversOf(sender, /*ascending=*/false)) {
+    ChannelEndpoint* endpoint = receiver.endpoint;
+    if (!endpoint->IsAlive() || !endpoint->IsAwake()) {
+      continue;
+    }
+    ReceiverSlot& slot = slots_[receiver.slot];
     ++stats_.receptions_attempted;
-    ++receiver_stats->receptions_attempted;
+    ++slot.stats->receptions_attempted;
     bool corrupted = endpoint->IsTransmitting();
     // Overlap with anything already in the air at this receiver corrupts
     // both frames (no capture).
-    if (!in_air->empty()) {
+    if (!slot.in_air.empty()) {
       corrupted = true;
-      for (const auto& [other_tx, index] : *in_air) {
-        ActiveTx* other = compat_lookups_ ? &active_[other_tx] : ResolveTx(other_tx);
-        other->receptions[index].corrupted = true;
+      for (const auto& [other_tx, index] : slot.in_air) {
+        ResolveTx(other_tx)->receptions[index].corrupted = true;
       }
     }
-    tx.receptions.push_back(Reception{node, corrupted, false, endpoint, receiver_stats});
-    in_air->emplace_back(tx_id, tx.receptions.size() - 1);
-  };
-  if (compat_lookups_) {
-    for (auto& [node, endpoint] : endpoints_) {
-      if (node != sender && endpoint->IsAlive() && endpoint->IsAwake() &&
-          propagation_->Reaches(sender, node)) {
-        receive(node, endpoint, &node_stats_[node], &ongoing_[node]);
-      }
-    }
-  } else {
-    for (const Receiver& receiver : ReceiversOf(sender, /*ascending=*/false)) {
-      if (receiver.endpoint->IsAlive() && receiver.endpoint->IsAwake()) {
-        receive(receiver.node, receiver.endpoint, receiver.slot->stats, &receiver.slot->in_air);
-      }
-    }
+    tx.receptions.push_back(
+        Reception{receiver.node, receiver.slot, corrupted, false, endpoint, slot.stats});
+    slot.in_air.emplace_back(tx_id, tx.receptions.size() - 1);
   }
 
   if (transmit_observer_ != nullptr) {
     transmit_observer_->OnTransmit(sender, tx.fragment, tx.start, duration);
   }
 
-  if (compat_lookups_) {
-    active_.emplace(tx_id, std::move(tx));
-  } else {
-    tx_slabs_[static_cast<uint32_t>(tx_id & 0xffffffff) - 1].tx = std::move(tx);
-  }
+  tx_slabs_[static_cast<uint32_t>(tx_id & 0xffffffff) - 1].tx = std::move(tx);
   sim_->After(duration, [this, tx_id] { FinishTransmit(tx_id); });
 }
 
@@ -262,21 +221,13 @@ void Channel::DeliverRemote(NodeId sender, const Fragment& fragment, SimDuration
     if (!endpoint->IsAlive() || !endpoint->IsAwake()) {
       continue;
     }
+    const ReceiverSlot& slot = slots_[receiver.slot];
     ++stats_.receptions_attempted;
-    ChannelStats& receiver_stats = *receiver.slot->stats;
+    ChannelStats& receiver_stats = *slot.stats;
     ++receiver_stats.receptions_attempted;
-    bool busy = endpoint->IsTransmitting();
-    if (!busy) {
-      // Mid-reception of a local frame: the remote frame is lost to overlap
-      // (the local frame survives — see the header on the border model).
-      if (compat_lookups_) {
-        auto in_air_it = ongoing_.find(node);
-        busy = in_air_it != ongoing_.end() && !in_air_it->second.empty();
-      } else {
-        busy = !receiver.slot->in_air.empty();
-      }
-    }
-    if (busy) {
+    // Mid-reception of a local frame: the remote frame is lost to overlap
+    // (the local frame survives — see the header on the border model).
+    if (endpoint->IsTransmitting() || !slot.in_air.empty()) {
       ++stats_.collisions;
       ++receiver_stats.collisions;
       if (sim_->tracing()) {
@@ -302,27 +253,17 @@ void Channel::DeliverRemote(NodeId sender, const Fragment& fragment, SimDuration
 }
 
 void Channel::FinishTransmit(uint64_t tx_id) {
-  ActiveTx tx;
-  if (compat_lookups_) {
-    auto it = active_.find(tx_id);
-    if (it == active_.end()) {
-      return;
-    }
-    tx = std::move(it->second);
-    active_.erase(it);
-  } else {
-    ActiveTx* slab_tx = ResolveTx(tx_id);
-    if (slab_tx == nullptr) {
-      return;
-    }
-    tx = std::move(*slab_tx);
-    // Free the slot before delivering: OnFrameDelivered may transmit again,
-    // and the slab must not hold a stale live entry while it does.
-    const uint32_t slot = static_cast<uint32_t>(tx_id & 0xffffffff) - 1;
-    ++tx_slabs_[slot].generation;
-    tx_slabs_[slot].live = false;
-    free_tx_slots_.push_back(slot);
+  ActiveTx* slab_tx = ResolveTx(tx_id);
+  if (slab_tx == nullptr) {
+    return;
   }
+  ActiveTx tx = std::move(*slab_tx);
+  // Free the slot before delivering: OnFrameDelivered may transmit again, and
+  // the slab must not hold a stale live entry while it does.
+  const uint32_t tx_slot = static_cast<uint32_t>(tx_id & 0xffffffff) - 1;
+  ++tx_slabs_[tx_slot].generation;
+  tx_slabs_[tx_slot].live = false;
+  free_tx_slots_.push_back(tx_slot);
 
   // Unregister every reception from its receiver's in-air list before the
   // first delivery: OnFrameDelivered may Transmit, and that must not find
@@ -334,27 +275,11 @@ void Channel::FinishTransmit(uint64_t tx_id) {
     if (reception.cancelled) {
       continue;
     }
-    if (compat_lookups_) {
-      auto in_air_it = ongoing_.find(reception.receiver);
-      if (in_air_it != ongoing_.end()) {
-        auto& list = in_air_it->second;
-        for (auto list_it = list.begin(); list_it != list.end(); ++list_it) {
-          if (list_it->first == tx_id && list_it->second == i) {
-            list.erase(list_it);
-            break;
-          }
-        }
-        if (list.empty()) {
-          ongoing_.erase(in_air_it);
-        }
-      }
-    } else {
-      auto& list = slots_[slot_of_[reception.receiver] - 1].in_air;
-      for (auto list_it = list.begin(); list_it != list.end(); ++list_it) {
-        if (list_it->first == tx_id && list_it->second == i) {
-          list.erase(list_it);
-          break;
-        }
+    auto& list = slots_[reception.slot].in_air;
+    for (auto list_it = list.begin(); list_it != list.end(); ++list_it) {
+      if (list_it->first == tx_id && list_it->second == i) {
+        list.erase(list_it);
+        break;
       }
     }
   }
@@ -367,15 +292,8 @@ void Channel::FinishTransmit(uint64_t tx_id) {
     }
     ChannelEndpoint* endpoint = reception.endpoint;
     ChannelStats* receiver_stats = reception.stats;
-    if (compat_lookups_) {
-      auto endpoint_it = endpoints_.find(reception.receiver);
-      endpoint = endpoint_it == endpoints_.end() ? nullptr : endpoint_it->second;
-    }
-    if (endpoint == nullptr || !endpoint->IsAlive()) {
+    if (!endpoint->IsAlive()) {
       continue;
-    }
-    if (compat_lookups_) {
-      receiver_stats = &node_stats_[reception.receiver];
     }
     if (reception.corrupted) {
       ++stats_.collisions;
@@ -401,10 +319,8 @@ void Channel::FinishTransmit(uint64_t tx_id) {
     ++receiver_stats->deliveries;
     endpoint->OnFrameDelivered(tx.fragment, tx.duration);
   }
-  if (!compat_lookups_) {
-    tx.receptions.clear();
-    recycled_receptions_.push_back(std::move(tx.receptions));
-  }
+  tx.receptions.clear();
+  recycled_receptions_.push_back(std::move(tx.receptions));
 }
 
 }  // namespace diffusion

@@ -69,14 +69,6 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
 
   void Attach(ChannelEndpoint* endpoint);
 
-  // Pre-overhaul reception bookkeeping: probe Reaches for every endpoint on
-  // every frame instead of walking the sender's receiver list, and resolve
-  // the receiver's endpoint and stats through the hash tables on every
-  // reception outcome instead of the pointers cached at Transmit. Outcomes
-  // are identical; only lookup cost differs. The measured baseline for
-  // bench/engine_throughput.
-  void set_compat_lookups(bool compat) { compat_lookups_ = compat; }
-
   // Detaches `node` and scrubs its in-flight receptions: transmissions still
   // on the air stop targeting it, so a node detached mid-flight neither
   // receives the frame nor counts toward collision/loss statistics — even if
@@ -132,6 +124,7 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
  private:
   struct Reception {
     NodeId receiver;
+    uint32_t slot;  // the receiver's index into slots_
     bool corrupted;
     // Set when the receiver detached mid-flight: the reception resolves to
     // nothing (no delivery, no stats).
@@ -153,18 +146,17 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
 
   void FinishTransmit(uint64_t tx_id);
 
-  // Dense-mode transmission ids are (generation << 32) | (slot + 1) into
-  // tx_slabs_, the slot-and-generation slab that replaces the active_ hash
-  // map (no hash-node allocation per frame; reception vectors keep their
-  // capacity across reuse via recycled_receptions_). Compat mode keeps the
-  // sequential ids + hash map of the pre-overhaul engine.
+  // Transmission ids are (generation << 32) | (slot + 1) into tx_slabs_, a
+  // slot-and-generation slab (no hash-node allocation per frame; reception
+  // vectors keep their capacity across reuse via recycled_receptions_).
   uint64_t AllocTx();
   ActiveTx* ResolveTx(uint64_t tx_id);
 
-  // Dense per-receiver bookkeeping (the overhauled fast path). Slots are
-  // assigned once per node id at first Attach and survive detach/reattach;
-  // in_air keeps its capacity across transmissions instead of being erased
-  // and reallocated through the ongoing_ hash table per frame.
+  // Per-receiver bookkeeping. Slots are assigned once per node id at first
+  // Attach and survive detach/reattach; in_air keeps its capacity across
+  // transmissions. The id -> slot map is consulted at Attach, Detach and
+  // once per Transmit (for the sender), so its cost is independent of the
+  // largest node id and nothing on the per-reception path looks it up.
   struct ReceiverSlot {
     std::vector<std::pair<uint64_t, size_t>> in_air;  // (tx id, reception idx)
     ChannelStats* stats = nullptr;  // into node_stats_ (node-based, stable)
@@ -178,12 +170,12 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   // both match the ones it was built at; otherwise the next use rebuilds it
   // with one walk of endpoints_. Reception order drives the RNG draws in
   // FinishTransmit, so a local sender's list keeps endpoints_ iteration
-  // order (the order the compat walk visits) and a remote sender's list is
-  // ascending by id (DeliverRemote's documented order).
+  // order and a remote sender's list is ascending by id (DeliverRemote's
+  // documented order).
   struct Receiver {
     NodeId node;
     ChannelEndpoint* endpoint;
-    ReceiverSlot* slot;  // into slots_; Attach bumps the epoch before it can move
+    uint32_t slot;  // index into slots_
   };
   struct ReceiverList {
     uint64_t epoch = 0;
@@ -198,18 +190,12 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
 
   Simulator* sim_;
   std::unique_ptr<PropagationModel> propagation_;
-  bool compat_lookups_ = false;
   TransmitObserver* transmit_observer_ = nullptr;
   uint64_t epoch_ = 1;  // bumped by Attach and Detach
   std::unordered_map<NodeId, ReceiverList> receiver_lists_;
   Rng rng_;
   std::unordered_map<NodeId, ChannelEndpoint*> endpoints_;
-  uint64_t next_tx_id_ = 1;
-  std::unordered_map<uint64_t, ActiveTx> active_;
-  // receiver -> list of (tx id, reception index) currently in the air at it
-  // (the pre-overhaul structure; used only with compat_lookups_)
-  std::unordered_map<NodeId, std::vector<std::pair<uint64_t, size_t>>> ongoing_;
-  std::vector<uint32_t> slot_of_;  // node id -> slot index + 1, 0 = none
+  std::unordered_map<NodeId, uint32_t> slot_of_;  // node id -> index into slots_
   std::vector<ReceiverSlot> slots_;
   struct TxSlab {
     ActiveTx tx;

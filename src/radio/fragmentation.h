@@ -21,9 +21,9 @@
 namespace diffusion {
 
 // One link-layer fragment of a diffusion message. Carries either a byte
-// slice (`payload`, the pre-overhaul path — still used by micro nodes and
-// the compat engine mode) or a view into a shared zero-copy body (`body` +
-// `body_offset`/`payload_len`). Both forms report identical wire sizes, so
+// slice (`payload`, the form micro nodes send) or a view into a shared
+// zero-copy body (`body` + `body_offset`/`payload_len`, the form full
+// diffusion nodes send). Both forms report identical wire sizes, so
 // MAC admission, airtime and every traced byte count are unchanged.
 struct Fragment {
   NodeId src = 0;

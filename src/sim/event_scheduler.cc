@@ -5,8 +5,6 @@
 
 namespace diffusion {
 
-EventScheduler::EventScheduler(Impl impl) : impl_(impl) {}
-
 EventScheduler::~EventScheduler() {
   // Destroy live pairing-heap nodes (their closures may own resources); the
   // arena reclaims the storage wholesale. Iterative walk — the heap can be
@@ -124,13 +122,6 @@ void EventScheduler::FreeNode(PairNode* node) {
 
 EventId EventScheduler::ScheduleAt(SimTime when, EventCallback callback) {
   when = std::max(when, now_);
-  if (impl_ == Impl::kCompatBinaryHeap) {
-    const EventId id = next_id_++;
-    queue_.push_back(Entry{when, next_sequence_++, id, std::move(callback)});
-    std::push_heap(queue_.begin(), queue_.end(), EntryLater{});
-    live_.insert(id);
-    return id;
-  }
   PairNode* node = AllocNode(when, std::move(callback));
   root_ = Meld(root_, node);
   ++live_count_;
@@ -144,18 +135,6 @@ EventId EventScheduler::ScheduleAfter(SimDuration delay, EventCallback callback)
 }
 
 bool EventScheduler::Cancel(EventId id) {
-  if (impl_ == Impl::kCompatBinaryHeap) {
-    if (live_.erase(id) == 0) {
-      return false;
-    }
-    // Lazy compaction: once dead entries dominate, rebuild the heap without
-    // them so cancelled closures (and whatever they capture) are released
-    // promptly instead of lingering until their time would have come.
-    if (queue_.size() > 16 && live_.size() * 2 < queue_.size()) {
-      Compact();
-    }
-    return true;
-  }
   if (id == kInvalidEventId) {
     return false;
   }
@@ -178,57 +157,7 @@ bool EventScheduler::Cancel(EventId id) {
   return true;
 }
 
-bool EventScheduler::Empty() const {
-  return impl_ == Impl::kCompatBinaryHeap ? live_.empty() : root_ == nullptr;
-}
-
-SimTime EventScheduler::NextEventTime() const {
-  if (impl_ == Impl::kCompatBinaryHeap) {
-    return queue_.empty() ? kNoEventTime : queue_.front().when;
-  }
-  return root_ == nullptr ? kNoEventTime : root_->when;
-}
-
-size_t EventScheduler::pending() const {
-  return impl_ == Impl::kCompatBinaryHeap ? live_.size() : live_count_;
-}
-
-size_t EventScheduler::queue_size() const {
-  return impl_ == Impl::kCompatBinaryHeap ? queue_.size() : live_count_;
-}
-
-void EventScheduler::Compact() {
-  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                              [this](const Entry& entry) { return !live_.contains(entry.id); }),
-               queue_.end());
-  std::make_heap(queue_.begin(), queue_.end(), EntryLater{});
-}
-
-void EventScheduler::SkipDead() {
-  while (!queue_.empty() && !live_.contains(queue_.front().id)) {
-    std::pop_heap(queue_.begin(), queue_.end(), EntryLater{});
-    queue_.pop_back();
-  }
-}
-
-bool EventScheduler::RunOneCompat() {
-  SkipDead();
-  if (queue_.empty()) {
-    return false;
-  }
-  std::pop_heap(queue_.begin(), queue_.end(), EntryLater{});
-  Entry entry = std::move(queue_.back());
-  queue_.pop_back();
-  live_.erase(entry.id);
-  now_ = entry.when;
-  entry.callback();
-  return true;
-}
-
 bool EventScheduler::RunOne() {
-  if (impl_ == Impl::kCompatBinaryHeap) {
-    return RunOneCompat();
-  }
   if (root_ == nullptr) {
     return false;
   }
@@ -248,20 +177,9 @@ bool EventScheduler::RunOne() {
 
 size_t EventScheduler::RunUntil(SimTime end) {
   size_t run = 0;
-  if (impl_ == Impl::kCompatBinaryHeap) {
-    for (;;) {
-      SkipDead();
-      if (queue_.empty() || queue_.front().when > end) {
-        break;
-      }
-      RunOneCompat();
-      ++run;
-    }
-  } else {
-    while (root_ != nullptr && root_->when <= end) {
-      RunOne();
-      ++run;
-    }
+  while (root_ != nullptr && root_->when <= end) {
+    RunOne();
+    ++run;
   }
   // Advance the clock to the end of the window even if the queue drained.
   now_ = std::max(now_, end);

@@ -4,28 +4,17 @@
 // broken by insertion order so that runs are fully deterministic. Events may
 // be cancelled through the handle returned at scheduling time.
 //
-// Two implementations live behind the same API:
-//
-//   * kPairingHeap (default) — an intrusive pairing heap over arena-pooled
-//     nodes. Push and Cancel are O(1) (Cancel unlinks the node immediately,
-//     releasing its closure's captured state on the spot); pop is amortized
-//     O(log n). Event ids are slot+generation pairs, so Cancel needs no hash
-//     lookup: it is an array index plus a generation compare.
-//   * kCompatBinaryHeap — the pre-overhaul compacting binary heap
-//     (std::push_heap over a vector, lazy cancellation with periodic
-//     compaction). Kept in-binary as the measured baseline for
-//     bench/engine_throughput and as a differential-testing reference.
-//
-// Both run events in the identical (time, insertion-sequence) total order,
-// so every simulation is byte-identical under either implementation; only
-// the cost per event differs.
+// The queue is an intrusive pairing heap over arena-pooled nodes. Push and
+// Cancel are O(1) (Cancel unlinks the node immediately, releasing its
+// closure's captured state on the spot); pop is amortized O(log n). Event
+// ids are slot+generation pairs, so Cancel needs no hash lookup: it is an
+// array index plus a generation compare.
 
 #ifndef SRC_SIM_EVENT_SCHEDULER_H_
 #define SRC_SIM_EVENT_SCHEDULER_H_
 
 #include <cstdint>
 #include <limits>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/event_callback.h"
@@ -43,12 +32,7 @@ constexpr SimTime kNoEventTime = std::numeric_limits<SimTime>::max();
 
 class EventScheduler {
  public:
-  enum class Impl {
-    kPairingHeap,       // intrusive pairing heap, pooled nodes (the engine)
-    kCompatBinaryHeap,  // pre-overhaul compacting binary heap (baseline)
-  };
-
-  explicit EventScheduler(Impl impl = Impl::kPairingHeap);
+  EventScheduler() = default;
   ~EventScheduler();
 
   EventScheduler(const EventScheduler&) = delete;
@@ -66,12 +50,11 @@ class EventScheduler {
   bool Cancel(EventId id);
 
   // True when no runnable events remain.
-  bool Empty() const;
+  bool Empty() const { return root_ == nullptr; }
 
-  // Time of the earliest queued event, or kNoEventTime when the queue is
-  // empty. A lower bound on the next event RunOne would run: the compat
-  // heap may report a cancelled head it has not yet popped.
-  SimTime NextEventTime() const;
+  // Time of the next event RunOne would run, or kNoEventTime when the queue
+  // is empty.
+  SimTime NextEventTime() const { return root_ == nullptr ? kNoEventTime : root_->when; }
 
   // Runs the next event, advancing the clock. Returns false if none remain.
   bool RunOne();
@@ -85,19 +68,10 @@ class EventScheduler {
 
   SimTime now() const { return now_; }
 
-  Impl impl() const { return impl_; }
-
   // Number of pending (non-cancelled) events.
-  size_t pending() const;
-
-  // Number of queue entries. The pairing heap unlinks cancelled events
-  // eagerly, so this equals pending(); the compat heap cancels lazily and
-  // bounds it at 2*pending() + O(1) via compaction.
-  size_t queue_size() const;
+  size_t pending() const { return live_count_; }
 
  private:
-  // ---- pairing heap (kPairingHeap) ----
-
   struct PairNode {
     SimTime when = 0;
     uint64_t sequence = 0;  // insertion order, for deterministic tie-breaking
@@ -128,35 +102,11 @@ class EventScheduler {
   PairNode* AllocNode(SimTime when, EventCallback callback);
   void FreeNode(PairNode* node);
 
-  // ---- compat binary heap (kCompatBinaryHeap) ----
-
-  struct Entry {
-    SimTime when;
-    uint64_t sequence;
-    EventId id;
-    EventCallback callback;
-  };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.sequence > b.sequence;
-    }
-  };
-
-  // Pops cancelled entries off the head of the compat queue.
-  void SkipDead();
-  // Rebuilds the compat heap without cancelled entries.
-  void Compact();
-  bool RunOneCompat();
-
-  Impl impl_;
   SimTime now_ = 0;
   uint64_t next_sequence_ = 0;
 
-  // Pairing-heap state. Nodes are recycled through an arena-backed pool;
-  // steady-state scheduling allocates nothing.
+  // Nodes are recycled through an arena-backed pool; steady-state
+  // scheduling allocates nothing.
   struct SlotRec {
     PairNode* node = nullptr;  // null while the slot is free / event done
     uint32_t generation = 0;
@@ -168,11 +118,6 @@ class EventScheduler {
   size_t live_count_ = 0;
   std::vector<SlotRec> slots_;
   std::vector<uint32_t> free_slots_;
-
-  // Compat-heap state.
-  EventId next_id_ = 1;
-  std::vector<Entry> queue_;
-  std::unordered_set<EventId> live_;
 };
 
 }  // namespace diffusion

@@ -18,9 +18,7 @@ namespace diffusion {
 
 class Simulator {
  public:
-  explicit Simulator(uint64_t seed = 1,
-                     EventScheduler::Impl impl = EventScheduler::Impl::kPairingHeap)
-      : scheduler_(impl), rng_(seed) {}
+  explicit Simulator(uint64_t seed = 1) : rng_(seed) {}
 
   EventScheduler& scheduler() { return scheduler_; }
   const EventScheduler& scheduler() const { return scheduler_; }

@@ -167,11 +167,7 @@ Fig8Result RunFig8(const Fig8Params& params) {
   // during teardown still have a live sink.
   std::unique_ptr<TraceWriter> trace_writer;
   TraceSink* trace_sink = ResolveTraceSink(params.trace_sink, params.trace_out, &trace_writer);
-  const bool compat_scheduler = params.compat_engine || params.compat_scheduler;
-  const bool compat_wire = params.compat_engine || params.compat_wire;
-  const bool compat_channel = params.compat_engine || params.compat_channel;
-  Simulator sim(params.seed, compat_scheduler ? EventScheduler::Impl::kCompatBinaryHeap
-                                              : EventScheduler::Impl::kPairingHeap);
+  Simulator sim(params.seed);
   if (trace_sink != nullptr) {
     sim.set_trace_sink(trace_sink);
   }
@@ -194,12 +190,10 @@ Fig8Result RunFig8(const Fig8Params& params) {
     propagation = MakePropagation(layout, params.link_delivery);
   }
   Channel channel(&sim, std::move(propagation));
-  channel.set_compat_lookups(compat_channel);
 
   DiffusionConfig dconfig;
   dconfig.exploratory_every = params.exploratory_every;
   dconfig.variant = params.variant;
-  dconfig.compat_wire_path = compat_wire;
   // ~5 message airtimes at 13 kb/s: enough spread to interleave concurrent
   // flood re-broadcasts from hidden terminals.
   dconfig.forward_delay_jitter = 300 * kMillisecond;

@@ -58,27 +58,12 @@ struct Fig8Params {
   // injects a private per-replicate buffer here so parallel replicates never
   // share a file stream; must outlive the run.
   TraceSink* trace_sink = nullptr;
-  // Run on the pre-overhaul engine (compacting binary-heap scheduler,
-  // serialize-per-hop wire path, hash-table channel bookkeeping and a
-  // Reaches probe per endpoint per frame instead of dense slots and
-  // per-sender receiver lists). Byte-identical results either way; the
-  // measured baseline for bench/engine_throughput.
-  bool compat_engine = false;
-  // Per-subsystem compat toggles, for the step-by-step measurements in
-  // docs/PERFORMANCE.md (bench/engine_throughput --steps). Each one is
-  // OR-ed with compat_engine; results stay byte-identical in every
-  // combination.
-  bool compat_scheduler = false;  // compacting binary heap
-  bool compat_wire = false;       // serialize per hop (no pooled bodies)
-  bool compat_channel = false;    // hash-table lookups, no receiver lists
   // Run on the spatially sharded parallel core (src/testbed/sharded_world.h)
   // instead of one monolithic Simulator. 0 or 1 keeps the sequential engine.
   // Sharded runs are deterministic at any thread count but are a border
   // approximation of the monolithic run, so they are a separate measurement
-  // series, not a byte-identical replica. Sequential-only features fall back
-  // or are ignored in parallel mode: shadowing falls back to the sequential
-  // engine, and the compat_* baselines (pre-overhaul engine) do not exist
-  // sharded.
+  // series, not a byte-identical replica. Shadowing has no sharded
+  // implementation and falls back to the sequential engine.
   int parallel_regions = 0;
   unsigned parallel_threads = 1;  // 0 = hardware concurrency
 };

@@ -2,6 +2,7 @@
 // collisions, the CSMA MAC, and the energy model.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <functional>
 #include <map>
@@ -898,6 +899,48 @@ TEST(ChannelTest, ReceiverListsMatchBruteForceOverExplicitTopology) {
       }
     });
   }
+}
+
+// ---- Large node ids ----
+
+// Node ids are opaque 32-bit values, so the channel's per-node bookkeeping
+// must not be sized by the largest id (a table indexed by id would need
+// 2^32 entries for these).
+TEST(ChannelTest, LargeNodeIdsAttachTransmitDetachAndReattach) {
+  constexpr NodeId kHigh = 0xfffffffe;
+  constexpr NodeId kNext = 0xfffffffd;
+  constexpr NodeId kRemote = 0xfffffffc;  // only sends remote frames
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const long peak_kib_before = usage.ru_maxrss;
+
+  Simulator sim(41);
+  auto topology = std::make_unique<ExplicitTopology>();
+  for (NodeId a : {NodeId{1}, kNext, kHigh, kRemote}) {
+    for (NodeId b : {NodeId{1}, kNext, kHigh}) {
+      if (a != b) {
+        topology->AddLink(a, b);
+      }
+    }
+  }
+  Channel channel(&sim, std::move(topology));
+  FrameDriver driver(&sim, &channel, {1, kNext, kHigh});
+  EXPECT_EQ(driver.Send(kHigh), (Ids{1, kNext}));
+  EXPECT_EQ(driver.sensed(), (Ids{1, kNext}));
+
+  channel.Detach(kNext);
+  EXPECT_EQ(driver.Send(1), (Ids{kHigh}));
+  driver.Attach(kNext);
+  EXPECT_EQ(driver.Send(1), (Ids{kNext, kHigh}));
+  EXPECT_EQ(channel.NodeStats(kNext).deliveries, 2u);  // parked across the detach
+  EXPECT_EQ(channel.NodeStatsSinceAttach(kNext).deliveries, 1u);
+
+  const uint64_t delivered_before = channel.stats().deliveries;
+  channel.DeliverRemote(kRemote, TestFrame(kRemote), kFrameAirtime);
+  EXPECT_EQ(channel.stats().deliveries - delivered_before, 3u);
+
+  getrusage(RUSAGE_SELF, &usage);
+  EXPECT_LT(usage.ru_maxrss - peak_kib_before, 64 * 1024);  // well under 64 MiB
 }
 
 // ---- Reentrancy ----

@@ -1,6 +1,7 @@
 // Tests for the discrete-event scheduler and simulator driver.
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -119,196 +120,205 @@ TEST(SchedulerTest, CancelFromInsideCallback) {
   EXPECT_FALSE(second_ran);
 }
 
-TEST(SchedulerTest, CancelCompactsDeadHeapEntries) {
-  // Regression: Cancel used to only drop the id from the live set, leaving
-  // the heap entry (and its captured closure) resident until its deadline was
-  // reached. A workload that endlessly schedules far-future timers and
-  // cancels them (interest refresh, reassembly timeouts) grew the queue
-  // without bound. Compaction keeps the heap within a constant factor of the
-  // live count.
-  EventScheduler scheduler;
-  for (int round = 0; round < 10'000; ++round) {
-    const EventId id = scheduler.ScheduleAt(1'000'000 + round, [] {});
-    EXPECT_TRUE(scheduler.Cancel(id));
-  }
-  EXPECT_EQ(scheduler.pending(), 0u);
-  // Bounded: 2 * live + O(1), not 10'000 dead closures.
-  EXPECT_LE(scheduler.queue_size(), 16u);
+// ---- pairing heap internals and a reference oracle ----
 
-  // Interleaved live and cancelled events: live ones still run, in order.
-  std::vector<int> order;
-  std::vector<EventId> doomed;
-  for (int i = 0; i < 1'000; ++i) {
-    scheduler.ScheduleAt(100 + i, [&order, i] { order.push_back(i); });
-    doomed.push_back(scheduler.ScheduleAt(500'000 + i, [&order] { order.push_back(-1); }));
-  }
-  for (EventId id : doomed) {
-    EXPECT_TRUE(scheduler.Cancel(id));
-  }
-  EXPECT_EQ(scheduler.pending(), 1'000u);
-  EXPECT_LE(scheduler.queue_size(), 2u * scheduler.pending() + 16u);
-  scheduler.RunAll();
-  ASSERT_EQ(order.size(), 1'000u);
-  for (int i = 0; i < 1'000; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
-}
-
-// ---- pairing heap vs compat binary heap ----
-//
-// The two implementations must run every workload in the identical
-// (time, insertion-sequence) order; simulations are byte-identical under
-// either. These tests drive both side by side.
-
-TEST(SchedulerImplTest, TieOrderIsIdenticalAcrossImpls) {
-  EventScheduler pairing(EventScheduler::Impl::kPairingHeap);
-  EventScheduler compat(EventScheduler::Impl::kCompatBinaryHeap);
-  std::vector<int> pairing_order;
-  std::vector<int> compat_order;
+TEST(SchedulerImplTest, TieOrderFollowsInsertion) {
   // Many events at few distinct times: tie-breaking does all the work.
+  EventScheduler scheduler;
+  std::vector<int> order;
+  std::vector<std::pair<SimTime, int>> expected;
   Rng rng(11);
   for (int i = 0; i < 500; ++i) {
     const SimTime when = rng.NextInt(0, 5);
-    pairing.ScheduleAt(when, [&pairing_order, i] { pairing_order.push_back(i); });
-    compat.ScheduleAt(when, [&compat_order, i] { compat_order.push_back(i); });
+    scheduler.ScheduleAt(when, [&order, i] { order.push_back(i); });
+    expected.emplace_back(when, i);
   }
-  pairing.RunAll();
-  compat.RunAll();
-  EXPECT_EQ(pairing_order, compat_order);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  scheduler.RunAll();
+  ASSERT_EQ(order.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(order[i], expected[i].second);
+  }
 }
 
 TEST(SchedulerImplTest, PairingHeapCancelUnlinksEagerly) {
   // O(1) Cancel means the node (and its closure's captured state) leaves
-  // the queue immediately — queue_size() tracks pending() exactly, with no
-  // compaction slack and no dead closures waiting for their deadline.
-  EventScheduler scheduler(EventScheduler::Impl::kPairingHeap);
-  auto token = std::make_shared<int>(1);
-  std::weak_ptr<int> watch = token;
-  const EventId id = scheduler.ScheduleAt(1'000'000, [token = std::move(token)] {});
-  EXPECT_TRUE(scheduler.Cancel(id));
-  EXPECT_TRUE(watch.expired());  // capture released at Cancel, not at deadline
-  EXPECT_EQ(scheduler.queue_size(), 0u);
-
+  // the queue immediately: no dead closure waits for its deadline, so a
+  // workload that endlessly schedules far-future timers and cancels them
+  // (interest refresh, reassembly timeouts) holds nothing.
+  EventScheduler scheduler;
   for (int round = 0; round < 10'000; ++round) {
-    EXPECT_TRUE(scheduler.Cancel(scheduler.ScheduleAt(1'000'000 + round, [] {})));
+    auto token = std::make_shared<int>(round);
+    std::weak_ptr<int> watch = token;
+    const EventId id = scheduler.ScheduleAt(1'000'000 + round, [token = std::move(token)] {});
+    EXPECT_FALSE(watch.expired());
+    EXPECT_TRUE(scheduler.Cancel(id));
+    EXPECT_TRUE(watch.expired());  // capture released at Cancel, not at deadline
   }
   EXPECT_EQ(scheduler.pending(), 0u);
-  EXPECT_EQ(scheduler.queue_size(), 0u);
+  EXPECT_TRUE(scheduler.Empty());
 }
 
 TEST(SchedulerImplTest, CancelUnderChurnKeepsLiveEventsInOrder) {
   // Interleave schedules and cancels deep inside the heap structure, then
   // verify the survivors still run in exact (time, insertion) order.
-  for (const auto impl :
-       {EventScheduler::Impl::kPairingHeap, EventScheduler::Impl::kCompatBinaryHeap}) {
-    EventScheduler scheduler(impl);
-    Rng rng(23);
-    std::vector<std::pair<EventId, int>> cancellable;
-    std::vector<std::pair<SimTime, int>> expected;
-    std::vector<int> ran;
-    for (int i = 0; i < 2'000; ++i) {
-      const SimTime when = rng.NextInt(0, 300);
-      const EventId id = scheduler.ScheduleAt(when, [&ran, i] { ran.push_back(i); });
-      if (rng.NextBool(0.5)) {
-        cancellable.emplace_back(id, i);
-        expected.emplace_back(when, i);
-      } else {
-        expected.emplace_back(when, i);
-      }
+  EventScheduler scheduler;
+  Rng rng(23);
+  std::vector<std::pair<EventId, int>> cancellable;
+  std::vector<std::pair<SimTime, int>> expected;
+  std::vector<int> ran;
+  for (int i = 0; i < 2'000; ++i) {
+    const SimTime when = rng.NextInt(0, 300);
+    const EventId id = scheduler.ScheduleAt(when, [&ran, i] { ran.push_back(i); });
+    if (rng.NextBool(0.5)) {
+      cancellable.emplace_back(id, i);
     }
-    // Cancel every other cancellable event, in a shuffled-ish order (walk
-    // from both ends) to stress unlinking roots, leaves, and middles.
-    std::vector<int> cancelled_labels;
-    for (size_t k = 0; k < cancellable.size(); k += 2) {
-      const auto& [id, label] = cancellable[cancellable.size() - 1 - k];
-      EXPECT_TRUE(scheduler.Cancel(id));
-      cancelled_labels.push_back(label);
-    }
-    for (int label : cancelled_labels) {
-      std::erase_if(expected, [&](const auto& entry) { return entry.second == label; });
-    }
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
-    scheduler.RunAll();
-    ASSERT_EQ(ran.size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(ran[i], expected[i].second);
-    }
+    expected.emplace_back(when, i);
+  }
+  // Cancel every other cancellable event, in a shuffled-ish order (walk
+  // from both ends) to stress unlinking roots, leaves, and middles.
+  std::vector<int> cancelled_labels;
+  for (size_t k = 0; k < cancellable.size(); k += 2) {
+    const auto& [id, label] = cancellable[cancellable.size() - 1 - k];
+    EXPECT_TRUE(scheduler.Cancel(id));
+    cancelled_labels.push_back(label);
+  }
+  for (int label : cancelled_labels) {
+    std::erase_if(expected, [&](const auto& entry) { return entry.second == label; });
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  scheduler.RunAll();
+  ASSERT_EQ(ran.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(ran[i], expected[i].second);
   }
 }
 
 TEST(SchedulerImplTest, NextEventTimePeeksTheHead) {
-  for (const auto impl :
-       {EventScheduler::Impl::kPairingHeap, EventScheduler::Impl::kCompatBinaryHeap}) {
-    EventScheduler scheduler(impl);
-    EXPECT_EQ(scheduler.NextEventTime(), kNoEventTime);
-    const EventId head = scheduler.ScheduleAt(10, [] {});
-    scheduler.ScheduleAt(30, [] {});
-    scheduler.ScheduleAt(20, [] {});
-    EXPECT_EQ(scheduler.NextEventTime(), 10);
-    ASSERT_TRUE(scheduler.Cancel(head));
-    if (impl == EventScheduler::Impl::kPairingHeap) {
-      EXPECT_EQ(scheduler.NextEventTime(), 20);  // Cancel unlinks eagerly
-    } else {
-      // The dead head stays queued until a run pops it; still a lower bound.
-      EXPECT_LE(scheduler.NextEventTime(), 20);
-    }
-    EXPECT_EQ(scheduler.RunUntil(15), 0u);
-    EXPECT_EQ(scheduler.NextEventTime(), 20);
-    EXPECT_EQ(scheduler.RunUntil(20), 1u);
-    EXPECT_EQ(scheduler.NextEventTime(), 30);
-    scheduler.RunAll();
-    EXPECT_EQ(scheduler.NextEventTime(), kNoEventTime);
-  }
+  EventScheduler scheduler;
+  EXPECT_EQ(scheduler.NextEventTime(), kNoEventTime);
+  const EventId head = scheduler.ScheduleAt(10, [] {});
+  scheduler.ScheduleAt(30, [] {});
+  scheduler.ScheduleAt(20, [] {});
+  EXPECT_EQ(scheduler.NextEventTime(), 10);
+  ASSERT_TRUE(scheduler.Cancel(head));
+  EXPECT_EQ(scheduler.NextEventTime(), 20);  // Cancel unlinks eagerly
+  EXPECT_EQ(scheduler.RunUntil(15), 0u);
+  EXPECT_EQ(scheduler.NextEventTime(), 20);
+  EXPECT_EQ(scheduler.RunUntil(20), 1u);
+  EXPECT_EQ(scheduler.NextEventTime(), 30);
+  scheduler.RunAll();
+  EXPECT_EQ(scheduler.NextEventTime(), kNoEventTime);
 }
 
+// Reference model for the differential test below: an ordered multimap keyed
+// on (time, insertion sequence), cancelled through the iterator stored at
+// scheduling time. Event i of the workload carries label i.
+class OracleScheduler {
+ public:
+  void ScheduleAt(SimTime when) {
+    const int label = static_cast<int>(handles_.size());
+    handles_.push_back(queue_.emplace(Key{std::max(when, now_), next_sequence_++}, label));
+    live_.push_back(true);
+  }
+
+  bool Cancel(size_t label) {
+    if (!live_[label]) {
+      return false;
+    }
+    queue_.erase(handles_[label]);
+    live_[label] = false;
+    return true;
+  }
+
+  size_t RunUntil(SimTime end, std::vector<int>* log) {
+    size_t run = 0;
+    while (!queue_.empty() && queue_.begin()->first.first <= end) {
+      RunHead(log);
+      ++run;
+    }
+    now_ = std::max(now_, end);
+    return run;
+  }
+
+  size_t RunAll(std::vector<int>* log) {
+    size_t run = 0;
+    for (; !queue_.empty(); ++run) {
+      RunHead(log);
+    }
+    return run;
+  }
+
+  SimTime now() const { return now_; }
+  size_t pending() const { return queue_.size(); }
+  bool Empty() const { return queue_.empty(); }
+  SimTime NextEventTime() const {
+    return queue_.empty() ? kNoEventTime : queue_.begin()->first.first;
+  }
+
+ private:
+  using Key = std::pair<SimTime, uint64_t>;
+
+  void RunHead(std::vector<int>* log) {
+    const auto head = queue_.begin();
+    now_ = head->first.first;
+    log->push_back(head->second);
+    live_[static_cast<size_t>(head->second)] = false;
+    queue_.erase(head);
+  }
+
+  std::multimap<Key, int> queue_;
+  std::vector<std::multimap<Key, int>::iterator> handles_;
+  std::vector<bool> live_;
+  SimTime now_ = 0;
+  uint64_t next_sequence_ = 0;
+};
+
 TEST(SchedulerImplTest, RandomizedWorkloadsAreEquivalent) {
-  // Differential test: mirror a random schedule/cancel/run workload on both
-  // implementations and require identical execution sequences and clocks.
+  // Differential test: mirror a random schedule/cancel/run workload on the
+  // scheduler and the oracle, comparing every observable after every op.
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    EventScheduler pairing(EventScheduler::Impl::kPairingHeap);
-    EventScheduler compat(EventScheduler::Impl::kCompatBinaryHeap);
-    std::vector<int> pairing_log;
-    std::vector<int> compat_log;
-    std::vector<EventId> pairing_ids;
-    std::vector<EventId> compat_ids;
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    EventScheduler scheduler;
+    OracleScheduler oracle;
+    std::vector<int> log;
+    std::vector<int> oracle_log;
+    std::vector<EventId> ids;
     Rng rng(seed);
-    int label = 0;
     for (int op = 0; op < 3'000; ++op) {
       const int64_t kind = rng.NextInt(0, 9);
-      if (kind < 6) {  // schedule (ids differ between impls; track both)
+      if (kind < 6) {  // schedule
         const SimTime when = rng.NextInt(0, 2'000);
-        const int this_label = label++;
-        pairing_ids.push_back(pairing.ScheduleAt(
-            when, [&pairing_log, this_label] { pairing_log.push_back(this_label); }));
-        compat_ids.push_back(compat.ScheduleAt(
-            when, [&compat_log, this_label] { compat_log.push_back(this_label); }));
-      } else if (kind < 8 && !pairing_ids.empty()) {  // cancel the same event in both
-        const size_t index = static_cast<size_t>(
-            rng.NextInt(0, static_cast<int64_t>(pairing_ids.size()) - 1));
-        EXPECT_EQ(pairing.Cancel(pairing_ids[index]), compat.Cancel(compat_ids[index]));
+        const int label = static_cast<int>(ids.size());
+        ids.push_back(scheduler.ScheduleAt(when, [&log, label] { log.push_back(label); }));
+        oracle.ScheduleAt(when);
+      } else if (kind < 8 && !ids.empty()) {  // cancel the same event in both
+        const size_t index =
+            static_cast<size_t>(rng.NextInt(0, static_cast<int64_t>(ids.size()) - 1));
+        EXPECT_EQ(scheduler.Cancel(ids[index]), oracle.Cancel(index));
       } else {  // advance both clocks together
         const SimTime until = rng.NextInt(0, 2'000);
-        EXPECT_EQ(pairing.RunUntil(until), compat.RunUntil(until));
-        EXPECT_EQ(pairing.now(), compat.now());
-        // A run leaves the compat head live, so the two peeks agree.
-        EXPECT_EQ(pairing.NextEventTime(), compat.NextEventTime());
+        EXPECT_EQ(scheduler.RunUntil(until), oracle.RunUntil(until, &oracle_log));
       }
-      // Between runs a cancelled compat head can only make its peek earlier.
-      EXPECT_LE(compat.NextEventTime(), pairing.NextEventTime());
+      ASSERT_EQ(log, oracle_log) << "op " << op;
+      EXPECT_EQ(scheduler.now(), oracle.now());
+      EXPECT_EQ(scheduler.pending(), oracle.pending());
+      EXPECT_EQ(scheduler.Empty(), oracle.Empty());
+      EXPECT_EQ(scheduler.NextEventTime(), oracle.NextEventTime());
     }
-    EXPECT_EQ(pairing.RunAll(), compat.RunAll());
-    EXPECT_EQ(pairing_log, compat_log);
-    EXPECT_EQ(pairing.now(), compat.now());
-    EXPECT_TRUE(pairing.Empty());
-    EXPECT_TRUE(compat.Empty());
+    EXPECT_EQ(scheduler.RunAll(), oracle.RunAll(&oracle_log));
+    EXPECT_EQ(log, oracle_log);
+    EXPECT_EQ(scheduler.now(), oracle.now());
+    EXPECT_TRUE(scheduler.Empty());
   }
 }
 
 TEST(SchedulerImplTest, EventIdsAreNotRecycledAcrossGenerations) {
   // Slot+generation ids: a slot reused by a later event must not honor a
   // stale handle to the earlier one.
-  EventScheduler scheduler(EventScheduler::Impl::kPairingHeap);
+  EventScheduler scheduler;
   const EventId first = scheduler.ScheduleAt(10, [] {});
   EXPECT_TRUE(scheduler.Cancel(first));
   bool second_ran = false;
