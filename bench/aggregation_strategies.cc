@@ -53,7 +53,6 @@ int Main(int argc, char** argv) {
       [&strategies, runs, minutes, window_ms, base_seed](size_t i, TraceSink* sink) {
         Fig8Params params;
         params.sources = 4;
-        params.use_strategy = true;
         params.strategy = strategies[i / static_cast<size_t>(runs)].strategy;
         params.counting_window = static_cast<SimDuration>(window_ms) * kMillisecond;
         params.duration = static_cast<SimDuration>(minutes) * kMinute;

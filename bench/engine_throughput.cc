@@ -43,7 +43,6 @@ namespace {
 Fig8Params BaseParams(uint64_t seed, SimDuration duration) {
   Fig8Params params;
   params.sources = 4;
-  params.suppression = true;
   params.duration = duration;
   params.warmup = 60 * kSecond;
   params.seed = seed;

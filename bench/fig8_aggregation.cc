@@ -71,7 +71,7 @@ int Main(int argc, char** argv) {
         params.sources = cell.sources;
         params.duration = static_cast<SimDuration>(minutes) * kMinute;
         params.seed = base_seed + static_cast<uint64_t>(cell.run);
-        params.suppression = cell.suppression;
+        params.strategy = cell.suppression ? AggregationStrategy::kSuppression : AggregationStrategy::kNone;
         params.trace_sink = sink;
         return RunFig8(params);
       });

@@ -23,8 +23,8 @@
 //    message; that baseline count is computed arithmetically (replaying the
 //    old classifier) rather than timed — scanning a million filters per
 //    message is the thing this PR deletes. The interval/endpoint index is
-//    then measured for real: candidate-set size, per-message dispatch time,
-//    and batched dispatch time via ForEachCandidateBatch.
+//    then measured for real: candidate-set size and per-message dispatch
+//    time.
 //
 // Emits BENCH_matching.json ("diffusion-bench-v1" schema). Flags:
 //   --out=PATH              where to write the JSON (default BENCH_matching.json)
@@ -486,21 +486,6 @@ int Main(int argc, char** argv) {
     }
     g_sink = acc;
   });
-  std::vector<const AttributeSet*> ineq_ptrs;
-  for (const AttributeSet& message : ineq_messages) {
-    ineq_ptrs.push_back(&message);
-  }
-  const double ineq_batch_ns = TimeNsPerOp(ineq_reps, ineq_messages.size(), [&] {
-    uint64_t acc = 0;
-    ineq_index.ForEachCandidateBatch(
-        ineq_ptrs.data(), ineq_ptrs.size(),
-        [&](size_t i, const MatchIndexEntry& entry) {
-          if (OneWayMatch(*entry.attrs, *ineq_ptrs[i])) {
-            acc += entry.id;
-          }
-        });
-    g_sink = acc;
-  });
 
   std::printf("=== Matching hot path (64 filters, 256 messages, best of %d reps) ===\n\n", reps);
   std::printf("%-28s  %12s\n", "variant", "ns/message");
@@ -516,7 +501,6 @@ int Main(int argc, char** argv) {
   std::printf("%-28s  %12.0f   candidates/message  (%.1fx fewer)\n", "interval index",
               ineq_indexed_avg, ineq_reduction);
   std::printf("%-28s  %12.0f   ns/message\n", "dispatch: per message", ineq_dispatch_ns);
-  std::printf("%-28s  %12.0f   ns/message\n", "dispatch: batched", ineq_batch_ns);
 
   if (!out.empty()) {
     const std::vector<bench::BenchResult> results = {
@@ -531,7 +515,6 @@ int Main(int argc, char** argv) {
         {"ineq_candidates_indexed", "candidates/msg", ineq_indexed_avg},
         {"ineq_candidate_reduction", "x", ineq_reduction},
         {"ineq_dispatch_indexed", "ns/op", ineq_dispatch_ns},
-        {"ineq_dispatch_batched", "ns/op", ineq_batch_ns},
     };
     if (!bench::WriteBenchJson(out, "matching_hotpath", results)) {
       return 1;

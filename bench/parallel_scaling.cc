@@ -11,20 +11,26 @@
 //  * Every run's output is byte-identical at every thread count. The
 //    benchmark enforces this internally (trace fingerprints from a traced
 //    run per thread count must agree, as must event and byte totals of the
-//    timed runs), and scripts/check.sh additionally cmp-gates
-//    --deterministic-only output across --threads values.
+//    timed runs), scripts/check.sh additionally cmp-gates
+//    --deterministic-only output across --threads values, and --check
+//    re-runs the deterministic rows against the committed file.
 //  * The timing section (events_per_sec_t*, parallel_speedup_4t) varies run
 //    to run like every wall-clock metric.
 //
 // Emits BENCH_parallel.json ("diffusion-bench-v1" schema). Flags:
 //   --out=PATH            where to write the JSON (default BENCH_parallel.json)
-//   --check=PATH          validate an existing file against the schema; no run
+//   --check=PATH          validate a file written by a full run against the
+//                         schema, then re-run its deterministic section (one
+//                         traced --fp-seconds run with the same --side,
+//                         --regions, --seconds and --seed) and fail on any row
+//                         that differs; nothing is written
 //   --side=N              grid side (default 100 -> 10,000 nodes)
 //   --regions=N           target region count (default 16)
 //   --seconds=N           simulated seconds per timed run (default 30)
 //   --fp-seconds=N        simulated seconds per traced fingerprint run
 //                         (default 10)
-//   --threads=N           with --deterministic-only: the thread count to run
+//   --threads=N           with --deterministic-only or --check: the thread
+//                         count to run
 //   --deterministic-only  one traced run; emit only deterministic metrics
 //                         (the cross-thread cmp gate), no timing
 //   --require-speedup=X   exit non-zero unless parallel_speedup_4t reaches X.
@@ -146,6 +152,23 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
   return output;
 }
 
+// The leading rows of every output: the world's shape and one traced run's
+// work counts and fingerprint. `sim_seconds` is the length the output
+// reports (the timed runs' length in a full run).
+std::vector<bench::BenchResult> ShapeAndCounts(int side, int sim_seconds, const RunOutput& run) {
+  return {
+      {"nodes", "count", static_cast<double>(side * side)},
+      {"regions", "count", static_cast<double>(run.regions)},
+      {"window_us", "us", static_cast<double>(run.window / kMicrosecond)},
+      {"sim_seconds", "s", static_cast<double>(sim_seconds)},
+      {"events_executed", "count", static_cast<double>(run.events_executed)},
+      {"diffusion_bytes", "bytes", static_cast<double>(run.diffusion_bytes)},
+      {"border_frames", "count", static_cast<double>(run.border_frames)},
+      {"deliveries_clamped", "count", static_cast<double>(run.deliveries_clamped)},
+      {"trace_fingerprint", "hash53", static_cast<double>(run.fingerprint)},
+  };
+}
+
 // Per-region clamp counters (bridge.deliveries_clamped.r<N> in the metrics
 // registry). Deterministic: clamping depends only on window geometry, so these
 // belong in the cmp-gated deterministic section alongside the total.
@@ -160,10 +183,25 @@ int Main(int argc, char** argv) {
   const double require = std::strtod(
       bench::StringFlag(argc, argv, "require-speedup", "0").c_str(), nullptr);
   const std::string check = bench::StringFlag(argc, argv, "check");
+  const int side = static_cast<int>(bench::IntFlag(argc, argv, "side", 100));
+  const int regions = static_cast<int>(bench::IntFlag(argc, argv, "regions", 16));
+  const int seconds = static_cast<int>(bench::IntFlag(argc, argv, "seconds", 30));
+  const int fp_seconds = static_cast<int>(bench::IntFlag(argc, argv, "fp-seconds", 10));
+  const uint64_t seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 9000));
+  const unsigned threads = static_cast<unsigned>(bench::IntFlag(argc, argv, "threads", 1));
   if (!check.empty()) {
     std::string error;
     if (!bench::ValidateBenchJson(check, &error)) {
       std::fprintf(stderr, "FAIL: %s\n", error.c_str());
+      return 1;
+    }
+    const RunOutput run = RunWorld(side, regions, threads, seed, fp_seconds, /*traced=*/true);
+    std::vector<bench::BenchResult> fresh = ShapeAndCounts(side, seconds, run);
+    fresh.push_back({"barriers_run", "count", static_cast<double>(run.barriers_run)});
+    AppendPerRegionClamps(run, &fresh);
+    if (!bench::MatchesRecorded(check, fresh, &error)) {
+      std::fprintf(stderr, "FAIL: deterministic section differs from %s: %s\n", check.c_str(),
+                   error.c_str());
       return 1;
     }
     if (require > 0.0) {
@@ -189,15 +227,11 @@ int Main(int argc, char** argv) {
         }
       }
     }
-    std::printf("%s: valid %s file\n", check.c_str(), bench::kBenchJsonSchema);
+    std::printf("%s: valid %s file; deterministic section reproduced\n", check.c_str(),
+                bench::kBenchJsonSchema);
     return 0;
   }
 
-  const int side = static_cast<int>(bench::IntFlag(argc, argv, "side", 100));
-  const int regions = static_cast<int>(bench::IntFlag(argc, argv, "regions", 16));
-  const int seconds = static_cast<int>(bench::IntFlag(argc, argv, "seconds", 30));
-  const int fp_seconds = static_cast<int>(bench::IntFlag(argc, argv, "fp-seconds", 10));
-  const uint64_t seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 9000));
   const bool deterministic_only = bench::BoolFlag(argc, argv, "deterministic-only");
   const std::string out = bench::StringFlag(argc, argv, "out", "BENCH_parallel.json");
   const unsigned threads_available = std::thread::hardware_concurrency();
@@ -206,7 +240,6 @@ int Main(int argc, char** argv) {
     // One traced run at the requested thread count; print and emit only
     // metrics that are a pure function of (seed, side, regions, window) so
     // outputs at different --threads values can be cmp'd byte for byte.
-    const unsigned threads = static_cast<unsigned>(bench::IntFlag(argc, argv, "threads", 1));
     const RunOutput run = RunWorld(side, regions, threads, seed, fp_seconds, /*traced=*/true);
     std::printf("nodes=%d regions=%d window_us=%lld events=%llu bytes=%llu border=%llu "
                 "clamped=%llu fp=%llu trace_events=%llu delivered=%zu barriers=%llu\n",
@@ -219,19 +252,9 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(run.trace_events), run.distinct_events,
                 static_cast<unsigned long long>(run.barriers_run));
     if (!out.empty()) {
-      std::vector<bench::BenchResult> results = {
-          {"nodes", "count", static_cast<double>(side * side)},
-          {"regions", "count", static_cast<double>(run.regions)},
-          {"window_us", "us", static_cast<double>(run.window / kMicrosecond)},
-          {"sim_seconds", "s", static_cast<double>(fp_seconds)},
-          {"events_executed", "count", static_cast<double>(run.events_executed)},
-          {"diffusion_bytes", "bytes", static_cast<double>(run.diffusion_bytes)},
-          {"border_frames", "count", static_cast<double>(run.border_frames)},
-          {"deliveries_clamped", "count", static_cast<double>(run.deliveries_clamped)},
-          {"trace_fingerprint", "hash53", static_cast<double>(run.fingerprint)},
-          {"trace_events", "count", static_cast<double>(run.trace_events)},
-          {"barriers_run", "count", static_cast<double>(run.barriers_run)},
-      };
+      std::vector<bench::BenchResult> results = ShapeAndCounts(side, fp_seconds, run);
+      results.push_back({"trace_events", "count", static_cast<double>(run.trace_events)});
+      results.push_back({"barriers_run", "count", static_cast<double>(run.barriers_run)});
       AppendPerRegionClamps(run, &results);
       if (!bench::WriteBenchJson(out, "parallel_scaling", results)) {
         return 1;
@@ -286,24 +309,15 @@ int Main(int argc, char** argv) {
   std::printf("%-28s  %16u\n", "hardware threads", threads_available);
 
   if (!out.empty()) {
-    std::vector<bench::BenchResult> results = {
-        {"nodes", "count", static_cast<double>(side * side)},
-        {"regions", "count", static_cast<double>(fp_runs[0].regions)},
-        {"window_us", "us", static_cast<double>(fp_runs[0].window / kMicrosecond)},
-        {"sim_seconds", "s", static_cast<double>(seconds)},
-        {"events_executed", "count", static_cast<double>(fp_runs[0].events_executed)},
-        {"diffusion_bytes", "bytes", static_cast<double>(fp_runs[0].diffusion_bytes)},
-        {"border_frames", "count", static_cast<double>(fp_runs[0].border_frames)},
-        {"deliveries_clamped", "count", static_cast<double>(fp_runs[0].deliveries_clamped)},
-        {"trace_fingerprint", "hash53", static_cast<double>(fp_runs[0].fingerprint)},
-        {"barriers_run", "count", static_cast<double>(fp_runs[0].barriers_run)},
-        {"events_per_sec_t1", "events/s", events_per_sec[0]},
-        {"events_per_sec_t2", "events/s", events_per_sec[1]},
-        {"events_per_sec_t4", "events/s", events_per_sec[2]},
-        {"events_per_sec_t8", "events/s", events_per_sec[3]},
-        {"parallel_speedup_4t", "x", speedup_4t},
-        {"threads_available", "count", static_cast<double>(threads_available)},
-    };
+    std::vector<bench::BenchResult> results = ShapeAndCounts(side, seconds, fp_runs[0]);
+    results.insert(results.end(),
+                   {{"barriers_run", "count", static_cast<double>(fp_runs[0].barriers_run)},
+                    {"events_per_sec_t1", "events/s", events_per_sec[0]},
+                    {"events_per_sec_t2", "events/s", events_per_sec[1]},
+                    {"events_per_sec_t4", "events/s", events_per_sec[2]},
+                    {"events_per_sec_t8", "events/s", events_per_sec[3]},
+                    {"parallel_speedup_4t", "x", speedup_4t},
+                    {"threads_available", "count", static_cast<double>(threads_available)}});
     AppendPerRegionClamps(fp_runs[0], &results);
     if (!bench::WriteBenchJson(out, "parallel_scaling", results)) {
       return 1;

@@ -52,11 +52,11 @@ int Main(int argc, char** argv) {
       params.shadowing_sigma_db = row.sigma;
       params.duration = static_cast<SimDuration>(minutes) * kMinute;
       params.seed = base_seed + static_cast<uint64_t>(run);
-      params.suppression = true;
+      params.strategy = AggregationStrategy::kSuppression;
       const Fig8Result with = RunFig8(params);
       with_suppression.Add(with.bytes_per_event);
       delivery.Add(with.delivery_rate * 100.0);
-      params.suppression = false;
+      params.strategy = AggregationStrategy::kNone;
       without_suppression.Add(RunFig8(params).bytes_per_event);
     }
     const double savings = without_suppression.mean() > 0.0

@@ -41,7 +41,7 @@ int Main(int argc, char** argv) {
         Fig8Params params;
         params.sources = 4;
         params.variant = variant;
-        params.suppression = suppression;
+        params.strategy = suppression ? AggregationStrategy::kSuppression : AggregationStrategy::kNone;
         params.duration = static_cast<SimDuration>(minutes) * kMinute;
         params.seed = base_seed + static_cast<uint64_t>(run);
         const Fig8Result result = RunFig8(params);

@@ -219,7 +219,6 @@ bool MatchIndex::Insert(uint32_t id, int32_t priority, const AttributeSet* attrs
   position.group->push_back(MatchIndexEntry{id, priority, attrs});
   slot_it->second = position;
   ++size_;
-  ++version_;
   return true;
 }
 
@@ -241,7 +240,6 @@ bool MatchIndex::Erase(uint32_t id) {
     ReleaseGroup(position);
   }
   --size_;
-  ++version_;
   return true;
 }
 

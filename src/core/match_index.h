@@ -108,11 +108,6 @@ class MatchIndex {
   // this never exceeds size() and dispatch never walks an empty group.
   size_t group_count() const;
 
-  // Incremented by every successful Insert/Erase. Lets callers detect that
-  // precomputed candidate/winner state went stale (e.g. a filter callback
-  // mutating the chain mid-batch).
-  uint64_t version() const { return version_; }
-
   // Invokes `fn(const MatchIndexEntry&)` for every entry that could match
   // `message`, at most once per entry. The index must not be mutated from
   // inside `fn`.
@@ -126,38 +121,6 @@ class MatchIndex {
     if (has_actual) {
       for (const MatchIndexEntry& entry : any_) {
         fn(entry);
-      }
-    }
-  }
-
-  // Batch form: one index traversal amortized over `count` messages.
-  // Invokes `fn(size_t msg_index, const MatchIndexEntry&)` at most once per
-  // (message, entry) pair. The unconstrained_/any_ groups are walked
-  // entry-major (each entry stays hot in cache while every message tests
-  // it); per-message visit order within a group is the single-message
-  // order. The index must not be mutated from inside `fn`.
-  template <typename Fn>
-  void ForEachCandidateBatch(const AttributeSet* const* messages, size_t count, Fn&& fn) const {
-    if (count == 0) {
-      return;
-    }
-    for (const MatchIndexEntry& entry : unconstrained_) {
-      for (size_t i = 0; i < count; ++i) {
-        fn(i, entry);
-      }
-    }
-    const uint64_t base = epoch_;
-    epoch_ += count;
-    std::vector<bool> has_actual(count, false);
-    for (size_t i = 0; i < count; ++i) {
-      has_actual[i] =
-          VisitKeyed(*messages[i], base + 1 + i, [&fn, i](const MatchIndexEntry& e) { fn(i, e); });
-    }
-    for (const MatchIndexEntry& entry : any_) {
-      for (size_t i = 0; i < count; ++i) {
-        if (has_actual[i]) {
-          fn(i, entry);
-        }
       }
     }
   }
@@ -409,7 +372,6 @@ class MatchIndex {
   Interner interner_;
   std::unordered_map<uint32_t, Position> positions_;
   size_t size_ = 0;
-  uint64_t version_ = 0;
   mutable uint64_t epoch_ = 0;
 };
 

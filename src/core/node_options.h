@@ -15,8 +15,6 @@
 #ifndef SRC_CORE_NODE_OPTIONS_H_
 #define SRC_CORE_NODE_OPTIONS_H_
 
-#include <optional>
-
 #include "src/core/config.h"
 #include "src/core/traffic_policy.h"
 #include "src/radio/radio.h"
@@ -26,24 +24,14 @@ namespace diffusion {
 struct NodeOptions {
   DiffusionConfig diffusion{};
   RadioConfig radio{};
-  // Convenience override: when set, replaces `radio.mac` wholesale, so MAC
-  // knobs can be given without restating the rest of the radio config.
-  std::optional<MacConfig> mac{};
   TrafficPolicy traffic{};
 
   // The RadioConfig the node actually hands its radio: `radio` with the
-  // `mac` override applied and the MAC-level traffic layers (token buckets,
-  // queue policy, airtime budget) folded into MacConfig::shaping.
+  // MAC-level traffic layers (token buckets, queue policy, airtime budget)
+  // as MacConfig::shaping.
   RadioConfig EffectiveRadio() const {
     RadioConfig effective = radio;
-    if (mac.has_value()) {
-      effective.mac = *mac;
-    }
-    effective.mac.shaping.queue = traffic.queue;
-    effective.mac.shaping.airtime = traffic.airtime;
-    effective.mac.shaping.control = traffic.control_bucket;
-    effective.mac.shaping.data = traffic.data_bucket;
-    effective.mac.shaping.refresh = traffic.refresh_bucket;
+    effective.mac.shaping = traffic.mac;
     return effective;
   }
 };

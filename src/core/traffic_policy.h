@@ -19,7 +19,7 @@
 // randomness flows from the node's seeded Rng (diffusion-lint DL002).
 //
 // The MAC-level layers (B3-B5) are configured here but enforced inside
-// CsmaMac; DiffusionNode folds them into the RadioConfig it hands the radio
+// CsmaMac; DiffusionNode copies them into the RadioConfig it hands the radio
 // (see NodeOptions in src/core/node_options.h).
 
 #ifndef SRC_CORE_TRAFFIC_POLICY_H_
@@ -60,23 +60,14 @@ struct InterestBackoffPolicy {
 
 // The unified shaping configuration: node-level layers (jitter, backoff)
 // plus the MAC-level ones (queue policy, airtime budget, per-class token
-// buckets — see MacShaping in src/radio/mac.h).
+// buckets), which the node hands its radio unchanged as MacConfig::shaping.
 struct TrafficPolicy {
   TxJitterPolicy jitter;
   InterestBackoffPolicy backoff;
-  MacQueuePolicy queue;
-  MacAirtimeBudget airtime;
-  MacTokenBucket control_bucket;  // MacPriority::kControl
-  MacTokenBucket data_bucket;     // MacPriority::kData
-  MacTokenBucket refresh_bucket;  // MacPriority::kRefresh
+  MacShaping mac;
 
-  // True when any MAC-level layer deviates from "off".
-  bool AnyMacLayerEnabled() const {
-    return queue.priority_drop || queue.high_watermark < 1.0 || airtime.enabled ||
-           control_bucket.enabled || data_bucket.enabled || refresh_bucket.enabled;
-  }
   bool AnyLayerEnabled() const {
-    return jitter.enabled || backoff.enabled || AnyMacLayerEnabled();
+    return jitter.enabled || backoff.enabled || mac.AnyLayerEnabled();
   }
 };
 

@@ -43,7 +43,6 @@ class FaultOverlayPropagation : public PropagationModel {
   }
   // Caps delivery on every link `node` participates in, either direction.
   void DegradeNode(NodeId node, double delivery) { node_degrade_[node] = delivery; }
-  void RestoreNode(NodeId node) { node_degrade_.erase(node); }
 
   // Severs every link between a group_a node and a group_b node. Replaces any
   // previous partition. Nodes in neither group keep all their links.

@@ -66,15 +66,6 @@ class RecoveryObserver : public TraceSink {
   bool repaired() const { return repaired_; }
   SimTime first_delivery_after_fault() const { return first_delivery_after_fault_; }
 
-  // Seconds from the mark to the first post-mark sink delivery; -1 when the
-  // network never repaired (or no mark was set).
-  double TimeToRepairSeconds() const {
-    if (!marked_ || !repaired_) {
-      return -1.0;
-    }
-    return DurationToSeconds(first_delivery_after_fault_ - fault_time_);
-  }
-
   uint64_t deliveries_before_fault() const { return deliveries_before_fault_; }
   uint64_t deliveries_after_fault() const { return deliveries_after_fault_; }
   uint64_t reinforcements_before_fault() const { return reinforcements_before_fault_; }

@@ -94,10 +94,6 @@ class AttributeSet {
 
   std::string ToString() const;
 
-  // True when this set shares storage with `other` (copies made without an
-  // intervening mutation). Introspection for tests and the bench.
-  bool SharesStorageWith(const AttributeSet& other) const { return rep_ && rep_ == other.rep_; }
-
  private:
   // Shared representation. A null rep_ is the canonical empty set, so
   // default construction allocates nothing.

@@ -108,6 +108,12 @@ struct MacShaping {
   MacTokenBucket control;  // bucket for MacPriority::kControl
   MacTokenBucket data;     // bucket for MacPriority::kData
   MacTokenBucket refresh;  // bucket for MacPriority::kRefresh
+
+  // True when any layer deviates from "off".
+  bool AnyLayerEnabled() const {
+    return queue.priority_drop || queue.high_watermark < 1.0 || airtime.enabled ||
+           control.enabled || data.enabled || refresh.enabled;
+  }
 };
 
 struct MacConfig {

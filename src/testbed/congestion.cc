@@ -65,24 +65,24 @@ TrafficPolicy ReferenceShapingPolicy() {
   policy.backoff.initial_ttl = 8;
   // B4: shed exploratory refreshes early, evict low-priority frames for
   // control when the queue fills.
-  policy.queue.priority_drop = true;
-  policy.queue.high_watermark = 0.75;
+  policy.mac.queue.priority_drop = true;
+  policy.mac.queue.high_watermark = 0.75;
   // B5: a loose anti-hog backstop. The bridge relay (node 20) legitimately
   // carries most of the network's transit bytes, so the budget must sit well
   // above fair share; the data bucket below is the binding limiter.
-  policy.airtime.enabled = true;
-  policy.airtime.budget_fraction = 0.25;
+  policy.mac.airtime.enabled = true;
+  policy.mac.airtime.budget_fraction = 0.25;
   // B3: bound data and refresh bytes per node; control is never throttled.
   // The data bucket polices ingress only: metering transit at every relay
   // compounds into heavy end-to-end loss for multi-hop flows, while
   // origination-only metering throttles a runaway source at its own MAC.
-  policy.data_bucket.enabled = true;
-  policy.data_bucket.rate_bytes_per_s = 45.0;
-  policy.data_bucket.burst_bytes = 440.0;
-  policy.data_bucket.originated_only = true;
-  policy.refresh_bucket.enabled = true;
-  policy.refresh_bucket.rate_bytes_per_s = 40.0;
-  policy.refresh_bucket.burst_bytes = 360.0;
+  policy.mac.data.enabled = true;
+  policy.mac.data.rate_bytes_per_s = 45.0;
+  policy.mac.data.burst_bytes = 440.0;
+  policy.mac.data.originated_only = true;
+  policy.mac.refresh.enabled = true;
+  policy.mac.refresh.rate_bytes_per_s = 40.0;
+  policy.mac.refresh.burst_bytes = 360.0;
   return policy;
 }
 

@@ -13,7 +13,6 @@
 #include "src/filters/geo_scope_filter.h"
 #include "src/radio/energy.h"
 #include "src/radio/shadowing.h"
-#include "src/testbed/sharded_world.h"
 #include "src/testbed/topology.h"
 #include "src/trace/trace_writer.h"
 
@@ -58,111 +57,9 @@ double MeasuredEnergy(const std::map<NodeId, std::unique_ptr<DiffusionNode>>& no
   return energy / static_cast<double>(kSecond);
 }
 
-// The Figure-8 network on the sharded parallel core. Same applications and
-// metrics as the sequential path below; the world builder replaces the
-// hand-rolled simulator/channel/node setup.
-Fig8Result RunFig8Sharded(const Fig8Params& params) {
-  std::unique_ptr<TraceWriter> trace_writer;
-  TraceSink* trace_sink = ResolveTraceSink(params.trace_sink, params.trace_out, &trace_writer);
-
-  DiffusionConfig dconfig;
-  dconfig.exploratory_every = params.exploratory_every;
-  dconfig.variant = params.variant;
-  dconfig.forward_delay_jitter = 300 * kMillisecond;
-  RadioConfig rconfig = TestbedRadioConfig();
-  rconfig.mac.duty_cycle = params.duty_cycle;
-
-  ShardedWorldParams wparams;
-  wparams.regions = params.parallel_regions;
-  wparams.threads = params.parallel_threads;
-  wparams.seed = params.seed;
-  wparams.link_delivery = params.link_delivery;
-  wparams.diffusion = dconfig;
-  wparams.radio = rconfig;
-  ShardedWorld world(IsiTestbedLayout(), wparams);
-  if (trace_sink != nullptr) {
-    world.set_merged_trace_sink(trace_sink);
-  }
-
-  SurveillanceConfig sconfig;
-  const AggregationStrategy strategy =
-      params.use_strategy
-          ? params.strategy
-          : (params.suppression ? AggregationStrategy::kSuppression : AggregationStrategy::kNone);
-  std::vector<std::unique_ptr<DuplicateSuppressionFilter>> filters;
-  std::vector<std::unique_ptr<CountingAggregationFilter>> counting_filters;
-  if (strategy == AggregationStrategy::kSuppression) {
-    for (const auto& [id, node] : world.nodes()) {
-      filters.push_back(std::make_unique<DuplicateSuppressionFilter>(
-          node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
-    }
-  } else if (strategy == AggregationStrategy::kCounting) {
-    for (const auto& [id, node] : world.nodes()) {
-      counting_filters.push_back(std::make_unique<CountingAggregationFilter>(
-          node.get(), SurveillanceDataFilterAttrs(sconfig), 10, params.counting_window));
-    }
-  }
-
-  SurveillanceSink sink(world.node(kIsiSinkNode), sconfig);
-  std::vector<std::unique_ptr<SurveillanceSource>> sources;
-  for (int i = 0; i < params.sources; ++i) {
-    const NodeId id = kIsiSourceNodes[i];
-    sources.push_back(
-        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
-  }
-
-  sink.Start();
-  const SimTime source_start = 5 * kSecond;
-  for (size_t i = 0; i < sources.size(); ++i) {
-    // Each source starts in its own region's shard.
-    SurveillanceSource* source = sources[i].get();
-    world.sim_of(kIsiSourceNodes[i]).At(source_start, [source] { source->Start(); });
-  }
-
-  uint64_t events_executed = world.RunUntil(params.warmup);
-  const uint64_t bytes_at_warmup = TotalDiffusionBytes(world.nodes());
-  const size_t events_at_warmup = sink.distinct_events();
-
-  events_executed += world.RunUntil(params.warmup + params.duration);
-
-  Fig8Result result;
-  result.events_executed = events_executed;
-  result.diffusion_bytes = TotalDiffusionBytes(world.nodes()) - bytes_at_warmup;
-  result.distinct_events = sink.distinct_events() - events_at_warmup;
-  result.possible_events = PossibleEvents(source_start, sconfig.event_interval, params.warmup,
-                                          params.warmup + params.duration);
-  result.delivery_rate = result.possible_events > 0
-                             ? static_cast<double>(result.distinct_events) /
-                                   static_cast<double>(result.possible_events)
-                             : 0.0;
-  result.bytes_per_event = result.distinct_events > 0
-                               ? static_cast<double>(result.diffusion_bytes) /
-                                     static_cast<double>(result.distinct_events)
-                               : 0.0;
-  for (const auto& filter : filters) {
-    result.suppressed += filter->suppressed();
-  }
-  for (const auto& filter : counting_filters) {
-    result.suppressed += filter->events_merged();
-  }
-  result.mean_latency_s = sink.first_copy_latency().mean();
-
-  const double energy =
-      MeasuredEnergy(world.nodes(), static_cast<double>(params.warmup + params.duration));
-  result.energy_per_event = result.distinct_events > 0
-                                ? energy / static_cast<double>(result.distinct_events)
-                                : 0.0;
-  return result;
-}
-
 }  // namespace
 
 Fig8Result RunFig8(const Fig8Params& params) {
-  // Shadowing has no sharded implementation; it falls back to the sequential
-  // engine (see Fig8Params::parallel_regions).
-  if (params.parallel_regions > 1 && !params.shadowing) {
-    return RunFig8Sharded(params);
-  }
   // The writer outlives the simulator (declared first) so events emitted
   // during teardown still have a live sink.
   std::unique_ptr<TraceWriter> trace_writer;
@@ -206,19 +103,15 @@ Fig8Result RunFig8(const Fig8Params& params) {
   }
 
   SurveillanceConfig sconfig;
-  const AggregationStrategy strategy =
-      params.use_strategy
-          ? params.strategy
-          : (params.suppression ? AggregationStrategy::kSuppression : AggregationStrategy::kNone);
   std::vector<std::unique_ptr<DuplicateSuppressionFilter>> filters;
   std::vector<std::unique_ptr<CountingAggregationFilter>> counting_filters;
-  if (strategy == AggregationStrategy::kSuppression) {
+  if (params.strategy == AggregationStrategy::kSuppression) {
     // "All nodes were configured with aggregation filters" (§6.1).
     for (auto& [id, node] : nodes) {
       filters.push_back(std::make_unique<DuplicateSuppressionFilter>(
           node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
     }
-  } else if (strategy == AggregationStrategy::kCounting) {
+  } else if (params.strategy == AggregationStrategy::kCounting) {
     for (auto& [id, node] : nodes) {
       counting_filters.push_back(std::make_unique<CountingAggregationFilter>(
           node.get(), SurveillanceDataFilterAttrs(sconfig), 10, params.counting_window));
@@ -411,9 +304,15 @@ ScaleResult RunScaleExperiment(const ScaleParams& params) {
     std::swap(shuffled[i - 1],
               shuffled[static_cast<size_t>(pick_rng.NextInt(0, static_cast<int64_t>(i) - 1))]);
   }
-  std::vector<NodeId> source_ids(shuffled.begin(), shuffled.begin() + params.sources);
-  std::vector<NodeId> sink_ids(shuffled.begin() + params.sources,
-                               shuffled.begin() + params.sources + params.sinks);
+  // `nodes` comes from the command line and may be below sources + sinks:
+  // keep at least one node for the sinks and never slice past the layout.
+  const size_t source_count =
+      std::min(static_cast<size_t>(std::max(params.sources, 0)), shuffled.size() - 1);
+  const size_t sink_count =
+      std::min(static_cast<size_t>(std::max(params.sinks, 0)), shuffled.size() - source_count);
+  const auto sources_end = shuffled.begin() + static_cast<ptrdiff_t>(source_count);
+  std::vector<NodeId> source_ids(shuffled.begin(), sources_end);
+  std::vector<NodeId> sink_ids(sources_end, sources_end + static_cast<ptrdiff_t>(sink_count));
 
   // Sinks share one distinct-event set (the union of what any sink saw).
   std::set<int32_t> distinct;

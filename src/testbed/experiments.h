@@ -33,9 +33,7 @@ enum class AggregationStrategy {
 
 struct Fig8Params {
   int sources = 4;           // 1..4; uses the Figure-7 source nodes in order
-  bool suppression = true;   // shorthand for strategy (kSuppression vs kNone)
   AggregationStrategy strategy = AggregationStrategy::kSuppression;
-  bool use_strategy = false;  // when true, `strategy` overrides `suppression`
   SimDuration counting_window = 2 * kSecond;
   SimDuration duration = 30 * kMinute;
   SimDuration warmup = 60 * kSecond;
@@ -58,14 +56,6 @@ struct Fig8Params {
   // injects a private per-replicate buffer here so parallel replicates never
   // share a file stream; must outlive the run.
   TraceSink* trace_sink = nullptr;
-  // Run on the spatially sharded parallel core (src/testbed/sharded_world.h)
-  // instead of one monolithic Simulator. 0 or 1 keeps the sequential engine.
-  // Sharded runs are deterministic at any thread count but are a border
-  // approximation of the monolithic run, so they are a separate measurement
-  // series, not a byte-identical replica. Shadowing has no sharded
-  // implementation and falls back to the sequential engine.
-  int parallel_regions = 0;
-  unsigned parallel_threads = 1;  // 0 = hardware concurrency
 };
 
 struct Fig8Result {

@@ -230,97 +230,5 @@ TEST(MatchEquivalenceTest, IndexedDispatchMatchesFullScan) {
   }
 }
 
-// ---- SendBatch: a burst must be indistinguishable from repeated Send ----
-
-struct BurstRun {
-  std::vector<TraceEvent> events;
-  std::vector<int64_t> delivered;
-  ApiResult result = ApiResult::kOk;
-};
-
-BurstRun RunBurst(bool use_batch) {
-  Simulator sim(77);
-  auto channel = MakeCliqueChannel(&sim, 2);
-  MemoryTraceSink trace;
-  sim.set_trace_sink(&trace);
-  DiffusionNode sink(&sim, channel.get(), 1, NodeOptions{.radio = FastRadio()});
-  DiffusionNode source(&sim, channel.get(), 2, NodeOptions{.radio = FastRadio()});
-  BurstRun out;
-  (void)sink.Subscribe(Query(), [&](const AttributeVector& attrs) {
-    if (const Attribute* seq = FindActual(attrs, kKeySequence)) {
-      out.delivered.push_back(*seq->AsInt());
-    }
-  });
-  const PublicationHandle pub = source.Publish(Publication());
-  sim.RunUntil(kSecond);
-  std::vector<AttributeVector> batch;
-  for (int i = 0; i < 6; ++i) {
-    batch.push_back(Reading(i));
-  }
-  if (use_batch) {
-    out.result = source.SendBatch(pub, batch);
-  } else {
-    for (const AttributeVector& extra : batch) {
-      const ApiResult r = source.Send(pub, extra);
-      if (out.result == ApiResult::kOk) {
-        out.result = r;
-      }
-    }
-  }
-  sim.RunUntil(5 * kSecond);
-  out.events = trace.events();
-  return out;
-}
-
-TEST(SendBatchTest, BatchMatchesSequentialSendsExactly) {
-  const BurstRun sequential = RunBurst(false);
-  const BurstRun batched = RunBurst(true);
-  EXPECT_FALSE(sequential.delivered.empty());
-  EXPECT_EQ(batched.delivered, sequential.delivered);
-  EXPECT_EQ(batched.result, sequential.result);
-  ASSERT_EQ(batched.events.size(), sequential.events.size());
-  for (size_t i = 0; i < sequential.events.size(); ++i) {
-    ASSERT_TRUE(batched.events[i] == sequential.events[i]) << "trace diverges at event " << i;
-  }
-}
-
-TEST(SendBatchTest, MisusePaths) {
-  Simulator sim(5);
-  auto channel = MakeCliqueChannel(&sim, 1);
-  DiffusionNode node(&sim, channel.get(), 1, NodeOptions{.radio = FastRadio()});
-  EXPECT_EQ(node.SendBatch(PublicationHandle{999}, {Reading(1)}), ApiResult::kUnknownHandle);
-  const PublicationHandle pub = node.Publish(Publication());
-  EXPECT_EQ(node.SendBatch(pub, {}), ApiResult::kOk);  // empty burst: nothing to do
-  // No interest anywhere: every message fails the same way one Send would.
-  EXPECT_EQ(node.SendBatch(pub, {Reading(1), Reading(2)}), ApiResult::kNoMatchingInterest);
-  node.Kill();
-  EXPECT_EQ(node.SendBatch(pub, {Reading(3)}), ApiResult::kNodeDead);
-}
-
-// A filter that mutates the chain mid-batch invalidates the precomputed
-// winners; the remaining messages must re-select per message and still all
-// arrive.
-TEST(SendBatchTest, ChainMutationMidBatchFallsBackPerMessage) {
-  Simulator sim(6);
-  auto channel = MakeCliqueChannel(&sim, 1);
-  DiffusionNode node(&sim, channel.get(), 1, NodeOptions{.radio = FastRadio()});
-  int delivered = 0;
-  (void)node.Subscribe(Query(), [&](const AttributeVector&) { ++delivered; });
-  const PublicationHandle pub = node.Publish(Publication());
-  sim.RunUntil(100 * kMillisecond);
-  int filter_hits = 0;
-  FilterHandle handle = kInvalidHandle;
-  handle = node.AddFilter(Query(), 10, [&](Message& message, FilterApi& api) {
-    ++filter_hits;
-    (void)node.RemoveFilter(handle);  // version bump: later winners are stale
-    api.SendMessage(std::move(message), handle);
-  });
-  EXPECT_EQ(node.SendBatch(pub, {Reading(1), Reading(2), Reading(3)}), ApiResult::kOk);
-  sim.RunUntil(kSecond);
-  EXPECT_EQ(filter_hits, 1);  // removed itself after the first message
-  EXPECT_EQ(delivered, 3);    // every message still reached the core
-  EXPECT_EQ(node.stats().stale_filter_reinjections, 1u);
-}
-
 }  // namespace
 }  // namespace diffusion

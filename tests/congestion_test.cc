@@ -315,14 +315,14 @@ TEST(TrafficPolicyEquivalenceTest, DisabledLayersAreByteIdenticalToSeed) {
   disabled.backoff.enabled = false;
   disabled.backoff.initial_ttl = 1;
   disabled.backoff.backoff_factor = 7.0;
-  disabled.data_bucket.enabled = false;
-  disabled.data_bucket.rate_bytes_per_s = 1.0;
-  disabled.data_bucket.burst_bytes = 1.0;
-  disabled.data_bucket.originated_only = true;
-  disabled.refresh_bucket.enabled = false;
-  disabled.refresh_bucket.rate_bytes_per_s = 1.0;
-  disabled.airtime.enabled = false;
-  disabled.airtime.budget_fraction = 0.0;
+  disabled.mac.data.enabled = false;
+  disabled.mac.data.rate_bytes_per_s = 1.0;
+  disabled.mac.data.burst_bytes = 1.0;
+  disabled.mac.data.originated_only = true;
+  disabled.mac.refresh.enabled = false;
+  disabled.mac.refresh.rate_bytes_per_s = 1.0;
+  disabled.mac.airtime.enabled = false;
+  disabled.mac.airtime.budget_fraction = 0.0;
   ASSERT_FALSE(disabled.AnyLayerEnabled());
 
   MemoryTraceSink baseline_trace;

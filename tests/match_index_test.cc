@@ -349,73 +349,6 @@ TEST(MatchIndexTest, SwapAndPopKeepsPositionsConsistentUnderChurn) {
   EXPECT_EQ(index.size(), 0u);
 }
 
-TEST(MatchIndexTest, VersionBumpsOnMutationOnly) {
-  MatchIndex index(kKeyClass);
-  AttributeSet attrs = {ClassEq(kClassData)};
-  const uint64_t v0 = index.version();
-  ASSERT_TRUE(index.Insert(1, 0, &attrs));
-  EXPECT_GT(index.version(), v0);
-  const uint64_t v1 = index.version();
-  EXPECT_FALSE(index.Insert(1, 0, &attrs));  // rejected: no bump
-  EXPECT_FALSE(index.Erase(9));              // miss: no bump
-  EXPECT_EQ(index.version(), v1);
-  const AttributeSet probe = {ClassIs(kClassData)};
-  (void)Candidates(index, probe);  // queries: no bump
-  EXPECT_EQ(index.version(), v1);
-  ASSERT_TRUE(index.Erase(1));
-  EXPECT_GT(index.version(), v1);
-}
-
-// ---- batch traversal ----
-
-TEST(MatchIndexTest, BatchAgreesWithPerMessageTraversal) {
-  Rng rng(11);
-  std::vector<AttributeSet> entries;
-  for (int i = 0; i < 200; ++i) {
-    const double lo = static_cast<double>(rng.NextInt(0, 900));
-    switch (rng.NextInt(0, 3)) {
-      case 0:
-        entries.push_back(Range(lo, lo + static_cast<double>(rng.NextInt(1, 100))));
-        break;
-      case 1:
-        entries.push_back({Attribute::Float64(kKey, AttrOp::kGe, lo)});
-        break;
-      case 2:
-        entries.push_back({Attribute::Float64(kKey, AttrOp::kEq, lo)});
-        break;
-      default:
-        entries.push_back({Attribute::Float64(kKey, AttrOp::kNe, lo)});
-        break;
-    }
-  }
-  MatchIndex index(kKey);
-  for (size_t i = 0; i < entries.size(); ++i) {
-    ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
-  }
-  std::vector<AttributeSet> messages;
-  std::vector<const AttributeSet*> ptrs;
-  for (int i = 0; i < 16; ++i) {
-    messages.push_back(Actual(static_cast<double>(rng.NextInt(0, 1000))));
-  }
-  for (const AttributeSet& m : messages) {
-    ptrs.push_back(&m);
-  }
-  std::vector<std::vector<uint32_t>> batched(messages.size());
-  index.ForEachCandidateBatch(ptrs.data(), ptrs.size(),
-                              [&](size_t i, const MatchIndexEntry& entry) {
-                                batched[i].push_back(entry.id);
-                              });
-  for (size_t i = 0; i < messages.size(); ++i) {
-    std::vector<uint32_t> single = Candidates(index, messages[i]);
-    std::sort(single.begin(), single.end());
-    std::vector<uint32_t> batch_sorted = batched[i];
-    std::sort(batch_sorted.begin(), batch_sorted.end());
-    ASSERT_TRUE(std::adjacent_find(batch_sorted.begin(), batch_sorted.end()) ==
-                batch_sorted.end());
-    ASSERT_EQ(batch_sorted, single) << "message " << i;
-  }
-}
-
 // ---- randomized equivalence over inequality-heavy and mixed corpora ----
 
 Attribute RandomKeyFormal(Rng* rng) {

@@ -203,7 +203,7 @@ TEST(ReplicationIntegrationTest, Fig8ReplicatesDeterministicAcrossJobs) {
           params.duration = 60 * kSecond;
           params.warmup = 10 * kSecond;
           params.seed = 4000 + i;
-          params.suppression = (i % 2) == 0;
+          params.strategy = (i % 2) == 0 ? AggregationStrategy::kSuppression : AggregationStrategy::kNone;
           params.trace_sink = sink;
           return RunFig8(params);
         });

@@ -6,10 +6,11 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <regex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace diffusion {
@@ -188,16 +189,41 @@ Scope ScopeFromPath(const std::string& path) {
   return Scope::kUnknown;
 }
 
+// The argument of the first `diffusion-lint: <verb>(<argument>)` directive
+// in `line` (whitespace allowed after the colon) whose argument contains no
+// ')' and, when `word_only`, is a non-empty run of identifier characters.
+std::optional<std::string> DirectiveArgument(const std::string& line, const std::string& verb,
+                                             bool word_only) {
+  static const std::string kTag = "diffusion-lint:";
+  for (size_t at = line.find(kTag); at != std::string::npos; at = line.find(kTag, at + 1)) {
+    size_t pos = at + kTag.size();
+    while (pos < line.size() && std::isspace(static_cast<unsigned char>(line[pos]))) {
+      ++pos;
+    }
+    if (line.compare(pos, verb.size() + 1, verb + "(") != 0) {
+      continue;
+    }
+    const size_t begin = pos + verb.size() + 1;
+    const size_t close = line.find(')', begin);
+    if (close == std::string::npos) {
+      continue;
+    }
+    const std::string argument = line.substr(begin, close - begin);
+    if (!word_only || (!argument.empty() && std::all_of(argument.begin(), argument.end(),
+                                                         IsIdentChar))) {
+      return argument;
+    }
+  }
+  return std::nullopt;
+}
+
 // Fixture files override their on-disk location with a directive in the
 // first few lines: `// diffusion-lint: scope(bench)`.
 Scope EffectiveScope(const std::string& path, const Preprocessed& pp) {
-  static const std::regex kScopeRe(R"(diffusion-lint:\s*scope\((\w+)\))");
   const int limit = std::min(pp.line_count(), 5);
   for (int line = 1; line <= limit; ++line) {
-    std::smatch match;
-    const std::string raw = pp.RawLine(line);
-    if (std::regex_search(raw, match, kScopeRe)) {
-      const std::string name = match[1];
+    if (const std::optional<std::string> name =
+            DirectiveArgument(pp.RawLine(line), "scope", /*word_only=*/true)) {
       if (name == "src") return Scope::kSrc;
       if (name == "bench") return Scope::kBench;
       if (name == "tests") return Scope::kTests;
@@ -211,15 +237,14 @@ Scope EffectiveScope(const std::string& path, const Preprocessed& pp) {
 // allowed[line] holds rule ids/names suppressed for diagnostics on `line`.
 // An allow() comment covers its own line and the line below it.
 std::vector<std::set<std::string>> CollectSuppressions(const Preprocessed& pp) {
-  static const std::regex kAllowRe(R"(diffusion-lint:\s*allow\(([^)]*)\))");
   std::vector<std::set<std::string>> allowed(static_cast<size_t>(pp.line_count()) + 2);
   for (int line = 1; line <= pp.line_count(); ++line) {
-    const std::string raw = pp.RawLine(line);
-    std::smatch match;
-    if (!std::regex_search(raw, match, kAllowRe)) {
+    const std::optional<std::string> argument =
+        DirectiveArgument(pp.RawLine(line), "allow", /*word_only=*/false);
+    if (!argument.has_value()) {
       continue;
     }
-    std::stringstream rules(match[1]);
+    std::stringstream rules(*argument);
     std::string rule;
     while (std::getline(rules, rule, ',')) {
       const size_t begin = rule.find_first_not_of(" \t");
@@ -828,14 +853,69 @@ void CheckUnorderedTraceIteration(const std::string& file, const Preprocessed& p
   }
 }
 
+// The checked method a statement starting with `code` calls through an
+// object expression — `node.Send(`, `nodes[i]->RemoveFilter(`,
+// `world.node(3).Unpublish(` — or empty when it calls none; the last one
+// when the chain calls several. The object expression is an identifier
+// followed by `[...]` subscripts, `(...)` calls without nested parentheses,
+// and `.`/`->` member names.
+std::string CheckedCallAtStart(const std::string& code) {
+  static const std::set<std::string> kChecked = {"Send", "Unsubscribe", "Unpublish",
+                                                 "RemoveFilter"};
+  auto ident_end = [&code](size_t pos) {
+    if (pos >= code.size() || std::isdigit(static_cast<unsigned char>(code[pos])) != 0) {
+      return pos;
+    }
+    while (pos < code.size() && IsIdentChar(code[pos])) {
+      ++pos;
+    }
+    return pos;
+  };
+  std::string found;
+  size_t pos = ident_end(0);
+  if (pos == 0) {
+    return found;
+  }
+  while (pos < code.size()) {
+    if (code[pos] == '[') {
+      const size_t close = code.find(']', pos);
+      if (close == std::string::npos) {
+        return found;
+      }
+      pos = close + 1;
+    } else if (code[pos] == '(') {
+      const size_t close = code.find_first_of("()", pos + 1);
+      if (close == std::string::npos || code[close] == '(') {
+        return found;
+      }
+      pos = close + 1;
+    } else if (code[pos] == '.' || code.compare(pos, 2, "->") == 0) {
+      const size_t name_begin = pos + (code[pos] == '.' ? 1 : 2);
+      const size_t name_end = ident_end(name_begin);
+      if (name_end == name_begin) {
+        return found;
+      }
+      const std::string name = code.substr(name_begin, name_end - name_begin);
+      size_t open = name_end;
+      while (open < code.size() && (code[open] == ' ' || code[open] == '\t')) {
+        ++open;
+      }
+      if (kChecked.count(name) != 0 && open < code.size() && code[open] == '(') {
+        found = name;
+      }
+      pos = name_end;
+    } else {
+      return found;
+    }
+  }
+  return found;
+}
+
 // DL004 — backstop behind [[nodiscard]] ApiResult: a call used as a bare
 // statement silently conflates "no matching interest" with "dead handle".
 // Discarding deliberately is spelled `(void)node.Send(...)`.
 void CheckIgnoredResult(const std::string& file, const Preprocessed& pp,
                         std::vector<Diagnostic>* out) {
-  static const std::regex kCallRe(
-      R"(^[A-Za-z_][A-Za-z0-9_]*(?:\[[^\]]*\]|\([^()]*\)|(?:->|\.)[A-Za-z_][A-Za-z0-9_]*)*)"
-      R"((?:->|\.)(Send|Unsubscribe|Unpublish|RemoveFilter)[ \t]*\()");
   std::string previous_code;
   for (int line = 1; line <= pp.line_count(); ++line) {
     std::string code = pp.CodeLine(line);
@@ -853,11 +933,10 @@ void CheckIgnoredResult(const std::string& file, const Preprocessed& pp,
     if (!statement_start) {
       continue;
     }
-    std::smatch match;
-    if (std::regex_search(code, match, kCallRe)) {
+    const std::string call = CheckedCallAtStart(code);
+    if (!call.empty()) {
       Emit(out, file, line, kRules[3],
-           "result of '" + match[1].str() +
-               "' is ignored; check it or discard explicitly with (void)");
+           "result of '" + call + "' is ignored; check it or discard explicitly with (void)");
     }
   }
 }
@@ -990,11 +1069,27 @@ void CheckFilterDrop(const std::string& file, const Preprocessed& pp,
 
     bool forwarded = false;
     if (!param_name.empty()) {
-      // Passed whole as an argument — e.g. `Run(message, api)` — to a
-      // handler that is itself subject to this rule.
-      const std::regex forward_re("[(,][ \t\n]*(std::move\\([ \t]*)?" + param_name +
-                                  "[ \t\n]*[),]");
-      forwarded = std::regex_search(body, forward_re);
+      // Passed whole as an argument — e.g. `Run(message, api)` or
+      // `Run(std::move(message))` — to a handler that is itself subject to
+      // this rule.
+      auto skip = [&body](size_t pos, std::string_view blanks) {
+        while (pos < body.size() && blanks.find(body[pos]) != std::string_view::npos) {
+          ++pos;
+        }
+        return pos;
+      };
+      for (size_t arg = body.find_first_of("(,"); arg != std::string::npos && !forwarded;
+           arg = body.find_first_of("(,", arg + 1)) {
+        size_t pos = skip(arg + 1, " \t\n");
+        if (body.compare(pos, 10, "std::move(") == 0) {
+          pos = skip(pos + 10, " \t");
+        }
+        if (body.compare(pos, param_name.size(), param_name) != 0) {
+          continue;
+        }
+        pos = skip(pos + param_name.size(), " \t\n");
+        forwarded = pos < body.size() && (body[pos] == ')' || body[pos] == ',');
+      }
     }
 
     if (!has_send(body) && !forwarded && !drop_documented(signature_line)) {
@@ -1035,7 +1130,14 @@ void CheckFilterDrop(const std::string& file, const Preprocessed& pp,
 // (AppendBytes/Flatten into the slot, body reset to `= BodyRef()`).
 void CheckBodyRefCrossThread(const std::string& file, const Preprocessed& pp,
                              const Preprocessed* sibling, std::vector<Diagnostic>* out) {
-  static const std::regex kCrossThreadRe("Border|Mailbox|Handoff|CrossThread");
+  auto crosses_threads = [](const std::string& name) {
+    for (const char* marker : {"Border", "Mailbox", "Handoff", "CrossThread"}) {
+      if (name.find(marker) != std::string::npos) {
+        return true;
+      }
+    }
+    return false;
+  };
   static const char* kPayloadTypes[] = {"BodyRef", "WireBody", "Fragment"};
   auto has_flatten = [](const std::string& code) {
     return code.find("AppendBytes(") != std::string::npos ||
@@ -1045,7 +1147,7 @@ void CheckBodyRefCrossThread(const std::string& file, const Preprocessed& pp,
   bool evidence_known = false;
   bool evidence = false;
   for (const ClassDef& cls : FindClassDefs(pp)) {
-    if (!std::regex_search(cls.name, kCrossThreadRe)) {
+    if (!crosses_threads(cls.name)) {
       continue;
     }
     for (const MemberDecl& member : HarvestMembers(pp, cls)) {
