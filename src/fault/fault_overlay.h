@@ -92,6 +92,11 @@ class FaultOverlayPropagation : public PropagationModel {
     return PropagationModel::reach_version() + inner_->reach_version();
   }
 
+  // Faults only remove links, so the inner model's superset still holds.
+  bool ReachCandidates(NodeId from, std::vector<NodeId>* out) const override {
+    return inner_->ReachCandidates(from, out);
+  }
+
   PropagationModel& inner() { return *inner_; }
 
  private:

@@ -20,16 +20,28 @@ ChannelStats operator-(const ChannelStats& a, const ChannelStats& b) {
   return delta;
 }
 
-Channel::ReceiverSlot& Channel::SlotFor(NodeId node) {
+uint32_t Channel::SlotIndex(NodeId node) {
   const auto [it, inserted] = slot_of_.try_emplace(node, static_cast<uint32_t>(slots_.size()));
   if (inserted) {
     slots_.emplace_back();
   }
-  return slots_[it->second];
+  return it->second;
 }
 
-const std::vector<Channel::Receiver>& Channel::ReceiversOf(NodeId sender, bool ascending) {
-  ReceiverList& list = receiver_lists_[sender];
+void Channel::RefreshRanks() {
+  if (rank_epoch_ == epoch_) {
+    return;
+  }
+  rank_epoch_ = epoch_;
+  uint32_t rank = 0;
+  for (const auto& entry : endpoints_) {
+    slots_[slot_of_.at(entry.first)].rank = rank++;
+  }
+}
+
+const std::vector<Channel::Receiver>& Channel::ReceiversOf(uint32_t sender_slot, NodeId sender,
+                                                           bool ascending) {
+  ReceiverList& list = slots_[sender_slot].list;
   const uint64_t reach_version = propagation_->reach_version();
   if (list.epoch == epoch_ && list.reach_version == reach_version && list.ascending == ascending) {
     return list.receivers;
@@ -38,9 +50,36 @@ const std::vector<Channel::Receiver>& Channel::ReceiversOf(NodeId sender, bool a
   list.reach_version = reach_version;
   list.ascending = ascending;
   list.receivers.clear();
-  for (const auto& [node, endpoint] : endpoints_) {
-    if (node != sender && propagation_->Reaches(sender, node)) {
-      list.receivers.push_back(Receiver{node, endpoint, slot_of_.at(node)});
+  candidates_.clear();
+  if (propagation_->ReachCandidates(sender, &candidates_)) {
+    for (NodeId node : candidates_) {
+      if (node == sender) {
+        continue;
+      }
+      const auto it = slot_of_.find(node);
+      if (it == slot_of_.end() || slots_[it->second].endpoint == nullptr) {
+        continue;  // not attached here
+      }
+      if (propagation_->Reaches(sender, node)) {
+        list.receivers.push_back(Receiver{node, slots_[it->second].endpoint, it->second});
+      }
+    }
+    if (!ascending) {
+      // The full walk's order, whichever order the candidates came in.
+      RefreshRanks();
+      std::sort(list.receivers.begin(), list.receivers.end(),
+                [this](const Receiver& a, const Receiver& b) {
+                  return slots_[a.slot].rank < slots_[b.slot].rank;
+                });
+    }
+  } else {
+    for (const auto& [node, endpoint] : endpoints_) {
+      if (node == sender) {
+        continue;
+      }
+      if (propagation_->Reaches(sender, node)) {
+        list.receivers.push_back(Receiver{node, endpoint, slot_of_.at(node)});
+      }
     }
   }
   if (ascending) {
@@ -63,7 +102,9 @@ void Channel::Attach(ChannelEndpoint* endpoint) {
     parked_stats_.erase(parked);
   }
   attach_base_[node] = node_stats_[node];
-  SlotFor(node).stats = &node_stats_[node];
+  ReceiverSlot& slot = slots_[SlotIndex(node)];
+  slot.stats = &node_stats_[node];
+  slot.endpoint = endpoint;
 }
 
 void Channel::Detach(NodeId node) {
@@ -86,6 +127,7 @@ void Channel::Detach(NodeId node) {
     }
     slot.in_air.clear();
     slot.stats = nullptr;  // parked; refreshed by the next Attach
+    slot.endpoint = nullptr;
   }
 }
 
@@ -161,8 +203,11 @@ Channel::ActiveTx* Channel::ResolveTx(uint64_t tx_id) {
 
 void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
   const uint64_t tx_id = AllocTx();
+  const uint32_t sender_slot = SlotIndex(sender);  // the frame's one id lookup
   ++stats_.transmissions;
-  ++node_stats_[sender].transmissions;
+  // A sender that is not attached has no slot stats; count it by id.
+  ChannelStats* sender_stats = slots_[sender_slot].stats;
+  ++(sender_stats != nullptr ? *sender_stats : node_stats_[sender]).transmissions;
 
   ActiveTx tx;
   tx.sender = sender;
@@ -175,13 +220,12 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
   }
 
   // Half-duplex: the sender's own in-progress receptions are destroyed.
-  if (auto self = slot_of_.find(sender); self != slot_of_.end()) {
-    for (const auto& [other_tx, index] : slots_[self->second].in_air) {
-      ResolveTx(other_tx)->receptions[index].corrupted = true;
-    }
+  for (const auto& [other_tx, index] : slots_[sender_slot].in_air) {
+    ResolveTx(other_tx)->receptions[index].corrupted = true;
   }
 
-  for (const Receiver& receiver : ReceiversOf(sender, /*ascending=*/false)) {
+  // Nothing in this loop reenters the channel, so the list stays put.
+  for (const Receiver& receiver : ReceiversOf(sender_slot, sender, /*ascending=*/false)) {
     ChannelEndpoint* endpoint = receiver.endpoint;
     if (!endpoint->IsAlive() || !endpoint->IsAwake()) {
       continue;
@@ -213,9 +257,13 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
 
 void Channel::DeliverRemote(NodeId sender, const Fragment& fragment, SimDuration airtime) {
   const uint64_t link_packet = (static_cast<uint64_t>(fragment.src) << 32) | fragment.message_seq;
-  // OnFrameDelivered may Transmit, which can build another sender's list but
-  // never this one (the sender is not attached here).
-  for (const Receiver& receiver : ReceiversOf(sender, /*ascending=*/true)) {
+  // OnFrameDelivered may Transmit, which can add a slot (moving this list)
+  // and build another sender's list, but never rebuild this one (the sender
+  // is not attached here): index, and re-fetch the list every step.
+  const uint32_t sender_slot = SlotIndex(sender);
+  ReceiversOf(sender_slot, sender, /*ascending=*/true);
+  for (size_t i = 0; i < slots_[sender_slot].list.receivers.size(); ++i) {
+    const Receiver receiver = slots_[sender_slot].list.receivers[i];
     const NodeId node = receiver.node;
     ChannelEndpoint* endpoint = receiver.endpoint;
     if (!endpoint->IsAlive() || !endpoint->IsAwake()) {

@@ -152,26 +152,17 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   uint64_t AllocTx();
   ActiveTx* ResolveTx(uint64_t tx_id);
 
-  // Per-receiver bookkeeping. Slots are assigned once per node id at first
-  // Attach and survive detach/reattach; in_air keeps its capacity across
-  // transmissions. The id -> slot map is consulted at Attach, Detach and
-  // once per Transmit (for the sender), so its cost is independent of the
-  // largest node id and nothing on the per-reception path looks it up.
-  struct ReceiverSlot {
-    std::vector<std::pair<uint64_t, size_t>> in_air;  // (tx id, reception idx)
-    ChannelStats* stats = nullptr;  // into node_stats_ (node-based, stable)
-  };
-  ReceiverSlot& SlotFor(NodeId node);
-
   // One sender's cached receivers: every attached endpoint other than the
   // sender that the propagation model Reaches, with the per-frame lookups
   // resolved. Liveness, awake and half-duplex stay per-frame checks. A list
   // is valid while the channel's attach epoch and the model's reach version
-  // both match the ones it was built at; otherwise the next use rebuilds it
-  // with one walk of endpoints_. Reception order drives the RNG draws in
-  // FinishTransmit, so a local sender's list keeps endpoints_ iteration
-  // order and a remote sender's list is ascending by id (DeliverRemote's
-  // documented order).
+  // both match the ones it was built at; otherwise the next use rebuilds it,
+  // probing only the model's ReachCandidates when it offers them and every
+  // attached endpoint when it does not. Reception order drives the RNG draws
+  // in FinishTransmit, so both builds give the same order: a local sender's
+  // list is in endpoints_ iteration order (ranked once per attach epoch) and
+  // a remote sender's list is ascending by id (DeliverRemote's documented
+  // order).
   struct Receiver {
     NodeId node;
     ChannelEndpoint* endpoint;
@@ -183,16 +174,36 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
     bool ascending = false;
     std::vector<Receiver> receivers;
   };
-  // Returns `sender`'s list, rebuilding it first if stale. Lists live in a
-  // node-based map, so building one (say from a Transmit reentered through
-  // OnFrameDelivered) never moves another that is being iterated.
-  const std::vector<Receiver>& ReceiversOf(NodeId sender, bool ascending);
+
+  // Per-node bookkeeping, as receiver and as sender. Slots are assigned once
+  // per node id, at its first Attach or first frame (local or remote), and
+  // survive detach/reattach; in_air and the list keep their capacity. The
+  // id -> slot map is consulted at Attach, Detach, once per frame for the
+  // sender and once per candidate in a list build, so its cost is
+  // independent of the largest node id and nothing on the per-reception
+  // path looks it up.
+  struct ReceiverSlot {
+    std::vector<std::pair<uint64_t, size_t>> in_air;  // (tx id, reception idx)
+    ChannelStats* stats = nullptr;  // into node_stats_ (node-based, stable)
+    ChannelEndpoint* endpoint = nullptr;  // null while detached
+    uint32_t rank = 0;  // endpoints_ iteration position at rank_epoch_
+    ReceiverList list;  // this node's receivers when it sends
+  };
+  uint32_t SlotIndex(NodeId node);
+
+  // Returns the list of the sender in slot `sender_slot`, rebuilding it first
+  // if stale. The reference is into slots_, which a new slot reallocates:
+  // a caller that can reenter the channel while iterating must index.
+  const std::vector<Receiver>& ReceiversOf(uint32_t sender_slot, NodeId sender, bool ascending);
+  // Sets every attached slot's rank, once per attach epoch.
+  void RefreshRanks();
 
   Simulator* sim_;
   std::unique_ptr<PropagationModel> propagation_;
   TransmitObserver* transmit_observer_ = nullptr;
   uint64_t epoch_ = 1;  // bumped by Attach and Detach
-  std::unordered_map<NodeId, ReceiverList> receiver_lists_;
+  uint64_t rank_epoch_ = 0;
+  std::vector<NodeId> candidates_;  // list-build scratch
   Rng rng_;
   std::unordered_map<NodeId, ChannelEndpoint*> endpoints_;
   std::unordered_map<NodeId, uint32_t> slot_of_;  // node id -> index into slots_

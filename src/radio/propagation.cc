@@ -1,6 +1,7 @@
 #include "src/radio/propagation.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace diffusion {
 
@@ -73,6 +74,84 @@ bool DiskPropagation::Reaches(NodeId from, NodeId to) const {
   return distance <= range_;
 }
 
+bool DiskPropagation::CellOf(const Position& position, int64_t* col, int64_t* row) const {
+  // Beyond 2^30 cells a double quotient no longer resolves cell borders to
+  // the precision the 3×3 argument needs; the negated test also rejects NaN.
+  constexpr double kMaxCell = 1 << 30;
+  const double x = position.x / cell_size_;
+  const double y = position.y / cell_size_;
+  if (!(std::abs(x) <= kMaxCell && std::abs(y) <= kMaxCell)) {
+    return false;
+  }
+  *col = static_cast<int64_t>(std::floor(x));
+  *row = static_cast<int64_t>(std::floor(y));
+  return true;
+}
+
+void DiskPropagation::RefreshGrid() const {
+  if (grid_version_ == PropagationModel::reach_version()) {
+    return;
+  }
+  grid_version_ = PropagationModel::reach_version();
+  // Two nodes in range differ by at most the range along each axis, so their
+  // cells are adjacent. The 2^-20 pad absorbs the rounding of the distance
+  // and of the quotients in CellOf, which stays below 2^-22 of a cell there.
+  const double reach = std::max(range_, inter_floor_range_);
+  cell_size_ = reach > 0.0 ? reach * (1.0 + 1.0 / (1 << 20)) : 1.0;
+  grid_.clear();
+  grid_.reserve(positions_.size());
+  grid_usable_ = true;
+  for (const auto& [node, position] : positions_) {
+    int64_t col = 0;
+    int64_t row = 0;
+    if (!CellOf(position, &col, &row)) {
+      grid_usable_ = false;
+      break;
+    }
+    grid_.push_back(GridEntry{CellKey(col, row), node});
+  }
+  if (!grid_usable_) {
+    grid_.clear();
+  }
+  std::sort(grid_.begin(), grid_.end(), [](const GridEntry& a, const GridEntry& b) {
+    return a.cell != b.cell ? a.cell < b.cell : a.node < b.node;
+  });
+}
+
+bool DiskPropagation::ReachCandidates(NodeId from, std::vector<NodeId>* out) const {
+  RefreshGrid();
+  if (!grid_usable_) {
+    return false;
+  }
+  const size_t first = out->size();
+  // Without a position `from` reaches only its override targets.
+  if (auto it = positions_.find(from); it != positions_.end()) {
+    int64_t col = 0;
+    int64_t row = 0;
+    CellOf(it->second, &col, &row);  // indexable: the grid holds it
+    for (int64_t dc = -1; dc <= 1; ++dc) {
+      for (int64_t dr = -1; dr <= 1; ++dr) {
+        const uint64_t cell = CellKey(col + dc, row + dr);
+        auto entry = std::lower_bound(
+            grid_.begin(), grid_.end(), cell,
+            [](const GridEntry& e, uint64_t key) { return e.cell < key; });
+        for (; entry != grid_.end() && entry->cell == cell; ++entry) {
+          out->push_back(entry->node);
+        }
+      }
+    }
+  }
+  const std::vector<NodeId> forced = LinkOverrideTargets(from);
+  if (!forced.empty()) {
+    out->insert(out->end(), forced.begin(), forced.end());
+    // An override target may also sit in the 3×3 cells.
+    std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end());
+    out->erase(std::unique(out->begin() + static_cast<std::ptrdiff_t>(first), out->end()),
+               out->end());
+  }
+  return true;
+}
+
 double DiskPropagation::DeliveryProbability(NodeId from, NodeId to, SimTime now) const {
   if (!Reaches(from, to)) {
     return 0.0;
@@ -101,6 +180,14 @@ void ExplicitTopology::RemoveLink(NodeId from, NodeId to) {
 
 bool ExplicitTopology::Reaches(NodeId from, NodeId to) const {
   return from != to && links_.contains({from, to});
+}
+
+bool ExplicitTopology::ReachCandidates(NodeId from, std::vector<NodeId>* out) const {
+  for (auto it = links_.lower_bound({from, 0}); it != links_.end() && it->first.first == from;
+       ++it) {
+    out->push_back(it->first.second);
+  }
+  return true;
 }
 
 double ExplicitTopology::DeliveryProbability(NodeId from, NodeId to, SimTime now) const {

@@ -5,7 +5,8 @@
 // propagation interface separates *reachability* (whether energy from a
 // transmitter arrives at a node at all — used for carrier sense and
 // collisions) from *delivery probability* (whether an individual frame
-// decodes — used for per-frame loss).
+// decodes — used for per-frame loss). A third, optional query narrows the
+// receivers a transmission can reach so Channel need not probe every node.
 
 #ifndef SRC_RADIO_PROPAGATION_H_
 #define SRC_RADIO_PROPAGATION_H_
@@ -41,6 +42,17 @@ class PropagationModel {
   // that forgets keeps Channel on stale lists once the inner model changes.
   virtual uint64_t reach_version() const { return reach_version_; }
 
+  // Appends to `out` a superset of the nodes a transmission from `from`
+  // reaches — every `to` with Reaches(from, to), each at most once, in any
+  // order — and returns true. The default returns false and appends
+  // nothing: the model cannot narrow the set, and Channel then probes every
+  // attached endpoint. A wrapper may forward this to its inner model only if
+  // its own Reaches never answers true where the inner model's does not;
+  // one that does not override it stays correct, just slower.
+  virtual bool ReachCandidates(NodeId /*from*/, std::vector<NodeId>* /*out*/) const {
+    return false;
+  }
+
  protected:
   void BumpReachVersion() { ++reach_version_; }
 
@@ -62,6 +74,13 @@ struct LinkQuality {
 // overrides (including making a link asymmetric or intermittent) and a
 // default delivery probability for unlisted links. Links to other floors are
 // only reachable if explicitly listed or `inter_floor_range` > 0.
+//
+// ReachCandidates answers from a uniform grid over the positions, built on
+// the first query after any mutation: square cells no smaller than the larger
+// of the two ranges, so every node in range of a sender lies in the 3×3
+// cells around it; link-override targets are added on top. The lazy build
+// happens inside a const query, so the model is thread-compatible like the
+// Channel that owns it.
 class DiskPropagation : public PropagationModel {
  public:
   DiskPropagation(double range, double default_delivery_probability = 1.0);
@@ -81,6 +100,9 @@ class DiskPropagation : public PropagationModel {
 
   bool Reaches(NodeId from, NodeId to) const override;
   double DeliveryProbability(NodeId from, NodeId to, SimTime now) const override;
+  // Declines (full walk) while some position is non-finite or more than
+  // 2^30 cells from the origin, where cell indices would lose precision.
+  bool ReachCandidates(NodeId from, std::vector<NodeId>* out) const override;
 
   const Position* GetPosition(NodeId node) const;
 
@@ -102,12 +124,33 @@ class DiskPropagation : public PropagationModel {
     return (static_cast<uint64_t>(from) << 32) | to;
   }
 
+  // Grid cell coordinates packed into one sortable key.
+  static uint64_t CellKey(int64_t col, int64_t row) {
+    return (static_cast<uint64_t>(static_cast<uint32_t>(col)) << 32) |
+           static_cast<uint32_t>(row);
+  }
+  // The cell holding `position`; false where the grid cannot index it.
+  bool CellOf(const Position& position, int64_t* col, int64_t* row) const;
+  // Rebuilds grid_ if a mutator ran since the last build.
+  void RefreshGrid() const;
+
   double range_;
   double inter_floor_range_ = 0.0;
   double default_delivery_probability_;
   std::unordered_map<NodeId, Position> positions_;
   std::unordered_map<LinkKey, LinkQuality> link_quality_;
   std::unordered_map<LinkKey, bool> blocked_;
+
+  // The candidate grid, valid while grid_version_ == reach_version(): every
+  // mutator that can move a position, a range or an override bumps that.
+  struct GridEntry {
+    uint64_t cell;
+    NodeId node;
+  };
+  mutable uint64_t grid_version_ = ~uint64_t{0};
+  mutable bool grid_usable_ = false;
+  mutable double cell_size_ = 1.0;
+  mutable std::vector<GridEntry> grid_;  // sorted by (cell, node)
 };
 
 // Explicit topology: only listed directed links exist. Useful for tests and
@@ -121,6 +164,8 @@ class ExplicitTopology : public PropagationModel {
 
   bool Reaches(NodeId from, NodeId to) const override;
   double DeliveryProbability(NodeId from, NodeId to, SimTime now) const override;
+  // The targets of `from`'s listed links.
+  bool ReachCandidates(NodeId from, std::vector<NodeId>* out) const override;
 
  private:
   std::map<std::pair<NodeId, NodeId>, LinkQuality> links_;

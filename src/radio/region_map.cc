@@ -59,19 +59,17 @@ RegionMap::RegionMap(const std::vector<NodeId>& nodes,
       row = std::clamp(row, 0, rows_ - 1);
       region = row * cols_ + col;
     }
-    if (node >= region_of_.size()) {
-      region_of_.resize(node + 1, 0);
-    }
-    region_of_[node] = region + 1;
+    region_of_.emplace_back(node, region);  // `sorted` keeps it ascending
     members_[static_cast<size_t>(region)].push_back(node);
   }
 }
 
 int RegionMap::RegionOf(NodeId node) const {
-  if (node >= region_of_.size() || region_of_[node] == 0) {
-    return -1;
-  }
-  return region_of_[node] - 1;
+  const auto it = std::lower_bound(region_of_.begin(), region_of_.end(), node,
+                                   [](const std::pair<NodeId, int>& entry, NodeId id) {
+                                     return entry.first < id;
+                                   });
+  return it != region_of_.end() && it->first == node ? it->second : -1;
 }
 
 RegionMap::Rect RegionMap::CellBounds(int region) const {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/radio/mac.h"
@@ -45,7 +46,8 @@ class RegionMap {
   int rows() const { return rows_; }
   int cols() const { return cols_; }
 
-  // Region of `node`; -1 for nodes not in the map.
+  // Region of `node`; -1 for nodes not in the map. A binary search: ids are
+  // opaque 32-bit values, so no table is sized by the largest one.
   int RegionOf(NodeId node) const;
 
   // Node ids of a region, ascending.
@@ -63,7 +65,7 @@ class RegionMap {
   int rows_ = 1;
   int cols_ = 1;
   Rect bounds_;
-  std::vector<int> region_of_;  // node id -> region + 1, 0 = unknown
+  std::vector<std::pair<NodeId, int>> region_of_;  // (node, region), ascending
   std::vector<std::vector<NodeId>> members_;
 };
 

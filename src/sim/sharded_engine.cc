@@ -3,6 +3,20 @@
 #include <algorithm>
 
 namespace diffusion {
+namespace {
+
+// Parks until `value` differs from `old` and returns what it became.
+template <typename T>
+T AwaitChange(const std::atomic<T>& value, T old) {
+  T now = value.load(std::memory_order_acquire);
+  while (now == old) {
+    value.wait(old, std::memory_order_acquire);
+    now = value.load(std::memory_order_acquire);
+  }
+  return now;
+}
+
+}  // namespace
 
 uint64_t RegionSeed(uint64_t seed, int region) {
   if (region == 0) {
@@ -41,11 +55,9 @@ ShardedEngine::ShardedEngine(const ShardedEngineConfig& config)
 }
 
 ShardedEngine::~ShardedEngine() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
+  stop_.store(true, std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
   }
@@ -78,28 +90,15 @@ void ShardedEngine::RunShare(unsigned tid, SimTime bound) {
 }
 
 void ShardedEngine::WorkerLoop(unsigned tid) {
-  uint64_t seen = 0;
+  uint32_t seen = 0;
   for (;;) {
-    SimTime bound;
-    {
-      MutexLock lock(mu_);
-      while (!stop_ && generation_ == seen) {
-        lock.Wait(start_cv_);
-      }
-      if (stop_) {
-        return;
-      }
-      seen = generation_;
-      bound = bound_;
+    seen = AwaitChange(generation_, seen);
+    if (stop_.load(std::memory_order_relaxed)) {
+      return;
     }
-    RunShare(tid, bound);
-    bool last = false;
-    {
-      MutexLock lock(mu_);
-      last = --running_ == 0;
-    }
-    if (last) {
-      done_cv_.notify_one();
+    RunShare(tid, bound_);
+    if (running_.fetch_sub(1, std::memory_order_release) == 1) {
+      running_.notify_one();
     }
   }
 }
@@ -108,17 +107,13 @@ void ShardedEngine::RunWindow(SimTime bound) {
   if (threads_ == 1) {
     RunShare(0, bound);
   } else {
-    {
-      MutexLock lock(mu_);
-      bound_ = bound;
-      running_ = threads_ - 1;
-      ++generation_;
-    }
-    start_cv_.notify_all();
+    bound_ = bound;
+    running_.store(threads_ - 1, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
     RunShare(threads_ - 1, bound);
-    MutexLock lock(mu_);
-    while (running_ != 0) {
-      lock.Wait(done_cv_);
+    for (unsigned left = running_.load(std::memory_order_acquire); left != 0;) {
+      left = AwaitChange(running_, left);
     }
   }
   for (size_t r = 0; r < worker_errors_.size(); ++r) {

@@ -29,11 +29,15 @@
 // mutable state inside a window, so output is byte-identical at any thread
 // count, including threads=1. A one-region engine degenerates to the
 // sequential Simulator exactly (region 0 keeps the run seed).
+//
+// The barrier is lock-free: a release increment of a generation counter
+// starts a window and a release decrement of a running count ends each
+// worker's share. Waiting threads park in std::atomic::wait.
 
 #ifndef SRC_SIM_SHARDED_ENGINE_H_
 #define SRC_SIM_SHARDED_ENGINE_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -42,7 +46,6 @@
 
 #include "src/sim/simulator.h"
 #include "src/trace/trace.h"
-#include "src/util/mutex.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/time.h"
 
@@ -137,8 +140,8 @@ class ShardedEngine {
   const SimDuration window_;
   const unsigned threads_;
   // Each region's simulator (and its per-region slots below) is touched by
-  // exactly one worker inside a window; the barrier's mutex handoff
-  // publishes it to the next owner between windows.
+  // exactly one worker inside a window; the barrier's release/acquire
+  // handoff publishes it to the next owner between windows.
   std::vector<std::unique_ptr<Simulator>> sims_ DIFFUSION_REGION_PINNED;
   std::vector<uint64_t> events_by_region_ DIFFUSION_REGION_PINNED;
   RegionCoupler* coupler_ DIFFUSION_BARRIER_OWNED = nullptr;
@@ -158,15 +161,15 @@ class ShardedEngine {
 
   // Barrier state. Workers advance their statically assigned regions
   // (region % threads == tid) when `generation_` moves, then decrement
-  // `running_`; the mutex hand-offs give every cross-thread access to the
-  // region simulators a happens-before edge in both directions.
-  Mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  uint64_t generation_ DIFFUSION_GUARDED_BY(mu_) = 0;
-  SimTime bound_ DIFFUSION_GUARDED_BY(mu_) = 0;
-  unsigned running_ DIFFUSION_GUARDED_BY(mu_) = 0;
-  bool stop_ DIFFUSION_GUARDED_BY(mu_) = false;
+  // `running_`. The barrier thread writes bound_ and running_ before its
+  // release increment of generation_; a worker's acquire of the new
+  // generation sees both, and its release decrement of running_ hands its
+  // regions back to the barrier thread's acquire of zero. Those two edges
+  // order every cross-thread access to the region simulators.
+  std::atomic<uint32_t> generation_{0};
+  std::atomic<unsigned> running_{0};
+  std::atomic<bool> stop_{false};
+  SimTime bound_ DIFFUSION_BARRIER_OWNED = 0;  // published by generation_
   // One slot per region, written by the region's owner inside RunShare and
   // read by the barrier thread after the window joins — region-pinned, like
   // the simulators whose exceptions it carries.

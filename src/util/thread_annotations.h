@@ -11,9 +11,10 @@
 // Two annotation families live here:
 //
 //  1. Capability annotations (DIFFUSION_GUARDED_BY, DIFFUSION_REQUIRES,
-//     DIFFUSION_ACQUIRE/RELEASE, ...) — enforced by clang. Use
-//     src/util/mutex.h's annotated Mutex/MutexLock as the capability; a raw
-//     std::mutex is not an annotated capability type.
+//     DIFFUSION_ASSERT_CAPABILITY, ...) — enforced by clang. The repo's
+//     capabilities are phantom roles (below); a lock would need its own
+//     DIFFUSION_CAPABILITY wrapper with acquire/release annotations,
+//     since a raw std::mutex is not an annotated capability type.
 //  2. Ownership markers (DIFFUSION_REGION_PINNED, DIFFUSION_BARRIER_OWNED,
 //     DIFFUSION_THREAD_COMPATIBLE) — no-ops for every compiler, but read by
 //     diffusion-lint's DL008 rule: in a class that owns threads or a mutex,
@@ -44,10 +45,6 @@
 // Declares a class to be a capability (a mutex, or a phantom role).
 #define DIFFUSION_CAPABILITY(x) DIFFUSION_THREAD_ANNOTATION__(capability(x))
 
-// Declares an RAII class that acquires a capability in its constructor and
-// releases it in its destructor (MutexLock).
-#define DIFFUSION_SCOPED_CAPABILITY DIFFUSION_THREAD_ANNOTATION__(scoped_lockable)
-
 // Data member readable/writable only while holding `x`.
 #define DIFFUSION_GUARDED_BY(x) DIFFUSION_THREAD_ANNOTATION__(guarded_by(x))
 
@@ -58,14 +55,6 @@
 // release them).
 #define DIFFUSION_REQUIRES(...) \
   DIFFUSION_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
-
-// Function acquires the capability and holds it past return.
-#define DIFFUSION_ACQUIRE(...) \
-  DIFFUSION_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
-
-// Function releases the capability (held on entry).
-#define DIFFUSION_RELEASE(...) \
-  DIFFUSION_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
 
 // Function must NOT be called with the capability held (deadlock guard).
 #define DIFFUSION_EXCLUDES(...) \
@@ -87,8 +76,8 @@
 // ---- ownership markers (read by diffusion-lint DL008; never compiled) ---
 
 // Member touched only by the worker thread that owns its region (static
-// region->thread assignment) inside a window; the barrier's mutex handoff
-// publishes it between windows. Not a lock: clang cannot express "one
+// region->thread assignment) inside a window; the barrier's release/acquire
+// handoff publishes it between windows. Not a lock: clang cannot express "one
 // distinct owner per array element", so DL008 accepts this marker instead.
 #define DIFFUSION_REGION_PINNED
 

@@ -9,12 +9,15 @@
 //       node failures mid-window), and
 //   (d) skipping idle windows changes nothing: barriers stay on the window
 //       grid and a seeded cross-region workload matches a reference that
-//       steps every window.
+//       steps every window, and
+//   (e) the barrier holds with more threads than hardware threads, and
+//       passes region exceptions on.
 
 #include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -373,6 +376,29 @@ TEST(ShardedWorldTest, OutputInvariantUnderThreadCount) {
   }
 }
 
+// More workers than hardware threads, so some wait for a core: output
+// still matches one thread.
+TEST(ShardedWorldTest, OversubscribedThreadsMatchOneThread) {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned threads = cores + 1;
+  // RegionMap keeps at least half the target, so every worker owns a region.
+  const int regions = 2 * static_cast<int>(threads);
+  const TestbedLayout layout = GridLayout(8, 8, 10.0, 12.0);
+  {
+    ShardedWorldParams params;
+    params.regions = regions;
+    params.threads = threads;
+    ShardedWorld world(layout, params);
+    ASSERT_EQ(world.engine().threads(), threads);
+  }
+  const SimTime end = 60 * kSecond;
+  const RunDigest one = RunShardedGrid(layout, regions, 1, 1, end);
+  const RunDigest many = RunShardedGrid(layout, regions, threads, 1, end);
+  EXPECT_GT(one.trace_events, 0u);
+  EXPECT_GT(one.frames_handed_off, 0u);
+  EXPECT_TRUE(one == many);
+}
+
 TEST(ShardedWorldTest, CrossRegionFragmentReassembly) {
   // Two nodes straddling the region border, in radio range: the 112-byte
   // surveillance messages fragment into 27-byte frames that all cross the
@@ -469,6 +495,35 @@ TEST(ShardedEngineTest, WindowsAdvanceAllRegions) {
   EXPECT_EQ(engine.events_executed(), 3u);
   for (int region = 0; region < engine.regions(); ++region) {
     EXPECT_EQ(engine.region_sim(region).now(), 100 * kMillisecond);
+  }
+}
+
+// An exception thrown by an event reaches RunUntil's caller from a worker's
+// region as from the barrier thread's own share, with threads within the
+// hardware threads and with more.
+TEST(ShardedEngineTest, RegionExceptionReachesRunUntilCaller) {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  for (unsigned threads : {2u, cores + 1}) {
+    for (int thrower : {0, static_cast<int>(threads) - 1}) {  // a worker; the barrier thread
+      SCOPED_TRACE(testing::Message() << "threads " << threads << " region " << thrower);
+      ShardedEngineConfig config;
+      config.regions = static_cast<int>(threads);
+      config.threads = threads;
+      config.window = 10 * kMillisecond;
+      ShardedEngine engine(config);
+      ASSERT_EQ(engine.threads(), threads);
+      engine.region_sim(thrower).At(35 * kMillisecond,
+                                    [] { throw std::runtime_error("region failed"); });
+      EXPECT_THROW(engine.RunUntil(100 * kMillisecond), std::runtime_error);
+      // Every other region finished the window [30 ms, 40 ms) first, and
+      // the destructor still joins every worker.
+      EXPECT_EQ(engine.region_sim(thrower).now(), 35 * kMillisecond);
+      for (int region = 0; region < engine.regions(); ++region) {
+        if (region != thrower) {
+          EXPECT_EQ(engine.region_sim(region).now(), 40 * kMillisecond - 1);
+        }
+      }
+    }
   }
 }
 

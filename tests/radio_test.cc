@@ -1,15 +1,18 @@
 // Tests for the radio substrate: propagation, fragmentation, channel
-// collisions, the CSMA MAC, and the energy model.
+// collisions, the region partition, the CSMA MAC, and the energy model.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <vector>
 
+#include "src/apps/surveillance.h"
 #include "src/core/node.h"
 #include "src/fault/fault_overlay.h"
 #include "src/naming/keys.h"
@@ -19,8 +22,11 @@
 #include "src/radio/mac.h"
 #include "src/radio/propagation.h"
 #include "src/radio/radio.h"
+#include "src/radio/region_map.h"
 #include "src/radio/shadowing.h"
 #include "src/sim/simulator.h"
+#include "src/testbed/sharded_world.h"
+#include "src/testbed/topology.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -101,6 +107,100 @@ TEST(PropagationTest, ExplicitTopology) {
   EXPECT_TRUE(topology.Reaches(3, 2));
   topology.RemoveLink(1, 2);
   EXPECT_FALSE(topology.Reaches(1, 2));
+}
+
+// Every node a sender Reaches must be among its candidates, once.
+void ExpectCandidatesCoverReaches(const PropagationModel& model, NodeId max_id) {
+  for (NodeId from = 1; from <= max_id; ++from) {
+    std::vector<NodeId> candidates;
+    ASSERT_TRUE(model.ReachCandidates(from, &candidates)) << "from " << from;
+    const std::set<NodeId> unique(candidates.begin(), candidates.end());
+    EXPECT_EQ(unique.size(), candidates.size()) << "duplicate candidate from " << from;
+    for (NodeId to = 1; to <= max_id; ++to) {
+      if (model.Reaches(from, to)) {
+        EXPECT_TRUE(unique.contains(to)) << from << " reaches " << to;
+      }
+    }
+  }
+}
+
+TEST(PropagationTest, DiskCandidatesCoverEveryReachableNode) {
+  constexpr double kRange = 10.0;
+  DiskPropagation prop(kRange);
+  // Pairs exactly one range apart straddling cell borders, on both sides of
+  // the origin, plus a random scatter over negative and positive coordinates.
+  const Position fixed[] = {
+      {0, 0, 0},      {kRange, 0, 0}, {-kRange, 0, 0}, {0, -kRange, 0},
+      {6, 8, 0},      {-6, -8, 0},    {19.999, 0, 0},  {-20.001, 0, 0},
+      {30, 30, 1},    {30, 37, 0},    {1e6, -1e6, 0},  {1e6 + 10, -1e6, 0},
+  };
+  NodeId id = 0;
+  for (const Position& position : fixed) {
+    prop.SetPosition(++id, position);
+  }
+  Rng rng(5);
+  while (id < 80) {
+    prop.SetPosition(++id, Position{rng.NextDoubleIn(-95, 95), rng.NextDoubleIn(-95, 95),
+                                    static_cast<int>(rng.NextInt(0, 1))});
+  }
+  prop.SetLinkQuality(1, 12, LinkQuality{});  // far override
+  prop.SetLinkQuality(1, 2, LinkQuality{});   // override inside the 3x3 cells
+  ExpectCandidatesCoverReaches(prop, id);
+  std::vector<NodeId> near_origin;
+  ASSERT_TRUE(prop.ReachCandidates(1, &near_origin));
+  EXPECT_LT(near_origin.size(), 40u);  // narrowed: 80 nodes over ~19x19 cells
+
+  // A wider inter-floor range widens the cells, set after the positions.
+  prop.set_inter_floor_range(25.0);
+  EXPECT_TRUE(prop.Reaches(9, 10));
+  ExpectCandidatesCoverReaches(prop, id);
+  // Moving a node moves its cell.
+  prop.SetPosition(3, Position{-70, 60, 0});
+  ExpectCandidatesCoverReaches(prop, id);
+
+  // A node without a position reaches only its overrides.
+  prop.SetLinkQuality(200, 5, LinkQuality{});
+  std::vector<NodeId> unplaced;
+  ASSERT_TRUE(prop.ReachCandidates(200, &unplaced));
+  EXPECT_EQ(unplaced, (std::vector<NodeId>{5}));
+}
+
+TEST(PropagationTest, DiskCandidatesDeclineUnindexablePositions) {
+  DiskPropagation prop(1.0);
+  prop.SetPosition(1, {0, 0, 0});
+  prop.SetPosition(2, {0.5, 0, 0});
+  std::vector<NodeId> candidates;
+  EXPECT_TRUE(prop.ReachCandidates(1, &candidates));
+  for (const Position far : {Position{1e12, 0, 0}, Position{0, std::nan(""), 0},
+                             Position{-std::numeric_limits<double>::infinity(), 0, 0}}) {
+    prop.SetPosition(3, far);
+    candidates.clear();
+    EXPECT_FALSE(prop.ReachCandidates(1, &candidates));  // Channel walks every endpoint
+    EXPECT_TRUE(candidates.empty());
+    EXPECT_TRUE(prop.Reaches(1, 2));
+  }
+  prop.SetPosition(3, {2, 0, 0});
+  EXPECT_TRUE(prop.ReachCandidates(1, &candidates));
+}
+
+TEST(PropagationTest, ExplicitAndOverlayCandidatesAreTheListedLinks) {
+  auto owned = std::make_unique<ExplicitTopology>();
+  ExplicitTopology* topology = owned.get();
+  topology->AddLink(1, 2);
+  topology->AddLink(1, 4);
+  topology->AddLink(2, 1);
+  topology->AddLink(0xffffffff, 3);  // the largest id ends the key range
+  FaultOverlayPropagation overlay(std::move(owned));
+  overlay.BlackoutLink(1, 4);  // a superset may keep severed links
+  std::vector<NodeId> candidates;
+  ASSERT_TRUE(overlay.ReachCandidates(1, &candidates));
+  EXPECT_EQ(candidates, (std::vector<NodeId>{2, 4}));
+  candidates.clear();
+  ASSERT_TRUE(topology->ReachCandidates(0xffffffff, &candidates));
+  EXPECT_EQ(candidates, (std::vector<NodeId>{3}));
+  candidates.clear();
+  ASSERT_TRUE(topology->ReachCandidates(3, &candidates));
+  EXPECT_TRUE(candidates.empty());
 }
 
 // ---- Fragmentation ----
@@ -711,24 +811,96 @@ TEST(ChannelTest, DetachAndReattachRebuildReceivers) {
 
 // ---- Receiver lists vs a brute-force Reaches scan ----
 
+// Forwards every query and counts Reaches calls, like a decorator that
+// counts or times calls. Unless `forward_candidates`, it does not forward
+// ReachCandidates: Channel must then fall back to probing every endpoint and
+// still produce the same receivers in the same order.
+class PassThroughPropagation : public PropagationModel {
+ public:
+  explicit PassThroughPropagation(std::unique_ptr<PropagationModel> inner,
+                                  bool forward_candidates = false)
+      : inner_(std::move(inner)), forward_candidates_(forward_candidates) {}
+  bool Reaches(NodeId from, NodeId to) const override {
+    ++reaches_;
+    return inner_->Reaches(from, to);
+  }
+  double DeliveryProbability(NodeId from, NodeId to, SimTime now) const override {
+    return inner_->DeliveryProbability(from, to, now);
+  }
+  uint64_t reach_version() const override { return inner_->reach_version(); }
+  bool ReachCandidates(NodeId from, std::vector<NodeId>* out) const override {
+    return forward_candidates_ && inner_->ReachCandidates(from, out);
+  }
+
+  uint64_t reaches() const { return reaches_; }
+
+ private:
+  std::unique_ptr<PropagationModel> inner_;
+  bool forward_candidates_;
+  mutable uint64_t reaches_ = 0;
+};
+
+// A list build probes only the candidates the model names; without them it
+// probes every attached endpoint. Either way the receivers are the same.
+TEST(ChannelTest, CandidateListBuildProbesOnlyNearbyEndpoints) {
+  std::vector<NodeId> ids;
+  for (NodeId id = 1; id <= 100; ++id) {
+    ids.push_back(id);
+  }
+  std::map<bool, std::set<NodeId>> delivered;
+  std::map<bool, uint64_t> probes;
+  for (bool forward : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "forward " << forward);
+    Simulator sim(43);
+    auto disk = std::make_unique<DiskPropagation>(15.0);
+    for (NodeId id : ids) {
+      disk->SetPosition(id, Position{-500.0 + 10.0 * id, 0, 0});  // a line, 10 apart
+    }
+    auto owned = std::make_unique<PassThroughPropagation>(std::move(disk), forward);
+    const PassThroughPropagation* counting = owned.get();
+    Channel channel(&sim, std::move(owned));
+    FrameDriver driver(&sim, &channel, ids);
+    const uint64_t before = counting->reaches();
+    channel.Transmit(50, TestFrame(50), kFrameAirtime);  // builds node 50's list
+    probes[forward] = counting->reaches() - before;
+    sim.RunUntil(sim.now() + 2 * kFrameAirtime);
+    delivered[forward] = driver.Send(50);
+  }
+  EXPECT_EQ(delivered[true], (std::set<NodeId>{49, 51}));
+  EXPECT_EQ(delivered[true], delivered[false]);
+  EXPECT_EQ(probes[false], 99u);  // every other endpoint
+  EXPECT_LE(probes[true], 6u);    // the 3x3 cells around node 50 hold a few
+}
+
+// What one differential run observed: every delivery in order, and the
+// channel's counters.
+struct DifferentialOutcome {
+  std::vector<NodeId> deliveries;
+  ChannelStats stats;
+};
+
 // Random topology mutations, detach/attach, local frames (some with a
 // mid-flight mutation or detach) and remote frames. Every frame's receivers,
 // every carrier-sense answer and every remote delivery order must match a
 // direct scan of the model over the attached endpoints. All link
 // probabilities are 0 or 1, so delivery is exactly predictable.
-void RunReceiverDifferential(uint64_t seed, std::unique_ptr<PropagationModel> owned,
-                             const std::function<void(Rng&)>& mutate) {
+DifferentialOutcome RunReceiverDifferential(uint64_t seed, std::unique_ptr<PropagationModel> owned,
+                                            const std::function<void(Rng&)>& mutate) {
   constexpr NodeId kLocal = 10;  // ids 1..10 may attach
   constexpr NodeId kAll = 12;    // 11 and 12 only send remote frames
   Simulator sim(seed);
   PropagationModel* model = owned.get();
   Channel channel(&sim, std::move(owned));
+  DifferentialOutcome outcome;
   std::vector<std::unique_ptr<RecordingEndpoint>> endpoints;
   std::map<NodeId, RecordingEndpoint*> attached;
   std::vector<NodeId> log;
   auto attach = [&](NodeId id) {
     endpoints.push_back(std::make_unique<RecordingEndpoint>(id));
-    endpoints.back()->set_on_delivered([&log, id] { log.push_back(id); });
+    endpoints.back()->set_on_delivered([&log, &outcome, id] {
+      log.push_back(id);
+      outcome.deliveries.push_back(id);
+    });
     channel.Attach(endpoints.back().get());
     attached[id] = endpoints.back().get();
   };
@@ -817,86 +989,121 @@ void RunReceiverDifferential(uint64_t seed, std::unique_ptr<PropagationModel> ow
   for (const auto& endpoint : endpoints) {
     endpoint->set_on_delivered(nullptr);
   }
+  outcome.stats = channel.stats();
+  return outcome;
+}
+
+// A model and the mutations the differential may apply to it.
+struct DifferentialModel {
+  std::unique_ptr<PropagationModel> model;
+  std::function<void(Rng&)> mutate;
+};
+
+// Runs the differential on a fresh model from `make`, then on another behind
+// PassThroughPropagation: the candidate-built lists and the full walk must
+// deliver the same frames to the same nodes in the same order, with equal
+// counters.
+void RunCandidateAndFullWalk(uint64_t seed, const std::function<DifferentialModel()>& make) {
+  DifferentialModel narrowed = make();
+  const DifferentialOutcome fast =
+      RunReceiverDifferential(seed, std::move(narrowed.model), narrowed.mutate);
+  DifferentialModel wrapped = make();
+  const DifferentialOutcome walk = RunReceiverDifferential(
+      seed, std::make_unique<PassThroughPropagation>(std::move(wrapped.model)), wrapped.mutate);
+  EXPECT_EQ(fast.deliveries, walk.deliveries) << "seed " << seed;
+  EXPECT_EQ(fast.stats.transmissions, walk.stats.transmissions);
+  EXPECT_EQ(fast.stats.receptions_attempted, walk.stats.receptions_attempted);
+  EXPECT_EQ(fast.stats.collisions, walk.stats.collisions);
+  EXPECT_EQ(fast.stats.propagation_losses, walk.stats.propagation_losses);
+  EXPECT_EQ(fast.stats.deliveries, walk.stats.deliveries);
 }
 
 TEST(ChannelTest, ReceiverListsMatchBruteForceOverDiskAndFaultOverlay) {
   for (uint64_t seed : {101u, 102u, 103u}) {
-    constexpr NodeId kAll = 12;
-    auto random_position = [](Rng& rng) {
-      return Position{rng.NextDoubleIn(0, 40), rng.NextDoubleIn(0, 40),
-                      static_cast<int>(rng.NextInt(0, 1))};
-    };
-    Rng layout(seed * 7);
-    auto disk_owned = std::make_unique<DiskPropagation>(15.0);
-    DiskPropagation* disk = disk_owned.get();
-    for (NodeId id = 1; id <= kAll; ++id) {
-      disk->SetPosition(id, random_position(layout));
-    }
-    auto overlay_owned = std::make_unique<FaultOverlayPropagation>(std::move(disk_owned));
-    FaultOverlayPropagation* overlay = overlay_owned.get();
-    RunReceiverDifferential(seed, std::move(overlay_owned), [&](Rng& rng) {
-      const NodeId a = static_cast<NodeId>(rng.NextInt(1, kAll));
-      const NodeId b = static_cast<NodeId>(rng.NextInt(1, kAll));
-      switch (rng.NextInt(0, 8)) {
-        case 0:
-          disk->SetPosition(a, random_position(rng));
-          break;
-        case 1:
-          disk->SetLinkQuality(a, b, LinkQuality{});
-          break;
-        case 2:
-          disk->BlockLink(a, b);
-          break;
-        case 3:
-          disk->set_inter_floor_range(rng.NextBool(0.5) ? 0.0 : 20.0);
-          break;
-        case 4:
-          overlay->BlackoutLink(a, b);
-          break;
-        case 5:
-          overlay->RestoreLink(a, b);
-          break;
-        case 6: {
-          std::vector<NodeId> left;
-          std::vector<NodeId> right;
-          for (NodeId id = 1; id <= kAll; ++id) {
-            const int64_t side = rng.NextInt(0, 2);  // 2: in neither group
-            if (side < 2) {
-              (side == 0 ? left : right).push_back(id);
-            }
-          }
-          overlay->Partition(left, right);
-          break;
-        }
-        case 7:
-          overlay->Heal();
-          break;
-        default:
-          overlay->DegradeLink(a, b, 0.0);
-          break;
+    RunCandidateAndFullWalk(seed, [seed] {
+      constexpr NodeId kAll = 12;
+      // Range 15 over [-35, 25]^2: 4x4 grid cells and more, either side of zero.
+      auto random_position = [](Rng& rng) {
+        return Position{rng.NextDoubleIn(-35, 25), rng.NextDoubleIn(-35, 25),
+                        static_cast<int>(rng.NextInt(0, 1))};
+      };
+      Rng layout(seed * 7);
+      auto disk_owned = std::make_unique<DiskPropagation>(15.0);
+      DiskPropagation* disk = disk_owned.get();
+      for (NodeId id = 1; id <= kAll; ++id) {
+        disk->SetPosition(id, random_position(layout));
       }
+      auto overlay_owned = std::make_unique<FaultOverlayPropagation>(std::move(disk_owned));
+      FaultOverlayPropagation* overlay = overlay_owned.get();
+      auto mutate = [disk, overlay, random_position](Rng& rng) {
+        const NodeId a = static_cast<NodeId>(rng.NextInt(1, kAll));
+        const NodeId b = static_cast<NodeId>(rng.NextInt(1, kAll));
+        switch (rng.NextInt(0, 8)) {
+          case 0:
+            disk->SetPosition(a, random_position(rng));
+            break;
+          case 1:
+            disk->SetLinkQuality(a, b, LinkQuality{});
+            break;
+          case 2:
+            disk->BlockLink(a, b);
+            break;
+          case 3:
+            // Wider than the range: the grid's cells grow with it.
+            disk->set_inter_floor_range(rng.NextBool(0.5) ? 0.0 : 20.0);
+            break;
+          case 4:
+            overlay->BlackoutLink(a, b);
+            break;
+          case 5:
+            overlay->RestoreLink(a, b);
+            break;
+          case 6: {
+            std::vector<NodeId> left;
+            std::vector<NodeId> right;
+            for (NodeId id = 1; id <= kAll; ++id) {
+              const int64_t side = rng.NextInt(0, 2);  // 2: in neither group
+              if (side < 2) {
+                (side == 0 ? left : right).push_back(id);
+              }
+            }
+            overlay->Partition(left, right);
+            break;
+          }
+          case 7:
+            overlay->Heal();
+            break;
+          default:
+            overlay->DegradeLink(a, b, 0.0);
+            break;
+        }
+      };
+      return DifferentialModel{std::move(overlay_owned), mutate};
     });
   }
 }
 
 TEST(ChannelTest, ReceiverListsMatchBruteForceOverExplicitTopology) {
   for (uint64_t seed : {201u, 202u}) {
-    constexpr NodeId kAll = 12;
-    auto owned = std::make_unique<ExplicitTopology>();
-    ExplicitTopology* topology = owned.get();
-    Rng layout(seed * 7);
-    for (int i = 0; i < 40; ++i) {
-      topology->AddLink(static_cast<NodeId>(layout.NextInt(1, kAll)),
-                        static_cast<NodeId>(layout.NextInt(1, kAll)));
-    }
-    RunReceiverDifferential(seed, std::move(owned), [&](Rng& rng) {
-      const NodeId a = static_cast<NodeId>(rng.NextInt(1, kAll));
-      const NodeId b = static_cast<NodeId>(rng.NextInt(1, kAll));
-      if (rng.NextBool(0.5)) {
-        topology->AddLink(a, b);
-      } else {
-        topology->RemoveLink(a, b);
+    RunCandidateAndFullWalk(seed, [seed] {
+      constexpr NodeId kAll = 12;
+      auto owned = std::make_unique<ExplicitTopology>();
+      ExplicitTopology* topology = owned.get();
+      Rng layout(seed * 7);
+      for (int i = 0; i < 40; ++i) {
+        topology->AddLink(static_cast<NodeId>(layout.NextInt(1, kAll)),
+                          static_cast<NodeId>(layout.NextInt(1, kAll)));
       }
+      auto mutate = [topology](Rng& rng) {
+        const NodeId a = static_cast<NodeId>(rng.NextInt(1, kAll));
+        const NodeId b = static_cast<NodeId>(rng.NextInt(1, kAll));
+        if (rng.NextBool(0.5)) {
+          topology->AddLink(a, b);
+        } else {
+          topology->RemoveLink(a, b);
+        }
+      };
+      return DifferentialModel{std::move(owned), mutate};
     });
   }
 }
@@ -938,6 +1145,49 @@ TEST(ChannelTest, LargeNodeIdsAttachTransmitDetachAndReattach) {
   const uint64_t delivered_before = channel.stats().deliveries;
   channel.DeliverRemote(kRemote, TestFrame(kRemote), kFrameAirtime);
   EXPECT_EQ(channel.stats().deliveries - delivered_before, 3u);
+
+  getrusage(RUSAGE_SELF, &usage);
+  EXPECT_LT(usage.ru_maxrss - peak_kib_before, 64 * 1024);  // well under 64 MiB
+}
+
+// The region partition and the world built on it look node ids up too;
+// neither may size a table by the largest id.
+TEST(RegionMapTest, LargeNodeIdsPartitionAndRunAcrossRegions) {
+  constexpr NodeId kSink = 0xfffffffe;
+  constexpr NodeId kSource = 0xfffffff0;
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const long peak_kib_before = usage.ru_maxrss;
+
+  // Two nodes in range across the cut between two regions, as in
+  // ShardedWorldTest.CrossRegionFragmentReassembly.
+  TestbedLayout layout;
+  layout.node_ids = {kSource, kSink};
+  layout.positions[kSource] = Position{45.0, 0.0};
+  layout.positions[kSink] = Position{55.0, 0.0};
+  layout.radio_range = 12.0;
+
+  ShardedWorldParams params;
+  params.regions = 2;
+  params.threads = 2;
+  params.seed = 3;
+  ShardedWorld world(layout, params);
+  const RegionMap& map = world.region_map();
+  ASSERT_EQ(map.regions(), 2);
+  EXPECT_EQ(map.RegionOf(kSource), 0);
+  EXPECT_EQ(map.RegionOf(kSink), 1);
+  EXPECT_EQ(map.RegionOf(kSource + 1), -1);
+  EXPECT_EQ(map.RegionOf(0xffffffff), -1);
+  EXPECT_EQ(map.RegionOf(0), -1);
+
+  SurveillanceConfig config;
+  SurveillanceSink sink(world.node(kSink), config);
+  sink.Start();
+  SurveillanceSource source(world.node(kSource), config, 1);
+  world.sim_of(kSource).At(kSecond, [&source] { source.Start(); });
+  world.RunUntil(60 * kSecond);
+  EXPECT_GT(world.bridge().frames_handed_off(), 0u);
+  EXPECT_GE(sink.distinct_events(), 5u);
 
   getrusage(RUSAGE_SELF, &usage);
   EXPECT_LT(usage.ru_maxrss - peak_kib_before, 64 * 1024);  // well under 64 MiB
