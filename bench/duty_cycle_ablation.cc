@@ -13,11 +13,14 @@
 // sleep-deferral per hop.
 
 #include <cstdio>
+#include <memory>
 
 #include "bench/bench_flags.h"
 #include "src/radio/energy.h"
 #include "src/testbed/experiments.h"
 #include "src/testbed/harness.h"
+#include "src/trace/trace_writer.h"
+#include "src/util/logging.h"
 
 namespace diffusion {
 namespace {
@@ -28,9 +31,15 @@ int Main(int argc, char** argv) {
   const uint64_t base_seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 8000));
   // Flight recorder: trace the first (always-on) run only.
   const std::string trace_out = bench::StringFlag(argc, argv, "trace-out");
-
+  std::unique_ptr<TraceWriter> trace;
   if (!trace_out.empty()) {
     std::printf("writing JSONL trace of the first duty-1.0 run to %s\n", trace_out.c_str());
+    trace = std::make_unique<TraceWriter>(trace_out);
+    if (!trace->ok()) {
+      DIFFUSION_LOG(kWarning) << "cannot open trace file " << trace_out
+                              << "; tracing disabled for this run";
+      trace.reset();
+    }
   }
   std::printf("=== Duty-cycled MAC on the Figure-8 workload (4 sources, suppression on,\n");
   std::printf("    %d runs x %d min; energy = measured times at power 1:2:2) ===\n\n", runs,
@@ -49,7 +58,7 @@ int Main(int argc, char** argv) {
       params.duty_cycle = duty;
       params.duration = static_cast<SimDuration>(minutes) * kMinute;
       params.seed = base_seed + static_cast<uint64_t>(run);
-      params.trace_out = (duty == 1.0 && run == 0) ? trace_out : "";
+      params.trace_sink = (duty == 1.0 && run == 0) ? trace.get() : nullptr;
       const Fig8Result result = RunFig8(params);
       energy.Add(result.energy_per_event);
       delivery.Add(result.delivery_rate * 100.0);

@@ -10,14 +10,12 @@
 //     traffic experiment and the energy estimate.
 
 #include <cstdio>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "src/apps/surveillance.h"
-#include "src/core/node.h"
-#include "src/filters/duplicate_suppression_filter.h"
 #include "src/radio/energy.h"
-#include "src/testbed/topology.h"
+#include "src/testbed/testbed_world.h"
 
 namespace diffusion {
 namespace {
@@ -43,42 +41,33 @@ int Main() {
   std::printf("radios like WINSng reach 10-15%% — hence energy-conserving MACs matter.)\n\n");
 
   // Measured shares from a short simulated aggregation run.
-  Simulator sim(99);
   const TestbedLayout layout = IsiTestbedLayout();
-  Channel channel(&sim, MakePropagation(layout, 0.98));
-  DiffusionConfig dconfig;
-  dconfig.forward_delay_jitter = 300 * kMillisecond;
-  const RadioConfig rconfig = TestbedRadioConfig();
-  std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-  for (NodeId id : layout.node_ids) {
-    nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id, NodeOptions{.diffusion = dconfig, .radio = rconfig});
-  }
+  TestbedWorld world(99, layout, MakePropagation(layout, 0.98),
+                     NodeOptions{.diffusion = TestbedDiffusionConfig(),
+                                 .radio = TestbedRadioConfig()});
   SurveillanceConfig sconfig;
-  std::vector<std::unique_ptr<DuplicateSuppressionFilter>> filters;
-  for (auto& [id, node] : nodes) {
-    filters.push_back(std::make_unique<DuplicateSuppressionFilter>(
-        node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
-  }
-  SurveillanceSink sink(nodes.at(kIsiSinkNode).get(), sconfig);
+  world.SuppressDuplicates(sconfig);
+  SurveillanceSink sink(world.node(kIsiSinkNode), sconfig);
   std::vector<std::unique_ptr<SurveillanceSource>> sources;
   for (NodeId id : kIsiSourceNodes) {
     sources.push_back(
-        std::make_unique<SurveillanceSource>(nodes.at(id).get(), sconfig, static_cast<int32_t>(id)));
+        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
   }
   sink.Start();
   for (auto& source : sources) {
     source->Start();
   }
   const SimDuration run_time = 10 * kMinute;
-  sim.RunUntil(run_time);
+  world.sim().RunUntil(run_time);
 
   TimeShares measured{0, 0, 0};
-  for (auto& [id, node] : nodes) {
+  const double node_count = static_cast<double>(world.nodes().size());
+  for (const auto& [id, node] : world.nodes()) {
     const TimeShares shares =
         SharesFromStats(node->radio().stats(), node->radio().time_sending(), run_time);
-    measured.listen += shares.listen / static_cast<double>(nodes.size());
-    measured.receive += shares.receive / static_cast<double>(nodes.size());
-    measured.send += shares.send / static_cast<double>(nodes.size());
+    measured.listen += shares.listen / node_count;
+    measured.receive += shares.receive / node_count;
+    measured.send += shares.send / node_count;
   }
   PrintTable(measured, "Measured shares (simulated 10-min, 4-source aggregation run)");
   std::printf("Note: measured listen share exceeds the paper's congested aggregate because\n");

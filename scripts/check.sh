@@ -200,6 +200,16 @@ cmp build/parallel_t1.json build/parallel_t8.json
 cmp build/fig8_j1.json build/fig8_j8.json
 cmp build/fig8_j1.jsonl build/fig8_j8.jsonl
 
+# The same for the other traced sweeps: the Figure-9 and scaling-sweep
+# merged traces are byte-identical at --jobs=1 and --jobs=8.
+for sweep in fig9_nested_queries scaling_sweep; do
+  ./build/bench/$sweep --runs=2 --minutes=1 --jobs=1 \
+    --trace-out=build/${sweep}_j1.jsonl >/dev/null
+  ./build/bench/$sweep --runs=2 --minutes=1 --jobs=8 \
+    --trace-out=build/${sweep}_j8.jsonl >/dev/null
+  cmp build/${sweep}_j1.jsonl build/${sweep}_j8.jsonl
+done
+
 # Sharded-engine gates (docs/PERFORMANCE.md). The bench loop refreshed
 # BENCH_parallel.json; hold it to the schema and to the 4-thread speedup
 # ratchet (waived automatically when the file was recorded on fewer than 4

@@ -9,13 +9,10 @@
 #include <vector>
 
 #include "src/apps/surveillance.h"
-#include "src/core/node.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_overlay.h"
 #include "src/fault/recovery.h"
-#include "src/filters/duplicate_suppression_filter.h"
-#include "src/testbed/topology.h"
-#include "src/trace/trace_writer.h"
+#include "src/testbed/testbed_world.h"
 
 namespace diffusion {
 namespace {
@@ -104,39 +101,23 @@ FaultPlan BuiltinScenarioPlan(const FaultScenarioParams& params) {
 }
 
 FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
-  // Writer first so it outlives the simulator (teardown may still trace).
-  std::unique_ptr<TraceWriter> trace_writer;
-  TraceSink* trace_sink = ResolveTraceSink(params.trace_sink, params.trace_out, &trace_writer);
   RecoveryObserver observer(kIsiSinkNode);
-  TeeTraceSink tee(trace_sink, &observer);
-
-  Simulator sim(params.seed);
-  sim.set_trace_sink(&tee);
+  TeeTraceSink tee(params.trace_sink, &observer);
 
   const TestbedLayout layout = IsiTestbedLayout();
   auto overlay =
       std::make_unique<FaultOverlayPropagation>(MakePropagation(layout, params.link_delivery));
   FaultOverlayPropagation* overlay_ptr = overlay.get();
-  Channel channel(&sim, std::move(overlay));
-
-  DiffusionConfig dconfig;
-  dconfig.forward_delay_jitter = 300 * kMillisecond;  // as in RunFig8
-  const RadioConfig rconfig = TestbedRadioConfig();
-
-  std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-  for (NodeId id : layout.node_ids) {
-    nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id, NodeOptions{.diffusion = dconfig, .radio = rconfig});
-  }
+  const DiffusionConfig dconfig = TestbedDiffusionConfig();
+  TestbedWorld world(params.seed, layout, std::move(overlay),
+                     NodeOptions{.diffusion = dconfig, .radio = TestbedRadioConfig()}, &tee);
+  Simulator& sim = world.sim();
 
   SurveillanceConfig sconfig;
-  std::vector<std::unique_ptr<DuplicateSuppressionFilter>> filters;
-  for (auto& [id, node] : nodes) {
-    filters.push_back(std::make_unique<DuplicateSuppressionFilter>(
-        node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
-  }
+  world.SuppressDuplicates(sconfig);
 
-  FaultInjector injector(&sim, &channel, overlay_ptr);
-  for (auto& [id, node] : nodes) {
+  FaultInjector injector(&sim, &world.channel(), overlay_ptr);
+  for (const auto& [id, node] : world.nodes()) {
     injector.AddNode(node.get());
   }
 
@@ -144,7 +125,7 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
   // instant (the time-to-repair probe).
   std::map<int64_t, SimTime> first_delivery;
   std::vector<SimTime> delivery_times;
-  (void)nodes.at(kIsiSinkNode)
+  (void)world.node(kIsiSinkNode)
       ->Subscribe(SurveillanceInterestAttrs(sconfig), [&](const AttributeVector& attrs) {
         const Attribute* seq = FindActual(attrs, kKeySequence);
         if (seq == nullptr) {
@@ -161,11 +142,10 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
   for (int i = 0; i < source_count; ++i) {
     const NodeId id = kIsiSourceNodes[i];
     sources.push_back(
-        std::make_unique<SurveillanceSource>(nodes.at(id).get(), sconfig, static_cast<int32_t>(id)));
+        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
   }
-  const SimTime source_start = 5 * kSecond;
   for (auto& source : sources) {
-    sim.At(source_start, [&source] { source->Start(); });
+    sim.At(kSourceStart, [&source] { source->Start(); });
   }
 
   // The built-in plan, or the caller's override.
@@ -197,31 +177,10 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
 
   sim.RunUntil(params.end_at);
 
-  // Window accounting over generated event sequences: sequence k is
-  // generated at source_start + k * event_interval (sources are
-  // synchronized), and "delivered" means its first copy reached the sink at
-  // any later point.
-  const SimDuration interval = sconfig.event_interval;
-  const auto rate_in = [&](SimTime lo, SimTime hi, uint64_t* lost) {
-    uint64_t possible = 0;
-    uint64_t delivered = 0;
-    for (int64_t k = 0;; ++k) {
-      const SimTime generated = source_start + k * interval;
-      if (generated >= hi) {
-        break;
-      }
-      if (generated < lo) {
-        continue;
-      }
-      ++possible;
-      if (first_delivery.contains(k)) {
-        ++delivered;
-      }
-    }
-    if (lost != nullptr) {
-      *lost = possible - delivered;
-    }
-    return possible > 0 ? static_cast<double>(delivered) / static_cast<double>(possible) : 0.0;
+  // Window accounting over generated event sequences: "delivered" means the
+  // first copy reached the sink at any later point.
+  const auto window = [&](SimTime lo, SimTime hi) {
+    return DeliveredInWindow(first_delivery, sconfig.event_interval, lo, hi);
   };
 
   FaultScenarioResult result;
@@ -257,10 +216,11 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
       params.scenario == FaultScenario::kCrash ? outage_end : params.heal_at;
   const SimTime post_end = params.end_at - 30 * kSecond;  // grace for in-flight events
 
-  result.delivery_pre = rate_in(params.warmup, params.fault_at, nullptr);
-  result.delivery_during =
-      rate_in(params.fault_at, outage_end, &result.events_lost_during_outage);
-  result.delivery_post = rate_in(post_start, post_end, nullptr);
+  result.delivery_pre = window(params.warmup, params.fault_at).rate();
+  const WindowDelivery during = window(params.fault_at, outage_end);
+  result.delivery_during = during.rate();
+  result.events_lost_during_outage = during.possible - during.delivered;
+  result.delivery_post = window(post_start, post_end).rate();
 
   result.reinforcements_after_fault = observer.reinforcements_after_fault();
   result.negative_reinforcements_after_fault = observer.negative_reinforcements_after_fault();

@@ -50,8 +50,7 @@ struct FaultScenarioParams {
   // plan; `scenario` then only chooses the repair reference point.
   std::string plan_json;
 
-  std::string trace_out;  // JSONL flight-recorder path ("" = tracing off)
-  // Borrowed sink overriding trace_out when set (the replication harness
+  // Borrowed flight-recorder sink (null = untraced; the replication harness
   // injects a private per-replicate buffer); must outlive the run.
   TraceSink* trace_sink = nullptr;
 };

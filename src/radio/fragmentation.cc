@@ -3,6 +3,15 @@
 #include <algorithm>
 
 namespace diffusion {
+namespace {
+
+// Fragments a `bytes`-long message takes at `chunk` bytes each (an empty
+// message still takes one).
+size_t FragmentCount(size_t bytes, size_t chunk) {
+  return bytes == 0 ? 1 : (bytes + chunk - 1) / chunk;
+}
+
+}  // namespace
 
 std::vector<uint8_t> Fragment::Serialize() const {
   ByteWriter writer;
@@ -47,7 +56,10 @@ std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq,
                                    const std::vector<uint8_t>& payload, size_t max_payload) {
   std::vector<Fragment> fragments;
   const size_t chunk = std::max<size_t>(max_payload, 1);
-  const size_t count = payload.empty() ? 1 : (payload.size() + chunk - 1) / chunk;
+  const size_t count = FragmentCount(payload.size(), chunk);
+  if (count > kMaxFragments) {
+    return fragments;
+  }
   fragments.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     Fragment fragment;
@@ -69,7 +81,10 @@ std::vector<Fragment> SplitBody(NodeId src, NodeId dst, uint32_t message_seq, Bo
   std::vector<Fragment> fragments;
   const size_t total = body->wire_size();
   const size_t chunk = std::max<size_t>(max_payload, 1);
-  const size_t count = total == 0 ? 1 : (total + chunk - 1) / chunk;
+  const size_t count = FragmentCount(total, chunk);
+  if (count > kMaxFragments) {
+    return fragments;
+  }
   fragments.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     Fragment fragment;

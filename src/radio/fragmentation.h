@@ -51,14 +51,19 @@ struct Fragment {
   static std::optional<Fragment> Deserialize(const std::vector<uint8_t>& bytes);
 };
 
+// Fragment::count is 16 bits, so one message spans at most this many
+// fragments.
+inline constexpr size_t kMaxFragments = 0xffff;
+
 // Splits `payload` into fragments carrying at most `max_payload` bytes each.
-// A zero-length payload yields a single empty fragment.
+// A zero-length payload yields a single empty fragment. A payload needing
+// more than kMaxFragments fragments yields none: its count would not fit.
 std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq,
                                    const std::vector<uint8_t>& payload, size_t max_payload);
 
 // Zero-copy SplitMessage: fragments reference `body` instead of copying byte
-// slices. Fragment boundaries are byte-identical to SplitMessage over the
-// body's encoding.
+// slices. Fragment boundaries (and the kMaxFragments limit) are identical to
+// SplitMessage over the body's encoding.
 std::vector<Fragment> SplitBody(NodeId src, NodeId dst, uint32_t message_seq, BodyRef body,
                                 size_t max_payload);
 

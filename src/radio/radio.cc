@@ -19,26 +19,31 @@ bool Radio::SendMessage(NodeId dst, const std::vector<uint8_t>& payload, MacPrio
   if (!alive_) {
     return false;
   }
-  ++stats_.messages_sent;
-  stats_.message_bytes_sent += payload.size();
-  const uint32_t seq = next_message_seq_++;
   return EnqueueFragments(
-      priority, SplitMessage(id_, dst, seq, payload, config_.fragment_payload), originated);
+      priority, payload.size(),
+      SplitMessage(id_, dst, next_message_seq_, payload, config_.fragment_payload), originated);
 }
 
 bool Radio::SendBody(NodeId dst, BodyRef body, MacPriority priority, bool originated) {
   if (!alive_) {
     return false;
   }
-  ++stats_.messages_sent;
-  stats_.message_bytes_sent += body->wire_size();
-  const uint32_t seq = next_message_seq_++;
+  const size_t bytes = body->wire_size();
   return EnqueueFragments(
-      priority, SplitBody(id_, dst, seq, std::move(body), config_.fragment_payload), originated);
+      priority, bytes,
+      SplitBody(id_, dst, next_message_seq_, std::move(body), config_.fragment_payload),
+      originated);
 }
 
-bool Radio::EnqueueFragments(MacPriority priority, std::vector<Fragment> fragments,
-                             bool originated) {
+bool Radio::EnqueueFragments(MacPriority priority, size_t message_bytes,
+                             std::vector<Fragment> fragments, bool originated) {
+  if (fragments.empty()) {
+    ++stats_.messages_refused;  // too many fragments to number
+    return false;
+  }
+  ++next_message_seq_;
+  ++stats_.messages_sent;
+  stats_.message_bytes_sent += message_bytes;
   for (Fragment& fragment : fragments) {
     fragment.priority = static_cast<uint8_t>(priority);
   }

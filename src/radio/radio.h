@@ -36,6 +36,9 @@ struct RadioStats {
   uint64_t fragments_sent = 0;
   uint64_t fragments_received = 0;
   uint64_t fragments_dropped = 0;  // queue overflow + persistent busy channel
+  // Messages refused whole because they need more than kMaxFragments
+  // fragments; they count nowhere else.
+  uint64_t messages_refused = 0;
   // Radio-time accounting for the §6.1 energy model.
   SimDuration time_receiving = 0;
 };
@@ -66,8 +69,9 @@ class Radio : public ChannelEndpoint {
   // congestion drop policy and per-class rate limiter (irrelevant when
   // shaping is off). `originated` marks messages this node injects into the
   // network (vs forwarded transit), which originated_only token buckets use
-  // for ingress policing. Returns false only if every fragment was dropped
-  // at the queue.
+  // for ingress policing. Returns false if every fragment was dropped at the
+  // queue, or if the message needs more than kMaxFragments fragments (then
+  // nothing is sent and RadioStats::messages_refused counts it).
   bool SendMessage(NodeId dst, const std::vector<uint8_t>& payload,
                    MacPriority priority = MacPriority::kData, bool originated = true);
 
@@ -101,8 +105,11 @@ class Radio : public ChannelEndpoint {
   void OnFrameDelivered(const Fragment& fragment, SimDuration airtime) override;
 
  private:
-  // Shared transmit tail: admission + per-fragment enqueue and accounting.
-  bool EnqueueFragments(MacPriority priority, std::vector<Fragment> fragments, bool originated);
+  // Shared transmit tail: message accounting, admission, and per-fragment
+  // enqueue and accounting. No fragments means the split refused the
+  // message.
+  bool EnqueueFragments(MacPriority priority, size_t message_bytes,
+                        std::vector<Fragment> fragments, bool originated);
 
   Simulator* sim_;
   Channel* channel_;

@@ -8,10 +8,7 @@
 #include <vector>
 
 #include "src/apps/surveillance.h"
-#include "src/core/node.h"
-#include "src/filters/duplicate_suppression_filter.h"
-#include "src/testbed/topology.h"
-#include "src/trace/trace_writer.h"
+#include "src/testbed/testbed_world.h"
 
 namespace diffusion {
 namespace {
@@ -87,34 +84,17 @@ TrafficPolicy ReferenceShapingPolicy() {
 }
 
 CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
-  // Writer first so it outlives the simulator (teardown may still trace).
-  std::unique_ptr<TraceWriter> trace_writer;
-  TraceSink* trace_sink = ResolveTraceSink(params.trace_sink, params.trace_out, &trace_writer);
-
-  Simulator sim(params.seed);
-  sim.set_trace_sink(trace_sink);
-
   const TestbedLayout layout = IsiTestbedLayout();
-  Channel channel(&sim, MakePropagation(layout, params.link_delivery));
-
-  DiffusionConfig dconfig;
-  dconfig.forward_delay_jitter = 300 * kMillisecond;  // as in RunFig8
-  const RadioConfig rconfig = TestbedRadioConfig();
-
-  std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
-  for (NodeId id : layout.node_ids) {
-    nodes[id] = std::make_unique<DiffusionNode>(
-        &sim, &channel, id,
-        NodeOptions{.diffusion = dconfig, .radio = rconfig, .traffic = params.policy});
-  }
+  TestbedWorld world(params.seed, layout, MakePropagation(layout, params.link_delivery),
+                     NodeOptions{.diffusion = TestbedDiffusionConfig(),
+                                 .radio = TestbedRadioConfig(),
+                                 .traffic = params.policy},
+                     params.trace_sink);
+  Simulator& sim = world.sim();
 
   SurveillanceConfig sconfig;
   sconfig.event_interval = params.event_interval;
-  std::vector<std::unique_ptr<DuplicateSuppressionFilter>> filters;
-  for (auto& [id, node] : nodes) {
-    filters.push_back(std::make_unique<DuplicateSuppressionFilter>(
-        node.get(), SurveillanceDataFilterAttrs(sconfig), 10));
-  }
+  world.SuppressDuplicates(sconfig);
 
   // Sinks: remember when each well-behaved event sequence first arrives.
   std::map<int64_t, SimTime> first_delivery;
@@ -135,12 +115,12 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
       sink_map->emplace(*value, sim.now());
     }
   };
-  (void)nodes.at(kIsiSinkNode)
+  (void)world.node(kIsiSinkNode)
       ->Subscribe(SurveillanceInterestAttrs(sconfig), [&](const AttributeVector& attrs) {
         sink_callback(&first_delivery, attrs);
       });
   if (params.second_sink) {
-    (void)nodes.at(kIsiUserNode)
+    (void)world.node(kIsiUserNode)
         ->Subscribe(SurveillanceInterestAttrs(sconfig), [&](const AttributeVector& attrs) {
           sink_callback(&first_delivery_second, attrs);
         });
@@ -168,7 +148,7 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
   for (int i = 0; i < source_count; ++i) {
     const NodeId id = source_candidates[static_cast<size_t>(source_base + i)];
     sources.push_back(
-        std::make_unique<SurveillanceSource>(nodes.at(id).get(), sconfig, static_cast<int32_t>(id)));
+        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
   }
 
   // The misbehaving node publishes the same task's data far above the agreed
@@ -178,8 +158,8 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
   if (params.flooder) {
     SurveillanceConfig flood_config = sconfig;
     flood_config.event_interval = params.flooder_interval;
-    flooder = std::make_unique<SurveillanceSource>(nodes.at(kIsiSourceNodes[0]).get(),
-                                                   flood_config, kFlooderSourceId);
+    flooder = std::make_unique<SurveillanceSource>(world.node(kIsiSourceNodes[0]), flood_config,
+                                                   kFlooderSourceId);
   }
 
   // Sources start phase-staggered: the sensors observe the same event
@@ -188,60 +168,38 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
   // offset is coprime-ish to the shaping layers' bucket periods, so under
   // overload each source's token bucket admits a different subset of the
   // sequence and the sinks see the union.
-  const SimTime source_start = 5 * kSecond;
   for (size_t i = 0; i < sources.size(); ++i) {
     auto& source = sources[i];
-    sim.At(source_start + static_cast<SimDuration>(i) * (700 * kMillisecond),
+    sim.At(kSourceStart + static_cast<SimDuration>(i) * (700 * kMillisecond),
            [&source] { source->Start(); });
   }
   if (flooder != nullptr) {
-    sim.At(source_start, [&flooder] { flooder->Start(); });
+    sim.At(kSourceStart, [&flooder] { flooder->Start(); });
   }
 
   sim.RunUntil(params.end_at);
 
-  // Event k is generated at source_start + k * event_interval (sources are
-  // synchronized); count the ones generated inside the measurement window
+  // Count the well-behaved events generated inside the measurement window
   // [warmup, end - grace] and whether their first copy ever arrived.
   const SimTime window_end = params.end_at - 30 * kSecond;  // grace for in-flight events
-  const auto delivered_in = [&](const std::map<int64_t, SimTime>& sink_map, uint64_t* possible) {
-    uint64_t count = 0;
-    *possible = 0;
-    for (int64_t k = 0;; ++k) {
-      const SimTime generated = source_start + k * params.event_interval;
-      if (generated >= window_end) {
-        break;
-      }
-      if (generated < params.warmup) {
-        continue;
-      }
-      ++*possible;
-      if (sink_map.contains(k)) {
-        ++count;
-      }
-    }
-    return count;
-  };
-
+  const WindowDelivery primary =
+      DeliveredInWindow(first_delivery, params.event_interval, params.warmup, window_end);
   CongestionRunResult result;
-  result.events_delivered = delivered_in(first_delivery, &result.events_possible);
-  result.delivery = result.events_possible > 0 ? static_cast<double>(result.events_delivered) /
-                                                     static_cast<double>(result.events_possible)
-                                               : 0.0;
+  result.events_possible = primary.possible;
+  result.events_delivered = primary.delivered;
+  result.delivery = primary.rate();
   if (params.second_sink) {
-    uint64_t possible_second = 0;
-    result.events_delivered_second = delivered_in(first_delivery_second, &possible_second);
-    result.delivery_second =
-        possible_second > 0 ? static_cast<double>(result.events_delivered_second) /
-                                  static_cast<double>(possible_second)
-                            : 0.0;
+    const WindowDelivery second =
+        DeliveredInWindow(first_delivery_second, params.event_interval, params.warmup, window_end);
+    result.events_delivered_second = second.delivered;
+    result.delivery_second = second.rate();
   }
   if (flooder != nullptr) {
     result.flooder_events_generated = flooder->events_generated();
     result.flooder_events_delivered = flooder_arrivals;
   }
 
-  for (auto& [id, node] : nodes) {
+  for (const auto& [id, node] : world.nodes()) {
     result.bytes_sent += static_cast<double>(node->stats().bytes_sent);
     result.transmits_jittered += node->stats().transmits_jittered;
     result.interest_scope_expansions += node->stats().interest_scope_expansions;

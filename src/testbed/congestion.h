@@ -66,8 +66,7 @@ struct CongestionRunParams {
   SimTime end_at = 6 * kMinute;
   double link_delivery = 0.98;  // per-link delivery probability
 
-  std::string trace_out;  // JSONL flight-recorder path ("" = tracing off)
-  // Borrowed sink overriding trace_out when set (the replication harness
+  // Borrowed flight-recorder sink (null = untraced; the replication harness
   // injects a private per-replicate buffer); must outlive the run.
   TraceSink* trace_sink = nullptr;
 };

@@ -1,16 +1,15 @@
 // Reusable experiment runners for the paper's evaluation (§6).
 //
-// Each Run* function builds a complete network (simulator, channel, radios,
-// diffusion nodes, filters, applications), runs it for a warmup plus a
-// measurement window, and returns the metrics the corresponding figure
-// reports. Benchmarks sweep these; integration tests pin their qualitative
-// shape.
+// Each Run* function builds a complete network through TestbedWorld
+// (testbed_world.h) plus the filters and applications it needs, runs it for
+// a warmup plus a measurement window, and returns the metrics the
+// corresponding figure reports. Benchmarks sweep these; integration tests
+// pin their qualitative shape and golden values.
 
 #ifndef SRC_TESTBED_EXPERIMENTS_H_
 #define SRC_TESTBED_EXPERIMENTS_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/apps/nested_query.h"
 #include "src/trace/trace.h"
@@ -49,12 +48,10 @@ struct Fig8Params {
   // pathologies).
   bool shadowing = false;
   double shadowing_sigma_db = 4.0;
-  // When non-empty, stream every TraceEvent of the run to this JSONL file
-  // (the flight recorder; costs nothing when empty).
-  std::string trace_out;
-  // Borrowed sink that overrides trace_out when set. The replication harness
-  // injects a private per-replicate buffer here so parallel replicates never
-  // share a file stream; must outlive the run.
+  // Borrowed flight-recorder sink that receives every TraceEvent of the run
+  // (null = untraced, which costs nothing). Pass a TraceWriter to stream
+  // JSONL; the replication harness passes a private per-replicate buffer so
+  // parallel replicates never share a stream. Must outlive the run.
   TraceSink* trace_sink = nullptr;
 };
 
@@ -86,10 +83,7 @@ struct Fig9Params {
   SimDuration warmup = 60 * kSecond;
   uint64_t seed = 1;
   double link_delivery = 0.98;
-  // When non-empty, stream every TraceEvent of the run to this JSONL file.
-  std::string trace_out;
-  // Borrowed sink overriding trace_out (see Fig8Params::trace_sink).
-  TraceSink* trace_sink = nullptr;
+  TraceSink* trace_sink = nullptr;  // see Fig8Params::trace_sink
 };
 
 struct Fig9Result {
@@ -120,10 +114,7 @@ struct ScaleParams {
   uint64_t seed = 1;
   double field_size = 100.0;
   double radio_range = 22.0;
-  // When non-empty, stream every TraceEvent of the run to this JSONL file.
-  std::string trace_out;
-  // Borrowed sink overriding trace_out (see Fig8Params::trace_sink).
-  TraceSink* trace_sink = nullptr;
+  TraceSink* trace_sink = nullptr;  // see Fig8Params::trace_sink
 };
 
 struct ScaleResult {

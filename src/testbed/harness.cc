@@ -2,24 +2,7 @@
 
 #include <cstdio>
 
-#include "src/sim/replication.h"
-
 namespace diffusion {
-
-std::map<std::string, RunningStat> RunRepeated(size_t runs, uint64_t base_seed,
-                                               const std::function<MetricMap(uint64_t)>& run_fn,
-                                               unsigned jobs) {
-  ReplicationPool pool(jobs);
-  const std::vector<MetricMap> per_run = pool.Map<MetricMap>(
-      runs, [base_seed, &run_fn](size_t i) { return run_fn(base_seed + i); });
-  std::map<std::string, RunningStat> stats;
-  for (const MetricMap& metrics : per_run) {
-    for (const auto& [name, value] : metrics) {
-      stats[name].Add(value);
-    }
-  }
-  return stats;
-}
 
 std::string FormatWithCI(const RunningStat& stat, int precision) {
   char buffer[64];

@@ -1,29 +1,16 @@
-// Experiment harness: repeated seeded runs with mean ± 95% CI reporting,
-// matching the paper's methodology ("each point represents the mean of five
-// 30-minute experiments with 95% confidence intervals").
+// Experiment reporting: mean ± 95% CI, matching the paper's methodology
+// ("each point represents the mean of five 30-minute experiments with 95%
+// confidence intervals"). The benches run their seeded replicates through
+// bench::RunReplicates (bench/replicate.h) and format each point here.
 
 #ifndef SRC_TESTBED_HARNESS_H_
 #define SRC_TESTBED_HARNESS_H_
 
-#include <functional>
-#include <map>
 #include <string>
 
 #include "src/util/stats.h"
 
 namespace diffusion {
-
-// Named scalar results of one run.
-using MetricMap = std::map<std::string, double>;
-
-// Runs `run_fn` once per seed (base_seed, base_seed+1, ...) and accumulates
-// each metric across runs. `jobs` > 1 fans the runs out across that many
-// worker threads (each run must be self-contained, which every Run*
-// experiment is); metrics are always accumulated in seed order, so the
-// result is bit-identical for every jobs value.
-std::map<std::string, RunningStat> RunRepeated(size_t runs, uint64_t base_seed,
-                                               const std::function<MetricMap(uint64_t)>& run_fn,
-                                               unsigned jobs = 1);
 
 // "1234.5 ± 67.8" (the ± term is the 95% CI half-width).
 std::string FormatWithCI(const RunningStat& stat, int precision = 1);

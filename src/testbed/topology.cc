@@ -60,6 +60,12 @@ std::unique_ptr<DiskPropagation> MakePropagation(const TestbedLayout& layout,
   return propagation;
 }
 
+DiffusionConfig TestbedDiffusionConfig() {
+  DiffusionConfig config;
+  config.forward_delay_jitter = 300 * kMillisecond;
+  return config;
+}
+
 RadioConfig TestbedRadioConfig() {
   RadioConfig config;
   // The RPC radio "provides about 13 kb/s throughput" of message payload; on

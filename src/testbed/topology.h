@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/config.h"
 #include "src/radio/position.h"
 #include "src/radio/propagation.h"
 #include "src/radio/radio.h"
@@ -58,6 +59,11 @@ int HopDistance(const TestbedLayout& layout, NodeId from, NodeId to);
 // Radio parameters of the paper's testbed: Radiometrix RPC at ~13 kb/s with
 // 27-byte fragments, slow MAC timing scaled to the fragment airtime.
 RadioConfig TestbedRadioConfig();
+
+// Diffusion parameters of the testbed runs: the defaults, with forwarded
+// floods spread over ~5 message airtimes at 13 kb/s (300 ms) so concurrent
+// re-broadcasts from hidden terminals interleave.
+DiffusionConfig TestbedDiffusionConfig();
 
 // Radio parameters of the paper's earlier ns simulations (§6.1: "1.6 Mb/s in
 // simulation"), used by the larger-scale ablation.

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/util/logging.h"
-
 namespace diffusion {
 namespace {
 
@@ -107,24 +105,6 @@ std::vector<TraceEvent> ReadTraceFile(const std::string& path) {
     }
   }
   return events;
-}
-
-TraceSink* ResolveTraceSink(TraceSink* injected, const std::string& path,
-                            std::unique_ptr<TraceWriter>* writer) {
-  if (injected != nullptr) {
-    return injected;
-  }
-  if (path.empty()) {
-    return nullptr;
-  }
-  *writer = std::make_unique<TraceWriter>(path);
-  if (!(*writer)->ok()) {
-    DIFFUSION_LOG(kWarning) << "cannot open trace file " << path
-                            << "; tracing disabled for this run";
-    writer->reset();
-    return nullptr;
-  }
-  return writer->get();
 }
 
 TraceWriter::TraceWriter(const std::string& path) : out_(path, std::ios::trunc) {}

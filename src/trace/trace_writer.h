@@ -14,7 +14,6 @@
 #define SRC_TRACE_TRACE_WRITER_H_
 
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,16 +31,6 @@ std::optional<TraceEvent> TraceEventFromJson(const std::string& line);
 
 // Reads every well-formed event line of a JSONL trace file.
 std::vector<TraceEvent> ReadTraceFile(const std::string& path);
-
-class TraceWriter;
-
-// Resolves the trace sink for one experiment run: an injected (borrowed)
-// sink wins; otherwise a TraceWriter for `path` is opened into *writer and
-// returned. Empty path or open failure (logged) yields null — tracing off.
-// The replication harness injects per-replicate buffers this way so that
-// parallel replicates never share a file stream.
-TraceSink* ResolveTraceSink(TraceSink* injected, const std::string& path,
-                            std::unique_ptr<TraceWriter>* writer);
 
 // Streams events to a JSONL file. Construction truncates the target.
 // Thread-compatible like every TraceSink: one writer per run, never shared

@@ -5,6 +5,7 @@
 
 #include "src/testbed/experiments.h"
 #include "src/testbed/topology.h"
+#include "src/trace/trace.h"
 
 namespace diffusion {
 namespace {
@@ -189,6 +190,55 @@ TEST(ExperimentDeterminismTest, SameSeedSameResult) {
   params.seed = 78;
   const Fig8Result c = RunFig8(params);
   EXPECT_NE(a.diffusion_bytes, c.diffusion_bytes);
+}
+
+// Golden pins: one short run of each runner that no bench gate re-runs,
+// recorded before the runners moved onto the shared World builder. Any
+// change to construction order (and so to the RNG fork sequence) or to the
+// result arithmetic moves these numbers.
+TEST(ExperimentGoldenTest, Fig9ShortRunIsPinned) {
+  FingerprintTraceSink trace;
+  Fig9Params params;
+  params.lights = 4;
+  params.duration = 4 * kMinute;
+  params.seed = 41;
+  params.trace_sink = &trace;
+  const Fig9Result result = RunFig9(params);
+  EXPECT_DOUBLE_EQ(result.delivered_fraction, 0.875);
+  EXPECT_EQ(result.possible_events, 16u);
+  EXPECT_EQ(result.delivered_events, 14u);
+  EXPECT_EQ(result.diffusion_bytes, 193635u);
+  EXPECT_EQ(result.triggers_sent, 0u);
+  EXPECT_EQ(trace.fingerprint(), 7719047016083146u);
+  EXPECT_EQ(trace.count(), 45981u);
+}
+
+TEST(ExperimentGoldenTest, ScaleShortRunIsPinned) {
+  FingerprintTraceSink trace;
+  ScaleParams params;
+  params.nodes = 30;
+  params.duration = 1 * kMinute;
+  params.seed = 43;
+  params.trace_sink = &trace;
+  const ScaleResult result = RunScaleExperiment(params);
+  EXPECT_DOUBLE_EQ(result.bytes_per_event, 1531.4);
+  EXPECT_EQ(result.distinct_events, 120u);
+  EXPECT_DOUBLE_EQ(result.delivery_rate, 1.0);
+  EXPECT_DOUBLE_EQ(result.energy_per_event, 22.586824);
+  EXPECT_DOUBLE_EQ(result.comm_energy_per_event, 0.173648);
+  EXPECT_EQ(trace.fingerprint(), 7908734864924252u);
+  EXPECT_EQ(trace.count(), 22631u);
+}
+
+TEST(ExperimentGoldenTest, GeoShortRunIsPinned) {
+  GeoParams params;
+  params.geo_scope = true;
+  params.duration = 2 * kMinute;
+  params.seed = 47;
+  const GeoResult result = RunGeoExperiment(params);
+  EXPECT_DOUBLE_EQ(result.bytes_per_event, 1966.5);
+  EXPECT_DOUBLE_EQ(result.delivery_rate, 0.8);
+  EXPECT_EQ(result.interests_pruned, 35u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -310,6 +311,25 @@ TEST(FragmentationTest, InterleavedSendersReassembleIndependently) {
   EXPECT_EQ(done_a->payload, pa);
 }
 
+TEST(FragmentationTest, SplitsTheLargestNumberableMessage) {
+  const std::vector<uint8_t> payload(kMaxFragments * 27, 0x5a);
+  const auto fragments = SplitMessage(1, 2, 7, payload, 27);
+  ASSERT_EQ(fragments.size(), 65535u);
+  EXPECT_EQ(fragments.front().count, 65535);
+  EXPECT_EQ(fragments.back().index, 65534);
+  EXPECT_EQ(fragments.back().count, 65535);
+  Reassembler reassembler(kSecond);
+  std::optional<Reassembler::Completed> completed;
+  for (const Fragment& fragment : fragments) {
+    ASSERT_FALSE(completed.has_value());
+    completed = reassembler.Add(fragment, 0);
+  }
+  ASSERT_TRUE(completed.has_value());
+  EXPECT_EQ(completed->payload, payload);
+  // One more fragment's worth no longer has a count to carry.
+  EXPECT_TRUE(SplitMessage(1, 2, 8, std::vector<uint8_t>(payload.size() + 1), 27).empty());
+}
+
 // ---- Radio / channel / MAC end-to-end ----
 
 TEST(RadioTest, DeliversAcrossOneHop) {
@@ -333,6 +353,49 @@ TEST(RadioTest, DeliversAcrossOneHop) {
   EXPECT_EQ(b.stats().fragments_received, 5u);
   EXPECT_EQ(b.stats().messages_received, 1u);
   EXPECT_EQ(b.stats().message_bytes_received, 112u);
+}
+
+// A zero-copy body of `size` zero bytes that lives on the test's stack.
+class ZeroBody final : public WireBody {
+ public:
+  explicit ZeroBody(size_t size) : size_(size) {}
+
+  size_t wire_size() const override { return size_; }
+  void AppendBytes(std::vector<uint8_t>* out) const override { out->resize(out->size() + size_); }
+
+ private:
+  void Recycle() override {}
+
+  size_t size_;
+};
+
+// Fragment::count is 16 bits. A message of 65,536 fragments used to wrap the
+// count to 0, which sent the receiver's reassembler into unbounded recursion;
+// one of 65,537 wrapped it to 1 and "completed" after its first fragment. The
+// radio refuses both, on the byte path and the zero-copy path alike.
+TEST(RadioTest, RefusesMessageOfMoreThan65535Fragments) {
+  for (const size_t fragments : {size_t{65536}, size_t{65537}}) {
+    for (const bool zero_copy : {false, true}) {
+      Simulator sim(8);
+      auto channel = MakeLineChannel(&sim, 2);
+      Radio a(&sim, channel.get(), 1, FastRadio());
+      Radio b(&sim, channel.get(), 2, FastRadio());
+      int received = 0;
+      b.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++received; });
+      const size_t bytes = fragments * 27;
+      ZeroBody body(bytes);
+      const bool sent = zero_copy ? a.SendBody(kBroadcastId, BodyRef(&body))
+                                  : a.SendMessage(kBroadcastId, std::vector<uint8_t>(bytes, 1));
+      sim.RunUntil(kSecond);
+      SCOPED_TRACE(testing::Message() << fragments << " fragments, zero_copy=" << zero_copy);
+      EXPECT_FALSE(sent);
+      EXPECT_EQ(received, 0);
+      EXPECT_EQ(b.stats().fragments_received, 0u);
+      EXPECT_EQ(a.stats().messages_refused, 1u);
+      EXPECT_EQ(a.stats().messages_sent, 0u);
+      EXPECT_EQ(a.stats().fragments_sent, 0u);
+    }
+  }
 }
 
 TEST(RadioTest, UnicastFilteredButOverheard) {

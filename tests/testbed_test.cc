@@ -85,20 +85,6 @@ TEST(LayoutBuildersTest, RandomLayoutInBounds) {
   }
 }
 
-TEST(HarnessTest, AggregatesMetricsAcrossSeeds) {
-  const auto stats = RunRepeated(5, 1000, [](uint64_t seed) {
-    MetricMap metrics;
-    metrics["seed_offset"] = static_cast<double>(seed - 1000);
-    metrics["constant"] = 7.0;
-    return metrics;
-  });
-  ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats.at("seed_offset").count(), 5u);
-  EXPECT_DOUBLE_EQ(stats.at("seed_offset").mean(), 2.0);  // mean of 0..4
-  EXPECT_DOUBLE_EQ(stats.at("constant").mean(), 7.0);
-  EXPECT_DOUBLE_EQ(stats.at("constant").confidence95(), 0.0);
-}
-
 TEST(HarnessTest, FormatWithCI) {
   RunningStat stat;
   stat.Add(10.0);
