@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "src/apps/surveillance.h"
+#include "src/radio/channel.h"
 #include "src/testbed/experiments.h"
+#include "src/testbed/testbed_world.h"
 #include "src/testbed/topology.h"
 #include "src/trace/trace.h"
 
@@ -80,19 +86,32 @@ TEST(Fig8ExperimentTest, DeliveryInOperationalRange) {
   EXPECT_LE(result.delivery_rate, 1.0);
 }
 
+// The paper's shape on the cells bench/fig9_nested_queries reports by default
+// (three 20-minute runs, seeds 2000-2002): one run is a single draw of the
+// hidden-terminal losses, so the comparison is on the mean.
 TEST(Fig9ExperimentTest, NestedBeatsFlatWithFourSensors) {
   Fig9Params params;
   params.lights = 4;
-  params.duration = 10 * kMinute;
-  params.seed = 23;
-  params.mode = QueryMode::kNested;
-  const Fig9Result nested = RunFig9(params);
-  params.mode = QueryMode::kFlat;
-  const Fig9Result flat = RunFig9(params);
-  EXPECT_GE(nested.delivered_fraction, flat.delivered_fraction);
+  params.duration = 20 * kMinute;
+  double nested_delivered = 0.0;
+  double flat_delivered = 0.0;
+  uint64_t nested_bytes = 0;
+  uint64_t flat_bytes = 0;
+  for (uint64_t seed = 2000; seed <= 2002; ++seed) {
+    params.seed = seed;
+    params.mode = QueryMode::kNested;
+    const Fig9Result nested = RunFig9(params);
+    params.mode = QueryMode::kFlat;
+    const Fig9Result flat = RunFig9(params);
+    nested_delivered += nested.delivered_fraction;
+    flat_delivered += flat.delivered_fraction;
+    nested_bytes += nested.diffusion_bytes;
+    flat_bytes += flat.diffusion_bytes;
+  }
+  EXPECT_GE(nested_delivered, flat_delivered);
   // "This experiment sharply contrasts the bandwidth requirements": the flat
   // query hauls light reports across the whole network.
-  EXPECT_GT(flat.diffusion_bytes, nested.diffusion_bytes * 12 / 10);
+  EXPECT_GT(flat_bytes, nested_bytes * 12 / 10);
 }
 
 TEST(Fig9ExperimentTest, DeliveryFallsAsSensorsAreAdded) {
@@ -192,10 +211,79 @@ TEST(ExperimentDeterminismTest, SameSeedSameResult) {
   EXPECT_NE(a.diffusion_bytes, c.diffusion_bytes);
 }
 
+// An endpoint no propagation model knows: never reached, never transmits.
+class IdleEndpoint : public ChannelEndpoint {
+ public:
+  explicit IdleEndpoint(NodeId id) : id_(id) {}
+  NodeId node_id() const override { return id_; }
+  bool IsAlive() const override { return true; }
+  bool IsTransmitting() const override { return false; }
+  void OnFrameDelivered(const Fragment&, SimDuration) override {}
+
+ private:
+  NodeId id_;
+};
+
+struct Fig7Run {
+  uint64_t fingerprint = 0;
+  uint64_t trace_events = 0;
+  size_t delivered = 0;
+};
+
+// Figure 8's world at four sources with duplicate suppression. With
+// `churn_channel_tables`, 200 idle endpoints attach to the channel and
+// detach again before anything runs: that reshapes the channel's id-keyed
+// tables and draws no random number.
+Fig7Run RunFig7World(uint64_t seed, bool churn_channel_tables) {
+  const TestbedLayout layout = IsiTestbedLayout();
+  FingerprintTraceSink trace;
+  TestbedWorld world(seed, layout, MakePropagation(layout, 0.9),
+                     NodeOptions{.diffusion = TestbedDiffusionConfig(),
+                                 .radio = TestbedRadioConfig()},
+                     &trace);
+  if (churn_channel_tables) {
+    std::vector<std::unique_ptr<IdleEndpoint>> idle;
+    for (NodeId id = 5000; id < 5200; ++id) {
+      idle.push_back(std::make_unique<IdleEndpoint>(id));
+      world.channel().Attach(idle.back().get());
+    }
+    for (NodeId id = 5000; id < 5200; ++id) {
+      world.channel().Detach(id);
+    }
+  }
+  const SurveillanceConfig sconfig;
+  world.SuppressDuplicates(sconfig);
+  SurveillanceSink sink(world.node(kIsiSinkNode), sconfig);
+  std::vector<std::unique_ptr<SurveillanceSource>> sources;
+  for (NodeId id : kIsiSourceNodes) {
+    sources.push_back(
+        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
+  }
+  sink.Start();
+  for (auto& source : sources) {
+    world.sim().At(kSourceStart, [&source] { source->Start(); });
+  }
+  world.sim().RunUntil(5 * kMinute);
+  return Fig7Run{trace.fingerprint(), trace.count(), sink.distinct_events()};
+}
+
+// Output is a function of (seed, config) alone: receivers resolve in
+// ascending node id order, not in the order of any hash table.
+TEST(ExperimentDeterminismTest, OutputDoesNotDependOnChannelTableLayout) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    const Fig7Run plain = RunFig7World(seed, false);
+    const Fig7Run churned = RunFig7World(seed, true);
+    EXPECT_GT(plain.delivered, 0u) << "seed " << seed;
+    EXPECT_EQ(plain.fingerprint, churned.fingerprint) << "seed " << seed;
+    EXPECT_EQ(plain.trace_events, churned.trace_events) << "seed " << seed;
+    EXPECT_EQ(plain.delivered, churned.delivered) << "seed " << seed;
+  }
+}
+
 // Golden pins: one short run of each runner that no bench gate re-runs,
-// recorded before the runners moved onto the shared World builder. Any
-// change to construction order (and so to the RNG fork sequence) or to the
-// result arithmetic moves these numbers.
+// recorded with receivers resolved in ascending node id order. Any change to
+// construction order (and so to the RNG fork sequence), to reception order
+// or to the result arithmetic moves these numbers.
 TEST(ExperimentGoldenTest, Fig9ShortRunIsPinned) {
   FingerprintTraceSink trace;
   Fig9Params params;
@@ -204,13 +292,13 @@ TEST(ExperimentGoldenTest, Fig9ShortRunIsPinned) {
   params.seed = 41;
   params.trace_sink = &trace;
   const Fig9Result result = RunFig9(params);
-  EXPECT_DOUBLE_EQ(result.delivered_fraction, 0.875);
+  EXPECT_DOUBLE_EQ(result.delivered_fraction, 0.75);
   EXPECT_EQ(result.possible_events, 16u);
-  EXPECT_EQ(result.delivered_events, 14u);
-  EXPECT_EQ(result.diffusion_bytes, 193635u);
+  EXPECT_EQ(result.delivered_events, 12u);
+  EXPECT_EQ(result.diffusion_bytes, 158775u);
   EXPECT_EQ(result.triggers_sent, 0u);
-  EXPECT_EQ(trace.fingerprint(), 7719047016083146u);
-  EXPECT_EQ(trace.count(), 45981u);
+  EXPECT_EQ(trace.fingerprint(), 5043996926682249u);
+  EXPECT_EQ(trace.count(), 40415u);
 }
 
 TEST(ExperimentGoldenTest, ScaleShortRunIsPinned) {
@@ -221,13 +309,13 @@ TEST(ExperimentGoldenTest, ScaleShortRunIsPinned) {
   params.seed = 43;
   params.trace_sink = &trace;
   const ScaleResult result = RunScaleExperiment(params);
-  EXPECT_DOUBLE_EQ(result.bytes_per_event, 1531.4);
+  EXPECT_DOUBLE_EQ(result.bytes_per_event, 1601.8666666666666);
   EXPECT_EQ(result.distinct_events, 120u);
   EXPECT_DOUBLE_EQ(result.delivery_rate, 1.0);
-  EXPECT_DOUBLE_EQ(result.energy_per_event, 22.586824);
-  EXPECT_DOUBLE_EQ(result.comm_energy_per_event, 0.173648);
-  EXPECT_EQ(trace.fingerprint(), 7908734864924252u);
-  EXPECT_EQ(trace.count(), 22631u);
+  EXPECT_DOUBLE_EQ(result.energy_per_event, 22.591223083333333);
+  EXPECT_DOUBLE_EQ(result.comm_energy_per_event, 0.18244616666666669);
+  EXPECT_EQ(trace.fingerprint(), 5470126600787164u);
+  EXPECT_EQ(trace.count(), 25186u);
 }
 
 TEST(ExperimentGoldenTest, GeoShortRunIsPinned) {
@@ -236,9 +324,9 @@ TEST(ExperimentGoldenTest, GeoShortRunIsPinned) {
   params.duration = 2 * kMinute;
   params.seed = 47;
   const GeoResult result = RunGeoExperiment(params);
-  EXPECT_DOUBLE_EQ(result.bytes_per_event, 1966.5);
-  EXPECT_DOUBLE_EQ(result.delivery_rate, 0.8);
-  EXPECT_EQ(result.interests_pruned, 35u);
+  EXPECT_DOUBLE_EQ(result.bytes_per_event, 2380.4705882352941);
+  EXPECT_DOUBLE_EQ(result.delivery_rate, 0.85);
+  EXPECT_EQ(result.interests_pruned, 23u);
 }
 
 }  // namespace

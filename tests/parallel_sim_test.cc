@@ -338,6 +338,10 @@ RunDigest RunShardedGrid(const TestbedLayout& layout, int regions, unsigned thre
   params.regions = regions;
   params.threads = threads;
   params.seed = seed;
+  // The testbed's 300 ms forward jitter: at the 100 ms default, relays
+  // collide on nearly every two-fragment interest flood (hidden terminals),
+  // and some seeds deliver nothing.
+  params.diffusion = TestbedDiffusionConfig();
   ShardedWorld world(layout, params);
   world.set_merged_trace_sink(&trace);
 
