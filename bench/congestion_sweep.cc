@@ -21,7 +21,10 @@
 //   --minutes=N                  simulated minutes per run (default 6)
 //   --jobs=N                     worker threads (0 = hardware concurrency)
 //   --out=PATH                   output JSON (default BENCH_congestion.json)
-//   --check=PATH                 validate an existing file; no run
+//   --check=PATH                 re-run the scenarios whose rows the file
+//                                holds (with --seed and --minutes) and fail
+//                                unless every row is reproduced; writes
+//                                nothing
 //   --trace-out=PATH             JSONL flight-recorder trace (first run)
 //   --require-shaping-gain=X     exit 1 unless shaped delivery >= X *
 //                                unshaped at the top of the load sweep
@@ -64,16 +67,6 @@ struct RunSpec {
 
 int Main(int argc, char** argv) {
   const std::string check = bench::StringFlag(argc, argv, "check");
-  if (!check.empty()) {
-    std::string error;
-    if (!bench::ValidateBenchJson(check, &error)) {
-      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("%s: valid %s file\n", check.c_str(), bench::kBenchJsonSchema);
-    return 0;
-  }
-
   const std::string scenario_flag = bench::StringFlag(argc, argv, "scenario", "all");
   const uint64_t seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 1));
   const int64_t minutes = bench::IntFlag(argc, argv, "minutes", 6);
@@ -92,6 +85,22 @@ int Main(int argc, char** argv) {
   bool run_sweep = scenario_flag == "all" || scenario_flag == "load_sweep";
   bool run_flooder = scenario_flag == "all" || scenario_flag == "flooder";
   bool run_fairness = scenario_flag == "all" || scenario_flag == "fairness";
+  if (!check.empty()) {
+    std::string error;
+    if (!bench::ValidateBenchJson(check, &error)) {
+      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
+      return 1;
+    }
+    // Each scenario ends with one summary row; re-run those the file holds.
+    double unused = 0.0;
+    run_sweep = bench::ReadBenchValue(check, "sweep_top_shaping_gain", &unused);
+    run_flooder = bench::ReadBenchValue(check, "flooder_degradation", &unused);
+    run_fairness = bench::ReadBenchValue(check, "fairness_min_max_ratio", &unused);
+    if (!run_sweep && !run_flooder && !run_fairness) {
+      std::fprintf(stderr, "FAIL: %s holds no scenario's rows\n", check.c_str());
+      return 1;
+    }
+  }
   CongestionScenario parsed;
   if (!run_sweep && !run_flooder && !run_fairness &&
       !CongestionScenarioFromName(scenario_flag, &parsed)) {
@@ -265,10 +274,20 @@ int Main(int argc, char** argv) {
   std::printf("shaped delivery degrades gracefully; the flooder starves well-behaved traffic\n");
   std::printf("only when shaping is off; two shaped sinks split delivery evenly.\n");
 
-  if (!bench::WriteBenchJson(out, "congestion_sweep", results)) {
-    return 1;
+  if (check.empty()) {
+    if (!bench::WriteBenchJson(out, "congestion_sweep", results)) {
+      return 1;
+    }
+    std::printf("wrote %s\n", out.c_str());
+  } else {
+    std::string error;
+    if (!bench::MatchesRecorded(check, results, &error)) {
+      std::fprintf(stderr, "FAIL: %s differs from this run: %s\n", check.c_str(), error.c_str());
+      return 1;
+    }
+    std::printf("%s: valid %s file; every row reproduced\n", check.c_str(),
+                bench::kBenchJsonSchema);
   }
-  std::printf("wrote %s\n", out.c_str());
   return ok ? 0 : 1;
 }
 

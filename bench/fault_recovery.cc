@@ -16,7 +16,9 @@
 //   --plan=PATH       diffusion-fault-plan-v1 JSON overriding the built-in
 //                     plan (single-scenario runs only)
 //   --out=PATH        where to write the JSON (default BENCH_fault.json)
-//   --check=PATH      validate an existing file against the schema; no run
+//   --check=PATH      re-run the scenarios whose rows the file holds (with
+//                     --seed, --sources and --plan) and fail unless every row
+//                     is reproduced; writes nothing
 //   --print-plan      dump the built-in plan JSON for --scenario and exit
 //   --trace-out=PATH  JSONL flight-recorder trace of the run
 //   --require-repair  exit 1 unless every scenario repaired within its bound
@@ -58,16 +60,6 @@ void AppendScenarioResults(const std::string& prefix, const FaultScenarioResult&
 
 int Main(int argc, char** argv) {
   const std::string check = bench::StringFlag(argc, argv, "check");
-  if (!check.empty()) {
-    std::string error;
-    if (!bench::ValidateBenchJson(check, &error)) {
-      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("%s: valid %s file\n", check.c_str(), bench::kBenchJsonSchema);
-    return 0;
-  }
-
   const std::string scenario_flag = bench::StringFlag(argc, argv, "scenario", "all");
   const uint64_t seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 1));
   const int sources = static_cast<int>(bench::IntFlag(argc, argv, "sources", 1));
@@ -79,7 +71,25 @@ int Main(int argc, char** argv) {
   const unsigned jobs = bench::JobsFlag(argc, argv);
 
   std::vector<FaultScenario> scenarios;
-  if (scenario_flag == "all") {
+  if (!check.empty()) {
+    std::string error;
+    if (!bench::ValidateBenchJson(check, &error)) {
+      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
+      return 1;
+    }
+    for (FaultScenario scenario :
+         {FaultScenario::kCrash, FaultScenario::kDegrade, FaultScenario::kPartition}) {
+      double unused = 0.0;
+      if (bench::ReadBenchValue(check, std::string(FaultScenarioName(scenario)) + "_time_to_repair",
+                                &unused)) {
+        scenarios.push_back(scenario);
+      }
+    }
+    if (scenarios.empty()) {
+      std::fprintf(stderr, "FAIL: %s holds no scenario's rows\n", check.c_str());
+      return 1;
+    }
+  } else if (scenario_flag == "all") {
     scenarios = {FaultScenario::kCrash, FaultScenario::kDegrade, FaultScenario::kPartition};
   } else {
     FaultScenario scenario;
@@ -165,10 +175,20 @@ int Main(int argc, char** argv) {
   std::printf("refresh period — repair rides the refresh/exploratory cadence the protocol\n");
   std::printf("already pays for, with no dedicated recovery machinery.\n");
 
-  if (!bench::WriteBenchJson(out, "fault_recovery", results)) {
-    return 1;
+  if (check.empty()) {
+    if (!bench::WriteBenchJson(out, "fault_recovery", results)) {
+      return 1;
+    }
+    std::printf("wrote %s\n", out.c_str());
+  } else {
+    std::string error;
+    if (!bench::MatchesRecorded(check, results, &error)) {
+      std::fprintf(stderr, "FAIL: %s differs from this run: %s\n", check.c_str(), error.c_str());
+      return 1;
+    }
+    std::printf("%s: valid %s file; every row reproduced\n", check.c_str(),
+                bench::kBenchJsonSchema);
   }
-  std::printf("wrote %s\n", out.c_str());
 
   if (require_repair && !all_repaired_in_bound) {
     std::fprintf(stderr, "FAIL: a scenario did not repair within its bound\n");

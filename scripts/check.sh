@@ -144,9 +144,11 @@ done
 
 # The bench loop above re-emitted BENCH_matching.json and BENCH_fault.json
 # (refreshing the checked-in artifacts); hold them to the diffusion-bench-v1
-# schema so drift fails here and not in CI. The matching file additionally
-# carries the million-filter inequality section: the recorded candidate-set
-# reduction must stay at least 10x over the pre-index any-scan baseline.
+# schema so drift fails here and not in CI. fault_recovery --check also
+# re-runs the scenarios the file records and fails on any changed row. The
+# matching file additionally carries the million-filter inequality section:
+# the recorded candidate-set reduction must stay at least 10x over the
+# pre-index any-scan baseline.
 ./build/bench/matching_hotpath --check=BENCH_matching.json --require-reduction=10
 ./build/bench/fault_recovery --check=BENCH_fault.json
 
@@ -155,7 +157,7 @@ done
 ./build/bench/fault_recovery --scenario=crash --out=build/BENCH_fault_crash.json --require-repair
 
 # Congestion suite (docs/CONGESTION.md). The bench loop refreshed
-# BENCH_congestion.json; hold it to the schema, then enforce the shaping
+# BENCH_congestion.json; re-run it against the file, then enforce the shaping
 # gates: the load sweep's top point must deliver at least 2x unshaped, a
 # flooding node must cost shaped well-behaved traffic at most 20% against a
 # flooder-free baseline (18 min: short flooder runs are warmup-dominated),

@@ -832,6 +832,10 @@ void DiffusionNode::TransmitMessage(const Message& message) {
   if (!alive_) {
     return;
   }
+  if (!FitsWire(message.attrs.items())) {
+    ++stats_.messages_refused;
+    return;
+  }
   // Zero-copy: the message is never encoded here. WireSize() equals the
   // encoded size exactly (pinned by arena_test).
   const size_t wire_bytes = message.WireSize();

@@ -88,6 +88,9 @@ struct NodeStats {
   uint64_t data_delivered_local = 0;
   uint64_t duplicates_suppressed = 0;
   uint64_t decode_failures = 0;
+  // Transmissions refused because the message does not fit the wire
+  // encoding (FitsWire): nothing is sent, nothing counts as sent.
+  uint64_t messages_refused = 0;
   uint64_t reinforcements_sent = 0;
   uint64_t negative_reinforcements_sent = 0;
   // FilterApi::SendMessage calls with a handle that is no longer registered

@@ -416,6 +416,21 @@ size_t RemoveAttributes(AttributeVector* attrs, AttrKey key) {
   return before - attrs->size();
 }
 
+bool FitsWire(const AttributeVector& attrs) {
+  if (attrs.size() > kMaxWireLength) {
+    return false;
+  }
+  for (const Attribute& attr : attrs) {
+    const std::string* text = attr.AsString();
+    const std::vector<uint8_t>* blob = attr.AsBlob();
+    if ((text != nullptr && text->size() > kMaxWireLength) ||
+        (blob != nullptr && blob->size() > kMaxWireLength)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void SerializeAttributes(const AttributeVector& attrs, ByteWriter* writer) {
   writer->WriteU16(static_cast<uint16_t>(attrs.size()));
   for (const Attribute& attr : attrs) {

@@ -133,7 +133,18 @@ const Attribute* FindActual(const AttributeVector& attrs, AttrKey key);
 // Removes every attribute with `key`; returns how many were removed.
 size_t RemoveAttributes(AttributeVector* attrs, AttrKey key);
 
-// Wire encoding of a whole vector: count u16 | attributes...
+// The largest attribute count and string/blob value length the wire
+// encoding's u16 prefixes can carry.
+inline constexpr size_t kMaxWireLength = 0xffff;
+
+// True when `attrs` fits the wire encoding: at most kMaxWireLength
+// attributes, none with a longer string or blob value. The encoder would
+// truncate a larger prefix, so DiffusionNode refuses to transmit a message
+// that does not fit (NodeStats::messages_refused).
+bool FitsWire(const AttributeVector& attrs);
+
+// Wire encoding of a whole vector: count u16 | attributes... Requires
+// FitsWire(attrs).
 void SerializeAttributes(const AttributeVector& attrs, ByteWriter* writer);
 std::optional<AttributeVector> DeserializeAttributes(ByteReader* reader);
 

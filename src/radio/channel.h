@@ -73,8 +73,8 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   // on the air stop targeting it, so a node detached mid-flight neither
   // receives the frame nor counts toward collision/loss statistics — even if
   // a new endpoint re-attaches under the same id before they resolve. The
-  // node's per-endpoint counters are parked and restored by a later Attach
-  // under the same id (see NodeStats / NodeStatsSinceAttach).
+  // node's per-endpoint counters stay in its slot for a later Attach under
+  // the same id (see NodeStats / NodeStatsSinceAttach).
   void Detach(NodeId node);
 
   // True if any in-flight transmission puts energy at `node` (including the
@@ -100,7 +100,7 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   // local frame loses the remote one to overlap, but the remote frame does
   // not retroactively corrupt the local one — the documented border
   // approximation of the sharded core). Receivers resolve in ascending node
-  // id order so the outcome is independent of hash-table layout.
+  // id order, as for a local frame.
   void DeliverRemote(NodeId sender, const Fragment& fragment, SimDuration airtime);
 
   PropagationModel& propagation() { return *propagation_; }
@@ -109,8 +109,9 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
 
   // Per-endpoint accounting: `transmissions` counts `node` as sender, the
   // reception fields count it as receiver. Counters survive a Detach/Attach
-  // cycle (Detach parks them, Attach restores them), so a node that blacks
-  // out and returns keeps lifetime-accurate totals. Zeros for unknown nodes.
+  // cycle (they live in the node's slot, which Detach keeps), so a node that
+  // blacks out and returns keeps lifetime-accurate totals. Zeros for unknown
+  // nodes.
   ChannelStats NodeStats(NodeId node) const;
 
   // The same counters measured from the node's most recent Attach only —
@@ -123,18 +124,11 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
 
  private:
   struct Reception {
-    NodeId receiver;
     uint32_t slot;  // the receiver's index into slots_
     bool corrupted;
     // Set when the receiver detached mid-flight: the reception resolves to
     // nothing (no delivery, no stats).
     bool cancelled = false;
-    // Resolved at Transmit so FinishTransmit needs no map lookups. Both stay
-    // valid while the reception is live: Detach cancels the reception before
-    // invalidating either (and node_stats_ values are node-based, so other
-    // nodes' inserts never move them).
-    ChannelEndpoint* endpoint = nullptr;
-    ChannelStats* stats = nullptr;
   };
   struct ActiveTx {
     NodeId sender;
@@ -146,67 +140,66 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
 
   void FinishTransmit(uint64_t tx_id);
 
+  // The outcome every reception shares, local or remote: a corrupted
+  // reception is a collision; otherwise one draw against the link's delivery
+  // probability at `link_time` decides between a propagation loss and
+  // delivery. Counts and traces the outcome. OnFrameDelivered may Transmit
+  // and reallocate slots_, so callers index slots_ afresh after each call.
+  void ResolveReception(uint32_t slot, NodeId sender, const Fragment& fragment,
+                        SimDuration airtime, SimTime link_time, bool corrupted);
+
   // Transmission ids are (generation << 32) | (slot + 1) into tx_slabs_, a
   // slot-and-generation slab (no hash-node allocation per frame; reception
   // vectors keep their capacity across reuse via recycled_receptions_).
   uint64_t AllocTx();
   ActiveTx* ResolveTx(uint64_t tx_id);
 
-  // One sender's cached receivers: every attached endpoint other than the
-  // sender that the propagation model Reaches, with the per-frame lookups
-  // resolved. Liveness, awake and half-duplex stay per-frame checks. A list
-  // is valid while the channel's attach epoch and the model's reach version
-  // both match the ones it was built at; otherwise the next use rebuilds it,
-  // probing only the model's ReachCandidates when it offers them and every
-  // attached endpoint when it does not. Reception order drives the RNG draws
-  // in FinishTransmit, so both builds give the same order: a local sender's
-  // list is in endpoints_ iteration order (ranked once per attach epoch) and
-  // a remote sender's list is ascending by id (DeliverRemote's documented
-  // order).
-  struct Receiver {
-    NodeId node;
-    ChannelEndpoint* endpoint;
-    uint32_t slot;  // index into slots_
-  };
+  // One sender's cached receivers: the slots of every attached endpoint
+  // other than the sender that the propagation model Reaches, in ascending
+  // node id order. Reception order drives the RNG draws in ResolveReception,
+  // so one order serves local and remote senders alike, whatever order the
+  // model or slots_ produce. Liveness, awake and half-duplex stay per-frame
+  // checks. A list is valid while the channel's attach epoch and the model's
+  // reach version both match the ones it was built at; otherwise the next
+  // use rebuilds it, probing only the model's ReachCandidates when it offers
+  // them and every slot when it does not.
   struct ReceiverList {
     uint64_t epoch = 0;
     uint64_t reach_version = 0;
-    bool ascending = false;
-    std::vector<Receiver> receivers;
+    std::vector<uint32_t> receivers;  // indices into slots_
   };
 
-  // Per-node bookkeeping, as receiver and as sender. Slots are assigned once
-  // per node id, at its first Attach or first frame (local or remote), and
-  // survive detach/reattach; in_air and the list keep their capacity. The
-  // id -> slot map is consulted at Attach, Detach, once per frame for the
-  // sender and once per candidate in a list build, so its cost is
-  // independent of the largest node id and nothing on the per-reception
-  // path looks it up.
+  // Per-node state, as receiver and as sender. Slots are assigned once per
+  // node id, at its first Attach or first frame (local or remote), and
+  // survive detach/reattach, so the counters do too; in_air and the list
+  // keep their capacity. The id -> slot map is consulted at Attach, Detach,
+  // once per frame for the sender and once per candidate in a list build,
+  // so its cost is independent of the largest node id and nothing on the
+  // per-reception path looks it up.
   struct ReceiverSlot {
-    std::vector<std::pair<uint64_t, size_t>> in_air;  // (tx id, reception idx)
-    ChannelStats* stats = nullptr;  // into node_stats_ (node-based, stable)
+    NodeId node = 0;
     ChannelEndpoint* endpoint = nullptr;  // null while detached
-    uint32_t rank = 0;  // endpoints_ iteration position at rank_epoch_
-    ReceiverList list;  // this node's receivers when it sends
+    std::vector<std::pair<uint64_t, size_t>> in_air;  // (tx id, reception idx)
+    ChannelStats stats;        // lifetime counters (NodeStats)
+    ChannelStats attach_base;  // stats at the latest Attach
+    ReceiverList list;         // this node's receivers when it sends
   };
   uint32_t SlotIndex(NodeId node);
 
   // Returns the list of the sender in slot `sender_slot`, rebuilding it first
   // if stale. The reference is into slots_, which a new slot reallocates:
   // a caller that can reenter the channel while iterating must index.
-  const std::vector<Receiver>& ReceiversOf(uint32_t sender_slot, NodeId sender, bool ascending);
-  // Sets every attached slot's rank, once per attach epoch.
-  void RefreshRanks();
+  const std::vector<uint32_t>& ReceiversOf(uint32_t sender_slot);
 
   Simulator* sim_;
   std::unique_ptr<PropagationModel> propagation_;
   TransmitObserver* transmit_observer_ = nullptr;
   uint64_t epoch_ = 1;  // bumped by Attach and Detach
-  uint64_t rank_epoch_ = 0;
   std::vector<NodeId> candidates_;  // list-build scratch
   Rng rng_;
-  std::unordered_map<NodeId, ChannelEndpoint*> endpoints_;
-  std::unordered_map<NodeId, uint32_t> slot_of_;  // node id -> index into slots_
+  // The one id-keyed table: node id -> index into slots_. Looked up, never
+  // iterated, so nothing depends on its layout.
+  std::unordered_map<NodeId, uint32_t> slot_of_;
   std::vector<ReceiverSlot> slots_;
   struct TxSlab {
     ActiveTx tx;
@@ -217,12 +210,6 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   std::vector<uint32_t> free_tx_slots_;
   std::vector<std::vector<Reception>> recycled_receptions_;
   ChannelStats stats_;
-  // Per-endpoint counters for currently attached nodes, plus the parked
-  // snapshots of detached ones and each node's counter value at its latest
-  // Attach (the NodeStatsSinceAttach baseline).
-  std::unordered_map<NodeId, ChannelStats> node_stats_;
-  std::unordered_map<NodeId, ChannelStats> parked_stats_;
-  std::unordered_map<NodeId, ChannelStats> attach_base_;
 };
 
 }  // namespace diffusion

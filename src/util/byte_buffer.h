@@ -27,7 +27,7 @@ class ByteWriter {
   void WriteI64(int64_t value) { WriteU64(static_cast<uint64_t>(value)); }
   void WriteF32(float value);
   void WriteF64(double value);
-  // Length-prefixed (u16) byte string.
+  // Length-prefixed (u16) byte string; callers keep it to 0xffff bytes.
   void WriteBytes(const std::vector<uint8_t>& bytes);
   void WriteString(const std::string& text);
   // Raw bytes, no length prefix.

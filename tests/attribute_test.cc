@@ -126,6 +126,36 @@ TEST(AttributeTest, WireSizeMatchesSerialization) {
   }
 }
 
+// The u16 prefixes carry at most kMaxWireLength: the longest values and the
+// largest count round-trip exactly, one more does not fit.
+TEST(AttributeTest, LongestValuesAndLargestCountRoundTrip) {
+  const AttributeVector longest = {
+      Attribute::String(kKeyTask, AttrOp::kIs, std::string(kMaxWireLength, 's')),
+      Attribute::Blob(kKeyTarget, AttrOp::kIs, std::vector<uint8_t>(kMaxWireLength, 7)),
+  };
+  const AttributeVector largest(kMaxWireLength, Attribute::Int32(kKeySequence, AttrOp::kIs, 3));
+  for (const AttributeVector* attrs : {&longest, &largest}) {
+    EXPECT_TRUE(FitsWire(*attrs));
+    ByteWriter writer;
+    SerializeAttributes(*attrs, &writer);
+    EXPECT_EQ(writer.size(), AttributesWireSize(*attrs));
+    ByteReader reader(writer.data());
+    const std::optional<AttributeVector> round = DeserializeAttributes(&reader);
+    ASSERT_TRUE(round.has_value());
+    EXPECT_TRUE(*round == *attrs);
+    EXPECT_EQ(reader.remaining(), 0u);
+  }
+}
+
+TEST(AttributeTest, ValueOrCountPastTheU16PrefixDoesNotFit) {
+  EXPECT_FALSE(FitsWire(
+      {Attribute::String(kKeyTask, AttrOp::kIs, std::string(kMaxWireLength + 1, 's'))}));
+  EXPECT_FALSE(FitsWire(
+      {Attribute::Blob(kKeyTarget, AttrOp::kIs, std::vector<uint8_t>(kMaxWireLength + 1, 7))}));
+  EXPECT_FALSE(FitsWire(
+      AttributeVector(kMaxWireLength + 1, Attribute::Int32(kKeySequence, AttrOp::kIs, 3))));
+}
+
 TEST(AttributeTest, FindHelpers) {
   const AttributeVector attrs = {
       Attribute::Int32(kKeyClass, AttrOp::kEq, kClassData),

@@ -206,6 +206,46 @@ TEST(NodeApiTest, GarbageRadioPayloadCountsDecodeFailure) {
   EXPECT_EQ(node.stats().decode_failures, 1u);
 }
 
+// A message the wire encoding cannot carry (a value or an attribute count
+// past 65,535) is refused at the sender: nothing goes on the air. The
+// longest value that fits still arrives.
+TEST(NodeApiTest, RefusesMessagesPastTheWireLimits) {
+  const std::vector<uint8_t> longest_blob(kMaxWireLength, 7);
+  const std::vector<AttributeVector> sends = {
+      {Attribute::Blob(kKeyTarget, AttrOp::kIs, std::vector<uint8_t>(kMaxWireLength + 1, 7))},
+      {Attribute::String(kKeyTask, AttrOp::kIs, std::string(kMaxWireLength + 1, 's'))},
+      AttributeVector(kMaxWireLength + 1, Attribute::Int32(kKeySequence, AttrOp::kIs, 3)),
+      {Attribute::Blob(kKeyTarget, AttrOp::kIs, longest_blob)},
+  };
+  for (size_t i = 0; i < sends.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "send " << i);
+    const bool fits = i + 1 == sends.size();
+    Simulator sim(12);
+    auto channel = MakeCliqueChannel(&sim, 2);
+    RadioConfig radio = FastRadio();
+    radio.mac.queue_limit = 4096;  // room for the ~2,430 fragments that fit
+    DiffusionNode sink(&sim, channel.get(), 1, NodeOptions{.radio = radio});
+    DiffusionNode source(&sim, channel.get(), 2, NodeOptions{.radio = radio});
+    std::vector<AttributeVector> received;
+    (void)sink.Subscribe(Query(), [&](const AttributeVector& attrs) { received.push_back(attrs); });
+    const PublicationHandle pub = source.Publish(Publication());
+    sim.RunUntil(2 * kSecond);
+    const NodeStats before = source.stats();
+    (void)source.Send(pub, sends[i]);
+    sim.RunUntil(10 * kSecond);
+    EXPECT_EQ(source.stats().messages_refused, fits ? 0u : 1u);
+    if (fits) {
+      ASSERT_EQ(received.size(), 1u);
+      const Attribute* blob = FindAttribute(received[0], kKeyTarget);
+      ASSERT_NE(blob, nullptr);
+      EXPECT_TRUE(*blob->AsBlob() == longest_blob);
+    } else {
+      EXPECT_TRUE(received.empty());
+      EXPECT_EQ(source.stats().bytes_sent, before.bytes_sent);
+    }
+  }
+}
+
 TEST(NodeApiTest, FilterApiExposesGradientsAndNeighbors) {
   Simulator sim(9);
   auto channel = MakeCliqueChannel(&sim, 2);
