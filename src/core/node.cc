@@ -61,9 +61,7 @@ DiffusionNode::DiffusionNode(Simulator* sim, Channel* channel, NodeId id, NodeOp
       seen_packets_(options.diffusion.data_cache_size),
       rng_(sim->rng().Fork()) {
   radio_.SetReceiveCallback(
-      [this](NodeId from, const std::vector<uint8_t>& bytes) { OnRadioReceive(from, bytes); });
-  radio_.SetBodyCallback(
-      [this](NodeId from, const WireBody& body) { OnRadioReceiveBody(from, body); });
+      [this](NodeId from, const WireBody& body) { OnRadioReceive(from, body); });
   gradients_.SetExpiryObserver([this](const InterestEntry& entry, const Gradient& gradient) {
     (void)entry;
     if (sim_->tracing()) {
@@ -383,32 +381,32 @@ void DiffusionNode::Reboot() {
   }
 }
 
-void DiffusionNode::OnRadioReceive(NodeId from, const std::vector<uint8_t>& bytes) {
+void DiffusionNode::OnRadioReceive(NodeId from, const WireBody& body) {
   if (!alive_) {
     return;
   }
   neighbors_[from] = sim_->now();
+  if (const auto* structured = dynamic_cast<const MessageBody*>(&body)) {
+    // Copying the message is cheap: the attribute storage is shared
+    // copy-on-write, carrying the sender's cached hashes to this hop. Reset
+    // the link-layer context to what Deserialize would have left (the body
+    // still holds the *sender's* next_hop).
+    Message message = structured->message();
+    message.next_hop = kBroadcastId;
+    ReceiveDecoded(from, std::move(message));
+    return;
+  }
+  // Bytes from outside this engine (micro nodes, raw radios, frames from
+  // another region) are decoded and checked like any outside input.
+  std::vector<uint8_t> bytes;
+  bytes.reserve(body.wire_size());
+  body.AppendBytes(&bytes);
   std::optional<Message> message = Message::Deserialize(bytes);
   if (!message.has_value()) {
     ++stats_.decode_failures;
     return;
   }
   ReceiveDecoded(from, std::move(*message));
-}
-
-void DiffusionNode::OnRadioReceiveBody(NodeId from, const WireBody& body) {
-  if (!alive_) {
-    return;
-  }
-  neighbors_[from] = sim_->now();
-  // Only the diffusion engine produces wire bodies, so the concrete type is
-  // known. Copying the message is cheap: the attribute storage is shared
-  // copy-on-write, carrying the sender's cached hashes to this hop.
-  Message message = static_cast<const MessageBody&>(body).message();
-  // Reset link-layer context to what Deserialize would have left (the body
-  // still holds the *sender's* next_hop).
-  message.next_hop = kBroadcastId;
-  ReceiveDecoded(from, std::move(message));
 }
 
 void DiffusionNode::ReceiveDecoded(NodeId from, Message message) {

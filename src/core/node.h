@@ -228,11 +228,11 @@ class DiffusionNode {
     FilterCallback callback;
   };
 
-  void OnRadioReceive(NodeId from, const std::vector<uint8_t>& bytes);
-  // Zero-copy delivery: the completed message arrives as the sender's shared
-  // MessageBody; no bytes are parsed.
-  void OnRadioReceiveBody(NodeId from, const WireBody& body);
-  // Common tail of both receive paths (trace, gradient expiry, dispatch).
+  // A completed radio message: a diffusion engine's MessageBody is used as
+  // is; any other body is decoded from its bytes.
+  void OnRadioReceive(NodeId from, const WireBody& body);
+  // Receive tail once the message is decoded (trace, gradient expiry,
+  // dispatch).
   void ReceiveDecoded(NodeId from, Message message);
 
   // Offers `message` to the highest-priority matching filter with priority

@@ -4,8 +4,11 @@ namespace diffusion {
 
 MicroNode::MicroNode(Simulator* sim, Channel* channel, NodeId id, RadioConfig config)
     : sim_(sim), id_(id), radio_(sim, channel, id, config) {
-  radio_.SetReceiveCallback(
-      [this](NodeId from, const std::vector<uint8_t>& bytes) { OnRadioReceive(from, bytes); });
+  radio_.SetReceiveCallback([this](NodeId from, const WireBody& body) {
+    std::vector<uint8_t> bytes;
+    body.AppendBytes(&bytes);
+    OnRadioReceive(from, bytes);
+  });
   sim_->After(interest_refresh_, [this] { RefreshInterests(); });
 }
 

@@ -3,7 +3,9 @@
 // The testbed radios carried small packets: "all messages are broken into
 // several 27-byte fragments, loss of a single fragment results in loss of
 // the whole message" (§6.1). Modelling this matters because it amplifies
-// per-packet loss into message loss under congestion.
+// per-packet loss into message loss under congestion. The simulator counts
+// those bytes but never copies them: each fragment is a byte range of the
+// message's shared WireBody, and a completed message hands that body on.
 
 #ifndef SRC_RADIO_FRAGMENTATION_H_
 #define SRC_RADIO_FRAGMENTATION_H_
@@ -15,16 +17,14 @@
 
 #include "src/radio/position.h"
 #include "src/radio/wire_body.h"
-#include "src/util/byte_buffer.h"
 #include "src/util/time.h"
 
 namespace diffusion {
 
-// One link-layer fragment of a diffusion message. Carries either a byte
-// slice (`payload`, the form micro nodes send) or a view into a shared
-// zero-copy body (`body` + `body_offset`/`payload_len`, the form full
-// diffusion nodes send). Both forms report identical wire sizes, so
-// MAC admission, airtime and every traced byte count are unchanged.
+// One link-layer fragment of a diffusion message: a view of wire bytes
+// [body_offset, body_offset + payload_len) of the message's shared body.
+// Fragments only account for their bytes (MAC admission, airtime, traces);
+// the receiver materializes them, if at all, from the completed body.
 struct Fragment {
   NodeId src = 0;
   NodeId dst = kBroadcastId;
@@ -32,12 +32,8 @@ struct Fragment {
   uint16_t index = 0;
   uint16_t count = 1;
   // Transmit-side priority class for the MAC's congestion drop policy and
-  // per-class rate limiting. Link metadata only — never serialized.
+  // per-class rate limiting. Link metadata only — never on the wire.
   uint8_t priority = 1;  // MacPriority::kData
-  std::vector<uint8_t> payload;
-
-  // Zero-copy form: this fragment covers body bytes
-  // [body_offset, body_offset + payload_len). `payload` stays empty.
   BodyRef body;
   uint32_t body_offset = 0;
   uint16_t payload_len = 0;
@@ -45,27 +41,20 @@ struct Fragment {
   // Wire bytes of the fragment header (src + dst + seq + index + count + len).
   static constexpr size_t kHeaderBytes = 4 + 4 + 4 + 2 + 2 + 2;
 
-  size_t WireSize() const { return kHeaderBytes + (body ? payload_len : payload.size()); }
-
-  std::vector<uint8_t> Serialize() const;
-  static std::optional<Fragment> Deserialize(const std::vector<uint8_t>& bytes);
+  size_t WireSize() const { return kHeaderBytes + payload_len; }
 };
 
-// Fragment::count is 16 bits, so one message spans at most this many
-// fragments.
+// Fragment::count and Fragment::payload_len are 16 bits, so one message
+// spans at most kMaxFragments fragments of at most kMaxFragmentPayload bytes.
 inline constexpr size_t kMaxFragments = 0xffff;
+inline constexpr size_t kMaxFragmentPayload = 0xffff;
 
-// Splits `payload` into fragments carrying at most `max_payload` bytes each.
-// A zero-length payload yields a single empty fragment. A payload needing
-// more than kMaxFragments fragments yields none: its count would not fit.
-std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq,
-                                   const std::vector<uint8_t>& payload, size_t max_payload);
-
-// Zero-copy SplitMessage: fragments reference `body` instead of copying byte
-// slices. Fragment boundaries (and the kMaxFragments limit) are identical to
-// SplitMessage over the body's encoding.
-std::vector<Fragment> SplitBody(NodeId src, NodeId dst, uint32_t message_seq, BodyRef body,
-                                size_t max_payload);
+// Splits `body` into fragments covering at most `max_payload` bytes each
+// (capped at kMaxFragmentPayload); every fragment shares `body`. A
+// zero-length body yields a single empty fragment. A body needing more than
+// kMaxFragments fragments yields none: its count would not fit.
+std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq, BodyRef body,
+                                   size_t max_payload);
 
 // Collects fragments until a message completes. Incomplete messages are
 // purged after `timeout`; a message with a lost fragment therefore never
@@ -77,16 +66,7 @@ class Reassembler {
   struct Completed {
     NodeId src;
     NodeId dst;
-    // Byte-path completion: the reassembled payload. Empty for zero-copy
-    // completions (see `body`).
-    std::vector<uint8_t> payload;
-    // Zero-copy completion: the shared message body. Null on the byte path.
-    BodyRef body;
-
-    // Bytes of the completed message, whichever form it took.
-    size_t wire_bytes() const { return body ? body->wire_size() : payload.size(); }
-    // The exact reassembled bytes; materializes zero-copy bodies on demand.
-    std::vector<uint8_t> Bytes() const;
+    BodyRef body;  // the message body the fragments shared
   };
 
   // Adds a fragment; returns the completed message if this was the last
@@ -108,8 +88,7 @@ class Reassembler {
     uint16_t count;
     uint16_t received;
     std::vector<bool> have;
-    std::vector<std::vector<uint8_t>> pieces;
-    BodyRef body;  // set for zero-copy streams; pieces stay empty
+    BodyRef body;
   };
   using Key = uint64_t;
   static Key MakeKey(NodeId src, uint32_t seq) { return (static_cast<uint64_t>(src) << 32) | seq; }

@@ -14,29 +14,13 @@ Radio::Radio(Simulator* sim, Channel* channel, NodeId id, RadioConfig config)
 
 Radio::~Radio() { channel_->Detach(id_); }
 
-bool Radio::SendMessage(NodeId dst, const std::vector<uint8_t>& payload, MacPriority priority,
-                        bool originated) {
-  if (!alive_) {
-    return false;
-  }
-  return EnqueueFragments(
-      priority, payload.size(),
-      SplitMessage(id_, dst, next_message_seq_, payload, config_.fragment_payload), originated);
-}
-
 bool Radio::SendBody(NodeId dst, BodyRef body, MacPriority priority, bool originated) {
   if (!alive_) {
     return false;
   }
-  const size_t bytes = body->wire_size();
-  return EnqueueFragments(
-      priority, bytes,
-      SplitBody(id_, dst, next_message_seq_, std::move(body), config_.fragment_payload),
-      originated);
-}
-
-bool Radio::EnqueueFragments(MacPriority priority, size_t message_bytes,
-                             std::vector<Fragment> fragments, bool originated) {
+  const size_t message_bytes = body->wire_size();
+  std::vector<Fragment> fragments =
+      SplitMessage(id_, dst, next_message_seq_, std::move(body), config_.fragment_payload);
   if (fragments.empty()) {
     ++stats_.messages_refused;  // too many fragments to number
     return false;
@@ -145,19 +129,9 @@ void Radio::OnFrameDelivered(const Fragment& fragment, SimDuration airtime) {
     return;
   }
   ++stats_.messages_received;
-  stats_.message_bytes_received += completed->wire_bytes();
-  if (completed->body && body_callback_) {
-    body_callback_(completed->src, *completed->body);
-    return;
-  }
+  stats_.message_bytes_received += completed->body->wire_size();
   if (receive_callback_) {
-    // Body-form completion but no structured receiver (e.g. a micro node on
-    // the shared channel): materialize the exact bytes on demand.
-    if (completed->body) {
-      receive_callback_(completed->src, completed->Bytes());
-    } else {
-      receive_callback_(completed->src, completed->payload);
-    }
+    receive_callback_(completed->src, *completed->body);
   }
 }
 

@@ -45,11 +45,8 @@ struct RadioStats {
 
 class Radio : public ChannelEndpoint {
  public:
-  using ReceiveCallback =
-      std::function<void(NodeId from, const std::vector<uint8_t>& payload)>;
-  // Zero-copy delivery: completed body-form messages are handed over as the
-  // shared WireBody instead of materialized bytes.
-  using BodyCallback = std::function<void(NodeId from, const WireBody& body)>;
+  // Receives each completed message as the body its fragments shared.
+  using ReceiveCallback = std::function<void(NodeId from, const WireBody& body)>;
 
   Radio(Simulator* sim, Channel* channel, NodeId id, RadioConfig config = RadioConfig{});
   ~Radio() override;
@@ -58,28 +55,23 @@ class Radio : public ChannelEndpoint {
   Radio& operator=(const Radio&) = delete;
 
   void SetReceiveCallback(ReceiveCallback callback) { receive_callback_ = std::move(callback); }
-  // Optional: when set, body-form completions bypass byte materialization.
-  // Byte-form completions (from senders using SendMessage) still arrive via
-  // the ReceiveCallback, as do body-form ones if no BodyCallback is set.
-  void SetBodyCallback(BodyCallback callback) { body_callback_ = std::move(callback); }
 
-  // Sends `payload` to a neighbor (or kBroadcastId). The payload is
-  // fragmented (copied into fragments before returning, so callers may reuse
-  // the buffer); delivery is best-effort. `priority` feeds the MAC's
-  // congestion drop policy and per-class rate limiter (irrelevant when
+  // Sends `body` to a neighbor (or kBroadcastId), fragmented into views of
+  // body->wire_size() bytes; delivery is best-effort. `priority` feeds the
+  // MAC's congestion drop policy and per-class rate limiter (irrelevant when
   // shaping is off). `originated` marks messages this node injects into the
   // network (vs forwarded transit), which originated_only token buckets use
   // for ingress policing. Returns false if every fragment was dropped at the
   // queue, or if the message needs more than kMaxFragments fragments (then
   // nothing is sent and RadioStats::messages_refused counts it).
-  bool SendMessage(NodeId dst, const std::vector<uint8_t>& payload,
-                   MacPriority priority = MacPriority::kData, bool originated = true);
-
-  // Zero-copy SendMessage: fragments share `body` instead of copying byte
-  // slices. Identical admission, airtime and accounting — body->wire_size()
-  // stands in for payload.size() everywhere.
   bool SendBody(NodeId dst, BodyRef body, MacPriority priority = MacPriority::kData,
                 bool originated = true);
+
+  // SendBody over a copy of `payload` in a pooled ByteBody.
+  bool SendMessage(NodeId dst, const std::vector<uint8_t>& payload,
+                   MacPriority priority = MacPriority::kData, bool originated = true) {
+    return SendBody(dst, ByteBody::Make(&sim_->slot_pool(), payload), priority, originated);
+  }
 
   // Node failure injection. A dead radio neither sends nor receives.
   void Kill();
@@ -105,12 +97,6 @@ class Radio : public ChannelEndpoint {
   void OnFrameDelivered(const Fragment& fragment, SimDuration airtime) override;
 
  private:
-  // Shared transmit tail: message accounting, admission, and per-fragment
-  // enqueue and accounting. No fragments means the split refused the
-  // message.
-  bool EnqueueFragments(MacPriority priority, size_t message_bytes,
-                        std::vector<Fragment> fragments, bool originated);
-
   Simulator* sim_;
   Channel* channel_;
   NodeId id_;
@@ -118,7 +104,6 @@ class Radio : public ChannelEndpoint {
   CsmaMac mac_;
   Reassembler reassembler_;
   ReceiveCallback receive_callback_;
-  BodyCallback body_callback_;
   uint32_t next_message_seq_ = 1;
   bool alive_ = true;
   RadioStats stats_;

@@ -57,10 +57,17 @@ void RegionBridge::DrainInto(int dst_region, SimTime barrier) {
     if (deliver > finish) {
       ++clamped_by_region_[static_cast<size_t>(dst_region)];
     }
-    // The slot recycles at the next window; the closure owns its own copy.
-    channel->simulator().At(
-        deliver, [channel, sender = frame->sender, fragment = frame->fragment,
-                  airtime = frame->duration] { channel->DeliverRemote(sender, fragment, airtime); });
+    // The slot recycles at the next window; the closure owns its fragment,
+    // whose body comes from the destination region's pool. Every region is
+    // quiescent, so the barrier thread may allocate there.
+    Simulator& sim = channel->simulator();
+    const NodeId sender = frame->sender;
+    const SimDuration airtime = frame->duration;
+    Fragment fragment = frame->fragment;
+    fragment.body = ByteBody::Make(&sim.slot_pool(), frame->bytes);
+    sim.At(deliver, [channel, sender, airtime, fragment = std::move(fragment)] {
+      channel->DeliverRemote(sender, fragment, airtime);
+    });
   }
 }
 

@@ -2,10 +2,11 @@
 //
 // The bridge installs a TransmitObserver on every region's channel; when a
 // node with remote reach (per RegionLinkMatrix) transmits, the frame is
-// flattened into the (src, dst) mailbox for every region it may touch. At
-// each window barrier the sharded engine calls DrainInto, which replays the
-// pending frames into the destination region's simulator as DeliverRemote
-// events at max(barrier, start + duration): a frame whose true finish time
+// flattened into the (src, dst) mailbox for every region it may touch: its
+// header plus its message's bytes. At each window barrier the sharded engine
+// calls DrainInto, which wraps those bytes in a ByteBody from the destination
+// region's pool and replays the frame into that region's simulator as a
+// DeliverRemote event at max(barrier, start + duration): a frame whose true finish time
 // falls inside the elapsed window is delivered at the barrier instead —
 // deterministically late by at most one window. With the default window
 // (min_frame_airtime from RegionLinkMatrix) no delivery is ever clamped;

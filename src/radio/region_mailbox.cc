@@ -9,7 +9,6 @@ namespace diffusion {
 
 RegionMailboxPool::RegionMailboxPool(int regions) : regions_(std::max(1, regions)) {
   boxes_.resize(static_cast<size_t>(regions_) * static_cast<size_t>(regions_));
-  flatten_scratch_.resize(static_cast<size_t>(regions_));
 }
 
 void RegionMailboxPool::Link(int src_region, int dst_region) {
@@ -44,27 +43,12 @@ void RegionMailboxPool::Post(int src_region, int dst_region, NodeId sender,
   slot.src_region = src_region;
   slot.seq = box.next_seq++;
 
-  Fragment& out = slot.fragment;
-  out.src = fragment.src;
-  out.dst = fragment.dst;
-  out.message_seq = fragment.message_seq;
-  out.index = fragment.index;
-  out.count = fragment.count;
-  out.priority = fragment.priority;
-  out.body = BodyRef();
-  out.body_offset = 0;
-  out.payload_len = 0;
-  if (fragment.body) {
-    // Materialize the zero-copy body's slice into the slot; the pooled body
-    // itself never leaves the source region's thread.
-    std::vector<uint8_t>& scratch = flatten_scratch_[static_cast<size_t>(src_region)];
-    scratch.clear();
-    fragment.body->AppendBytes(&scratch);
-    const uint8_t* begin = scratch.data() + fragment.body_offset;
-    out.payload.assign(begin, begin + fragment.payload_len);
-  } else {
-    out.payload.assign(fragment.payload.begin(), fragment.payload.end());
-  }
+  // The pooled body never leaves the source region's thread: the slot takes
+  // the header and a copy of the message's bytes.
+  slot.fragment = fragment;
+  slot.fragment.body = BodyRef();
+  slot.bytes.clear();
+  fragment.body->AppendBytes(&slot.bytes);
   ++box.posted;
 }
 
@@ -75,7 +59,7 @@ void RegionMailboxPool::DrainInto(int dst_region, std::vector<const BorderFrame*
     for (size_t i = 0; i < box.live; ++i) {
       out->push_back(&box.slots[i]);
     }
-    box.live = 0;  // slots (and their payload capacity) recycle next window
+    box.live = 0;  // slots (and their byte capacity) recycle next window
     box.writer = std::thread::id();  // next window may assign a new owner
   }
   // Each mailbox is already time-ordered (posts happen in the source

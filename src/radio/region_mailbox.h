@@ -7,14 +7,15 @@
 // between windows (the sharded engine's barrier provides the happens-before
 // edges; no mailbox operation takes a lock).
 //
-// Frames are flattened at post time: a Fragment riding a pooled zero-copy
-// WireBody (src/radio/wire_body.h) must not cross threads — the body's
-// refcount is deliberately non-atomic and its storage belongs to the source
-// region's SlotPool — so the payload bytes are materialized into the
-// mailbox slot and the body reference stays home.
+// Frames are flattened at post time: a fragment's pooled WireBody
+// (src/radio/wire_body.h) must not cross threads — the body's refcount is
+// deliberately non-atomic and its storage belongs to the source region's
+// SlotPool — so the slot keeps the fragment header with a null body plus the
+// whole message's bytes, and the body reference stays home. The bridge
+// wraps those bytes in a body from the destination region's pool.
 //
 // Slots are pooled: a drained mailbox keeps its BorderFrames (and their
-// payload vectors' capacity) for reuse, so steady-state handoff performs no
+// byte vectors' capacity) for reuse, so steady-state posting performs no
 // allocation. This file is on diffusion-lint's DL005 designated-allocator
 // list alongside src/util/arena, should the pool ever need raw storage.
 
@@ -60,7 +61,8 @@ struct BorderFrame {
   NodeId sender = 0;
   int src_region = 0;
   uint64_t seq = 0;
-  Fragment fragment;  // flattened: byte payload, no body reference
+  Fragment fragment;           // header and byte range; null body
+  std::vector<uint8_t> bytes;  // the whole message's encoding
 };
 
 class RegionMailboxPool {
@@ -84,8 +86,8 @@ class RegionMailboxPool {
     return Box(src_region, dst_region).linked;
   }
 
-  // Appends a frame to the (src, dst) mailbox, flattening `fragment` into a
-  // recycled slot. Called from the source region's worker thread only; the
+  // Appends a frame to the (src, dst) mailbox, flattening `fragment` and its
+  // message's bytes into a recycled slot. Called from the source region's worker thread only; the
   // first Post since the last drain pins the mailbox to the calling thread
   // and a second writer aborts (the dynamic half of the single-writer
   // contract diffusion-lint DL009 checks statically).
@@ -113,7 +115,7 @@ class RegionMailboxPool {
     uint64_t next_seq = 0;
     uint64_t posted = 0;
     // Recycled slots: [0, live) hold pending frames; [live, size) keep their
-    // payload capacity from earlier windows.
+    // byte capacity from earlier windows.
     std::vector<BorderFrame> slots;
     size_t live = 0;
     // The thread that owns this mailbox for the current window: set by the
@@ -134,9 +136,6 @@ class RegionMailboxPool {
 
   int regions_;
   std::vector<Mailbox> boxes_;
-  // Per-source-region scratch for materializing zero-copy bodies (only the
-  // source region's worker touches its entry).
-  std::vector<std::vector<uint8_t>> flatten_scratch_;
   MailboxWriterRole writer_role_;
   MailboxBarrierRole barrier_role_;
 };

@@ -1,16 +1,15 @@
-// Zero-copy wire bodies.
+// Wire bodies: the one form a message takes on the simulated radio.
 //
-// The pre-overhaul wire path serialized every message into bytes at the
-// sender, copied byte slices into fragments, reassembled them at each
-// receiver, and re-parsed the bytes back into a message — per hop. The
-// simulated radio only ever *accounts* for those bytes (fragment counts,
-// airtime, Figure-8 byte totals); nothing reads their content in flight. A
-// WireBody replaces the byte image with a shared, refcounted handle to the
-// already-structured message: fragments carry the handle plus their byte
-// length, every size-derived quantity (fragmentation, admission, airtime,
-// traces) is computed from wire_size(), and the exact bytes can still be
-// materialized on demand (AppendBytes) for receivers that want the byte
-// path — so the wire format, and therefore behavior, is unchanged.
+// The simulated radio only ever *accounts* for a message's bytes (fragment
+// counts, airtime, Figure-8 byte totals); nothing reads their content in
+// flight. So a message travels as a shared, refcounted WireBody: every
+// fragment carries the handle plus the byte range it covers, every
+// size-derived quantity (fragmentation, admission, airtime, traces) is
+// computed from wire_size(), and the exact bytes are materialized on demand
+// (AppendBytes) only for receivers that decode bytes. Two kinds exist:
+// MessageBody (src/core/message_body.h) holds a structured diffusion
+// message; ByteBody below holds plain bytes (micro nodes, raw radios, and
+// frames replayed from another region).
 //
 // The refcount is intrusive and non-atomic: a body never leaves its
 // simulation thread. Recycle() gives the concrete type its storage back
@@ -24,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/util/arena.h"
+
 namespace diffusion {
 
 class BodyRef;
@@ -33,13 +34,11 @@ class WireBody {
   WireBody(const WireBody&) = delete;
   WireBody& operator=(const WireBody&) = delete;
 
-  // Exact byte count of the encoded body (what the pre-overhaul path would
-  // have put on the wire).
+  // Exact byte count of the encoded body: what the message puts on the wire.
   virtual size_t wire_size() const = 0;
 
-  // Materializes the encoded bytes (appended to `out`). Byte-exact with the
-  // pre-overhaul encoding; used only when a receiver lacks the structured
-  // delivery path (e.g. constrained micro nodes sharing the channel).
+  // Materializes the encoded bytes (appended to `out`); used only by
+  // receivers that decode bytes (micro nodes, region borders).
   virtual void AppendBytes(std::vector<uint8_t>* out) const = 0;
 
  protected:
@@ -94,6 +93,36 @@ class BodyRef {
   }
 
   const WireBody* body_ = nullptr;
+};
+
+// A pooled body over plain bytes. Returns to `pool` when the last BodyRef
+// drops, like MessageBody.
+class ByteBody final : public WireBody {
+ public:
+  static BodyRef Make(SlotPool* pool, std::vector<uint8_t> bytes) {
+    Pool<ByteBody> typed(pool);
+    return BodyRef(typed.New(pool, std::move(bytes)));
+  }
+
+  size_t wire_size() const override { return bytes_.size(); }
+
+  void AppendBytes(std::vector<uint8_t>* out) const override {
+    out->insert(out->end(), bytes_.begin(), bytes_.end());
+  }
+
+ private:
+  friend class Pool<ByteBody>;  // placement-constructs and destroys bodies
+
+  ByteBody(SlotPool* pool, std::vector<uint8_t> bytes) : pool_(pool), bytes_(std::move(bytes)) {}
+
+  void Recycle() override {
+    SlotPool* pool = pool_;  // survives destruction below
+    Pool<ByteBody> typed(pool);
+    typed.Delete(this);
+  }
+
+  SlotPool* pool_;
+  std::vector<uint8_t> bytes_;
 };
 
 }  // namespace diffusion

@@ -26,6 +26,7 @@ namespace {
 using testing_support::FastRadio;
 using testing_support::MakeCliqueChannel;
 using testing_support::MakeLineChannel;
+using testing_support::SplitBytes;
 
 AttributeVector Query() {
   return {ClassEq(kClassData), Attribute::String(kKeyType, AttrOp::kEq, "light")};
@@ -38,10 +39,10 @@ AttributeVector Publication() {
 // On-air bytes of a single `payload_bytes`-byte message (what the token
 // buckets charge): fragment wire sizes summed over the split.
 size_t MessageWireBytes(size_t payload_bytes, size_t max_payload) {
-  const std::vector<Fragment> fragments =
-      SplitMessage(1, 2, 1, std::vector<uint8_t>(payload_bytes, 0xab), max_payload);
+  Simulator sim;
+  const std::vector<uint8_t> payload(payload_bytes, 0xab);
   size_t wire = 0;
-  for (const Fragment& fragment : fragments) {
+  for (const Fragment& fragment : SplitBytes(&sim.slot_pool(), 1, 2, 1, payload, max_payload)) {
     wire += fragment.WireSize();
   }
   return wire;

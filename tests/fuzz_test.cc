@@ -15,10 +15,15 @@
 #include "src/naming/keys.h"
 #include "src/naming/matching.h"
 #include "src/radio/fragmentation.h"
+#include "src/util/arena.h"
 #include "src/util/rng.h"
+#include "tests/test_util.h"
 
 namespace diffusion {
 namespace {
+
+using testing_support::BodyBytes;
+using testing_support::SplitBytes;
 
 std::vector<uint8_t> RandomBytes(Rng* rng, size_t max_size) {
   std::vector<uint8_t> bytes(static_cast<size_t>(rng->NextInt(0, static_cast<int64_t>(max_size))));
@@ -41,13 +46,6 @@ TEST_P(FuzzTest, MessageDeserializeNeverCrashes) {
       // Whatever parsed must re-serialize without issue.
       message->Serialize();
     }
-  }
-}
-
-TEST_P(FuzzTest, FragmentDeserializeNeverCrashes) {
-  for (int i = 0; i < 200; ++i) {
-    const std::vector<uint8_t> bytes = RandomBytes(&rng_, 64);
-    (void)Fragment::Deserialize(bytes);
   }
 }
 
@@ -128,6 +126,8 @@ TEST_P(FuzzTest, AddingActualsPreservesOneWayMatch) {
 }
 
 TEST_P(FuzzTest, FragmentationRoundTripRandomSizes) {
+  Arena arena;
+  SlotPool pool(&arena);
   for (int trial = 0; trial < 30; ++trial) {
     const size_t size = static_cast<size_t>(rng_.NextInt(0, 400));
     const size_t max_payload = static_cast<size_t>(rng_.NextInt(1, 64));
@@ -135,8 +135,8 @@ TEST_P(FuzzTest, FragmentationRoundTripRandomSizes) {
     for (uint8_t& byte : payload) {
       byte = static_cast<uint8_t>(rng_.Next());
     }
-    auto fragments = SplitMessage(3, 9, static_cast<uint32_t>(trial), payload, max_payload);
-    // Deliver in random order through wire encode/decode.
+    auto fragments = SplitBytes(&pool, 3, 9, static_cast<uint32_t>(trial), payload, max_payload);
+    // Deliver in random order.
     for (size_t i = fragments.size(); i > 1; --i) {
       std::swap(fragments[i - 1],
                 fragments[static_cast<size_t>(rng_.NextInt(0, static_cast<int64_t>(i) - 1))]);
@@ -144,15 +144,13 @@ TEST_P(FuzzTest, FragmentationRoundTripRandomSizes) {
     Reassembler reassembler(kSecond);
     std::optional<Reassembler::Completed> completed;
     for (const Fragment& fragment : fragments) {
-      const auto decoded = Fragment::Deserialize(fragment.Serialize());
-      ASSERT_TRUE(decoded.has_value());
-      auto result = reassembler.Add(*decoded, 0);
+      auto result = reassembler.Add(fragment, 0);
       if (result.has_value()) {
         completed = std::move(result);
       }
     }
     ASSERT_TRUE(completed.has_value());
-    EXPECT_EQ(completed->payload, payload);
+    EXPECT_EQ(BodyBytes(*completed->body), payload);
   }
 }
 

@@ -206,6 +206,33 @@ TEST(NodeApiTest, GarbageRadioPayloadCountsDecodeFailure) {
   EXPECT_EQ(node.stats().decode_failures, 1u);
 }
 
+// The receive path decodes bytes from anything that is not a diffusion
+// engine's own body (micro nodes, raw radios, frames from another region).
+// A well-formed interest arriving that way is delivered like any other.
+TEST(NodeApiTest, RawRadioInterestBytesReachLocalWatcher) {
+  Simulator sim(9);
+  auto channel = MakeCliqueChannel(&sim, 2);
+  DiffusionNode node(&sim, channel.get(), 1, NodeOptions{.radio = FastRadio()});
+  Radio raw(&sim, channel.get(), 2, FastRadio());
+  int interests_seen = 0;
+  AttributeVector watch = Publication();
+  watch.push_back(ClassIs(kClassData));
+  watch.push_back(ClassEq(kClassInterest));
+  (void)node.Subscribe(watch, [&](const AttributeVector&) { ++interests_seen; });
+
+  Message interest;
+  interest.type = MessageType::kInterest;
+  interest.origin = 2;
+  interest.origin_seq = 1;
+  AttributeVector interest_attrs = Query();
+  interest_attrs.push_back(ClassIs(kClassInterest));
+  interest.attrs = interest_attrs;
+  EXPECT_TRUE(raw.SendMessage(kBroadcastId, interest.Serialize()));
+  sim.RunUntil(kSecond);
+  EXPECT_EQ(interests_seen, 1);
+  EXPECT_EQ(node.stats().decode_failures, 0u);
+}
+
 // A message the wire encoding cannot carry (a value or an attribute count
 // past 65,535) is refused at the sender: nothing goes on the air. The
 // longest value that fits still arrives.

@@ -131,43 +131,7 @@ TEST(RegionSeedTest, RegionZeroKeepsRunSeed) {
   EXPECT_NE(RegionSeed(42, 1), RegionSeed(43, 1));
 }
 
-TEST(RegionMailboxTest, DrainMergesAcrossSourcesInOrder) {
-  RegionMailboxPool pool(3);
-  // The test thread legitimately plays both sides of the barrier: with no
-  // engine running, every call here happens "between windows".
-  pool.writer_role().Assert();
-  pool.barrier_role().Assert();
-  pool.Link(0, 1);
-  pool.Link(2, 1);
-
-  Fragment fragment;
-  fragment.src = 7;
-  fragment.message_seq = 1;
-  fragment.payload = {1, 2, 3};
-  pool.Post(2, 1, 20, fragment, 500, 10);
-  pool.Post(0, 1, 10, fragment, 500, 10);  // same start: src region 0 first
-  pool.Post(0, 1, 11, fragment, 100, 10);
-
-  EXPECT_TRUE(pool.HasPending(1));
-  std::vector<const BorderFrame*> drained;
-  pool.DrainInto(1, &drained);
-  ASSERT_EQ(drained.size(), 3u);
-  EXPECT_EQ(drained[0]->sender, 11u);
-  EXPECT_EQ(drained[1]->sender, 10u);
-  EXPECT_EQ(drained[2]->sender, 20u);
-  EXPECT_EQ(drained[0]->fragment.payload, std::vector<uint8_t>({1, 2, 3}));
-  EXPECT_FALSE(pool.HasPending(1));
-  EXPECT_EQ(pool.posted_to(1), 3u);
-
-  // Slots recycle: a second round reuses them and drains cleanly.
-  pool.Post(0, 1, 12, fragment, 900, 10);
-  pool.DrainInto(1, &drained);
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0]->sender, 12u);
-  EXPECT_EQ(pool.posted_to(1), 4u);
-}
-
-// Stack-owned WireBody for the flattening test.
+// Stack-owned WireBody for the mailbox tests.
 class TestWireBody final : public WireBody {
  public:
   explicit TestWireBody(std::vector<uint8_t> bytes) : bytes_(std::move(bytes)) {}
@@ -183,14 +147,53 @@ class TestWireBody final : public WireBody {
   std::vector<uint8_t> bytes_;
 };
 
+TEST(RegionMailboxTest, DrainMergesAcrossSourcesInOrder) {
+  RegionMailboxPool pool(3);
+  // The test thread legitimately plays both sides of the barrier: with no
+  // engine running, every call here happens "between windows".
+  pool.writer_role().Assert();
+  pool.barrier_role().Assert();
+  pool.Link(0, 1);
+  pool.Link(2, 1);
+
+  TestWireBody body({1, 2, 3});
+  Fragment fragment;
+  fragment.src = 7;
+  fragment.message_seq = 1;
+  fragment.body = BodyRef(&body);
+  fragment.payload_len = 3;
+  pool.Post(2, 1, 20, fragment, 500, 10);
+  pool.Post(0, 1, 10, fragment, 500, 10);  // same start: src region 0 first
+  pool.Post(0, 1, 11, fragment, 100, 10);
+
+  EXPECT_TRUE(pool.HasPending(1));
+  std::vector<const BorderFrame*> drained;
+  pool.DrainInto(1, &drained);
+  ASSERT_EQ(drained.size(), 3u);
+  EXPECT_EQ(drained[0]->sender, 11u);
+  EXPECT_EQ(drained[1]->sender, 10u);
+  EXPECT_EQ(drained[2]->sender, 20u);
+  EXPECT_EQ(drained[0]->bytes, std::vector<uint8_t>({1, 2, 3}));
+  EXPECT_EQ(drained[0]->fragment.payload_len, 3u);
+  EXPECT_FALSE(pool.HasPending(1));
+  EXPECT_EQ(pool.posted_to(1), 3u);
+
+  // Slots recycle: a second round reuses them and drains cleanly.
+  pool.Post(0, 1, 12, fragment, 900, 10);
+  pool.DrainInto(1, &drained);
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0]->sender, 12u);
+  EXPECT_EQ(pool.posted_to(1), 4u);
+}
+
 TEST(RegionMailboxTest, FlattensZeroCopyBodies) {
   RegionMailboxPool pool(2);
   pool.writer_role().Assert();
   pool.barrier_role().Assert();
   pool.Link(0, 1);
 
-  // A fragment riding a zero-copy body must arrive as plain bytes: its slice
-  // of the materialized image, no body reference.
+  // A fragment must cross as plain bytes: its header and byte range plus
+  // its message's materialized image, no body reference.
   TestWireBody body({9, 8, 7, 6, 5, 4});
   Fragment fragment;
   fragment.body = BodyRef(&body);
@@ -202,7 +205,9 @@ TEST(RegionMailboxTest, FlattensZeroCopyBodies) {
   pool.DrainInto(1, &drained);
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_FALSE(drained[0]->fragment.body);
-  EXPECT_EQ(drained[0]->fragment.payload, std::vector<uint8_t>({7, 6, 5}));
+  EXPECT_EQ(drained[0]->bytes, std::vector<uint8_t>({9, 8, 7, 6, 5, 4}));
+  EXPECT_EQ(drained[0]->fragment.body_offset, 2u);
+  EXPECT_EQ(drained[0]->fragment.payload_len, 3u);
 }
 
 // Pins the invariant diffusion-lint DL009 checks statically and the clang
@@ -218,8 +223,10 @@ TEST(RegionMailboxDeathTest, SecondWriterTripsOwnerCheck) {
   pool.writer_role().Assert();
   pool.barrier_role().Assert();
   pool.Link(0, 1);
+  TestWireBody body({1});
   Fragment fragment;
-  fragment.payload = {1};
+  fragment.body = BodyRef(&body);
+  fragment.payload_len = 1;
   pool.Post(0, 1, 1, fragment, 10, 5);  // pins the mailbox to this thread
   EXPECT_DEATH(
       {

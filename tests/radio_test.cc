@@ -34,9 +34,11 @@
 namespace diffusion {
 namespace {
 
+using testing_support::BodyBytes;
 using testing_support::FastRadio;
 using testing_support::MakeCliqueChannel;
 using testing_support::MakeLineChannel;
+using testing_support::SplitBytes;
 
 // ---- Propagation ----
 
@@ -207,71 +209,62 @@ TEST(PropagationTest, ExplicitAndOverlayCandidatesAreTheListedLinks) {
 // ---- Fragmentation ----
 
 TEST(FragmentationTest, SplitSizes) {
+  Simulator sim;
   const std::vector<uint8_t> payload(112, 0x11);
-  const auto fragments = SplitMessage(1, 2, 7, payload, 27);
+  const auto fragments = SplitBytes(&sim.slot_pool(), 1, 2, 7, payload, 27);
   ASSERT_EQ(fragments.size(), 5u);  // 112 = 4*27 + 4
   for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(fragments[i].payload.size(), 27u);
+    EXPECT_EQ(fragments[i].payload_len, 27u);
+    EXPECT_EQ(fragments[i].body_offset, i * 27);
     EXPECT_EQ(fragments[i].index, i);
     EXPECT_EQ(fragments[i].count, 5);
   }
-  EXPECT_EQ(fragments[4].payload.size(), 4u);
+  EXPECT_EQ(fragments[4].payload_len, 4u);
+  EXPECT_EQ(fragments[4].body_offset, 108u);
 }
 
 TEST(FragmentationTest, EmptyPayloadYieldsOneFragment) {
-  const auto fragments = SplitMessage(1, 2, 7, {}, 27);
+  Simulator sim;
+  const auto fragments = SplitBytes(&sim.slot_pool(), 1, 2, 7, {}, 27);
   ASSERT_EQ(fragments.size(), 1u);
-  EXPECT_TRUE(fragments[0].payload.empty());
+  EXPECT_EQ(fragments[0].payload_len, 0u);
+  EXPECT_EQ(fragments[0].WireSize(), Fragment::kHeaderBytes);
 }
 
-TEST(FragmentationTest, FragmentSerializeRoundTrip) {
-  Fragment fragment;
-  fragment.src = 10;
-  fragment.dst = kBroadcastId;
-  fragment.message_seq = 99;
-  fragment.index = 2;
-  fragment.count = 5;
-  fragment.payload = {9, 8, 7};
-  const auto bytes = fragment.Serialize();
-  EXPECT_EQ(bytes.size(), fragment.WireSize());
-  const auto round = Fragment::Deserialize(bytes);
-  ASSERT_TRUE(round.has_value());
-  EXPECT_EQ(round->src, 10u);
-  EXPECT_EQ(round->dst, kBroadcastId);
-  EXPECT_EQ(round->message_seq, 99u);
-  EXPECT_EQ(round->index, 2);
-  EXPECT_EQ(round->count, 5);
-  EXPECT_EQ(round->payload, fragment.payload);
-}
-
-TEST(FragmentationTest, DeserializeRejectsMalformed) {
-  EXPECT_EQ(Fragment::Deserialize({1, 2, 3}), std::nullopt);
-  Fragment fragment;
-  fragment.index = 4;
-  fragment.count = 3;  // index >= count
-  fragment.payload = {};
-  // Construct manually since Serialize would encode the bad values as-is.
-  EXPECT_EQ(Fragment::Deserialize(fragment.Serialize()), std::nullopt);
+// Fragment::payload_len is 16 bits. A chunk over 65,535 bytes used to be
+// narrowed into it, so a 70,000-byte fragment reported 4,464 payload bytes
+// and airtime and MAC token charges were under-counted. The split caps the
+// chunk at kMaxFragmentPayload instead.
+TEST(FragmentationTest, CapsFragmentPayloadAtSixteenBits) {
+  Simulator sim;
+  const std::vector<uint8_t> payload(70000, 0x3c);
+  const auto fragments = SplitBytes(&sim.slot_pool(), 1, 2, 7, payload, 70000);
+  ASSERT_EQ(fragments.size(), 2u);
+  EXPECT_EQ(fragments[0].payload_len, kMaxFragmentPayload);
+  EXPECT_EQ(fragments[1].body_offset, kMaxFragmentPayload);
+  EXPECT_EQ(fragments[0].WireSize() + fragments[1].WireSize(), 70000 + 2 * Fragment::kHeaderBytes);
 }
 
 TEST(FragmentationTest, ReassemblyInOrder) {
+  Simulator sim;
   Reassembler reassembler(kSecond);
   const std::vector<uint8_t> payload(60, 0xcd);
-  const auto fragments = SplitMessage(1, 2, 7, payload, 27);
+  const auto fragments = SplitBytes(&sim.slot_pool(), 1, 2, 7, payload, 27);
   for (size_t i = 0; i + 1 < fragments.size(); ++i) {
     EXPECT_EQ(reassembler.Add(fragments[i], 0), std::nullopt);
   }
   const auto completed = reassembler.Add(fragments.back(), 0);
   ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(completed->payload, payload);
+  EXPECT_EQ(BodyBytes(*completed->body), payload);
   EXPECT_EQ(completed->src, 1u);
   EXPECT_EQ(reassembler.pending(), 0u);
 }
 
 TEST(FragmentationTest, ReassemblyOutOfOrderAndDuplicates) {
+  Simulator sim;
   Reassembler reassembler(kSecond);
   const std::vector<uint8_t> payload(100, 0xee);
-  auto fragments = SplitMessage(1, 2, 7, payload, 27);
+  auto fragments = SplitBytes(&sim.slot_pool(), 1, 2, 7, payload, 27);
   ASSERT_EQ(fragments.size(), 4u);
   EXPECT_EQ(reassembler.Add(fragments[2], 0), std::nullopt);
   EXPECT_EQ(reassembler.Add(fragments[0], 0), std::nullopt);
@@ -279,12 +272,13 @@ TEST(FragmentationTest, ReassemblyOutOfOrderAndDuplicates) {
   EXPECT_EQ(reassembler.Add(fragments[3], 0), std::nullopt);
   const auto completed = reassembler.Add(fragments[1], 0);
   ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(completed->payload, payload);
+  EXPECT_EQ(BodyBytes(*completed->body), payload);
 }
 
 TEST(FragmentationTest, MissingFragmentTimesOut) {
+  Simulator sim;
   Reassembler reassembler(kSecond);
-  const auto fragments = SplitMessage(1, 2, 7, std::vector<uint8_t>(60, 1), 27);
+  const auto fragments = SplitBytes(&sim.slot_pool(), 1, 2, 7, std::vector<uint8_t>(60, 1), 27);
   reassembler.Add(fragments[0], 0);
   reassembler.Add(fragments[1], 0);
   EXPECT_EQ(reassembler.pending(), 1u);
@@ -295,25 +289,27 @@ TEST(FragmentationTest, MissingFragmentTimesOut) {
 }
 
 TEST(FragmentationTest, InterleavedSendersReassembleIndependently) {
+  Simulator sim;
   Reassembler reassembler(kSecond);
   const std::vector<uint8_t> pa(30, 0xaa);
   const std::vector<uint8_t> pb(30, 0xbb);
-  const auto fa = SplitMessage(1, 9, 5, pa, 27);
-  const auto fb = SplitMessage(2, 9, 5, pb, 27);
+  const auto fa = SplitBytes(&sim.slot_pool(), 1, 9, 5, pa, 27);
+  const auto fb = SplitBytes(&sim.slot_pool(), 2, 9, 5, pb, 27);
   ASSERT_EQ(fa.size(), 2u);
   EXPECT_EQ(reassembler.Add(fa[0], 0), std::nullopt);
   EXPECT_EQ(reassembler.Add(fb[0], 0), std::nullopt);
   auto done_b = reassembler.Add(fb[1], 0);
   ASSERT_TRUE(done_b.has_value());
-  EXPECT_EQ(done_b->payload, pb);
+  EXPECT_EQ(BodyBytes(*done_b->body), pb);
   auto done_a = reassembler.Add(fa[1], 0);
   ASSERT_TRUE(done_a.has_value());
-  EXPECT_EQ(done_a->payload, pa);
+  EXPECT_EQ(BodyBytes(*done_a->body), pa);
 }
 
 TEST(FragmentationTest, SplitsTheLargestNumberableMessage) {
+  Simulator sim;
   const std::vector<uint8_t> payload(kMaxFragments * 27, 0x5a);
-  const auto fragments = SplitMessage(1, 2, 7, payload, 27);
+  const auto fragments = SplitBytes(&sim.slot_pool(), 1, 2, 7, payload, 27);
   ASSERT_EQ(fragments.size(), 65535u);
   EXPECT_EQ(fragments.front().count, 65535);
   EXPECT_EQ(fragments.back().index, 65534);
@@ -325,9 +321,10 @@ TEST(FragmentationTest, SplitsTheLargestNumberableMessage) {
     completed = reassembler.Add(fragment, 0);
   }
   ASSERT_TRUE(completed.has_value());
-  EXPECT_EQ(completed->payload, payload);
+  EXPECT_EQ(BodyBytes(*completed->body), payload);
   // One more fragment's worth no longer has a count to carry.
-  EXPECT_TRUE(SplitMessage(1, 2, 8, std::vector<uint8_t>(payload.size() + 1), 27).empty());
+  const std::vector<uint8_t> one_more(payload.size() + 1);
+  EXPECT_TRUE(SplitBytes(&sim.slot_pool(), 1, 2, 8, one_more, 27).empty());
 }
 
 // ---- Radio / channel / MAC end-to-end ----
@@ -339,9 +336,9 @@ TEST(RadioTest, DeliversAcrossOneHop) {
   Radio b(&sim, channel.get(), 2, FastRadio());
   std::vector<uint8_t> received;
   NodeId from = 0;
-  b.SetReceiveCallback([&](NodeId src, const std::vector<uint8_t>& payload) {
+  b.SetReceiveCallback([&](NodeId src, const WireBody& body) {
     from = src;
-    received = payload;
+    received = BodyBytes(body);
   });
   const std::vector<uint8_t> payload(112, 0x42);
   EXPECT_TRUE(a.SendMessage(kBroadcastId, payload));
@@ -372,22 +369,22 @@ class ZeroBody final : public WireBody {
 // Fragment::count is 16 bits. A message of 65,536 fragments used to wrap the
 // count to 0, which sent the receiver's reassembler into unbounded recursion;
 // one of 65,537 wrapped it to 1 and "completed" after its first fragment. The
-// radio refuses both, on the byte path and the zero-copy path alike.
+// radio refuses both, through SendMessage and SendBody alike.
 TEST(RadioTest, RefusesMessageOfMoreThan65535Fragments) {
   for (const size_t fragments : {size_t{65536}, size_t{65537}}) {
-    for (const bool zero_copy : {false, true}) {
+    for (const bool send_body : {false, true}) {
       Simulator sim(8);
       auto channel = MakeLineChannel(&sim, 2);
       Radio a(&sim, channel.get(), 1, FastRadio());
       Radio b(&sim, channel.get(), 2, FastRadio());
       int received = 0;
-      b.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++received; });
+      b.SetReceiveCallback([&](NodeId, const WireBody&) { ++received; });
       const size_t bytes = fragments * 27;
       ZeroBody body(bytes);
-      const bool sent = zero_copy ? a.SendBody(kBroadcastId, BodyRef(&body))
+      const bool sent = send_body ? a.SendBody(kBroadcastId, BodyRef(&body))
                                   : a.SendMessage(kBroadcastId, std::vector<uint8_t>(bytes, 1));
       sim.RunUntil(kSecond);
-      SCOPED_TRACE(testing::Message() << fragments << " fragments, zero_copy=" << zero_copy);
+      SCOPED_TRACE(testing::Message() << fragments << " fragments, send_body=" << send_body);
       EXPECT_FALSE(sent);
       EXPECT_EQ(received, 0);
       EXPECT_EQ(b.stats().fragments_received, 0u);
@@ -406,8 +403,8 @@ TEST(RadioTest, UnicastFilteredButOverheard) {
   Radio c(&sim, channel.get(), 3, FastRadio());
   int b_received = 0;
   int c_received = 0;
-  b.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++b_received; });
-  c.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++c_received; });
+  b.SetReceiveCallback([&](NodeId, const WireBody&) { ++b_received; });
+  c.SetReceiveCallback([&](NodeId, const WireBody&) { ++c_received; });
   a.SendMessage(2, std::vector<uint8_t>(40, 1));
   sim.RunUntil(kSecond);
   EXPECT_EQ(b_received, 1);
@@ -423,7 +420,7 @@ TEST(RadioTest, NoDeliveryOutOfRange) {
   Radio b(&sim, channel.get(), 2, FastRadio());
   Radio c(&sim, channel.get(), 3, FastRadio());
   int c_received = 0;
-  c.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++c_received; });
+  c.SetReceiveCallback([&](NodeId, const WireBody&) { ++c_received; });
   a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));
   sim.RunUntil(kSecond);
   EXPECT_EQ(c_received, 0);
@@ -440,7 +437,7 @@ TEST(RadioTest, HiddenTerminalCollision) {
   Radio b(&sim, channel.get(), 2, config);
   Radio c(&sim, channel.get(), 3, config);
   int b_received = 0;
-  b.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++b_received; });
+  b.SetReceiveCallback([&](NodeId, const WireBody&) { ++b_received; });
   a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));
   c.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 2));
   sim.RunUntil(kSecond);
@@ -456,7 +453,7 @@ TEST(RadioTest, CarrierSenseAvoidsCollisionWhenInRange) {
   Radio b(&sim, channel.get(), 2, FastRadio());
   Radio c(&sim, channel.get(), 3, FastRadio());
   int received = 0;
-  c.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++received; });
+  c.SetReceiveCallback([&](NodeId, const WireBody&) { ++received; });
   for (int i = 0; i < 10; ++i) {
     a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));
     b.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 2));
@@ -473,7 +470,7 @@ TEST(RadioTest, LossyLinkDropsWholeMessages) {
   Radio a(&sim, channel.get(), 1, FastRadio());
   Radio b(&sim, channel.get(), 2, FastRadio());
   int received = 0;
-  b.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++received; });
+  b.SetReceiveCallback([&](NodeId, const WireBody&) { ++received; });
   const int sent = 300;
   for (int i = 0; i < sent; ++i) {
     sim.After(i * 20 * kMillisecond, [&a] { a.SendMessage(kBroadcastId, std::vector<uint8_t>(112, 3)); });
@@ -490,7 +487,7 @@ TEST(RadioTest, DeadRadioNeitherSendsNorReceives) {
   Radio a(&sim, channel.get(), 1, FastRadio());
   Radio b(&sim, channel.get(), 2, FastRadio());
   int received = 0;
-  b.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++received; });
+  b.SetReceiveCallback([&](NodeId, const WireBody&) { ++received; });
   b.Kill();
   a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));
   sim.RunUntil(kSecond);
@@ -540,7 +537,7 @@ constexpr SimDuration kFrameAirtime = 10 * kMillisecond;
 Fragment TestFrame(NodeId src) {
   Fragment frame;
   frame.src = src;
-  frame.payload.assign(20, 0x5a);
+  frame.payload_len = 20;
   return frame;
 }
 
@@ -658,10 +655,10 @@ TEST(ChannelTest, DetachMidFlightScrubsReceptions) {
   // Two transmissions overlap at node 3 for their whole duration.
   Fragment frame_a;
   frame_a.src = 1;
-  frame_a.payload.assign(20, 0xaa);
+  frame_a.payload_len = 20;
   Fragment frame_b;
   frame_b.src = 2;
-  frame_b.payload.assign(20, 0xbb);
+  frame_b.payload_len = 20;
   sim.After(0, [&] { channel->Transmit(1, frame_a, 10 * kMillisecond); });
   sim.After(kMillisecond, [&] { channel->Transmit(2, frame_b, 10 * kMillisecond); });
 
@@ -694,7 +691,7 @@ TEST(ChannelTest, DetachedReceiverStopsMidFlightCleanly) {
 
   Fragment frame;
   frame.src = 1;
-  frame.payload.assign(20, 0x11);
+  frame.payload_len = 20;
   sim.After(0, [&] { channel->Transmit(1, frame, 10 * kMillisecond); });
   sim.After(5 * kMillisecond, [&] { channel->Detach(2); });
   sim.RunUntil(kSecond);
@@ -1376,8 +1373,7 @@ TEST(DutyCycleTest, TransmissionsDeferredIntoAwakeWindows) {
   Radio a(&sim, channel.get(), 1, config);
   Radio b(&sim, channel.get(), 2, config);
   std::vector<SimTime> deliveries;
-  b.SetReceiveCallback(
-      [&](NodeId, const std::vector<uint8_t>&) { deliveries.push_back(sim.now()); });
+  b.SetReceiveCallback([&](NodeId, const WireBody&) { deliveries.push_back(sim.now()); });
   // Send mid-sleep (t = 0.5 s): the frame must wait for the 1.0 s window.
   sim.At(500 * kMillisecond, [&a] { a.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1)); });
   sim.RunUntil(5 * kSecond);
@@ -1396,7 +1392,7 @@ TEST(DutyCycleTest, SleepingReceiverPaysNoReceiveTime) {
   Radio sender(&sim, channel.get(), 1, awake_config);
   Radio sleeper(&sim, channel.get(), 2, sleepy_config);
   int received = 0;
-  sleeper.SetReceiveCallback([&](NodeId, const std::vector<uint8_t>&) { ++received; });
+  sleeper.SetReceiveCallback([&](NodeId, const WireBody&) { ++received; });
   // The always-on sender transmits while the sleeper is off: nothing heard.
   sim.At(500 * kMillisecond, [&sender] {
     sender.SendMessage(kBroadcastId, std::vector<uint8_t>(20, 1));

@@ -7,8 +7,12 @@
 #include <vector>
 
 #include "src/radio/channel.h"
+#include "src/radio/fragmentation.h"
 #include "src/radio/propagation.h"
+#include "src/radio/radio.h"
+#include "src/radio/wire_body.h"
 #include "src/sim/simulator.h"
+#include "src/util/arena.h"
 
 namespace diffusion {
 namespace testing_support {
@@ -49,6 +53,21 @@ inline RadioConfig FastRadio() {
   config.mac.interframe_spacing = 100;  // 100 µs
   config.mac.initial_jitter = 200;
   return config;
+}
+
+// SplitMessage over a copy of `bytes` in a ByteBody from `pool`, which must
+// outlive the fragments.
+inline std::vector<Fragment> SplitBytes(SlotPool* pool, NodeId src, NodeId dst,
+                                        uint32_t message_seq, const std::vector<uint8_t>& bytes,
+                                        size_t max_payload) {
+  return SplitMessage(src, dst, message_seq, ByteBody::Make(pool, bytes), max_payload);
+}
+
+// The encoded bytes of `body`.
+inline std::vector<uint8_t> BodyBytes(const WireBody& body) {
+  std::vector<uint8_t> bytes;
+  body.AppendBytes(&bytes);
+  return bytes;
 }
 
 }  // namespace testing_support
