@@ -177,25 +177,19 @@ int Main(int argc, char** argv) {
           });
 
   std::vector<bench::BenchResult> results;
-  std::printf("%-24s %9s %9s %9s %9s %9s\n", "run", "delivery", "sink2", "drops",
-              "throttled", "evicted");
+  std::printf("%-24s %9s %9s %9s %9s\n", "run", "delivery", "sink2", "drops", "throttled");
   for (size_t i = 0; i < specs.size(); ++i) {
     const CongestionRunResult& r = run_results[i];
     const std::string& label = specs[i].label;
-    std::printf("%-24s %8.1f%% %8.1f%% %9llu %9llu %9llu\n", label.c_str(), r.delivery * 100.0,
+    std::printf("%-24s %8.1f%% %8.1f%% %9llu %9llu\n", label.c_str(), r.delivery * 100.0,
                 r.delivery_second * 100.0, static_cast<unsigned long long>(r.mac_drops_queue_full),
-                static_cast<unsigned long long>(r.mac_drops_rate_limited + r.mac_drops_airtime),
-                static_cast<unsigned long long>(r.mac_priority_evictions));
+                static_cast<unsigned long long>(r.mac_drops_rate_limited));
     results.push_back({label + "_delivery", "%", r.delivery * 100.0});
     results.push_back({label + "_bytes_sent", "bytes", r.bytes_sent});
     results.push_back({label + "_drops_queue_full", "frames",
                        static_cast<double>(r.mac_drops_queue_full)});
     results.push_back({label + "_drops_rate_limited", "frames",
                        static_cast<double>(r.mac_drops_rate_limited)});
-    results.push_back(
-        {label + "_drops_airtime", "frames", static_cast<double>(r.mac_drops_airtime)});
-    results.push_back({label + "_priority_evictions", "frames",
-                       static_cast<double>(r.mac_priority_evictions)});
     if (specs[i].params.second_sink) {
       results.push_back({label + "_delivery_second", "%", r.delivery_second * 100.0});
     }
@@ -206,10 +200,6 @@ int Main(int argc, char** argv) {
     if (specs[i].params.policy.AnyLayerEnabled()) {
       results.push_back({label + "_transmits_jittered", "msgs",
                          static_cast<double>(r.transmits_jittered)});
-      results.push_back({label + "_scope_expansions", "floods",
-                         static_cast<double>(r.interest_scope_expansions)});
-      results.push_back(
-          {label + "_refresh_backoffs", "periods", static_cast<double>(r.refresh_backoffs)});
     }
   }
 

@@ -109,14 +109,6 @@ SubscriptionHandle DiffusionNode::Subscribe(AttributeSet attrs, DataCallback cal
     subscription.interest_attrs.push_back(ClassIs(kClassInterest));
   }
 
-  if (traffic_.backoff.enabled && !subscription.local_only) {
-    // B2: discovery starts with a small ring; AdvanceInterestScope widens it
-    // on refreshes that elapse without data.
-    subscription.ring_ttl = static_cast<uint8_t>(std::min<unsigned>(
-        config_.flood_ttl, std::max<unsigned>(1, traffic_.backoff.initial_ttl)));
-    subscription.refresh_period = config_.interest_refresh;
-  }
-
   const SubscriptionHandle handle = subscription.handle;
   auto [it, inserted] = subscriptions_.emplace(handle, std::move(subscription));
   // Index after emplacing: the entry points into the map node (stable).
@@ -310,11 +302,6 @@ void DiffusionNode::RegisterMetrics(MetricsRegistry* registry) {
   });
   registry->RegisterCounter(id_, "diffusion.transmits_jittered",
                             [this] { return static_cast<double>(stats_.transmits_jittered); });
-  registry->RegisterCounter(id_, "diffusion.interest_scope_expansions", [this] {
-    return static_cast<double>(stats_.interest_scope_expansions);
-  });
-  registry->RegisterCounter(id_, "diffusion.refresh_backoffs",
-                            [this] { return static_cast<double>(stats_.refresh_backoffs); });
   registry->RegisterGauge(id_, "diffusion.gradient_entries",
                           [this] { return static_cast<double>(gradients_.size()); });
   // §6.1 energy model evaluated over the whole run so far.
@@ -867,56 +854,14 @@ void DiffusionNode::TransmitMessage(const Message& message) {
                   PriorityFor(message.type), /*originated=*/message.origin == id_);
 }
 
-void DiffusionNode::FloodInterest(Subscription& subscription) {
+void DiffusionNode::FloodInterest(const Subscription& subscription) {
   Message message;
   message.type = MessageType::kInterest;
   message.origin = id_;
   message.origin_seq = NextSeq();
   message.ttl = config_.flood_ttl;
-  if (traffic_.backoff.enabled && subscription.ring_ttl > 0) {
-    message.ttl = subscription.ring_ttl;
-  }
-  subscription.data_since_flood = false;
   message.attrs = subscription.interest_attrs;
   DispatchToChain(std::move(message), std::numeric_limits<int32_t>::max());
-}
-
-void DiffusionNode::AdvanceInterestScope(Subscription& subscription) {
-  if (!traffic_.backoff.enabled || subscription.local_only) {
-    return;
-  }
-  if (subscription.data_since_flood) {
-    // Data flowed this round: discovery succeeded, so return to the normal
-    // cadence. The ring stays at whatever scope reached the source.
-    subscription.refresh_period = config_.interest_refresh;
-    return;
-  }
-  const unsigned max_ttl = config_.flood_ttl;
-  if (subscription.ring_ttl < max_ttl) {
-    const unsigned step = std::max<unsigned>(1, traffic_.backoff.ttl_step);
-    subscription.ring_ttl =
-        static_cast<uint8_t>(std::min<unsigned>(max_ttl, subscription.ring_ttl + step));
-    ++stats_.interest_scope_expansions;
-    if (sim_->tracing()) {
-      sim_->Trace(TraceEvent{sim_->now(), TraceEventKind::kInterestScopeChanged, id_,
-                             kBroadcastId, subscription.handle.value(),
-                             static_cast<int64_t>(subscription.ring_ttl)});
-    }
-    return;
-  }
-  // Ring fully open and still nothing: the retry itself backs off.
-  const SimDuration stretched = std::min<SimDuration>(
-      traffic_.backoff.max_refresh,
-      static_cast<SimDuration>(static_cast<double>(subscription.refresh_period) *
-                               traffic_.backoff.backoff_factor));
-  if (stretched > subscription.refresh_period) {
-    subscription.refresh_period = stretched;
-    ++stats_.refresh_backoffs;
-    if (sim_->tracing()) {
-      sim_->Trace(TraceEvent{sim_->now(), TraceEventKind::kRefreshBackoff, id_, kBroadcastId,
-                             subscription.handle.value(), static_cast<int64_t>(stretched)});
-    }
-  }
 }
 
 void DiffusionNode::ScheduleRefresh(SubscriptionHandle handle) {
@@ -924,9 +869,7 @@ void DiffusionNode::ScheduleRefresh(SubscriptionHandle handle) {
   if (it == subscriptions_.end()) {
     return;
   }
-  const SimDuration base = (traffic_.backoff.enabled && it->second.refresh_period > 0)
-                               ? it->second.refresh_period
-                               : config_.interest_refresh;
+  const SimDuration base = config_.interest_refresh;
   const SimDuration jitter =
       static_cast<SimDuration>(config_.refresh_jitter_fraction * static_cast<double>(base));
   const SimDuration period = base - jitter / 2 + (jitter > 0 ? rng_.NextInt(0, jitter) : 0);
@@ -937,7 +880,6 @@ void DiffusionNode::ScheduleRefresh(SubscriptionHandle handle) {
     }
     sub_it->second.refresh_event = kInvalidEventId;
     if (alive_) {
-      AdvanceInterestScope(sub_it->second);
       FloodInterest(sub_it->second);
     }
     ScheduleRefresh(handle);
@@ -975,9 +917,6 @@ void DiffusionNode::DeliverLocalData(const Message& message) {
       continue;  // removed by an earlier callback
     }
     if (TwoWayMatch(it->second.attrs, message.attrs)) {
-      // B2 bookkeeping: delivered data proves the current interest scope
-      // reaches a source, so the next refresh keeps the normal cadence.
-      it->second.data_since_flood = true;
       // Copy the callback: it may unsubscribe (and destroy) itself.
       DataCallback callback = it->second.callback;
       callback(message.attrs.items());

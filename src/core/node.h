@@ -97,9 +97,7 @@ struct NodeStats {
   // (usually a filter re-injecting after removing itself).
   uint64_t stale_filter_reinjections = 0;
   // Traffic shaping (zero unless the corresponding TrafficPolicy layer is on).
-  uint64_t transmits_jittered = 0;        // originated sends delayed by TxJitterPolicy
-  uint64_t interest_scope_expansions = 0; // expanding-ring TTL steps taken
-  uint64_t refresh_backoffs = 0;          // refresh periods stretched by backoff
+  uint64_t transmits_jittered = 0;  // originated sends delayed by TxJitterPolicy
 };
 
 class DiffusionNode {
@@ -208,11 +206,6 @@ class DiffusionNode {
     bool local_only = false;  // subscription *for* interests
     EventId refresh_event = kInvalidEventId;
     EventId duration_event = kInvalidEventId;
-    // Expanding-ring / refresh-backoff state (InterestBackoffPolicy; only
-    // consulted when traffic_.backoff.enabled).
-    uint8_t ring_ttl = 0;            // current flood scope
-    SimDuration refresh_period = 0;  // current (possibly backed-off) period
-    bool data_since_flood = false;   // matching data arrived since last flood
   };
 
   struct Publication {
@@ -261,13 +254,8 @@ class DiffusionNode {
   // The TxJitterPolicy window for a message type (0 = transmit immediately).
   SimDuration JitterWindowFor(MessageType type) const;
 
-  void FloodInterest(Subscription& subscription);
+  void FloodInterest(const Subscription& subscription);
   void ScheduleRefresh(SubscriptionHandle handle);
-
-  // InterestBackoffPolicy (B2): advances `subscription`'s expanding-ring /
-  // backoff state at refresh time, based on whether data arrived since the
-  // previous flood. No-op unless the layer is enabled.
-  void AdvanceInterestScope(Subscription& subscription);
 
   // Sends a (positive or negative) reinforcement for `entry` to `neighbor`.
   void SendReinforcement(MessageType type, const InterestEntry& entry, NodeId neighbor);

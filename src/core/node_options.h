@@ -27,8 +27,7 @@ struct NodeOptions {
   TrafficPolicy traffic{};
 
   // The RadioConfig the node actually hands its radio: `radio` with the
-  // MAC-level traffic layers (token buckets, queue policy, airtime budget)
-  // as MacConfig::shaping.
+  // MAC-level traffic layer (the token buckets) as MacConfig::shaping.
   RadioConfig EffectiveRadio() const {
     RadioConfig effective = radio;
     effective.mac.shaping = traffic.mac;

@@ -34,26 +34,16 @@ SimDuration CsmaMac::FrameAirtime(size_t fragment_bytes) const {
 }
 
 const MacTokenBucket* CsmaMac::BucketConfig(MacPriority priority, bool originated) const {
-  const MacTokenBucket* bucket = nullptr;
-  switch (priority) {
-    case MacPriority::kControl:
-      bucket = &config_.shaping.control;
-      break;
-    case MacPriority::kData:
-      bucket = &config_.shaping.data;
-      break;
-    case MacPriority::kRefresh:
-      bucket = &config_.shaping.refresh;
-      break;
+  if (priority == MacPriority::kControl) {
+    return nullptr;  // interests and reinforcements are never throttled
   }
-  if (bucket == nullptr || !bucket->enabled) {
-    return nullptr;
-  }
+  const MacTokenBucket& bucket =
+      priority == MacPriority::kData ? config_.shaping.data : config_.shaping.refresh;
   // Ingress policing: transit traffic is exempt from originated_only buckets.
-  if (bucket->originated_only && !originated) {
+  if (!bucket.enabled || (bucket.originated_only && !originated)) {
     return nullptr;
   }
-  return bucket;
+  return &bucket;
 }
 
 bool CsmaMac::TryWithdrawTokens(MacPriority priority, bool originated, double bytes) {
@@ -81,26 +71,6 @@ bool CsmaMac::TryWithdrawTokens(MacPriority priority, bool originated, double by
   return true;
 }
 
-bool CsmaMac::TryReserveAirtime(SimDuration airtime) {
-  const MacAirtimeBudget& budget = config_.shaping.airtime;
-  if (!budget.enabled || budget.window <= 0) {
-    return true;
-  }
-  const SimTime now = sim_->now();
-  const SimTime window_start = (now / budget.window) * budget.window;
-  if (window_start != airtime_window_start_) {
-    airtime_window_start_ = window_start;
-    airtime_reserved_ = 0;
-  }
-  const SimDuration allowance =
-      static_cast<SimDuration>(budget.budget_fraction * static_cast<double>(budget.window));
-  if (airtime_reserved_ + airtime > allowance) {
-    return false;
-  }
-  airtime_reserved_ += airtime;
-  return true;
-}
-
 void CsmaMac::TraceDrop(const Fragment& fragment, int64_t reason) {
   if (sim_->tracing()) {
     sim_->Trace(TraceEvent{sim_->now(), TraceEventKind::kMacDrop, endpoint_->node_id(),
@@ -116,10 +86,8 @@ MacResult CsmaMac::AdmitMessage(MacPriority priority, const std::vector<Fragment
     return MacResult::kQueued;
   }
   double wire_bytes = 0.0;
-  SimDuration airtime = 0;
   for (const Fragment& fragment : fragments) {
     wire_bytes += static_cast<double>(fragment.WireSize());
-    airtime += FrameAirtime(fragment.WireSize());
   }
   const uint64_t packet =
       (static_cast<uint64_t>(fragments.front().src) << 32) | fragments.front().message_seq;
@@ -134,70 +102,11 @@ MacResult CsmaMac::AdmitMessage(MacPriority priority, const std::vector<Fragment
     }
     return MacResult::kDroppedRateLimited;
   }
-
-  // B5: airtime budgeting, enforced at admission from the message's summed
-  // time-on-air so the budget is deterministic regardless of when the frames
-  // actually clear the queue. A rejection refunds the tokens just withdrawn.
-  if (!TryReserveAirtime(airtime)) {
-    if (BucketConfig(priority, originated) != nullptr) {
-      tokens_[static_cast<size_t>(priority)] += wire_bytes;
-    }
-    ++stats_.drops_airtime;
-    if (sim_->tracing()) {
-      sim_->Trace(TraceEvent{sim_->now(), TraceEventKind::kMacAirtimeDrop, endpoint_->node_id(),
-                             kBroadcastId, packet,
-                             static_cast<int64_t>(static_cast<uint8_t>(priority))});
-    }
-    return MacResult::kDroppedAirtime;
-  }
   return MacResult::kQueued;
 }
 
 MacResult CsmaMac::Enqueue(Fragment fragment) {
-  const MacPriority priority = static_cast<MacPriority>(fragment.priority);
-
-  // B4 watermark: under congestion, delay-tolerant refresh traffic yields
-  // queue space to control and data before the queue is completely full.
-  const MacQueuePolicy& policy = config_.shaping.queue;
-  if (policy.high_watermark < 1.0 && priority == MacPriority::kRefresh &&
-      static_cast<double>(queue_.size()) >=
-          policy.high_watermark * static_cast<double>(config_.queue_limit)) {
-    ++stats_.drops_queue_full;
-    TraceDrop(fragment, /*queue full=*/0);
-    return MacResult::kDroppedQueueFull;
-  }
-
   if (queue_.size() >= config_.queue_limit) {
-    // B4 eviction: make room by dropping the worst queued frame when the
-    // incoming frame outranks it; otherwise tail-drop the incoming frame
-    // (the seed behavior).
-    if (policy.priority_drop) {
-      size_t victim = queue_.size();
-      for (size_t i = queue_.size(); i-- > 0;) {
-        if (queue_[i].priority > fragment.priority &&
-            (victim == queue_.size() || queue_[i].priority > queue_[victim].priority)) {
-          victim = i;
-        }
-      }
-      if (victim != queue_.size()) {
-        ++stats_.drops_queue_full;
-        ++stats_.priority_evictions;
-        if (sim_->tracing()) {
-          const Fragment& evicted = queue_[victim];
-          sim_->Trace(TraceEvent{
-              sim_->now(), TraceEventKind::kMacPriorityEvicted, endpoint_->node_id(),
-              kBroadcastId, (static_cast<uint64_t>(evicted.src) << 32) | evicted.message_seq,
-              static_cast<int64_t>(evicted.priority)});
-        }
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(victim));
-        queue_.push_back(std::move(fragment));
-        if (!transmitting_ && !attempt_pending_) {
-          attempts_ = 0;
-          ScheduleAttempt(rng_.NextInt(0, config_.initial_jitter));
-        }
-        return MacResult::kQueued;
-      }
-    }
     ++stats_.drops_queue_full;
     TraceDrop(fragment, /*queue full=*/0);
     return MacResult::kDroppedQueueFull;

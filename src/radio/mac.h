@@ -24,14 +24,10 @@ namespace diffusion {
 // each reason is counted separately in MacStats.
 enum class [[nodiscard]] MacResult : uint8_t {
   kQueued = 0,
-  // The transmit queue was full (and, under the priority drop policy, the
-  // frame did not outrank anything already queued).
+  // The transmit queue was full; the arriving frame is dropped (tail drop).
   kDroppedQueueFull = 1,
   // The frame's priority-class token bucket was empty (rate limiting).
   kDroppedRateLimited = 2,
-  // Transmitting the frame would exceed the node's airtime budget for the
-  // current window.
-  kDroppedAirtime = 3,
 };
 
 constexpr const char* MacResultName(MacResult result) {
@@ -42,18 +38,16 @@ constexpr const char* MacResultName(MacResult result) {
       return "dropped_queue_full";
     case MacResult::kDroppedRateLimited:
       return "dropped_rate_limited";
-    case MacResult::kDroppedAirtime:
-      return "dropped_airtime";
   }
   return "?";
 }
 
 constexpr bool IsQueued(MacResult result) { return result == MacResult::kQueued; }
 
-// Frame priority class for the congestion drop policy and per-class rate
-// limiting: control (interests, reinforcements) outranks regular data, which
-// outranks path-refresh traffic (exploratory data). Lower value = higher
-// priority.
+// Frame priority class for per-class rate limiting: control (interests,
+// reinforcements), regular data, and path-refresh traffic (exploratory
+// data). Only data and refresh can carry a token bucket; control is never
+// throttled.
 enum class MacPriority : uint8_t {
   kControl = 0,
   kData = 1,
@@ -77,43 +71,15 @@ struct MacTokenBucket {
   bool originated_only = false;
 };
 
-// Congestion-aware queue admission (SNIPPETS B4). Off by default: the seed
-// behavior (tail-drop the incoming frame when full) is unchanged.
-struct MacQueuePolicy {
-  // When the queue is full, evict the lowest-priority frame from the back of
-  // the queue if the incoming frame outranks it, instead of tail-dropping
-  // the incoming frame unconditionally.
-  bool priority_drop = false;
-  // Once the queue is at least this fraction full, refuse new kRefresh-class
-  // frames (delay-tolerant path maintenance yields to control and data).
-  // 1.0 disables the watermark.
-  double high_watermark = 1.0;
-};
-
-// Per-node airtime budgeting (SNIPPETS B5): at most `budget_fraction` of
-// every `window` may be spent transmitting. Enforced at admission time from
-// the frame's time-on-air, so the budget is deterministic.
-struct MacAirtimeBudget {
-  bool enabled = false;
-  double budget_fraction = 0.10;
-  SimDuration window = 10 * kSecond;
-};
-
-// The optional traffic-shaping layers of the MAC, all off by default. With
-// every layer disabled the MAC is byte-identical to the paper's carrier-
-// sense-only design.
+// The optional traffic-shaping layer of the MAC, off by default: token
+// buckets for the data and refresh classes. With both disabled the MAC is
+// byte-identical to the paper's carrier-sense-only design.
 struct MacShaping {
-  MacQueuePolicy queue;
-  MacAirtimeBudget airtime;
-  MacTokenBucket control;  // bucket for MacPriority::kControl
   MacTokenBucket data;     // bucket for MacPriority::kData
   MacTokenBucket refresh;  // bucket for MacPriority::kRefresh
 
-  // True when any layer deviates from "off".
-  bool AnyLayerEnabled() const {
-    return queue.priority_drop || queue.high_watermark < 1.0 || airtime.enabled ||
-           control.enabled || data.enabled || refresh.enabled;
-  }
+  // True when either bucket is on.
+  bool AnyLayerEnabled() const { return data.enabled || refresh.enabled; }
 };
 
 struct MacConfig {
@@ -146,9 +112,8 @@ struct MacConfig {
   double duty_cycle = 1.0;
   SimDuration duty_period = 1 * kSecond;
 
-  // Optional congestion-control layers (rate limiting, priority drops,
-  // airtime budgets). Everything defaults to off; NodeOptions::traffic is
-  // the usual front door that fills this in.
+  // Optional rate limiting (per-class token buckets). Defaults to off;
+  // NodeOptions::traffic is the usual front door that fills this in.
   MacShaping shaping;
 };
 
@@ -164,10 +129,9 @@ struct MacStats {
   uint64_t drops_queue_full = 0;
   uint64_t drops_channel_busy = 0;
   uint64_t drops_rate_limited = 0;  // token bucket empty (MacResult::kDroppedRateLimited)
-  uint64_t drops_airtime = 0;       // airtime budget exceeded (kDroppedAirtime)
-  // Lower-priority frames evicted from the queue to admit higher-priority
-  // ones (the priority drop policy). Also counted in drops_queue_full.
-  uint64_t priority_evictions = 0;
+  // Always 0. perfbench sums it into its MAC drop count; remove both
+  // together.
+  uint64_t drops_airtime = 0;
   SimDuration time_sending = 0;
 };
 
@@ -175,19 +139,18 @@ class CsmaMac {
  public:
   CsmaMac(Simulator* sim, Channel* channel, ChannelEndpoint* endpoint, MacConfig config);
 
-  // Message-level admission for the rate (B3) and airtime (B5) shaping
-  // layers, charged over the message's full set of fragments: dropping a
-  // subset of a message's fragments only wastes airtime on a message that
-  // can never reassemble, so those layers admit or reject whole messages.
-  // Counts + traces drops once per message. kQueued when admitted (always,
-  // when both layers are off). `originated` distinguishes locally-injected
-  // messages from forwarded transit for originated_only buckets.
+  // Message-level admission for the token buckets (B3), charged over the
+  // message's full set of fragments: dropping a subset of a message's
+  // fragments only wastes airtime on a message that can never reassemble,
+  // so the buckets admit or reject whole messages. Counts + traces a drop
+  // once per message. kQueued when admitted (always, when the buckets are
+  // off). `originated` distinguishes locally-injected messages from
+  // forwarded transit for originated_only buckets.
   MacResult AdmitMessage(MacPriority priority, const std::vector<Fragment>& fragments,
                          bool originated = true);
 
-  // Offers a fragment for transmission; queue-level policy (B4 watermark,
-  // priority eviction, tail drop) applies here. Non-kQueued results mean the
-  // frame was dropped (and counted + traced with the reason).
+  // Offers a fragment for transmission. A full queue tail-drops it
+  // (kDroppedQueueFull, counted + traced), whatever its class.
   MacResult Enqueue(Fragment fragment);
 
   bool transmitting() const { return transmitting_; }
@@ -204,14 +167,12 @@ class CsmaMac {
   void Attempt();
   void FinishTransmit();
 
-  // The token bucket governing a message of class `priority` (nullptr when
-  // unshaped, or when the bucket is originated_only and this is transit).
+  // The token bucket governing a message of class `priority` (nullptr for
+  // control, when unshaped, or when the bucket is originated_only and this
+  // is transit).
   const MacTokenBucket* BucketConfig(MacPriority priority, bool originated) const;
   // Deterministic refill from elapsed sim time, then a withdrawal attempt.
   bool TryWithdrawTokens(MacPriority priority, bool originated, double bytes);
-  // True when `airtime` more transmission fits the current budget window
-  // (rolling the window forward first); reserves the airtime when it fits.
-  bool TryReserveAirtime(SimDuration airtime);
   void TraceDrop(const Fragment& fragment, int64_t reason);
 
   Simulator* sim_;
@@ -225,10 +186,6 @@ class CsmaMac {
   double tokens_[kMacPriorityClasses] = {0.0, 0.0, 0.0};
   SimTime tokens_refilled_at_[kMacPriorityClasses] = {0, 0, 0};
   bool tokens_primed_[kMacPriorityClasses] = {false, false, false};
-
-  // Airtime budget state: transmission time reserved in the current window.
-  SimTime airtime_window_start_ = 0;
-  SimDuration airtime_reserved_ = 0;
 
   std::deque<Fragment> queue_;
   bool transmitting_ = false;

@@ -31,8 +31,8 @@ bool Radio::SendBody(NodeId dst, BodyRef body, MacPriority priority, bool origin
   for (Fragment& fragment : fragments) {
     fragment.priority = static_cast<uint8_t>(priority);
   }
-  // Rate/airtime shaping admits whole messages: dropping a strict subset of
-  // a message's fragments would spend airtime on a message that can never
+  // Rate shaping admits whole messages: dropping a strict subset of a
+  // message's fragments would spend airtime on a message that can never
   // reassemble.
   if (!IsQueued(mac_.AdmitMessage(priority, fragments, originated))) {
     stats_.fragments_dropped += fragments.size();
@@ -100,11 +100,6 @@ void Radio::RegisterMetrics(MetricsRegistry* registry) const {
   });
   registry->RegisterCounter(id_, "mac.drops_rate_limited", [this] {
     return static_cast<double>(mac_.stats().drops_rate_limited);
-  });
-  registry->RegisterCounter(id_, "mac.drops_airtime",
-                            [this] { return static_cast<double>(mac_.stats().drops_airtime); });
-  registry->RegisterCounter(id_, "mac.priority_evictions", [this] {
-    return static_cast<double>(mac_.stats().priority_evictions);
   });
 }
 

@@ -57,11 +57,11 @@ class Radio : public ChannelEndpoint {
   void SetReceiveCallback(ReceiveCallback callback) { receive_callback_ = std::move(callback); }
 
   // Sends `body` to a neighbor (or kBroadcastId), fragmented into views of
-  // body->wire_size() bytes; delivery is best-effort. `priority` feeds the
-  // MAC's congestion drop policy and per-class rate limiter (irrelevant when
-  // shaping is off). `originated` marks messages this node injects into the
-  // network (vs forwarded transit), which originated_only token buckets use
-  // for ingress policing. Returns false if every fragment was dropped at the
+  // body->wire_size() bytes; delivery is best-effort. `priority` picks the
+  // MAC's per-class rate limiter (irrelevant when shaping is off).
+  // `originated` marks messages this node injects into the network (vs
+  // forwarded transit), which originated_only token buckets use for ingress
+  // policing. Returns false if every fragment was dropped at the
   // queue, or if the message needs more than kMaxFragments fragments (then
   // nothing is sent and RadioStats::messages_refused counts it).
   bool SendBody(NodeId dst, BodyRef body, MacPriority priority = MacPriority::kData,

@@ -56,20 +56,7 @@ TrafficPolicy ReferenceShapingPolicy() {
   policy.jitter.enabled = true;
   policy.jitter.data_window = 450 * kMillisecond;
   policy.jitter.refresh_window = 300 * kMillisecond;
-  // B2: small first ring (the testbed is ~5 hops; 8 spans it with margin),
-  // refresh backoff once the ring is fully open and data still missing.
-  policy.backoff.enabled = true;
-  policy.backoff.initial_ttl = 8;
-  // B4: shed exploratory refreshes early, evict low-priority frames for
-  // control when the queue fills.
-  policy.mac.queue.priority_drop = true;
-  policy.mac.queue.high_watermark = 0.75;
-  // B5: a loose anti-hog backstop. The bridge relay (node 20) legitimately
-  // carries most of the network's transit bytes, so the budget must sit well
-  // above fair share; the data bucket below is the binding limiter.
-  policy.mac.airtime.enabled = true;
-  policy.mac.airtime.budget_fraction = 0.25;
-  // B3: bound data and refresh bytes per node; control is never throttled.
+  // B3: bound data and refresh bytes per node; control has no bucket.
   // The data bucket polices ingress only: metering transit at every relay
   // compounds into heavy end-to-end loss for multi-hop flows, while
   // origination-only metering throttles a runaway source at its own MAC.
@@ -202,13 +189,9 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
   for (const auto& [id, node] : world.nodes()) {
     result.bytes_sent += static_cast<double>(node->stats().bytes_sent);
     result.transmits_jittered += node->stats().transmits_jittered;
-    result.interest_scope_expansions += node->stats().interest_scope_expansions;
-    result.refresh_backoffs += node->stats().refresh_backoffs;
     const MacStats& mac = node->radio().mac_stats();
     result.mac_drops_queue_full += mac.drops_queue_full;
     result.mac_drops_rate_limited += mac.drops_rate_limited;
-    result.mac_drops_airtime += mac.drops_airtime;
-    result.mac_priority_evictions += mac.priority_evictions;
   }
   return result;
 }

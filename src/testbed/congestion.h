@@ -34,10 +34,11 @@ const char* CongestionScenarioName(CongestionScenario scenario);
 bool CongestionScenarioFromName(const std::string& name, CongestionScenario* scenario);
 
 // The shaping configuration the congestion suite holds up against "off":
-// every TrafficPolicy layer on, tuned for the testbed radio (~13 kb/s,
-// 27-byte fragments, 14 nodes, ~5 hops). Control traffic is never
-// rate-limited — keeping interests and reinforcements flowing under overload
-// is the point of the priority classes.
+// both TrafficPolicy layers on (B1 jitter, B3 data and refresh buckets),
+// tuned for the testbed radio (~13 kb/s, 27-byte fragments, 14 nodes, ~5
+// hops). Control traffic is never rate-limited — keeping interests and
+// reinforcements flowing under overload is the point of the priority
+// classes.
 TrafficPolicy ReferenceShapingPolicy();
 
 struct CongestionRunParams {
@@ -90,11 +91,7 @@ struct CongestionRunResult {
   double bytes_sent = 0.0;  // diffusion-layer bytes, all nodes
   uint64_t mac_drops_queue_full = 0;
   uint64_t mac_drops_rate_limited = 0;
-  uint64_t mac_drops_airtime = 0;
-  uint64_t mac_priority_evictions = 0;
   uint64_t transmits_jittered = 0;
-  uint64_t interest_scope_expansions = 0;
-  uint64_t refresh_backoffs = 0;
 };
 
 // Runs one congested simulation to completion. Deterministic per params.

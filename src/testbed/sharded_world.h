@@ -41,8 +41,12 @@ struct ShardedWorldParams {
   // value (the determinism contract in src/sim/sharded_engine.h).
   unsigned threads = 1;
   // Conservative lookahead window; 0 picks max(min frame airtime, 1 ms) —
-  // exact cross-region timing whenever the radio is slow enough that a
-  // frame outlasts a millisecond, bounded-lateness otherwise.
+  // exact cross-region timing whenever the radio is slow enough that every
+  // frame outlasts a millisecond (the 13 kb/s testbed radio), bounded
+  // lateness otherwise. The 10k-node field world (parallel_scaling,
+  // perfbench's field10k) on the 1.6 Mb/s SimulationRadioConfig() is the
+  // bounded-lateness case: its frames last 130-450 us, so border deliveries
+  // are clamped to the barrier (RegionBridge::deliveries_clamped).
   SimDuration window = 0;
   uint64_t seed = 1;
   double link_delivery = 0.98;

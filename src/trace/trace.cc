@@ -1,6 +1,7 @@
 #include "src/trace/trace.h"
 
 #include <cstring>
+#include <iterator>
 
 namespace diffusion {
 namespace {
@@ -30,22 +31,19 @@ constexpr const char* kKindNames[] = {
     "energy_state",
     "fault_injected",
     "mac_rate_limited",
-    "mac_airtime_drop",
-    "mac_priority_evicted",
-    "interest_scope_changed",
-    "refresh_backoff",
 };
-constexpr size_t kKindCount = sizeof(kKindNames) / sizeof(kKindNames[0]);
+static_assert(std::size(kKindNames) == kTraceEventKindCount,
+              "kKindNames must name every TraceEventKind, in enum order");
 
 }  // namespace
 
 const char* TraceEventKindName(TraceEventKind kind) {
   const size_t index = static_cast<size_t>(kind);
-  return index < kKindCount ? kKindNames[index] : "unknown";
+  return index < kTraceEventKindCount ? kKindNames[index] : "unknown";
 }
 
 bool TraceEventKindFromName(const std::string& name, TraceEventKind* kind) {
-  for (size_t i = 0; i < kKindCount; ++i) {
+  for (size_t i = 0; i < kTraceEventKindCount; ++i) {
     if (name == kKindNames[i]) {
       *kind = static_cast<TraceEventKind>(i);
       return true;

@@ -14,6 +14,7 @@
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -59,12 +60,13 @@ enum class TraceEventKind : uint8_t {
 
   // Traffic shaping (TrafficPolicy / MacShaping). Appended after the
   // original kinds so pre-existing traces keep their numeric values.
-  kMacRateLimited,      // frame dropped, token bucket empty (value = class)
-  kMacAirtimeDrop,      // frame dropped, airtime budget spent (value = class)
-  kMacPriorityEvicted,  // queued frame evicted for a higher class (value = class)
-  kInterestScopeChanged,  // expanding-ring TTL moved (value = new TTL)
-  kRefreshBackoff,        // interest refresh period backed off (value = new period, µs)
+  kMacRateLimited,  // message dropped, token bucket empty (value = class)
 };
+
+// Number of TraceEventKind values. A kind appended to the enum must become
+// the last one named here; trace.cc checks its name table against it.
+inline constexpr size_t kTraceEventKindCount =
+    static_cast<size_t>(TraceEventKind::kMacRateLimited) + 1;
 
 // Stable snake_case name ("interest_sent", ...) used by the JSONL export.
 const char* TraceEventKindName(TraceEventKind kind);

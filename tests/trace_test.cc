@@ -34,26 +34,15 @@ AttributeVector Reading(int32_t value) {
 }
 
 TEST(TraceKindTest, NamesRoundTrip) {
-  const TraceEventKind kinds[] = {
-      TraceEventKind::kInterestSent,        TraceEventKind::kInterestReceived,
-      TraceEventKind::kGradientCreated,     TraceEventKind::kGradientReinforced,
-      TraceEventKind::kGradientNegativelyReinforced,
-      TraceEventKind::kGradientExpired,     TraceEventKind::kExploratoryForward,
-      TraceEventKind::kDataForward,         TraceEventKind::kDataReceived,
-      TraceEventKind::kDataDelivered,       TraceEventKind::kReinforcementSent,
-      TraceEventKind::kReinforcementReceived,
-      TraceEventKind::kDuplicateSuppressed, TraceEventKind::kFilterSuppressed,
-      TraceEventKind::kFragmentTx,          TraceEventKind::kFragmentRx,
-      TraceEventKind::kCollision,           TraceEventKind::kPropagationLoss,
-      TraceEventKind::kMacDrop,             TraceEventKind::kEnergyState,
-  };
-  for (TraceEventKind kind : kinds) {
-    const char* name = TraceEventKindName(kind);
-    ASSERT_NE(name, nullptr);
+  for (size_t i = 0; i < kTraceEventKindCount; ++i) {
+    const TraceEventKind kind = static_cast<TraceEventKind>(i);
+    const std::string name = TraceEventKindName(kind);
+    EXPECT_NE(name, "unknown") << i;
     TraceEventKind parsed;
     ASSERT_TRUE(TraceEventKindFromName(name, &parsed)) << name;
     EXPECT_EQ(parsed, kind) << name;
   }
+  EXPECT_STREQ(TraceEventKindName(static_cast<TraceEventKind>(kTraceEventKindCount)), "unknown");
   TraceEventKind parsed;
   EXPECT_FALSE(TraceEventKindFromName("no_such_event", &parsed));
 }
