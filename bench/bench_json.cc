@@ -99,21 +99,56 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-// The value recorded for metric `name` in BenchJson text.
-bool FindValue(const std::string& text, const std::string& name, double* value) {
-  const size_t at = text.find("\"name\": \"" + EscapeJson(name) + "\"");
-  if (at == std::string::npos) {
-    return false;
-  }
-  const size_t value_pos = FindKey(text, "value", at);
-  return value_pos != std::string::npos && ReadNumber(text, value_pos, value);
-}
-
 bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) {
     *error = message;
   }
   return false;
+}
+
+// Reads every entry of the "results" array of BenchJson text into `rows`,
+// in file order. On a malformed array or entry stores a diagnosis and
+// returns false.
+bool ParseResults(const std::string& text, std::vector<BenchResult>* rows, std::string* error) {
+  const size_t results_pos = FindKey(text, "results", 0);
+  if (results_pos == std::string::npos) {
+    return Fail(error, "missing \"results\" array");
+  }
+  const size_t results_end = text.find(']', results_pos);
+  if (results_end == std::string::npos) {
+    return Fail(error, "unterminated \"results\" array");
+  }
+  for (size_t entry = text.find('{', results_pos);
+       entry != std::string::npos && entry < results_end;
+       entry = text.find('{', text.find('}', entry))) {
+    BenchResult row;
+    const size_t name_pos = FindKey(text, "name", entry);
+    const size_t unit_pos = FindKey(text, "unit", entry);
+    const size_t value_pos = FindKey(text, "value", entry);
+    if (name_pos == std::string::npos || !ReadString(text, name_pos, &row.name) ||
+        row.name.empty()) {
+      return Fail(error, "result #" + std::to_string(rows->size()) + " missing \"name\"");
+    }
+    if (unit_pos == std::string::npos || !ReadString(text, unit_pos, &row.unit) ||
+        row.unit.empty()) {
+      return Fail(error, "result \"" + row.name + "\" missing \"unit\"");
+    }
+    if (value_pos == std::string::npos || !ReadNumber(text, value_pos, &row.value)) {
+      return Fail(error, "result \"" + row.name + "\" missing finite \"value\"");
+    }
+    rows->push_back(std::move(row));
+  }
+  return true;
+}
+
+// The first recorded row named `name`, or null.
+const BenchResult* FindRow(const std::vector<BenchResult>& rows, const std::string& name) {
+  for (const BenchResult& row : rows) {
+    if (row.name == name) {
+      return &row;
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -172,56 +207,55 @@ bool ValidateBenchJson(const std::string& path, std::string* error) {
     return Fail(error, path + ": missing \"bench\" name");
   }
 
-  const size_t results_pos = FindKey(text, "results", 0);
-  if (results_pos == std::string::npos) {
-    return Fail(error, path + ": missing \"results\" array");
+  std::vector<BenchResult> rows;
+  std::string parse_error;
+  if (!ParseResults(text, &rows, &parse_error)) {
+    return Fail(error, path + ": " + parse_error);
   }
-  size_t entry = text.find('{', results_pos);
-  size_t count = 0;
-  const size_t results_end = text.find(']', results_pos);
-  if (results_end == std::string::npos) {
-    return Fail(error, path + ": unterminated \"results\" array");
-  }
-  while (entry != std::string::npos && entry < results_end) {
-    std::string name;
-    std::string unit;
-    double value = 0.0;
-    const size_t name_pos = FindKey(text, "name", entry);
-    const size_t unit_pos = FindKey(text, "unit", entry);
-    const size_t value_pos = FindKey(text, "value", entry);
-    if (name_pos == std::string::npos || !ReadString(text, name_pos, &name) || name.empty()) {
-      return Fail(error, path + ": result #" + std::to_string(count) + " missing \"name\"");
-    }
-    if (unit_pos == std::string::npos || !ReadString(text, unit_pos, &unit) || unit.empty()) {
-      return Fail(error, path + ": result \"" + name + "\" missing \"unit\"");
-    }
-    if (value_pos == std::string::npos || !ReadNumber(text, value_pos, &value)) {
-      return Fail(error, path + ": result \"" + name + "\" missing finite \"value\"");
-    }
-    ++count;
-    entry = text.find('{', text.find('}', entry));
-  }
-  if (count == 0) {
+  if (rows.empty()) {
     return Fail(error, path + ": \"results\" array is empty");
   }
   return true;
 }
 
 bool ReadBenchValue(const std::string& path, const std::string& name, double* value) {
-  return FindValue(ReadFile(path), name, value);
+  std::vector<BenchResult> rows;
+  if (!ParseResults(ReadFile(path), &rows, nullptr)) {
+    return false;
+  }
+  const BenchResult* row = FindRow(rows, name);
+  if (row == nullptr) {
+    return false;
+  }
+  *value = row->value;
+  return true;
 }
 
 bool MatchesRecorded(const std::string& path, const std::vector<BenchResult>& expected,
-                     std::string* error) {
-  const std::string text = ReadFile(path);
+                     RecordedRows scope, std::string* error) {
+  std::vector<BenchResult> recorded;
+  std::string parse_error;
+  if (!ParseResults(ReadFile(path), &recorded, &parse_error)) {
+    return Fail(error, path + ": " + parse_error);
+  }
   std::string mismatches;
+  const auto note = [&mismatches](const std::string& line) {
+    mismatches += (mismatches.empty() ? "" : "; ") + line;
+  };
   for (const BenchResult& row : expected) {
-    double recorded = 0.0;
-    if (!FindValue(text, row.name, &recorded)) {
-      mismatches += (mismatches.empty() ? "" : "; ") + row.name + " missing";
-    } else if (FormatValue(recorded) != FormatValue(row.value)) {
-      mismatches += (mismatches.empty() ? "" : "; ") + row.name + " recorded " +
-                    FormatValue(recorded) + ", now " + FormatValue(row.value);
+    const BenchResult* found = FindRow(recorded, row.name);
+    if (found == nullptr) {
+      note(row.name + " missing");
+    } else if (FormatValue(found->value) != FormatValue(row.value)) {
+      note(row.name + " recorded " + FormatValue(found->value) + ", now " +
+           FormatValue(row.value));
+    }
+  }
+  if (scope == RecordedRows::kAll) {
+    for (const BenchResult& row : recorded) {
+      if (FindRow(expected, row.name) == nullptr) {
+        note(row.name + " recorded but no longer produced");
+      }
     }
   }
   return mismatches.empty() || Fail(error, mismatches);

@@ -50,11 +50,21 @@ bool ValidateBenchJson(const std::string& path, std::string* error);
 // Returns false when the file or the metric is missing.
 bool ReadBenchValue(const std::string& path, const std::string& name, double* value);
 
+// Which of a file's rows a --check run must reproduce.
+enum class RecordedRows {
+  // Every row: one the file holds but the run no longer emits fails.
+  kAll,
+  // Only the rows the run emits: the file also holds timing rows that no
+  // re-run reproduces.
+  kEmitted,
+};
+
 // True when `path` records every row of `expected` with the same value at the
-// file's precision. On a mismatch or a missing row returns false and, when
-// `error` is non-null, lists every offending row.
+// file's precision and, under RecordedRows::kAll, holds no other row. On a
+// mismatch, a missing row or an extra row returns false and, when `error` is
+// non-null, lists every offending row.
 bool MatchesRecorded(const std::string& path, const std::vector<BenchResult>& expected,
-                     std::string* error);
+                     RecordedRows scope, std::string* error);
 
 }  // namespace bench
 }  // namespace diffusion

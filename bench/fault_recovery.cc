@@ -17,8 +17,9 @@
 //                     plan (single-scenario runs only)
 //   --out=PATH        where to write the JSON (default BENCH_fault.json)
 //   --check=PATH      re-run the scenarios whose rows the file holds (with
-//                     --seed, --sources and --plan) and fail unless every row
-//                     is reproduced; writes nothing
+//                     --seed, --sources and --plan) and fail unless the run
+//                     emits exactly the file's rows with its values; writes
+//                     nothing
 //   --print-plan      dump the built-in plan JSON for --scenario and exit
 //   --trace-out=PATH  JSONL flight-recorder trace of the run
 //   --require-repair  exit 1 unless every scenario repaired within its bound
@@ -182,7 +183,7 @@ int Main(int argc, char** argv) {
     std::printf("wrote %s\n", out.c_str());
   } else {
     std::string error;
-    if (!bench::MatchesRecorded(check, results, &error)) {
+    if (!bench::MatchesRecorded(check, results, bench::RecordedRows::kAll, &error)) {
       std::fprintf(stderr, "FAIL: %s differs from this run: %s\n", check.c_str(), error.c_str());
       return 1;
     }

@@ -5,57 +5,69 @@
 // which survive re-broadcast, so a flooded message is processed at most once
 // per node. Bounded FIFO eviction keeps memory constant.
 //
-// The membership set and the FIFO order are kept in lock-step by stamping
-// each insertion with a monotonically increasing tick: eviction only removes
-// a set entry whose tick matches the order record being popped, so a stale
-// order record for an id that was since re-inserted can never evict the live
-// entry (the set/order desync that once inflated duplicate counts).
+// Every node checks every packet against its cache, so the cache allocates
+// nothing per id. The ids sit in a ring that grows to `capacity` and then
+// overwrites its oldest entry. An open-addressed table (power-of-two size,
+// linear probing, backward-shift delete) maps an id to its ring position.
+// The table grows with the ring, so a node that hears little stays small.
+// Each id sits in the ring exactly once: the ring is the FIFO order and the
+// table is the membership set, and one insert or eviction updates both.
 
 #ifndef SRC_CORE_DATA_CACHE_H_
 #define SRC_CORE_DATA_CACHE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
-#include <utility>
+#include <vector>
 
 namespace diffusion {
 
 class DataCache {
  public:
-  explicit DataCache(size_t capacity) : capacity_(capacity) {}
+  // `capacity` must stay below 2^32 - 1 (ring positions are 32 bits).
+  explicit DataCache(size_t capacity);
 
   // Records `id`; returns true if it was already present (a duplicate).
   bool CheckAndInsert(uint64_t id);
 
-  // Forgets every cached id (a rebooted node's cold cache). Counters and the
-  // insertion-tick clock keep running so stale pre-reboot order records can
-  // never evict post-reboot entries.
-  void Clear() {
-    set_.clear();
-    order_.clear();
-  }
+  // Forgets every cached id (a rebooted node's cold cache). The hit counter
+  // keeps running; the table keeps its size.
+  void Clear();
 
-  bool Contains(uint64_t id) const { return set_.contains(id); }
-  size_t size() const { return set_.size(); }
+  bool Contains(uint64_t id) const { return FindSlot(id) != kNotFound; }
+  size_t size() const { return ring_.size(); }
   size_t capacity() const { return capacity_; }
   uint64_t hits() const { return hits_; }
 
-  // FIFO bookkeeping entries, including any stale ones awaiting eviction.
-  // Invariant-checked by tests: equals size() under public-API use.
-  size_t order_size() const { return order_.size(); }
+  // FIFO order entries. Each id is in the ring exactly once, so this equals
+  // size(); ConsistencyCheck verifies the table agrees.
+  size_t order_size() const { return ring_.size(); }
 
-  // True when the membership set and FIFO order agree: same size, and every
-  // order record's id is live with a matching insertion tick.
+  // True when the table and the ring agree: the table holds one entry per
+  // ring position, and looking up each ring id finds its own position.
   bool ConsistencyCheck() const;
 
  private:
+  static constexpr size_t kNotFound = ~size_t{0};
+
+  // The table slot holding `id`, or kNotFound.
+  size_t FindSlot(uint64_t id) const;
+  // The first slot `id` probes.
+  size_t HomeSlot(uint64_t id) const;
+  // Points a free slot on `id`'s probe chain at ring position `position`.
+  void TableInsert(uint64_t id, uint32_t position);
+  // Empties `slot` and shifts the rest of its probe run back over it.
+  void TableErase(size_t slot);
+  // Doubles the table (at least 8 slots) and re-enters every ring id.
+  void GrowTable();
+
   size_t capacity_;
   uint64_t hits_ = 0;
-  uint64_t next_tick_ = 0;
-  std::unordered_map<uint64_t, uint64_t> set_;            // id -> insertion tick
-  std::deque<std::pair<uint64_t, uint64_t>> order_;       // (id, insertion tick)
+  std::vector<uint64_t> ring_;  // ids; the oldest at head_ once full
+  size_t head_ = 0;
+  // Ring position + 1 per slot; 0 marks a free slot. Kept at most half full.
+  std::vector<uint32_t> table_;
+  unsigned table_shift_ = 64;  // 64 - log2(table_.size())
 };
 
 }  // namespace diffusion

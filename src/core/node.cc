@@ -47,7 +47,7 @@ uint32_t FilterApi::NewOriginSeq() { return node_->NextSeq(); }
 
 GradientTable& FilterApi::gradients() { return node_->gradients_; }
 
-std::vector<NodeId> FilterApi::Neighbors() const { return node_->Neighbors(); }
+const std::vector<NodeId>& FilterApi::Neighbors() const { return node_->Neighbors(); }
 
 // ---- DiffusionNode ----
 
@@ -265,16 +265,6 @@ ApiResult DiffusionNode::RemoveFilter(FilterHandle handle) {
   return ApiResult::kOk;
 }
 
-std::vector<NodeId> DiffusionNode::Neighbors() const {
-  std::vector<NodeId> neighbors;
-  neighbors.reserve(neighbors_.size());
-  for (const auto& [node, last_heard] : neighbors_) {
-    neighbors.push_back(node);
-  }
-  std::sort(neighbors.begin(), neighbors.end());
-  return neighbors;
-}
-
 void DiffusionNode::RegisterMetrics(MetricsRegistry* registry) {
   registry->RegisterCounter(id_, "diffusion.messages_sent",
                             [this] { return static_cast<double>(stats_.messages_sent); });
@@ -372,7 +362,10 @@ void DiffusionNode::OnRadioReceive(NodeId from, const WireBody& body) {
   if (!alive_) {
     return;
   }
-  neighbors_[from] = sim_->now();
+  if (auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), from);
+      it == neighbors_.end() || *it != from) {
+    neighbors_.insert(it, from);
+  }
   if (const auto* structured = dynamic_cast<const MessageBody*>(&body)) {
     // Copying the message is cheap: the attribute storage is shared
     // copy-on-write, carrying the sender's cached hashes to this hop. Reset

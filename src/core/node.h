@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -73,7 +72,7 @@ class FilterApi {
   uint32_t NewOriginSeq();
 
   GradientTable& gradients();
-  std::vector<NodeId> Neighbors() const;
+  const std::vector<NodeId>& Neighbors() const;
 
  private:
   DiffusionNode* node_;
@@ -162,7 +161,8 @@ class DiffusionNode {
   const NodeStats& stats() const { return stats_; }
   const DiffusionConfig& config() const { return config_; }
   const TrafficPolicy& traffic() const { return traffic_; }
-  std::vector<NodeId> Neighbors() const;
+  // Every node heard from since boot, ascending.
+  const std::vector<NodeId>& Neighbors() const { return neighbors_; }
 
   // Registers this node's named counters/gauges — diffusion core
   // ("diffusion.*"), radio and MAC ("radio.*", "mac.*"), gradient table, and
@@ -291,7 +291,7 @@ class DiffusionNode {
   MatchIndex filter_index_{kKeyClass};
   MatchIndex subscription_index_{kKeyClass};
 
-  std::unordered_map<NodeId, SimTime> neighbors_;
+  std::vector<NodeId> neighbors_;  // sorted
   std::unordered_set<EventId> pending_transmits_;
   Rng rng_;
 

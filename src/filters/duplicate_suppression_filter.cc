@@ -7,7 +7,7 @@ namespace diffusion {
 DuplicateSuppressionFilter::DuplicateSuppressionFilter(DiffusionNode* node,
                                                        AttributeVector match_attrs,
                                                        int16_t priority, size_t window)
-    : node_(node), window_(window) {
+    : node_(node), seen_(window) {
   handle_ = node_->AddFilter(std::move(match_attrs), priority,
                              [this](Message& message, FilterApi& api) { Run(message, api); });
 }
@@ -25,7 +25,7 @@ void DuplicateSuppressionFilter::Run(Message& message, FilterApi& api) {
     api.SendMessage(std::move(message), handle_);
     return;
   }
-  if (seen_.contains(*value)) {
+  if (seen_.CheckAndInsert(static_cast<uint64_t>(*value))) {
     // A concurrent detection of the same event already went through this
     // node; suppress by simply not propagating (§5.1).
     ++suppressed_;
@@ -35,12 +35,6 @@ void DuplicateSuppressionFilter::Run(Message& message, FilterApi& api) {
                            message.last_hop, message.PacketId(), *value});
     }
     return;
-  }
-  seen_.insert(*value);
-  order_.push_back(*value);
-  while (order_.size() > window_) {
-    seen_.erase(order_.front());
-    order_.pop_front();
   }
   ++passed_;
   api.SendMessage(std::move(message), handle_);

@@ -12,10 +12,9 @@
 #define SRC_FILTERS_DUPLICATE_SUPPRESSION_FILTER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <unordered_set>
 
+#include "src/core/data_cache.h"
 #include "src/core/node.h"
 
 namespace diffusion {
@@ -24,7 +23,8 @@ class DuplicateSuppressionFilter {
  public:
   // Attaches to `node`, triggering on messages matching `match_attrs`
   // (typically "class EQ data, type IS <task>"). Events are identified by
-  // their kKeySequence actual; messages without one pass untouched.
+  // their kKeySequence actual; messages without one pass untouched. The
+  // last `window` distinct sequences are remembered, oldest evicted first.
   DuplicateSuppressionFilter(DiffusionNode* node, AttributeVector match_attrs, int16_t priority,
                              size_t window = 256);
   ~DuplicateSuppressionFilter();
@@ -44,9 +44,7 @@ class DuplicateSuppressionFilter {
 
   DiffusionNode* node_;
   FilterHandle handle_ = kInvalidHandle;
-  size_t window_;
-  std::unordered_set<int64_t> seen_;
-  std::deque<int64_t> order_;
+  DataCache seen_;
   uint64_t passed_ = 0;
   uint64_t suppressed_ = 0;
 };

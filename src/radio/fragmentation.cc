@@ -1,6 +1,7 @@
 #include "src/radio/fragmentation.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace diffusion {
 namespace {
@@ -41,24 +42,39 @@ std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq,
 }
 
 std::optional<Reassembler::Completed> Reassembler::Add(const Fragment& fragment, SimTime now) {
-  Purge(now);
-  const Key key = MakeKey(fragment.src, fragment.message_seq);
-  Partial& partial = pending_[key];
-  if (partial.have.empty()) {
-    partial.first_seen = now;
-    partial.dst = fragment.dst;
-    partial.count = fragment.count;
-    partial.received = 0;
-    partial.have.assign(fragment.count, false);
-    // Every fragment of a message shares its body; track arrival only.
-    partial.body = fragment.body;
+  if (fragment.index >= fragment.count) {
+    return std::nullopt;
   }
-  if (fragment.count != partial.count || fragment.index >= partial.count) {
+  Purge(now);
+  const uint64_t key = MakeKey(fragment.src, fragment.message_seq);
+  size_t i = 0;
+  while (i < live_ && partials_[i].key != key) {
+    ++i;
+  }
+  if (i < live_ && partials_[i].count != fragment.count) {
     // Inconsistent fragment stream (e.g. sender restarted its counter);
     // restart collection from this fragment.
-    pending_.erase(key);
-    return Add(fragment, now);
+    Drop(i);
+    i = live_;
   }
+  if (fragment.count == 1) {
+    return Completed{fragment.src, fragment.dst, fragment.body};
+  }
+  if (i == live_) {
+    if (live_ == partials_.size()) {
+      partials_.emplace_back();
+    }
+    Partial& fresh = partials_[live_++];
+    fresh.key = key;
+    fresh.first_seen = now;
+    fresh.dst = fragment.dst;
+    fresh.count = fragment.count;
+    fresh.received = 0;
+    fresh.have.assign(fragment.count, false);
+    // Every fragment of a message shares its body; track arrival only.
+    fresh.body = fragment.body;
+  }
+  Partial& partial = partials_[i];
   if (!partial.have[fragment.index]) {
     partial.have[fragment.index] = true;
     ++partial.received;
@@ -66,22 +82,33 @@ std::optional<Reassembler::Completed> Reassembler::Add(const Fragment& fragment,
   if (partial.received < partial.count) {
     return std::nullopt;
   }
-  Completed completed;
-  completed.src = fragment.src;
-  completed.dst = partial.dst;
-  completed.body = std::move(partial.body);
-  pending_.erase(key);
+  Completed completed{fragment.src, partial.dst, std::move(partial.body)};
+  Drop(i);
   return completed;
 }
 
 void Reassembler::Purge(SimTime now) {
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (now - it->second.first_seen > timeout_) {
-      it = pending_.erase(it);
+  for (size_t i = 0; i < live_;) {
+    if (now - partials_[i].first_seen > timeout_) {
+      Drop(i);
     } else {
-      ++it;
+      ++i;
     }
   }
+}
+
+void Reassembler::Clear() {
+  while (live_ > 0) {
+    Drop(live_ - 1);
+  }
+}
+
+void Reassembler::Drop(size_t i) {
+  --live_;
+  if (i != live_) {
+    std::swap(partials_[i], partials_[live_]);
+  }
+  partials_[live_].body.reset();
 }
 
 }  // namespace diffusion

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/radio/position.h"
@@ -59,6 +58,11 @@ std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq,
 // Collects fragments until a message completes. Incomplete messages are
 // purged after `timeout`; a message with a lost fragment therefore never
 // surfaces, matching the no-ARQ radio.
+//
+// A receiver holds few partial messages at once, so they live in a flat
+// vector searched linearly. A finished or purged partial keeps its storage
+// for the next one, and a one-fragment message never becomes a partial:
+// reassembly allocates nothing once the vector has grown.
 class Reassembler {
  public:
   explicit Reassembler(SimDuration timeout) : timeout_(timeout) {}
@@ -70,31 +74,39 @@ class Reassembler {
   };
 
   // Adds a fragment; returns the completed message if this was the last
-  // missing piece. `now` drives timeout-based purging.
+  // missing piece. `now` drives timeout-based purging. A fragment whose
+  // index is not below its count (a count of zero included) is refused:
+  // nothing is kept and any partial it names is left as it was.
   std::optional<Completed> Add(const Fragment& fragment, SimTime now);
 
   // Drops partial messages older than the timeout.
   void Purge(SimTime now);
 
   // Drops every partial message (a dead radio keeps no reassembly state).
-  void Clear() { pending_.clear(); }
+  void Clear();
 
-  size_t pending() const { return pending_.size(); }
+  size_t pending() const { return live_; }
 
  private:
   struct Partial {
-    SimTime first_seen;
-    NodeId dst;
-    uint16_t count;
-    uint16_t received;
+    uint64_t key = 0;  // MakeKey(src, message_seq)
+    SimTime first_seen = 0;
+    NodeId dst = 0;
+    uint16_t count = 0;
+    uint16_t received = 0;
     std::vector<bool> have;
     BodyRef body;
   };
-  using Key = uint64_t;
-  static Key MakeKey(NodeId src, uint32_t seq) { return (static_cast<uint64_t>(src) << 32) | seq; }
+  static uint64_t MakeKey(NodeId src, uint32_t seq) {
+    return (static_cast<uint64_t>(src) << 32) | seq;
+  }
+  // Swaps partial `i` past the live ones and releases its body.
+  void Drop(size_t i);
 
   SimDuration timeout_;
-  std::unordered_map<Key, Partial> pending_;
+  // partials_[0, live_) are pending, in no order; the rest are spare.
+  std::vector<Partial> partials_;
+  size_t live_ = 0;
 };
 
 }  // namespace diffusion

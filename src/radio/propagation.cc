@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 namespace diffusion {
 
@@ -23,7 +25,35 @@ DiskPropagation::DiskPropagation(double range, double default_delivery_probabili
     : range_(range), default_delivery_probability_(default_delivery_probability) {}
 
 void DiskPropagation::SetPosition(NodeId node, Position position) {
-  positions_[node] = position;
+  if (positions_.empty()) {
+    first_id_ = low_ = high_ = node;
+  }
+  const NodeId low = std::min(node, low_);
+  const NodeId high = std::max(node, high_);
+  if (high - low >= kMaxPositionSpan) {
+    std::fprintf(stderr,
+                 "DiskPropagation: node id %u would widen the positioned ids past %u "
+                 "(ids %u..%u)\n",
+                 node, kMaxPositionSpan, low, high);
+    std::abort();
+  }
+  low_ = low;
+  high_ = high;
+  if (node < first_id_) {
+    // Grow downward by at least the current size, so ids set in descending
+    // order (a hash map's iteration order) cost amortized O(1) each. The
+    // table never reaches below the lowest id the span bound still allows.
+    const NodeId floor_id = high_ >= kMaxPositionSpan ? high_ - (kMaxPositionSpan - 1) : 0;
+    const auto room = static_cast<NodeId>(std::min<size_t>(positions_.size(), node - floor_id));
+    const NodeId new_first = node - room;
+    positions_.insert(positions_.begin(), first_id_ - new_first, Placement{});
+    first_id_ = new_first;
+  }
+  const size_t index = node - first_id_;
+  if (index >= positions_.size()) {
+    positions_.resize(index + 1);
+  }
+  positions_[index] = Placement{position, true};
   BumpReachVersion();
 }
 
@@ -40,8 +70,10 @@ void DiskPropagation::BlockLink(NodeId from, NodeId to) {
 }
 
 const Position* DiskPropagation::GetPosition(NodeId node) const {
-  auto it = positions_.find(node);
-  return it != positions_.end() ? &it->second : nullptr;
+  // An id below first_id_ wraps to an index past the end.
+  const size_t index = node - first_id_;
+  return index < positions_.size() && positions_[index].placed ? &positions_[index].position
+                                                               : nullptr;
 }
 
 std::vector<NodeId> DiskPropagation::LinkOverrideTargets(NodeId from) const {
@@ -56,19 +88,19 @@ std::vector<NodeId> DiskPropagation::LinkOverrideTargets(NodeId from) const {
 }
 
 bool DiskPropagation::Reaches(NodeId from, NodeId to) const {
-  if (from == to || blocked_.contains(MakeKey(from, to))) {
+  if (from == to || (!blocked_.empty() && blocked_.contains(MakeKey(from, to)))) {
     return false;
   }
-  if (link_quality_.contains(MakeKey(from, to))) {
+  if (!link_quality_.empty() && link_quality_.contains(MakeKey(from, to))) {
     return true;
   }
-  auto from_it = positions_.find(from);
-  auto to_it = positions_.find(to);
-  if (from_it == positions_.end() || to_it == positions_.end()) {
+  const Position* from_position = GetPosition(from);
+  const Position* to_position = GetPosition(to);
+  if (from_position == nullptr || to_position == nullptr) {
     return false;
   }
-  const double distance = Distance(from_it->second, to_it->second);
-  if (from_it->second.floor != to_it->second.floor) {
+  const double distance = Distance(*from_position, *to_position);
+  if (from_position->floor != to_position->floor) {
     return inter_floor_range_ > 0.0 && distance <= inter_floor_range_;
   }
   return distance <= range_;
@@ -101,14 +133,17 @@ void DiskPropagation::RefreshGrid() const {
   grid_.clear();
   grid_.reserve(positions_.size());
   grid_usable_ = true;
-  for (const auto& [node, position] : positions_) {
+  for (size_t index = 0; index < positions_.size(); ++index) {
+    if (!positions_[index].placed) {
+      continue;
+    }
     int64_t col = 0;
     int64_t row = 0;
-    if (!CellOf(position, &col, &row)) {
+    if (!CellOf(positions_[index].position, &col, &row)) {
       grid_usable_ = false;
       break;
     }
-    grid_.push_back(GridEntry{CellKey(col, row), node});
+    grid_.push_back(GridEntry{CellKey(col, row), static_cast<NodeId>(first_id_ + index)});
   }
   if (!grid_usable_) {
     grid_.clear();
@@ -125,10 +160,10 @@ bool DiskPropagation::ReachCandidates(NodeId from, std::vector<NodeId>* out) con
   }
   const size_t first = out->size();
   // Without a position `from` reaches only its override targets.
-  if (auto it = positions_.find(from); it != positions_.end()) {
+  if (const Position* position = GetPosition(from); position != nullptr) {
     int64_t col = 0;
     int64_t row = 0;
-    CellOf(it->second, &col, &row);  // indexable: the grid holds it
+    CellOf(*position, &col, &row);  // indexable: the grid holds it
     for (int64_t dc = -1; dc <= 1; ++dc) {
       for (int64_t dr = -1; dr <= 1; ++dr) {
         const uint64_t cell = CellKey(col + dc, row + dr);
@@ -156,9 +191,11 @@ double DiskPropagation::DeliveryProbability(NodeId from, NodeId to, SimTime now)
   if (!Reaches(from, to)) {
     return 0.0;
   }
-  auto it = link_quality_.find(MakeKey(from, to));
-  if (it != link_quality_.end()) {
-    return EvaluateLinkQuality(it->second, now);
+  if (!link_quality_.empty()) {
+    auto it = link_quality_.find(MakeKey(from, to));
+    if (it != link_quality_.end()) {
+      return EvaluateLinkQuality(it->second, now);
+    }
   }
   return default_delivery_probability_;
 }

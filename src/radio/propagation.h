@@ -85,6 +85,13 @@ class DiskPropagation : public PropagationModel {
  public:
   DiskPropagation(double range, double default_delivery_probability = 1.0);
 
+  // Positions are a vector indexed by offset from a base id at or below the
+  // lowest positioned one, so Reaches looks both ends up without hashing.
+  // Ids stay opaque 32-bit values, but the positioned ones must lie within a
+  // span of this many (a 1024x1024 grid numbered from anywhere); SetPosition
+  // aborts on an id that would widen the span beyond it.
+  static constexpr NodeId kMaxPositionSpan = 1 << 20;
+
   void SetPosition(NodeId node, Position position);
   // Overrides quality of the directed link from -> to. Also forces the link
   // to be considered reachable regardless of distance.
@@ -137,7 +144,14 @@ class DiskPropagation : public PropagationModel {
   double range_;
   double inter_floor_range_ = 0.0;
   double default_delivery_probability_;
-  std::unordered_map<NodeId, Position> positions_;
+  struct Placement {
+    Position position;
+    bool placed = false;
+  };
+  NodeId first_id_ = 0;               // the id positions_[0] belongs to
+  std::vector<Placement> positions_;  // indexed by id - first_id_
+  NodeId low_ = 0;                    // lowest and highest positioned ids
+  NodeId high_ = 0;
   std::unordered_map<LinkKey, LinkQuality> link_quality_;
   std::unordered_map<LinkKey, bool> blocked_;
 

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <unordered_set>
+
 #include "src/core/data_cache.h"
 #include "src/core/gradient_table.h"
 #include "src/core/message.h"
 #include "src/core/node.h"
 #include "src/naming/keys.h"
 #include "src/naming/matching.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace diffusion {
@@ -123,6 +127,79 @@ TEST(DataCacheTest, SetAndOrderStayInLockStep) {
   EXPECT_FALSE(small.CheckAndInsert(1));  // re-inserted
   EXPECT_TRUE(small.CheckAndInsert(1));   // still present: a duplicate
   EXPECT_TRUE(small.ConsistencyCheck());
+}
+
+// The FIFO duplicate cache as the node once kept it: a hash set for
+// membership beside a queue for eviction order.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(size_t capacity) : capacity_(capacity) {}
+
+  bool CheckAndInsert(uint64_t id) {
+    if (set_.contains(id)) {
+      return true;
+    }
+    set_.insert(id);
+    order_.push_back(id);
+    while (order_.size() > capacity_) {
+      set_.erase(order_.front());
+      order_.pop_front();
+    }
+    return false;
+  }
+  void Clear() {
+    set_.clear();
+    order_.clear();
+  }
+  bool Contains(uint64_t id) const { return set_.contains(id); }
+  size_t size() const { return set_.size(); }
+
+ private:
+  size_t capacity_;
+  std::unordered_set<uint64_t> set_;
+  std::deque<uint64_t> order_;
+};
+
+TEST(DataCacheTest, MatchesReferenceFifoOverRandomStreams) {
+  for (size_t capacity : {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{4096}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    Rng rng(capacity + 17);
+    DataCache cache(capacity);
+    ReferenceCache reference(capacity);
+    // A universe a few times the capacity makes evicted ids come back; packet
+    // ids from a few origins share their low bits, full-width ids do not.
+    const uint64_t universe = 3 * capacity + 5;
+    const auto draw = [&rng, universe]() -> uint64_t {
+      switch (rng.Next() % 3) {
+        case 0:
+          return rng.Next() % universe;
+        case 1:
+          return ((rng.Next() % 4) << 32) | (rng.Next() % universe);
+        default:
+          return rng.Next() | (uint64_t{1} << 63);
+      }
+    };
+    uint64_t hits = 0;
+    for (int step = 0; step < 30000; ++step) {
+      if (rng.Next() % 5000 == 0) {
+        cache.Clear();
+        reference.Clear();
+      }
+      const uint64_t id = draw();
+      const bool duplicate = reference.CheckAndInsert(id);
+      hits += duplicate ? 1 : 0;
+      ASSERT_EQ(cache.CheckAndInsert(id), duplicate) << "step " << step;
+      ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
+      const uint64_t probe = draw();
+      ASSERT_EQ(cache.Contains(probe), reference.Contains(probe)) << "step " << step;
+      if (step % 97 == 0) {
+        ASSERT_TRUE(cache.ConsistencyCheck()) << "step " << step;
+      }
+    }
+    EXPECT_EQ(cache.hits(), hits);
+    EXPECT_LE(cache.size(), capacity);
+    EXPECT_TRUE(cache.ConsistencyCheck());
+  }
 }
 
 // ---- GradientTable ----
@@ -487,6 +564,24 @@ TEST(NeighborsTest, TracksHeardNodes) {
   sim.RunUntil(5 * kSecond);
   const auto neighbors_b = b.Neighbors();
   EXPECT_NE(std::find(neighbors_b.begin(), neighbors_b.end(), 1u), neighbors_b.end());
+}
+
+TEST(NeighborsTest, ListsEachHeardNodeOnceAscending) {
+  Simulator sim(6);
+  auto channel = MakeCliqueChannel(&sim, 4);
+  const NodeOptions options{.radio = FastRadio()};
+  std::vector<std::unique_ptr<DiffusionNode>> nodes;
+  for (NodeId id : {4, 2, 3, 1}) {
+    nodes.push_back(std::make_unique<DiffusionNode>(&sim, channel.get(), id, options));
+    // Every node floods interests, so each hears every other one repeatedly.
+    (void)nodes.back()->Subscribe(LightQuery(), [](const AttributeVector&) {});
+  }
+  sim.RunUntil(30 * kSecond);
+  const DiffusionNode& one = *nodes.back();
+  EXPECT_EQ(one.Neighbors(), (std::vector<NodeId>{2, 3, 4}));
+  EXPECT_EQ(nodes.front()->Neighbors(), (std::vector<NodeId>{1, 2, 3}));
+  nodes.back()->Reboot();
+  EXPECT_TRUE(one.Neighbors().empty());
 }
 
 }  // namespace

@@ -220,6 +220,33 @@ TEST(DuplicateSuppressionTest, WindowBoundsMemory) {
   EXPECT_EQ(filter.passed(), 11u);
 }
 
+// Sends `sequences` from one node in order and returns how many its filter
+// passed and suppressed.
+std::pair<uint64_t, uint64_t> PassedAndSuppressed(size_t window,
+                                                  const std::vector<int32_t>& sequences) {
+  Simulator sim(9);
+  auto channel = MakeCliqueChannel(&sim, 1);
+  DiffusionNode node(&sim, channel.get(), 1, NodeOptions{.radio = FastRadio()});
+  DuplicateSuppressionFilter filter(&node, FilterMatch(), 10, window);
+  (void)node.Subscribe(Query(), [](const AttributeVector&) {});
+  const PublicationHandle pub = node.Publish(Publication());
+  sim.RunUntil(100 * kMillisecond);
+  for (int32_t sequence : sequences) {
+    (void)node.Send(pub, Event(sequence, 1));
+  }
+  sim.RunUntil(kSecond);
+  return {filter.passed(), filter.suppressed()};
+}
+
+TEST(DuplicateSuppressionTest, WindowOfTwoForgetsTheThirdOldest) {
+  // 3 evicts 1, so the second 1 passes; the repeated 3 is still remembered.
+  EXPECT_EQ(PassedAndSuppressed(2, {1, 2, 3, 1, 3}), std::make_pair(uint64_t{4}, uint64_t{1}));
+}
+
+TEST(DuplicateSuppressionTest, WindowOfZeroPassesEveryCopy) {
+  EXPECT_EQ(PassedAndSuppressed(0, {1, 1, 2, 2, 1}), std::make_pair(uint64_t{5}, uint64_t{0}));
+}
+
 // ---- CountingAggregationFilter ----
 
 TEST(CountingAggregationTest, MergesConcurrentDetections) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -51,6 +52,58 @@ TEST(PropagationTest, DiskRange) {
   EXPECT_TRUE(prop.Reaches(2, 1));
   EXPECT_FALSE(prop.Reaches(1, 3));
   EXPECT_FALSE(prop.Reaches(1, 1));  // never reaches self
+}
+
+// Positions are indexed by offset from a base id, so ids may arrive in any
+// order and sit anywhere in the 32-bit range.
+TEST(PropagationTest, DiskPositionsTakeIdsInAnyOrderAnywhere) {
+  DiskPropagation prop(10.0);
+  constexpr NodeId kTop = 0xfffffffe;
+  prop.SetPosition(kTop, {0, 0, 0});
+  prop.SetPosition(kTop - 2, {6, 8, 0});  // below the first id: the table shifts
+  prop.SetPosition(kTop - 9, {7, 8, 0});  // further below, with a gap
+  prop.SetPosition(kTop - 2, {0, 9, 0});  // moved
+  EXPECT_TRUE(prop.Reaches(kTop, kTop - 2));
+  EXPECT_FALSE(prop.Reaches(kTop, kTop - 9));
+  EXPECT_TRUE(prop.Reaches(kTop - 9, kTop - 2));
+  ASSERT_NE(prop.GetPosition(kTop - 2), nullptr);
+  EXPECT_EQ(prop.GetPosition(kTop - 2)->y, 9.0);
+  for (NodeId unplaced : {NodeId{0}, NodeId{1}, kTop - 10, kTop - 1, kTop + 1}) {
+    EXPECT_EQ(prop.GetPosition(unplaced), nullptr) << unplaced;
+    EXPECT_FALSE(prop.Reaches(kTop, unplaced)) << unplaced;
+  }
+  std::vector<NodeId> candidates;
+  ASSERT_TRUE(prop.ReachCandidates(kTop, &candidates));
+  std::sort(candidates.begin(), candidates.end());
+  EXPECT_EQ(candidates, (std::vector<NodeId>{kTop - 9, kTop - 2, kTop}));
+}
+
+// A hash map hands a layout's ids out in descending order; the table grows
+// downward geometrically, so every id lands in its own slot.
+TEST(PropagationTest, DiskPositionsSetInDescendingOrder) {
+  DiskPropagation prop(1.5);
+  for (NodeId id = 3000; id >= 1000; --id) {
+    prop.SetPosition(id, {static_cast<double>(id), 0, 0});
+  }
+  EXPECT_EQ(prop.GetPosition(999), nullptr);
+  EXPECT_EQ(prop.GetPosition(0), nullptr);
+  EXPECT_EQ(prop.GetPosition(3001), nullptr);
+  for (NodeId id = 1000; id <= 3000; ++id) {
+    ASSERT_NE(prop.GetPosition(id), nullptr) << id;
+    ASSERT_EQ(prop.GetPosition(id)->x, static_cast<double>(id)) << id;
+  }
+  EXPECT_TRUE(prop.Reaches(1000, 1001));
+  EXPECT_FALSE(prop.Reaches(1000, 1002));
+}
+
+TEST(PropagationTest, DiskPositionsRefuseIdsBeyondTheSpan) {
+  EXPECT_DEATH(
+      {
+        DiskPropagation prop(10.0);
+        prop.SetPosition(1, {0, 0, 0});
+        prop.SetPosition(1 + DiskPropagation::kMaxPositionSpan, {0, 0, 0});
+      },
+      "widen the positioned ids");
 }
 
 TEST(PropagationTest, FloorsBlockUnlessConfigured) {
@@ -325,6 +378,134 @@ TEST(FragmentationTest, SplitsTheLargestNumberableMessage) {
   // One more fragment's worth no longer has a count to carry.
   const std::vector<uint8_t> one_more(payload.size() + 1);
   EXPECT_TRUE(SplitBytes(&sim.slot_pool(), 1, 2, 8, one_more, 27).empty());
+}
+
+// A fragment whose index is not below its count used to make Add restart
+// collection from it forever, overflowing the stack. It is refused, and a
+// partial under the same key is left to complete.
+TEST(FragmentationTest, RefusesFragmentIndexOutsideItsCount) {
+  Simulator sim;
+  Reassembler reassembler(kSecond);
+  const std::vector<uint8_t> payload(40, 0x21);
+  const auto fragments = SplitBytes(&sim.slot_pool(), 1, 2, 7, payload, 27);
+  ASSERT_EQ(fragments.size(), 2u);
+  Fragment past_end = fragments[0];
+  past_end.count = 1;
+  past_end.index = 1;
+  Fragment no_count = fragments[0];
+  no_count.count = 0;
+  no_count.index = 0;
+  EXPECT_EQ(reassembler.Add(past_end, 0), std::nullopt);
+  EXPECT_EQ(reassembler.Add(no_count, 0), std::nullopt);
+  EXPECT_EQ(reassembler.pending(), 0u);
+
+  EXPECT_EQ(reassembler.Add(fragments[0], 0), std::nullopt);
+  EXPECT_EQ(reassembler.Add(past_end, 0), std::nullopt);
+  EXPECT_EQ(reassembler.Add(no_count, 0), std::nullopt);
+  EXPECT_EQ(reassembler.pending(), 1u);
+  const auto completed = reassembler.Add(fragments[1], 0);
+  ASSERT_TRUE(completed.has_value());
+  EXPECT_EQ(BodyBytes(*completed->body), payload);
+}
+
+TEST(FragmentationTest, InterleavedPartialsFromSeveralSenders) {
+  Simulator sim;
+  Reassembler reassembler(kSecond);
+  // Three senders, two of them with two messages each; sender 2's second
+  // message reuses sender 1's sequence number.
+  struct Stream {
+    std::vector<uint8_t> payload;
+    std::vector<Fragment> fragments;
+  };
+  std::vector<Stream> streams;
+  const std::vector<std::pair<NodeId, uint32_t>> keys = {{1, 7}, {2, 3}, {3, 7}, {1, 8}, {2, 7}};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Stream stream;
+    stream.payload.assign(27 * (2 + i % 3) - 5, static_cast<uint8_t>(0x10 + i));
+    stream.fragments = SplitBytes(&sim.slot_pool(), keys[i].first, 9, keys[i].second,
+                                  stream.payload, 27);
+    streams.push_back(std::move(stream));
+  }
+  // Round-robin over the streams, last fragments first.
+  std::vector<std::optional<std::vector<uint8_t>>> done(streams.size());
+  for (size_t round = 0; round < 4; ++round) {
+    for (size_t i = 0; i < streams.size(); ++i) {
+      const auto& fragments = streams[i].fragments;
+      if (round >= fragments.size()) {
+        continue;
+      }
+      auto completed = reassembler.Add(fragments[fragments.size() - 1 - round], 0);
+      ASSERT_EQ(completed.has_value(), round + 1 == fragments.size()) << "stream " << i;
+      if (completed.has_value()) {
+        EXPECT_EQ(completed->src, keys[i].first);
+        done[i] = BodyBytes(*completed->body);
+      }
+    }
+    if (round == 0) {
+      EXPECT_EQ(reassembler.pending(), streams.size());
+    }
+  }
+  for (size_t i = 0; i < streams.size(); ++i) {
+    ASSERT_TRUE(done[i].has_value()) << "stream " << i;
+    EXPECT_EQ(*done[i], streams[i].payload) << "stream " << i;
+  }
+  EXPECT_EQ(reassembler.pending(), 0u);
+}
+
+TEST(FragmentationTest, DuplicateFragmentIsCountedOnce) {
+  Simulator sim;
+  Reassembler reassembler(kSecond);
+  const std::vector<uint8_t> payload(70, 0x42);
+  const auto fragments = SplitBytes(&sim.slot_pool(), 4, 2, 11, payload, 27);
+  ASSERT_EQ(fragments.size(), 3u);
+  // Four arrivals, but only two distinct fragments: nothing completes.
+  EXPECT_EQ(reassembler.Add(fragments[0], 0), std::nullopt);
+  EXPECT_EQ(reassembler.Add(fragments[1], 0), std::nullopt);
+  EXPECT_EQ(reassembler.Add(fragments[1], 0), std::nullopt);
+  EXPECT_EQ(reassembler.Add(fragments[0], 0), std::nullopt);
+  EXPECT_EQ(reassembler.pending(), 1u);
+  const auto completed = reassembler.Add(fragments[2], 0);
+  ASSERT_TRUE(completed.has_value());
+  EXPECT_EQ(BodyBytes(*completed->body), payload);
+}
+
+TEST(FragmentationTest, PurgeDropsOnlyPartialsOlderThanTheTimeout) {
+  Simulator sim;
+  Reassembler reassembler(kSecond);
+  const std::vector<uint8_t> payload(40, 0x77);
+  const auto first = SplitBytes(&sim.slot_pool(), 1, 2, 1, payload, 27);
+  const auto second = SplitBytes(&sim.slot_pool(), 1, 2, 2, payload, 27);
+  reassembler.Add(first[0], 0);
+  reassembler.Add(second[0], 1);
+  // Exactly `timeout` old is not yet older than it.
+  reassembler.Purge(kSecond);
+  EXPECT_EQ(reassembler.pending(), 2u);
+  reassembler.Purge(kSecond + 1);
+  EXPECT_EQ(reassembler.pending(), 1u);
+  // The survivor completes at its own boundary; the purged one cannot.
+  EXPECT_TRUE(reassembler.Add(second[1], kSecond + 1).has_value());
+  EXPECT_EQ(reassembler.Add(first[1], kSecond + 1), std::nullopt);
+}
+
+TEST(FragmentationTest, OneFragmentMessageSupersedesStalePartial) {
+  Simulator sim;
+  Reassembler reassembler(kSecond);
+  const std::vector<uint8_t> stale_payload(60, 0x01);
+  const std::vector<uint8_t> fresh_payload(10, 0x02);
+  const auto stale = SplitBytes(&sim.slot_pool(), 5, 2, 9, stale_payload, 27);
+  const auto fresh = SplitBytes(&sim.slot_pool(), 5, 2, 9, fresh_payload, 27);
+  ASSERT_EQ(stale.size(), 3u);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(reassembler.Add(stale[0], 0), std::nullopt);
+  EXPECT_EQ(reassembler.Add(stale[1], 0), std::nullopt);
+  EXPECT_EQ(reassembler.pending(), 1u);
+  const auto completed = reassembler.Add(fresh[0], 0);
+  ASSERT_TRUE(completed.has_value());
+  EXPECT_EQ(BodyBytes(*completed->body), fresh_payload);
+  EXPECT_EQ(reassembler.pending(), 0u);
+  // The stale partial is gone: its last fragment starts a new one.
+  EXPECT_EQ(reassembler.Add(stale[2], 0), std::nullopt);
+  EXPECT_EQ(reassembler.pending(), 1u);
 }
 
 // ---- Radio / channel / MAC end-to-end ----

@@ -684,7 +684,7 @@ void CheckUnseededRng(const std::string& file, const Preprocessed& pp,
 }
 
 // Variable names declared in `code` with an unordered container type,
-// e.g. `std::unordered_map<NodeId, SimTime> neighbors_;`.
+// e.g. `std::unordered_map<NodeId, uint32_t> slot_of_;`.
 std::set<std::string> HarvestUnorderedNames(const std::string& code) {
   std::set<std::string> names;
   size_t at = code.find("unordered_");
