@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -468,6 +470,161 @@ TEST(MatchIndexTest, RandomizedChurnKeepsIndexConsistent) {
       }
     }
   }
+}
+
+
+// ---- trie visit order and level release ----
+
+// `base` moved up by `ulps` units in the last place (`base` > 0, no
+// exponent crossing): interval endpoints whose OrderedBits codes differ by
+// exactly the chosen bits, so each interval's trie level is known.
+double Ulps(double base, uint64_t ulps) {
+  uint64_t bits;
+  std::memcpy(&bits, &base, sizeof(bits));
+  bits += ulps;
+  double value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+// Pins the exact candidate sequence ForEachCandidate produces over a fixed
+// interval-heavy corpus, so a change to the trie's storage cannot reorder
+// dispatch (and with it every downstream output) unnoticed.
+TEST(MatchIndexTest, TrieVisitOrderIsPinned) {
+  const auto u = [](uint64_t ulps) { return Ulps(1.0, ulps); };
+  std::vector<AttributeSet> entries;
+  entries.push_back(Range(u(0), u(0)));       // level 0
+  entries.push_back(Range(u(0), u(1)));       // level 1
+  entries.push_back(Range(u(2), u(3)));       // level 1, next node
+  entries.push_back(Range(u(4), u(7)));       // level 2
+  entries.push_back(Range(u(8), u(15)));      // level 3
+  entries.push_back(Range(u(5), u(9)));       // level 4
+  entries.push_back(Range(u(16), u(47)));     // level 6
+  entries.push_back(Range(u(100), u(200)));   // level 8
+  entries.push_back(Range(u(1000), u(1030)));  // level 11
+  entries.push_back(Range(u(3), u(70000)));   // level 17
+  entries.push_back(Range(10.0, 20.0));
+  entries.push_back(Range(15.0, 30.0));
+  entries.push_back(Range(100.0, 200.0));
+  entries.push_back(Range(0.5, 0.75));
+  entries.push_back(Range(1e6, 2e6));
+  entries.push_back(Range(-3.0, -2.0));
+  entries.push_back(Range(-100.0, -1.0));
+  entries.push_back(Range(-5.0, 5.0));  // spans the sign bit: root
+  entries.push_back(Range(20.0, 10.0));  // contradictory: the swapped gap
+  entries.push_back({Attribute::Float64(kKey, AttrOp::kGt, 12.0),
+                     Attribute::Float64(kKey, AttrOp::kLt, 18.0)});
+  entries.push_back(Range(u(0), u(1)));  // shares entry 1's node
+  entries.push_back({Attribute::Float64(kKey, AttrOp::kEq, 12.0)});
+  entries.push_back({Attribute::Float64(kKey, AttrOp::kGe, 150.0)});
+  entries.push_back({Attribute::Float64(kKey, AttrOp::kLe, -50.0)});
+  entries.push_back({Attribute::Float64(kKey, AttrOp::kNe, 3.0)});
+  entries.push_back(Range(u(6), u(6)));  // level 0, another node
+
+  std::vector<int> levels;
+  for (const AttributeSet& entry : entries) {
+    const AttributeVector& items = entry.items();
+    const bool plain_range =
+        items.size() == 2 && items[0].op() != items[1].op() &&
+        std::all_of(items.begin(), items.end(), [](const Attribute& attr) {
+          return attr.op() == AttrOp::kGe || attr.op() == AttrOp::kLe;
+        });
+    if (plain_range) {
+      const uint64_t a = MatchIndex::OrderedBits(*items[0].AsDouble());
+      const uint64_t b = MatchIndex::OrderedBits(*items[1].AsDouble());
+      const int level = std::bit_width(a ^ b);
+      if (level < 64) {
+        levels.push_back(level);
+      }
+    }
+  }
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  ASSERT_GE(levels.size(), 8u) << "the corpus must span at least 8 trie levels";
+
+  MatchIndex index(kKey);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
+  }
+  // Churn a few so swap-and-pop and group release shape the order too.
+  ASSERT_TRUE(index.Erase(1));
+  ASSERT_TRUE(index.Erase(7));
+  ASSERT_TRUE(index.Erase(15));
+  ASSERT_TRUE(index.Insert(1, 0, &entries[1]));
+  ASSERT_TRUE(index.Insert(15, 0, &entries[15]));
+
+  const auto pair = [](double a, double b) {
+    return AttributeSet{Attribute::Float64(kKey, AttrOp::kIs, a),
+                        Attribute::Float64(kKey, AttrOp::kIs, b)};
+  };
+  const std::vector<AttributeSet> queries = {
+      // Stabbing queries.
+      Actual(u(0)), Actual(u(6)), Actual(u(101)), Actual(u(1010)), Actual(12.0),
+      Actual(150.0), Actual(-2.5), Actual(1.5e6), Actual(0.6), Actual(-60.0),
+      // Range queries.
+      pair(u(3), u(20)), pair(u(90), u(1100)), pair(10.0, 25.0), pair(-4.0, 1.5e6),
+      pair(0.0, 1.0), pair(-kInf, kInf)};
+  const std::vector<std::vector<uint32_t>> expected = {
+      {17, 0, 20, 1, 5, 6, 8, 9, 24},
+      {17, 25, 3, 5, 6, 8, 9, 24},
+      {17, 8, 9, 24},
+      {17, 8, 9, 24},
+      {21, 17, 10, 11, 18, 19, 24},
+      {22, 17, 12, 24},
+      {17, 15, 16, 24},
+      {22, 17, 14, 24},
+      {17, 13, 24},
+      {23, 17, 16, 24},
+      {17, 25, 2, 3, 4, 5, 6, 8, 9, 24},
+      {17, 8, 9, 24},
+      {17, 10, 11, 18, 19, 24},
+      {22, 17, 0, 25, 20, 1, 2, 3, 4, 5, 6, 8, 9, 15, 13, 14, 10, 11, 18, 19, 12, 16, 24},
+      {17, 0, 20, 1, 5, 6, 8, 9, 13, 24},
+      {22, 23, 17, 0, 25, 20, 1, 2, 3, 4, 5, 6, 8, 9, 15, 13, 10, 11, 18, 19, 14, 12, 16, 24},
+  };
+  ASSERT_EQ(queries.size(), expected.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(Candidates(index, queries[q]), expected[q]) << "query " << q << ": "
+                                                           << queries[q].ToString();
+  }
+}
+
+TEST(MatchIndexTest, TrieLevelReleasedOnlyWithItsLastNode) {
+  const auto u = [](uint64_t ulps) { return Ulps(1.0, ulps); };
+  // Two intervals at level 2 (separate nodes), one spanning the sign bit
+  // (the root, which group_count() does not hold).
+  std::vector<AttributeSet> entries;
+  entries.push_back(Range(u(0), u(3)));
+  entries.push_back(Range(u(4), u(7)));
+  entries.push_back(Range(-kInf, kInf));
+  MatchIndex index(kKey);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
+  }
+  EXPECT_EQ(index.group_count(), 2u);
+  ASSERT_TRUE(index.Erase(0));
+  EXPECT_EQ(index.group_count(), 1u);
+  EXPECT_EQ(Candidates(index, Actual(u(5))), (std::vector<uint32_t>{2, 1}));
+  EXPECT_EQ(Candidates(index, Actual(u(1))), std::vector<uint32_t>{2});
+  ASSERT_TRUE(index.Erase(1));
+  EXPECT_EQ(index.group_count(), 0u);
+  EXPECT_EQ(Candidates(index, Actual(u(5))), std::vector<uint32_t>{2});
+
+  // Emptying level 2 must not drop level 3 beside it, nor the other way.
+  entries.push_back(Range(u(0), u(3)));   // level 2
+  entries.push_back(Range(u(8), u(15)));  // level 3
+  ASSERT_TRUE(index.Insert(3, 0, &entries[3]));
+  ASSERT_TRUE(index.Insert(4, 0, &entries[4]));
+  EXPECT_EQ(index.group_count(), 2u);
+  ASSERT_TRUE(index.Erase(3));
+  EXPECT_EQ(index.group_count(), 1u);
+  EXPECT_EQ(Candidates(index, Actual(u(9))), (std::vector<uint32_t>{2, 4}));
+  EXPECT_EQ(Candidates(index, Actual(u(1))), std::vector<uint32_t>{2});
+  ASSERT_TRUE(index.Insert(3, 0, &entries[3]));
+  ASSERT_TRUE(index.Erase(4));
+  EXPECT_EQ(index.group_count(), 1u);
+  EXPECT_EQ(Candidates(index, Actual(u(1))), (std::vector<uint32_t>{2, 3}));
+  EXPECT_EQ(Candidates(index, Actual(u(9))), std::vector<uint32_t>{2});
 }
 
 }  // namespace

@@ -1514,6 +1514,157 @@ TEST(MacTest, QueueOverflowDrops) {
   EXPECT_GT(a.mac_stats().frames_sent, 0u);
 }
 
+namespace {
+
+// A body that counts how many of its kind are referenced: +1 when built,
+// -1 when the last BodyRef drops.
+class CountedBody final : public WireBody {
+ public:
+  CountedBody(uint8_t tag, int* live) : tag_(tag), live_(live) { ++*live_; }
+
+  size_t wire_size() const override { return 1; }
+  void AppendBytes(std::vector<uint8_t>* out) const override { out->push_back(tag_); }
+
+ private:
+  void Recycle() override { --*live_; }
+
+  uint8_t tag_;
+  int* live_;
+};
+
+// Drives a CsmaMac directly from node 1 of a two-node line, one-fragment
+// frames tagged with their sequence number; node 2 records the tags it
+// receives, in order.
+class MacQueueHarness {
+ public:
+  explicit MacQueueHarness(size_t queue_limit)
+      : channel_(MakeLineChannel(&sim_, 2)),
+        a_(&sim_, channel_.get(), 1, FastRadio()),
+        b_(&sim_, channel_.get(), 2, FastRadio()),
+        mac_(&sim_, channel_.get(), &a_, Config(queue_limit)) {
+    b_.SetReceiveCallback(
+        [this](NodeId, const WireBody& body) { received_.push_back(BodyBytes(body).at(0)); });
+  }
+
+  MacResult Send(uint8_t tag) {
+    bodies_.push_back(std::make_unique<CountedBody>(tag, &live_));
+    Fragment frame;
+    frame.src = 1;
+    frame.message_seq = next_seq_++;
+    frame.body = BodyRef(bodies_.back().get());
+    frame.payload_len = 1;
+    return mac_.Enqueue(std::move(frame));
+  }
+
+  // Runs until `count` frames have arrived and the sender is idle.
+  void RunUntilReceived(size_t count) {
+    while (received_.size() < count || mac_.transmitting()) {
+      ASSERT_LT(sim_.now(), 10 * kSecond) << "frames stopped flowing";
+      sim_.RunUntil(sim_.now() + 10);
+    }
+  }
+
+  void RunOut() { sim_.RunUntil(sim_.now() + kSecond); }
+
+  CsmaMac& mac() { return mac_; }
+  const std::vector<uint8_t>& received() const { return received_; }
+  int live_bodies() const { return live_; }
+
+ private:
+  static MacConfig Config(size_t queue_limit) {
+    MacConfig config = FastRadio().mac;
+    config.queue_limit = queue_limit;
+    return config;
+  }
+
+  // Declared first so they outlive every holder of a BodyRef below.
+  int live_ = 0;
+  std::vector<std::unique_ptr<CountedBody>> bodies_;
+  Simulator sim_{21};
+  std::unique_ptr<Channel> channel_;
+  Radio a_;
+  Radio b_;
+  CsmaMac mac_;
+  uint32_t next_seq_ = 0;
+  std::vector<uint8_t> received_;
+};
+
+}  // namespace
+
+TEST(MacTest, FramesLeaveInEnqueueOrderAcrossRingWraps) {
+  // A limit of 5 leaves the ring a power of two above it. Bursts of 1..5
+  // frames go in while earlier ones are still queued, so the head wraps
+  // many times over, and 90 frames pass a queue that holds 5.
+  MacQueueHarness harness(5);
+  std::vector<uint8_t> sent;
+  for (int round = 0; round < 30; ++round) {
+    const size_t burst = 1 + static_cast<size_t>(round) % 5;
+    // Let the queue drain just far enough to take the burst.
+    harness.RunUntilReceived(sent.size() + burst > 5 ? sent.size() + burst - 5 : 0);
+    for (size_t i = 0; i < burst; ++i) {
+      const auto tag = static_cast<uint8_t>(sent.size());
+      ASSERT_EQ(harness.Send(tag), MacResult::kQueued) << "frame " << sent.size();
+      sent.push_back(tag);
+    }
+  }
+  ASSERT_GT(sent.size(), 3u * 8u);
+  harness.RunOut();
+  EXPECT_EQ(harness.received(), sent);
+  EXPECT_EQ(harness.mac().stats().drops_queue_full, 0u);
+  EXPECT_EQ(harness.mac().stats().frames_sent, sent.size());
+  EXPECT_EQ(harness.live_bodies(), 0) << "a sent frame's slot kept its body";
+}
+
+TEST(MacTest, FullQueueDropsTheNextFrameAfterEarlierFramesLeft) {
+  MacQueueHarness harness(4);
+  for (uint8_t tag = 0; tag < 4; ++tag) {
+    ASSERT_EQ(harness.Send(tag), MacResult::kQueued);
+  }
+  EXPECT_EQ(harness.Send(4), MacResult::kDroppedQueueFull);
+  EXPECT_EQ(harness.mac().stats().drops_queue_full, 1u);
+  // Two frames leave; two more fill the queue back to its limit with the
+  // tail wrapped past the ring's end, and the next is dropped again.
+  harness.RunUntilReceived(2);
+  ASSERT_EQ(harness.received().size(), 2u);
+  EXPECT_EQ(harness.Send(5), MacResult::kQueued);
+  EXPECT_EQ(harness.Send(6), MacResult::kQueued);
+  EXPECT_EQ(harness.Send(7), MacResult::kDroppedQueueFull);
+  EXPECT_EQ(harness.mac().stats().drops_queue_full, 2u);
+  harness.RunOut();
+  EXPECT_EQ(harness.received(), (std::vector<uint8_t>{0, 1, 2, 3, 5, 6}));
+  EXPECT_EQ(harness.live_bodies(), 0);
+}
+
+TEST(MacTest, ResetReleasesEveryQueuedBody) {
+  MacQueueHarness harness(4);
+  for (uint8_t tag = 0; tag < 4; ++tag) {
+    ASSERT_EQ(harness.Send(tag), MacResult::kQueued);
+  }
+  EXPECT_EQ(harness.live_bodies(), 4);
+  harness.mac().Reset();
+  EXPECT_EQ(harness.live_bodies(), 0);
+  harness.RunOut();
+  EXPECT_TRUE(harness.received().empty());
+
+  // Again with the ring wrapped: two frames out, three in, then Reset.
+  for (uint8_t tag = 10; tag < 14; ++tag) {
+    ASSERT_EQ(harness.Send(tag), MacResult::kQueued);
+  }
+  harness.RunUntilReceived(2);
+  for (uint8_t tag = 14; tag < 16; ++tag) {
+    ASSERT_EQ(harness.Send(tag), MacResult::kQueued);
+  }
+  EXPECT_EQ(harness.live_bodies(), 4);
+  harness.mac().Reset();
+  EXPECT_EQ(harness.live_bodies(), 0);
+
+  // The queue works after a reset.
+  ASSERT_EQ(harness.Send(20), MacResult::kQueued);
+  harness.RunOut();
+  EXPECT_EQ(harness.received(), (std::vector<uint8_t>{10, 11, 20}));
+  EXPECT_EQ(harness.live_bodies(), 0);
+}
+
 TEST(MacTest, AirtimeScalesWithBytes) {
   Simulator sim(9);
   auto channel = MakeLineChannel(&sim, 2);

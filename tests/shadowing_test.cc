@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "src/core/node.h"
 #include "src/naming/keys.h"
 #include "src/radio/shadowing.h"
@@ -53,6 +57,42 @@ TEST(ShadowingTest, ShadowingIsStablePerLink) {
   const double first = prop.LinkMarginDb(1, 2);
   for (int i = 0; i < 10; ++i) {
     EXPECT_DOUBLE_EQ(prop.LinkMarginDb(1, 2), first);
+  }
+}
+
+TEST(ShadowingTest, MarginsArePureInSeedAndLink) {
+  // A link's margin depends on the seed and the link alone: not on how many
+  // times or in what order links were probed, nor on which model instance
+  // answers.
+  for (const bool symmetric : {false, true}) {
+    ShadowingConfig config;
+    config.shadowing_sigma_db = 6.0;
+    config.symmetric_shadowing = symmetric;
+    ShadowingPropagation first(config, 77);
+    ShadowingPropagation second(config, 77);
+    constexpr NodeId kNodes = 6;
+    for (NodeId id = 1; id <= kNodes; ++id) {
+      first.SetPosition(id, {3.0 * id, 2.0 * (id % 3), 0});
+      const NodeId mirror = kNodes + 1 - id;  // the second model learns them backwards
+      second.SetPosition(mirror, {3.0 * mirror, 2.0 * (mirror % 3), 0});
+    }
+    std::vector<uint64_t> margins;
+    for (NodeId from = 1; from <= kNodes; ++from) {
+      for (NodeId to = 1; to <= kNodes; ++to) {
+        margins.push_back(std::bit_cast<uint64_t>(first.LinkMarginDb(from, to)));
+      }
+    }
+    for (int pass = 0; pass < 3; ++pass) {
+      size_t i = margins.size();
+      for (NodeId from = kNodes; from >= 1; --from) {
+        for (NodeId to = kNodes; to >= 1; --to) {
+          --i;
+          SCOPED_TRACE(testing::Message() << "link " << from << "->" << to << ", pass " << pass);
+          EXPECT_EQ(std::bit_cast<uint64_t>(second.LinkMarginDb(from, to)), margins[i]);
+          EXPECT_EQ(std::bit_cast<uint64_t>(first.LinkMarginDb(from, to)), margins[i]);
+        }
+      }
+    }
   }
 }
 
