@@ -125,7 +125,7 @@ MatchIndex::Position MatchIndex::ClassifyInsert(const AttributeSet& attrs) {
       position.kind = GroupKind::kInterval;
       position.level = static_cast<uint8_t>(level);
       position.num_key = code_lo >> level;
-      position.group = &trie_[static_cast<size_t>(level)][position.num_key];
+      position.group = &trie_[{position.level, position.num_key}];
       used_levels_ |= uint64_t{1} << level;
     }
     return position;
@@ -180,9 +180,9 @@ void MatchIndex::ReleaseGroup(const Position& position) {
       lt_.erase(position.bound);
       break;
     case GroupKind::kInterval: {
-      auto& level_nodes = trie_[position.level];
-      level_nodes.erase(position.num_key);
-      if (level_nodes.empty()) {
+      trie_.erase({position.level, position.num_key});
+      auto next = trie_.lower_bound({position.level, 0});
+      if (next == trie_.end() || next->first.first != position.level) {
         used_levels_ &= ~(uint64_t{1} << position.level);
       }
       break;
@@ -201,12 +201,8 @@ void MatchIndex::ReleaseGroup(const Position& position) {
 }
 
 size_t MatchIndex::group_count() const {
-  size_t groups = num_eq_.size() + str_eq_.size() + ge_.size() + gt_.size() + le_.size() +
-                  lt_.size() + ne_num_.size() + ne_str_.size();
-  for (const auto& level_nodes : trie_) {
-    groups += level_nodes.size();
-  }
-  return groups;
+  return num_eq_.size() + str_eq_.size() + ge_.size() + gt_.size() + le_.size() + lt_.size() +
+         trie_.size() + ne_num_.size() + ne_str_.size();
 }
 
 bool MatchIndex::Insert(uint32_t id, int32_t priority, const AttributeSet* attrs) {

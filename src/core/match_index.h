@@ -14,7 +14,10 @@
 //     the bound, range-scanned with the min/max actual value;
 //   * two-sided ranges (a lower- and an upper-bound formal on the key): a
 //     64-level LCA segment trie over the order-preserving bit encoding of
-//     double, queried by overlap with [min actual, max actual];
+//     double, queried by overlap with [min actual, max actual]. Its nodes
+//     share one ordered map keyed (level, prefix), plus a bitmask of the
+//     levels in use: an index with no interval holds one empty map, not one
+//     per level;
 //   * NE formals: per-value groups, all visited except the group whose
 //     value every actual equals;
 //   * anything else formal on the key (`any_`), and entries with no formal
@@ -57,7 +60,6 @@
 #define SRC_CORE_MATCH_INDEX_H_
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -65,6 +67,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/naming/attribute_set.h"
@@ -203,8 +206,9 @@ class MatchIndex {
     const std::string* str0 = nullptr;
 
     const AttributeVector& items = message.items();
-    auto run = std::lower_bound(items.begin(), items.end(), discriminator_,
-                                [](const Attribute& attr, AttrKey key) { return attr.key() < key; });
+    auto run = std::lower_bound(
+        items.begin(), items.end(), discriminator_,
+        [](const Attribute& attr, AttrKey key) { return attr.key() < key; });
     for (; run != items.end() && run->key() == discriminator_; ++run) {
       if (!run->IsActual()) {
         continue;
@@ -303,17 +307,17 @@ class MatchIndex {
     while (levels != 0) {
       const int k = std::countr_zero(levels);
       levels &= levels - 1;
-      const auto& nodes = trie_[static_cast<size_t>(k)];
-      auto it = nodes.find(ql >> k);
-      if (it != nodes.end()) {
+      const auto level = static_cast<uint8_t>(k);
+      auto it = trie_.find({level, ql >> k});
+      if (it != trie_.end()) {
         VisitGroup(it->second, stamp, fn);
       }
       if (ql == qh) {
         continue;  // stabbing query: ancestors cover everything
       }
       if ((qh >> k) != (ql >> k)) {
-        it = nodes.find(qh >> k);
-        if (it != nodes.end()) {
+        it = trie_.find({level, qh >> k});
+        if (it != trie_.end()) {
           VisitGroup(it->second, stamp, fn);
         }
       }
@@ -329,7 +333,8 @@ class MatchIndex {
       if (p_lo > p_hi) {
         continue;
       }
-      for (auto range = nodes.lower_bound(p_lo); range != nodes.end() && range->first <= p_hi;
+      for (auto range = trie_.lower_bound({level, p_lo});
+           range != trie_.end() && range->first.first == level && range->first.second <= p_hi;
            ++range) {
         VisitGroup(range->second, stamp, fn);
       }
@@ -350,12 +355,13 @@ class MatchIndex {
   std::map<double, Group> lt_;
 
   // Two-sided interval trie: the interval [L,H] (OrderedBits codes) lives
-  // at its LCA node — level = bit_width(L^H), prefix = L >> level. Level 64
-  // (the two codes differ in the top bit) is the root. Ordered maps so the
-  // contained-range scans are deterministic.
-  std::array<std::map<uint64_t, Group>, 64> trie_;
+  // at its LCA node — level = bit_width(L^H), prefix = L >> level — keyed
+  // (level, prefix) in one ordered map, so each level's nodes are one
+  // contiguous, deterministic run. Level 64 (the two codes differ in the
+  // top bit) is the root.
+  std::map<std::pair<uint8_t, uint64_t>, Group> trie_;
   Group interval_root_;
-  uint64_t used_levels_ = 0;  // bitmask of non-empty trie_ levels
+  uint64_t used_levels_ = 0;  // bitmask of levels with a node in trie_
 
   // NE groups per value; ordered for deterministic visit order (every query
   // iterates them).

@@ -61,7 +61,8 @@ bool CsmaMac::TryWithdrawTokens(MacPriority priority, bool originated, double by
     tokens_refilled_at_[cls] = now;
   } else {
     const double elapsed_s = DurationToSeconds(now - tokens_refilled_at_[cls]);
-    tokens_[cls] = std::min(bucket->burst_bytes, tokens_[cls] + elapsed_s * bucket->rate_bytes_per_s);
+    tokens_[cls] =
+        std::min(bucket->burst_bytes, tokens_[cls] + elapsed_s * bucket->rate_bytes_per_s);
     tokens_refilled_at_[cls] = now;
   }
   if (tokens_[cls] < bytes) {
@@ -105,13 +106,35 @@ MacResult CsmaMac::AdmitMessage(MacPriority priority, const std::vector<Fragment
   return MacResult::kQueued;
 }
 
+void CsmaMac::PushFrame(Fragment fragment) {
+  if (queue_size_ == queue_.size()) {
+    // Full (or never used): unroll into a ring twice the size, or four
+    // slots to start. Enqueue's limit check bounds the growth.
+    std::vector<Fragment> grown(queue_.empty() ? 4 : 2 * queue_.size());
+    for (size_t i = 0; i < queue_size_; ++i) {
+      grown[i] = std::move(queue_[(queue_head_ + i) & (queue_.size() - 1)]);
+    }
+    queue_.swap(grown);
+    queue_head_ = 0;
+  }
+  queue_[(queue_head_ + queue_size_) & (queue_.size() - 1)] = std::move(fragment);
+  ++queue_size_;
+}
+
+Fragment CsmaMac::PopFrame() {
+  Fragment front = std::move(queue_[queue_head_]);
+  queue_head_ = (queue_head_ + 1) & (queue_.size() - 1);
+  --queue_size_;
+  return front;
+}
+
 MacResult CsmaMac::Enqueue(Fragment fragment) {
-  if (queue_.size() >= config_.queue_limit) {
+  if (queue_size_ >= config_.queue_limit) {
     ++stats_.drops_queue_full;
     TraceDrop(fragment, /*queue full=*/0);
     return MacResult::kDroppedQueueFull;
   }
-  queue_.push_back(std::move(fragment));
+  PushFrame(std::move(fragment));
   if (!transmitting_ && !attempt_pending_) {
     attempts_ = 0;
     ScheduleAttempt(rng_.NextInt(0, config_.initial_jitter));
@@ -129,7 +152,7 @@ void CsmaMac::ScheduleAttempt(SimDuration delay) {
 }
 
 void CsmaMac::Attempt() {
-  if (queue_.empty() || transmitting_) {
+  if (queue_size_ == 0 || transmitting_) {
     return;
   }
   // Duty cycling: transmit only inside an awake window, and only if the
@@ -137,7 +160,7 @@ void CsmaMac::Attempt() {
   // same synchronized instant).
   if (config_.duty_cycle < 1.0) {
     const SimTime now = sim_->now();
-    const SimDuration airtime = FrameAirtime(queue_.front().WireSize());
+    const SimDuration airtime = FrameAirtime(FrontFrame().WireSize());
     const SimDuration awake =
         static_cast<SimDuration>(config_.duty_cycle * static_cast<double>(config_.duty_period));
     const SimTime window_start = (now / config_.duty_period) * config_.duty_period;
@@ -153,7 +176,8 @@ void CsmaMac::Attempt() {
       }
       // Contend at the window start with a fresh jitter so all deferred
       // senders don't collide at the window boundary.
-      ScheduleAttempt(next - now + rng_.NextInt(0, std::max<SimDuration>(config_.initial_jitter, 1)));
+      ScheduleAttempt(next - now +
+                      rng_.NextInt(0, std::max<SimDuration>(config_.initial_jitter, 1)));
       return;
     }
   }
@@ -163,14 +187,14 @@ void CsmaMac::Attempt() {
       // The channel never cleared; give up on this frame (no ARQ).
       ++stats_.drops_channel_busy;
       if (sim_->tracing()) {
-        const Fragment& dropped = queue_.front();
+        const Fragment& dropped = FrontFrame();
         sim_->Trace(TraceEvent{
             sim_->now(), TraceEventKind::kMacDrop, endpoint_->node_id(), kBroadcastId,
             (static_cast<uint64_t>(dropped.src) << 32) | dropped.message_seq, /*busy=*/1});
       }
-      queue_.pop_front();
+      PopFrame();  // the returned frame, and its body, drop here
       attempts_ = 0;
-      if (queue_.empty()) {
+      if (queue_size_ == 0) {
         return;
       }
     }
@@ -181,8 +205,7 @@ void CsmaMac::Attempt() {
     return;
   }
   // Channel clear: transmit the head-of-line frame.
-  Fragment fragment = std::move(queue_.front());
-  queue_.pop_front();
+  Fragment fragment = PopFrame();
   attempts_ = 0;
   const SimDuration airtime = FrameAirtime(fragment.WireSize());
   transmitting_ = true;
@@ -201,14 +224,16 @@ void CsmaMac::Attempt() {
 
 void CsmaMac::FinishTransmit() {
   transmitting_ = false;
-  if (!queue_.empty() && !attempt_pending_) {
+  if (queue_size_ != 0 && !attempt_pending_) {
     ScheduleAttempt(config_.interframe_spacing +
                     rng_.NextInt(0, config_.initial_jitter));
   }
 }
 
 void CsmaMac::Reset() {
-  queue_.clear();
+  queue_ = std::vector<Fragment>();  // frees the ring and every queued body
+  queue_head_ = 0;
+  queue_size_ = 0;
   if (pending_event_ != kInvalidEventId) {
     sim_->Cancel(pending_event_);
     pending_event_ = kInvalidEventId;

@@ -9,7 +9,6 @@
 #ifndef SRC_RADIO_MAC_H_
 #define SRC_RADIO_MAC_H_
 
-#include <deque>
 #include <vector>
 
 #include "src/radio/channel.h"
@@ -163,6 +162,14 @@ class CsmaMac {
   SimDuration FrameAirtime(size_t fragment_bytes) const;
 
  private:
+  // The transmit FIFO: a power-of-two ring over queue_ that holds
+  // queue_size_ frames from queue_head_ on. PushFrame allocates on first
+  // use and doubles when full; PopFrame moves the head frame out, so no
+  // slot keeps a body alive.
+  void PushFrame(Fragment fragment);
+  Fragment PopFrame();
+  const Fragment& FrontFrame() const { return queue_[queue_head_]; }
+
   void ScheduleAttempt(SimDuration delay);
   void Attempt();
   void FinishTransmit();
@@ -187,7 +194,9 @@ class CsmaMac {
   SimTime tokens_refilled_at_[kMacPriorityClasses] = {0, 0, 0};
   bool tokens_primed_[kMacPriorityClasses] = {false, false, false};
 
-  std::deque<Fragment> queue_;
+  std::vector<Fragment> queue_;
+  size_t queue_head_ = 0;
+  size_t queue_size_ = 0;
   bool transmitting_ = false;
   bool attempt_pending_ = false;
   int attempts_ = 0;

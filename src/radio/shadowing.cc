@@ -39,13 +39,7 @@ double ShadowingPropagation::ShadowDb(NodeId from, NodeId to) const {
     std::swap(a, b);
   }
   const uint64_t key = (static_cast<uint64_t>(a) << 32) | b;
-  auto it = shadow_cache_.find(key);
-  if (it != shadow_cache_.end()) {
-    return it->second;
-  }
-  const double value = config_.shadowing_sigma_db * NormalDraw(key ^ seed_);
-  shadow_cache_.emplace(key, value);
-  return value;
+  return config_.shadowing_sigma_db * NormalDraw(key ^ seed_);
 }
 
 double ShadowingPropagation::LinkMarginDb(NodeId from, NodeId to) const {

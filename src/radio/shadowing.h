@@ -4,9 +4,9 @@
 // adequately reflect these observed propagation characteristics" — flat
 // unit-disk models have no gray zone, no per-link asymmetry, no obstruction
 // effects. This model produces all three: received power follows the
-// standard log-distance law with a per-directed-link shadowing term drawn
-// once (obstructions are static), so some long links work, some short links
-// do not, and the two directions of one link can differ.
+// standard log-distance law with a per-directed-link shadowing term
+// (obstructions are static), so some long links work, some short links do
+// not, and the two directions of one link can differ.
 
 #ifndef SRC_RADIO_SHADOWING_H_
 #define SRC_RADIO_SHADOWING_H_
@@ -50,14 +50,14 @@ class ShadowingPropagation : public PropagationModel {
   double DeliveryProbability(NodeId from, NodeId to, SimTime now) const override;
 
  private:
-  // Shadowing draws are memoized per (directed or undirected) link so a
-  // link's quality is stable across the run.
+  // The link's shadowing term: a normal draw hashed from the seed and the
+  // (directed, or undirected when symmetric) link, so a link's quality is
+  // the same on every call without being stored.
   double ShadowDb(NodeId from, NodeId to) const;
 
   ShadowingConfig config_;
   uint64_t seed_;
   std::unordered_map<NodeId, Position> positions_;
-  mutable std::unordered_map<uint64_t, double> shadow_cache_;
 };
 
 }  // namespace diffusion
