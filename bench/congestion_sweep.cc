@@ -215,7 +215,8 @@ int Main(int argc, char** argv) {
   bool ok = true;
   if (run_sweep) {
     const long long top_ms = kSweepIntervals[std::size(kSweepIntervals) - 1] / kMillisecond;
-    const CongestionRunResult* unshaped = find_run("sweep_" + std::to_string(top_ms) + "ms_unshaped");
+    const CongestionRunResult* unshaped =
+        find_run("sweep_" + std::to_string(top_ms) + "ms_unshaped");
     const CongestionRunResult* top = find_run("sweep_" + std::to_string(top_ms) + "ms_shaped");
     const double gain =
         unshaped->delivery > 0.0 ? top->delivery / unshaped->delivery

@@ -33,7 +33,9 @@ int Main(int argc, char** argv) {
               minutes);
   std::printf("%-8s  %-20s  %-20s  %-10s\n", "nodes", "comm-energy (supp)", "comm-energy (none)",
               "savings");
-  std::printf("(communication energy only — the ns study's radios made idle listening\n negligible next to tx/rx; see energy_model for the idle-dominated testbed view)\n\n");
+  std::printf(
+      "(communication energy only — the ns study's radios made idle listening\n negligible next "
+      "to tx/rx; see energy_model for the idle-dominated testbed view)\n\n");
 
   for (size_t nodes : node_counts) {
     RunningStat with_suppression;

@@ -79,7 +79,8 @@ int Main(int argc, char** argv) {
 
   std::printf("=== Figure 9: %% of light-change events delivering audio to the user ===\n");
   std::printf("(%d runs x %d min per point, %u jobs; mean ± 95%% CI; flat mode: %s)\n\n", runs,
-              minutes, jobs, triggered ? "per-event triggered queries" : "one-level data correlation");
+              minutes, jobs,
+              triggered ? "per-event triggered queries" : "one-level data correlation");
   std::printf("%-8s  %-20s  %-20s  %-16s  %-16s\n", "sensors", "nested %", "flat %",
               "nested bytes", "flat bytes");
 
@@ -103,7 +104,8 @@ int Main(int argc, char** argv) {
                 nested_bytes.mean(), flat_bytes.mean());
     const std::string point = std::to_string(lights) + "_sensors";
     bench_results.push_back({"nested_delivered_" + point, "%", nested_pct.mean()});
-    bench_results.push_back({"nested_delivered_" + point + "_ci95", "%", nested_pct.confidence95()});
+    bench_results.push_back(
+        {"nested_delivered_" + point + "_ci95", "%", nested_pct.confidence95()});
     bench_results.push_back({"flat_delivered_" + point, "%", flat_pct.mean()});
     bench_results.push_back({"flat_delivered_" + point + "_ci95", "%", flat_pct.confidence95()});
     bench_results.push_back({"nested_bytes_" + point, "B", nested_bytes.mean()});

@@ -36,7 +36,8 @@ int main() {
   config.exploratory_every = 5;
   std::vector<std::unique_ptr<DiffusionNode>> nodes;
   for (NodeId id = 1; id <= 4; ++id) {
-    nodes.push_back(std::make_unique<DiffusionNode>(&sim, &channel, id, NodeOptions{.diffusion = config}));
+    nodes.push_back(std::make_unique<DiffusionNode>(
+        &sim, &channel, id, NodeOptions{.diffusion = config}));
   }
 
   std::vector<uint8_t> object(4096);

@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   const RadioConfig rconfig = TestbedRadioConfig();
   std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes;
   for (NodeId id : layout.node_ids) {
-    nodes[id] = std::make_unique<DiffusionNode>(&sim, &channel, id, NodeOptions{.diffusion = dconfig, .radio = rconfig});
+    nodes[id] = std::make_unique<DiffusionNode>(
+        &sim, &channel, id, NodeOptions{.diffusion = dconfig, .radio = rconfig});
   }
 
   SurveillanceConfig sconfig;

@@ -7,8 +7,9 @@ namespace diffusion {
 CacheFilter::CacheFilter(DiffusionNode* node, AttributeVector data_match_attrs, int16_t priority,
                          size_t capacity, SimDuration max_age)
     : node_(node), capacity_(capacity), max_age_(max_age) {
-  data_filter_ = node_->AddFilter(std::move(data_match_attrs), priority,
-                                  [this](Message& message, FilterApi& api) { OnData(message, api); });
+  data_filter_ =
+      node_->AddFilter(std::move(data_match_attrs), priority,
+                       [this](Message& message, FilterApi& api) { OnData(message, api); });
   interest_filter_ =
       node_->AddFilter({ClassEq(kClassInterest)}, priority,
                        [this](Message& message, FilterApi& api) { OnInterest(message, api); });

@@ -34,8 +34,9 @@ void MicroGateway::Bridge(MicroTag tag, AttributeVector full_data_attrs) {
   AttributeVector watch_attrs = binding.data_attrs;
   watch_attrs.push_back(ClassEq(kClassInterest));
   binding.interest_watch =
-      full_->Subscribe(std::move(watch_attrs),
-                       [this, tag](const AttributeVector& /*interest*/) { OnFullTierInterest(tag); });
+      full_->Subscribe(std::move(watch_attrs), [this, tag](const AttributeVector& /*interest*/) {
+        OnFullTierInterest(tag);
+      });
 
   bindings_[tag] = std::move(binding);
 }

@@ -181,7 +181,8 @@ bool MicroNode::AddGradient(MicroTag tag, NodeId neighbor) {
       if (free_slot == nullptr) {
         free_slot = &slot;
       }
-    } else if (slot.expires_s < now_s && (oldest == nullptr || slot.expires_s < oldest->expires_s)) {
+    } else if (slot.expires_s < now_s &&
+               (oldest == nullptr || slot.expires_s < oldest->expires_s)) {
       oldest = &slot;
     }
   }

@@ -127,9 +127,12 @@ class NestedQueryTest : public ::testing::Test {
     DiffusionConfig config;
     config.exploratory_every = 3;  // sparse publications need frequent
                                    // exploratory rounds to hold their paths
-    user_node_ = std::make_unique<DiffusionNode>(&sim_, channel_.get(), 1, NodeOptions{.diffusion = config, .radio = FastRadio()});
-    audio_node_ = std::make_unique<DiffusionNode>(&sim_, channel_.get(), 2, NodeOptions{.diffusion = config, .radio = FastRadio()});
-    light_node_ = std::make_unique<DiffusionNode>(&sim_, channel_.get(), 3, NodeOptions{.diffusion = config, .radio = FastRadio()});
+    user_node_ = std::make_unique<DiffusionNode>(
+        &sim_, channel_.get(), 1, NodeOptions{.diffusion = config, .radio = FastRadio()});
+    audio_node_ = std::make_unique<DiffusionNode>(
+        &sim_, channel_.get(), 2, NodeOptions{.diffusion = config, .radio = FastRadio()});
+    light_node_ = std::make_unique<DiffusionNode>(
+        &sim_, channel_.get(), 3, NodeOptions{.diffusion = config, .radio = FastRadio()});
   }
 
   Simulator sim_;

@@ -27,8 +27,8 @@ class BlobTest : public ::testing::Test {
     DiffusionConfig config;
     config.exploratory_every = 3;
     for (NodeId id = 1; id <= 3; ++id) {
-      nodes_.push_back(
-          std::make_unique<DiffusionNode>(&sim_, channel_.get(), id, NodeOptions{.diffusion = config, .radio = FastRadio()}));
+      nodes_.push_back(std::make_unique<DiffusionNode>(
+          &sim_, channel_.get(), id, NodeOptions{.diffusion = config, .radio = FastRadio()}));
     }
   }
 

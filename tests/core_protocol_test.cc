@@ -41,7 +41,8 @@ TEST(TtlTest, FloodStopsAtHopBudget) {
   config.flood_ttl = 4;
   std::vector<std::unique_ptr<DiffusionNode>> nodes;
   for (NodeId id = 1; id <= 8; ++id) {
-    nodes.push_back(std::make_unique<DiffusionNode>(&sim, channel.get(), id, NodeOptions{.diffusion = config, .radio = FastRadio()}));
+    nodes.push_back(std::make_unique<DiffusionNode>(
+        &sim, channel.get(), id, NodeOptions{.diffusion = config, .radio = FastRadio()}));
   }
   (void)nodes[0]->Subscribe(Query(), [](const AttributeVector&) {});
   sim.RunUntil(10 * kSecond);
@@ -118,8 +119,10 @@ TEST(NegativeReinforcementTest, StalePathTornDown) {
   DiffusionConfig config;
   config.negative_reinforcement_after = 30 * kSecond;
   config.reinforcement_lifetime = 10 * kMinute;
-  DiffusionNode sink(&sim, channel.get(), 1, NodeOptions{.diffusion = config, .radio = FastRadio()});
-  DiffusionNode source(&sim, channel.get(), 2, NodeOptions{.diffusion = config, .radio = FastRadio()});
+  DiffusionNode sink(&sim, channel.get(), 1,
+                     NodeOptions{.diffusion = config, .radio = FastRadio()});
+  DiffusionNode source(&sim, channel.get(), 2,
+                       NodeOptions{.diffusion = config, .radio = FastRadio()});
 
   (void)sink.Subscribe(Query(), [](const AttributeVector&) {});
   const PublicationHandle pub = source.Publish(Publication());
@@ -160,7 +163,8 @@ TEST(NegativeReinforcementTest, LosingUpstreamIsNegativelyReinforced) {
   config.negative_reinforcement_after = 90 * kSecond;
   std::vector<std::unique_ptr<DiffusionNode>> nodes;
   for (NodeId id = 1; id <= 4; ++id) {
-    nodes.push_back(std::make_unique<DiffusionNode>(&sim, channel.get(), id, NodeOptions{.diffusion = config, .radio = FastRadio()}));
+    nodes.push_back(std::make_unique<DiffusionNode>(
+        &sim, channel.get(), id, NodeOptions{.diffusion = config, .radio = FastRadio()}));
   }
   (void)nodes[0]->Subscribe(Query(), [](const AttributeVector&) {});
   const PublicationHandle pub = nodes[3]->Publish(Publication());
@@ -257,8 +261,10 @@ TEST(IntermittentLinkTest, DeliveryTracksLinkWindows) {
   auto channel = std::make_unique<Channel>(&sim, std::move(topology));
   DiffusionConfig config;
   config.exploratory_every = 3;  // re-establish quickly after each off window
-  DiffusionNode sink(&sim, channel.get(), 1, NodeOptions{.diffusion = config, .radio = FastRadio()});
-  DiffusionNode source(&sim, channel.get(), 2, NodeOptions{.diffusion = config, .radio = FastRadio()});
+  DiffusionNode sink(&sim, channel.get(), 1,
+                     NodeOptions{.diffusion = config, .radio = FastRadio()});
+  DiffusionNode source(&sim, channel.get(), 2,
+                       NodeOptions{.diffusion = config, .radio = FastRadio()});
   std::vector<SimTime> deliveries;
   (void)sink.Subscribe(Query(), [&](const AttributeVector&) { deliveries.push_back(sim.now()); });
   const PublicationHandle pub = source.Publish(Publication());
@@ -360,8 +366,10 @@ TEST(RefreshJitterTest, RefreshPeriodsVaryWithinBounds) {
   auto channel = MakeCliqueChannel(&sim, 2);
   DiffusionConfig config;
   config.refresh_jitter_fraction = 0.2;
-  DiffusionNode sink(&sim, channel.get(), 1, NodeOptions{.diffusion = config, .radio = FastRadio()});
-  DiffusionNode observer(&sim, channel.get(), 2, NodeOptions{.diffusion = config, .radio = FastRadio()});
+  DiffusionNode sink(&sim, channel.get(), 1,
+                     NodeOptions{.diffusion = config, .radio = FastRadio()});
+  DiffusionNode observer(&sim, channel.get(), 2,
+                         NodeOptions{.diffusion = config, .radio = FastRadio()});
 
   std::vector<SimTime> arrivals;
   AttributeVector watch = Publication();

@@ -391,8 +391,8 @@ class LineTest : public ::testing::Test {
 
   LineTest() : sim_(777), channel_(MakeLineChannel(&sim_, kNodes)) {
     for (NodeId id = 1; id <= kNodes; ++id) {
-      nodes_.push_back(
-          std::make_unique<DiffusionNode>(&sim_, channel_.get(), id, NodeOptions{.radio = FastRadio()}));
+      nodes_.push_back(std::make_unique<DiffusionNode>(
+          &sim_, channel_.get(), id, NodeOptions{.radio = FastRadio()}));
     }
   }
 
@@ -500,8 +500,8 @@ TEST(DiamondTest, ReroutesAroundDeadNode) {
   DiffusionConfig config;
   std::vector<std::unique_ptr<DiffusionNode>> nodes;
   for (NodeId id = 1; id <= 4; ++id) {
-    nodes.push_back(
-        std::make_unique<DiffusionNode>(&sim, channel.get(), id, NodeOptions{.diffusion = config, .radio = FastRadio()}));
+    nodes.push_back(std::make_unique<DiffusionNode>(
+        &sim, channel.get(), id, NodeOptions{.diffusion = config, .radio = FastRadio()}));
   }
   std::vector<int32_t> received;
   (void)nodes[0]->Subscribe(LightQuery(),
@@ -538,7 +538,8 @@ TEST(CliqueScaleTest, ManySubscribersAllReceive) {
   auto channel = MakeCliqueChannel(&sim, 6);
   std::vector<std::unique_ptr<DiffusionNode>> nodes;
   for (NodeId id = 1; id <= 6; ++id) {
-    nodes.push_back(std::make_unique<DiffusionNode>(&sim, channel.get(), id, NodeOptions{.radio = FastRadio()}));
+    nodes.push_back(std::make_unique<DiffusionNode>(
+        &sim, channel.get(), id, NodeOptions{.radio = FastRadio()}));
   }
   std::vector<int> counts(6, 0);
   for (size_t i = 0; i < 5; ++i) {

@@ -44,9 +44,12 @@ TEST(FaultTest, KillCancelsPendingEventsAndHeapStaysCompacted) {
   auto channel = MakeLineChannel(&sim, 3);
   DiffusionConfig config;
   config.forward_delay_jitter = 2 * kSecond;  // hold relay forwards pending
-  DiffusionNode sink(&sim, channel.get(), 1, NodeOptions{.diffusion = config, .radio = FastRadio()});
-  DiffusionNode relay(&sim, channel.get(), 2, NodeOptions{.diffusion = config, .radio = FastRadio()});
-  DiffusionNode source(&sim, channel.get(), 3, NodeOptions{.diffusion = config, .radio = FastRadio()});
+  DiffusionNode sink(&sim, channel.get(), 1,
+                     NodeOptions{.diffusion = config, .radio = FastRadio()});
+  DiffusionNode relay(&sim, channel.get(), 2,
+                      NodeOptions{.diffusion = config, .radio = FastRadio()});
+  DiffusionNode source(&sim, channel.get(), 3,
+                       NodeOptions{.diffusion = config, .radio = FastRadio()});
 
   (void)sink.Subscribe(Query(), [](const AttributeVector&) {});
   (void)relay.Subscribe(Query(), [](const AttributeVector&) {});

@@ -245,7 +245,8 @@ TEST(MatchIndexTest, MixedNumericTypesShareBuckets) {
   // An int32 formal and a float64 actual that compare equal must meet.
   std::vector<AttributeSet> entries;
   entries.push_back({Attribute::Int32(kKey, AttrOp::kEq, 42)});
-  entries.push_back({Attribute::Int32(kKey, AttrOp::kGe, 40), Attribute::Int32(kKey, AttrOp::kLe, 50)});
+  entries.push_back(
+      {Attribute::Int32(kKey, AttrOp::kGe, 40), Attribute::Int32(kKey, AttrOp::kLe, 50)});
   MatchIndex index(kKey);
   for (size_t i = 0; i < entries.size(); ++i) {
     ASSERT_TRUE(index.Insert(static_cast<uint32_t>(i), 0, &entries[i]));
@@ -331,7 +332,8 @@ TEST(MatchIndexTest, SwapAndPopKeepsPositionsConsistentUnderChurn) {
     order[i] = i;
   }
   for (size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[static_cast<size_t>(rng.NextInt(0, static_cast<int64_t>(i) - 1))]);
+    const auto j = static_cast<size_t>(rng.NextInt(0, static_cast<int64_t>(i) - 1));
+    std::swap(order[i - 1], order[j]);
   }
   const AttributeSet probe = {ClassIs(kClassData)};
   std::vector<bool> alive(64, true);

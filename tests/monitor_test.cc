@@ -122,8 +122,8 @@ TEST(NetworkMonitorTest, SnapshotsCountTraffic) {
   std::vector<std::unique_ptr<DiffusionNode>> nodes;
   NetworkMonitor monitor(channel.get());
   for (NodeId id = 1; id <= 3; ++id) {
-    nodes.push_back(
-        std::make_unique<DiffusionNode>(&sim, channel.get(), id, NodeOptions{.radio = FastRadio()}));
+    nodes.push_back(std::make_unique<DiffusionNode>(
+        &sim, channel.get(), id, NodeOptions{.radio = FastRadio()}));
     monitor.Track(nodes.back().get());
   }
   const NetworkMonitor::Snapshot before = monitor.TakeSnapshot();
@@ -149,8 +149,8 @@ TEST(NetworkMonitorTest, TopologyReportShowsHeardNeighbors) {
   std::vector<std::unique_ptr<DiffusionNode>> nodes;
   NetworkMonitor monitor(channel.get());
   for (NodeId id = 1; id <= 3; ++id) {
-    nodes.push_back(
-        std::make_unique<DiffusionNode>(&sim, channel.get(), id, NodeOptions{.radio = FastRadio()}));
+    nodes.push_back(std::make_unique<DiffusionNode>(
+        &sim, channel.get(), id, NodeOptions{.radio = FastRadio()}));
     monitor.Track(nodes.back().get());
   }
   (void)nodes[0]->Subscribe(Query(), [](const AttributeVector&) {});
@@ -196,8 +196,8 @@ TEST(NetworkMonitorTest, PerNodeMetricsSumToAggregateSnapshot) {
   std::vector<std::unique_ptr<DiffusionNode>> nodes;
   NetworkMonitor monitor(channel.get());
   for (NodeId id = 1; id <= 3; ++id) {
-    nodes.push_back(
-        std::make_unique<DiffusionNode>(&sim, channel.get(), id, NodeOptions{.radio = FastRadio()}));
+    nodes.push_back(std::make_unique<DiffusionNode>(
+        &sim, channel.get(), id, NodeOptions{.radio = FastRadio()}));
     monitor.Track(nodes.back().get());
   }
   (void)nodes[0]->Subscribe(Query(), [](const AttributeVector&) {});

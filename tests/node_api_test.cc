@@ -47,10 +47,10 @@ TEST(NodeApiTest, HandleKindsAreDistinctTypes) {
                                      PublicationHandle>);
   static_assert(!std::is_invocable_v<decltype(&DiffusionNode::Unsubscribe), DiffusionNode&,
                                      FilterHandle>);
-  static_assert(
-      !std::is_invocable_v<decltype(&DiffusionNode::Unpublish), DiffusionNode&, SubscriptionHandle>);
-  static_assert(
-      !std::is_invocable_v<decltype(&DiffusionNode::RemoveFilter), DiffusionNode&, PublicationHandle>);
+  static_assert(!std::is_invocable_v<decltype(&DiffusionNode::Unpublish), DiffusionNode&,
+                                     SubscriptionHandle>);
+  static_assert(!std::is_invocable_v<decltype(&DiffusionNode::RemoveFilter), DiffusionNode&,
+                                     PublicationHandle>);
   static_assert(!std::is_invocable_v<decltype(&DiffusionNode::Send), DiffusionNode&,
                                      SubscriptionHandle, const AttributeVector&>);
   static_assert(!std::equality_comparable_with<SubscriptionHandle, PublicationHandle>);
@@ -179,7 +179,8 @@ TEST(NodeApiTest, TtlBoundsDataReach) {
   DiffusionConfig config;
   config.flood_ttl = 2;
   for (NodeId id = 1; id <= 4; ++id) {
-    nodes.push_back(std::make_unique<DiffusionNode>(&sim, channel.get(), id, NodeOptions{.diffusion = config, .radio = FastRadio()}));
+    nodes.push_back(std::make_unique<DiffusionNode>(
+        &sim, channel.get(), id, NodeOptions{.diffusion = config, .radio = FastRadio()}));
   }
   int one_hop = 0;
   int two_hops = 0;

@@ -618,8 +618,8 @@ TEST(ShardedEngineTest, SkipKeepsTheGridAcrossOffGridCalls) {
   // The continuation grid starts at 37 ms + 1 tick: barriers at
   // 47.001 ms (outside event), 157.001 ms (the 150 ms event) and 400.001 ms
   // (the window holding end), never anywhere else.
-  const std::vector<SimTime> continued(log.barriers.begin() + static_cast<std::ptrdiff_t>(barriers_before),
-                                       log.barriers.end());
+  const std::vector<SimTime> continued(
+      log.barriers.begin() + static_cast<std::ptrdiff_t>(barriers_before), log.barriers.end());
   EXPECT_EQ(continued, (std::vector<SimTime>{47 * kMillisecond + 1, 157 * kMillisecond + 1,
                                              400 * kMillisecond + 1}));
   EXPECT_EQ(engine.windows_run(), 4u + 37u);

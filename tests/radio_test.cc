@@ -654,7 +654,8 @@ TEST(RadioTest, LossyLinkDropsWholeMessages) {
   b.SetReceiveCallback([&](NodeId, const WireBody&) { ++received; });
   const int sent = 300;
   for (int i = 0; i < sent; ++i) {
-    sim.After(i * 20 * kMillisecond, [&a] { a.SendMessage(kBroadcastId, std::vector<uint8_t>(112, 3)); });
+    sim.After(i * 20 * kMillisecond,
+              [&a] { a.SendMessage(kBroadcastId, std::vector<uint8_t>(112, 3)); });
   }
   sim.RunUntil(20 * kSecond);
   const double rate = static_cast<double>(received) / sent;

@@ -203,7 +203,8 @@ TEST(ReplicationIntegrationTest, Fig8ReplicatesDeterministicAcrossJobs) {
           params.duration = 60 * kSecond;
           params.warmup = 10 * kSecond;
           params.seed = 4000 + i;
-          params.strategy = (i % 2) == 0 ? AggregationStrategy::kSuppression : AggregationStrategy::kNone;
+          params.strategy =
+              (i % 2) == 0 ? AggregationStrategy::kSuppression : AggregationStrategy::kNone;
           params.trace_sink = sink;
           return RunFig8(params);
         });
