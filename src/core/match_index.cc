@@ -181,7 +181,7 @@ void MatchIndex::ReleaseGroup(const Position& position) {
       break;
     case GroupKind::kInterval: {
       trie_.erase({position.level, position.num_key});
-      auto next = trie_.lower_bound({position.level, 0});
+      const auto next = trie_.lower_bound({position.level, 0});
       if (next == trie_.end() || next->first.first != position.level) {
         used_levels_ &= ~(uint64_t{1} << position.level);
       }

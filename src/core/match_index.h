@@ -15,9 +15,8 @@
 //   * two-sided ranges (a lower- and an upper-bound formal on the key): a
 //     64-level LCA segment trie over the order-preserving bit encoding of
 //     double, queried by overlap with [min actual, max actual]. Its nodes
-//     share one ordered map keyed (level, prefix), plus a bitmask of the
-//     levels in use: an index with no interval holds one empty map, not one
-//     per level;
+//     share one ordered map keyed (level, prefix), and a bitmask names the
+//     levels in use, so a query only looks up levels that hold a node;
 //   * NE formals: per-value groups, all visited except the group whose
 //     value every actual equals;
 //   * anything else formal on the key (`any_`), and entries with no formal
