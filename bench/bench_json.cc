@@ -1,10 +1,11 @@
 #include "bench/bench_json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "src/util/json.h"
 
 namespace diffusion {
 namespace bench {
@@ -39,64 +40,14 @@ std::string FormatValue(double value) {
   return buf;
 }
 
-// ---- validation helpers (string-level, no JSON library in the image) ----
-
-// Finds `"key"` and returns the position just past the following ':', or
-// npos. Search starts at `from`.
-size_t FindKey(const std::string& text, const std::string& key, size_t from) {
-  const std::string quoted = "\"" + key + "\"";
-  size_t pos = text.find(quoted, from);
-  if (pos == std::string::npos) {
-    return std::string::npos;
-  }
-  pos = text.find(':', pos + quoted.size());
-  return pos == std::string::npos ? std::string::npos : pos + 1;
-}
-
-// Parses a JSON string literal starting at the first non-space char after
-// `pos`. Returns false if there isn't one.
-bool ReadString(const std::string& text, size_t pos, std::string* out) {
-  while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) {
-    ++pos;
-  }
-  if (pos >= text.size() || text[pos] != '"') {
-    return false;
-  }
-  std::string value;
-  for (++pos; pos < text.size(); ++pos) {
-    if (text[pos] == '\\') {
-      ++pos;
-      continue;
-    }
-    if (text[pos] == '"') {
-      *out = value;
-      return true;
-    }
-    value += text[pos];
-  }
-  return false;
-}
-
-bool ReadNumber(const std::string& text, size_t pos, double* out) {
-  while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos]))) {
-    ++pos;
-  }
-  const char* start = text.c_str() + pos;
-  char* end = nullptr;
-  const double value = std::strtod(start, &end);
-  if (end == start || !std::isfinite(value)) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-// The whole file, or empty when it cannot be read.
-std::string ReadFile(const std::string& path) {
+// Reads the whole file into `text`; false (text empty) when it cannot be
+// opened.
+bool ReadFile(const std::string& path, std::string* text) {
   std::ifstream file(path);
   std::ostringstream buffer;
   buffer << file.rdbuf();
-  return buffer.str();
+  *text = buffer.str();
+  return static_cast<bool>(file);
 }
 
 bool Fail(std::string* error, const std::string& message) {
@@ -106,39 +57,47 @@ bool Fail(std::string* error, const std::string& message) {
   return false;
 }
 
-// Reads every entry of the "results" array of BenchJson text into `rows`,
-// in file order. On a malformed array or entry stores a diagnosis and
-// returns false.
-bool ParseResults(const std::string& text, std::vector<BenchResult>* rows, std::string* error) {
-  const size_t results_pos = FindKey(text, "results", 0);
-  if (results_pos == std::string::npos) {
+// The member `key` of `object` when it is a non-empty string, else null.
+const std::string* NonEmptyString(const JsonValue& object, const std::string& key) {
+  const JsonValue* value = object.Find(key);
+  return value != nullptr && value->type == JsonValue::Type::kString && !value->string.empty()
+             ? &value->string
+             : nullptr;
+}
+
+// Reads every entry of a parsed BenchJson document's "results" array into
+// `rows`, in file order. On a missing array or a malformed entry stores a
+// diagnosis and returns false.
+bool ReadRows(const JsonValue& root, std::vector<BenchResult>* rows, std::string* error) {
+  const JsonValue* results = root.Find("results");
+  if (results == nullptr || results->type != JsonValue::Type::kArray) {
     return Fail(error, "missing \"results\" array");
   }
-  const size_t results_end = text.find(']', results_pos);
-  if (results_end == std::string::npos) {
-    return Fail(error, "unterminated \"results\" array");
-  }
-  for (size_t entry = text.find('{', results_pos);
-       entry != std::string::npos && entry < results_end;
-       entry = text.find('{', text.find('}', entry))) {
-    BenchResult row;
-    const size_t name_pos = FindKey(text, "name", entry);
-    const size_t unit_pos = FindKey(text, "unit", entry);
-    const size_t value_pos = FindKey(text, "value", entry);
-    if (name_pos == std::string::npos || !ReadString(text, name_pos, &row.name) ||
-        row.name.empty()) {
+  for (const JsonValue& entry : results->array) {
+    const std::string* name = NonEmptyString(entry, "name");
+    if (name == nullptr) {
       return Fail(error, "result #" + std::to_string(rows->size()) + " missing \"name\"");
     }
-    if (unit_pos == std::string::npos || !ReadString(text, unit_pos, &row.unit) ||
-        row.unit.empty()) {
-      return Fail(error, "result \"" + row.name + "\" missing \"unit\"");
+    const std::string* unit = NonEmptyString(entry, "unit");
+    if (unit == nullptr) {
+      return Fail(error, "result \"" + *name + "\" missing \"unit\"");
     }
-    if (value_pos == std::string::npos || !ReadNumber(text, value_pos, &row.value)) {
-      return Fail(error, "result \"" + row.name + "\" missing finite \"value\"");
+    const JsonValue* value = entry.Find("value");
+    if (value == nullptr || value->type != JsonValue::Type::kNumber ||
+        !std::isfinite(value->number)) {
+      return Fail(error, "result \"" + *name + "\" missing finite \"value\"");
     }
-    rows->push_back(std::move(row));
+    rows->push_back({*name, *unit, value->number});
   }
   return true;
+}
+
+// The rows of the file at `path`.
+bool ReadResults(const std::string& path, std::vector<BenchResult>* rows, std::string* error) {
+  std::string text;
+  ReadFile(path, &text);
+  JsonValue root;
+  return ParseJson(text, &root, error) && ReadRows(root, rows, error);
 }
 
 // The first recorded row named `name`, or null.
@@ -181,35 +140,31 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
 }
 
 bool ValidateBenchJson(const std::string& path, std::string* error) {
-  std::ifstream file(path);
-  if (!file) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
     return Fail(error, path + ": cannot open");
   }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string text = buffer.str();
   if (text.empty()) {
     return Fail(error, path + ": empty file");
   }
-
-  size_t pos = FindKey(text, "schema", 0);
-  std::string schema;
-  if (pos == std::string::npos || !ReadString(text, pos, &schema)) {
+  JsonValue root;
+  std::string parse_error;
+  if (!ParseJson(text, &root, &parse_error)) {
+    return Fail(error, path + ": " + parse_error);
+  }
+  const JsonValue* schema = root.Find("schema");
+  if (schema == nullptr || schema->type != JsonValue::Type::kString) {
     return Fail(error, path + ": missing \"schema\" string");
   }
-  if (schema != kBenchJsonSchema) {
-    return Fail(error, path + ": schema \"" + schema + "\" != \"" + kBenchJsonSchema + "\"");
+  if (schema->string != kBenchJsonSchema) {
+    return Fail(error,
+                path + ": schema \"" + schema->string + "\" != \"" + kBenchJsonSchema + "\"");
   }
-
-  pos = FindKey(text, "bench", 0);
-  std::string bench_name;
-  if (pos == std::string::npos || !ReadString(text, pos, &bench_name) || bench_name.empty()) {
+  if (NonEmptyString(root, "bench") == nullptr) {
     return Fail(error, path + ": missing \"bench\" name");
   }
-
   std::vector<BenchResult> rows;
-  std::string parse_error;
-  if (!ParseResults(text, &rows, &parse_error)) {
+  if (!ReadRows(root, &rows, &parse_error)) {
     return Fail(error, path + ": " + parse_error);
   }
   if (rows.empty()) {
@@ -220,7 +175,7 @@ bool ValidateBenchJson(const std::string& path, std::string* error) {
 
 bool ReadBenchValue(const std::string& path, const std::string& name, double* value) {
   std::vector<BenchResult> rows;
-  if (!ParseResults(ReadFile(path), &rows, nullptr)) {
+  if (!ReadResults(path, &rows, nullptr)) {
     return false;
   }
   const BenchResult* row = FindRow(rows, name);
@@ -235,7 +190,7 @@ bool MatchesRecorded(const std::string& path, const std::vector<BenchResult>& ex
                      RecordedRows scope, std::string* error) {
   std::vector<BenchResult> recorded;
   std::string parse_error;
-  if (!ParseResults(ReadFile(path), &recorded, &parse_error)) {
+  if (!ReadResults(path, &recorded, &parse_error)) {
     return Fail(error, path + ": " + parse_error);
   }
   std::string mismatches;

@@ -28,7 +28,10 @@
 //
 // Emits BENCH_matching.json ("diffusion-bench-v1" schema). Flags:
 //   --out=PATH              where to write the JSON (default BENCH_matching.json)
-//   --check=PATH            validate an existing file against the schema; no run
+//   --check=PATH            validate an existing file against the schema, then
+//                           re-run the inequality-at-scale counts at the file's
+//                           ineq_filters and fail on any count row that differs
+//                           (timing rows are not checked); nothing is written
 //   --reps=N                timing repetitions (default 40)
 //   --filters=N             inequality-section index size (default 1000000)
 //   --require-speedup=X     exit non-zero unless both EQ speedups reach X
@@ -284,6 +287,102 @@ std::vector<AttributeSet> MakeIneqMessages(size_t count, Rng* rng) {
   return messages;
 }
 
+// The inequality-at-scale section: the corpus in a MatchIndex, the message
+// burst, and the candidate-set sizes per message. The counts are a pure
+// function of the corpus size, so --check rebuilds them at the file's
+// ineq_filters.
+struct IneqSection {
+  std::vector<IneqEntry> filters;
+  std::vector<AttributeSet> messages;
+  MatchIndex index{kKeyConfidence};
+  double scan_avg = 0.0;
+  double indexed_avg = 0.0;
+
+  double reduction() const { return scan_avg / indexed_avg; }
+  std::vector<bench::BenchResult> CountRows() const {
+    return {
+        {"ineq_filters", "count", static_cast<double>(filters.size())},
+        {"ineq_candidates_scan", "candidates/msg", scan_avg},
+        {"ineq_candidates_indexed", "candidates/msg", indexed_avg},
+        {"ineq_candidate_reduction", "x", reduction()},
+    };
+  }
+};
+
+// Builds `section` over `count` filters and counts its candidates. False
+// (with a FAIL line) when the index disagrees with a full scan.
+bool BuildIneqSection(size_t count, IneqSection* section) {
+  Rng ineq_rng(987654321);
+  section->filters = MakeIneqFilters(count, &ineq_rng);
+  section->messages = MakeIneqMessages(512, &ineq_rng);
+  std::unordered_map<uint64_t, uint64_t> old_eq_buckets;
+  uint64_t old_any_count = 0;
+  for (const IneqEntry& entry : section->filters) {
+    if (!section->index.Insert(entry.id, 0, &entry.attrs)) {
+      std::fprintf(stderr, "FAIL: duplicate id in inequality corpus\n");
+      return false;
+    }
+    if (entry.old_index_bucketed) {
+      ++old_eq_buckets[entry.old_bucket_bits];
+    } else {
+      ++old_any_count;
+    }
+  }
+
+  // Soundness spot-check against a full scan (a handful of messages — the
+  // randomized equivalence suite in tests/ is the exhaustive version).
+  for (size_t m = 0; m < section->messages.size(); m += 128) {
+    std::vector<uint32_t> candidates;
+    section->index.ForEachCandidate(section->messages[m], [&](const MatchIndexEntry& entry) {
+      if (OneWayMatch(*entry.attrs, section->messages[m])) {
+        candidates.push_back(entry.id);
+      }
+    });
+    std::sort(candidates.begin(), candidates.end());
+    size_t expected = 0;
+    for (const IneqEntry& entry : section->filters) {
+      if (OneWayMatch(entry.attrs, section->messages[m])) {
+        ++expected;
+        if (!std::binary_search(candidates.begin(), candidates.end(), entry.id)) {
+          std::fprintf(stderr, "FAIL: index lost a matching entry (id=%u)\n", entry.id);
+          return false;
+        }
+      }
+    }
+    if (expected != candidates.size()) {
+      std::fprintf(stderr, "FAIL: confirmed candidate count %zu != full-scan %zu\n",
+                   candidates.size(), expected);
+      return false;
+    }
+  }
+
+  // Candidate-set sizes. The any-scan baseline is arithmetic: the old index
+  // put every non-EQ-classified filter in the any-scan group, so each
+  // message visited all of them plus its EQ bucket.
+  uint64_t scan_candidates = 0;
+  uint64_t indexed_candidates = 0;
+  for (const AttributeSet& message : section->messages) {
+    scan_candidates += old_any_count;
+    for (const Attribute& attr : message.items()) {
+      if (attr.key() == kKeyConfidence && attr.op() == AttrOp::kIs) {
+        const auto it = old_eq_buckets.find(
+            MatchIndex::NormalizedBits(*attr.AsDouble()));
+        if (it != old_eq_buckets.end()) {
+          scan_candidates += it->second;
+        }
+      }
+    }
+    section->index.ForEachCandidate(message, [&](const MatchIndexEntry&) {
+      ++indexed_candidates;
+    });
+  }
+  section->scan_avg =
+      static_cast<double>(scan_candidates) / static_cast<double>(section->messages.size());
+  section->indexed_avg =
+      static_cast<double>(indexed_candidates) / static_cast<double>(section->messages.size());
+  return true;
+}
+
 // Nanoseconds per call of `fn` over the whole message stream, best of `reps`
 // (best-of tolerates scheduler noise better than the mean).
 template <typename Fn>
@@ -314,21 +413,30 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: %s\n", error.c_str());
       return 1;
     }
-    if (require_reduction > 0.0) {
-      double recorded = 0.0;
-      if (!bench::ReadBenchValue(check, "ineq_candidate_reduction", &recorded)) {
-        std::fprintf(stderr, "FAIL: %s has no ineq_candidate_reduction metric\n", check.c_str());
-        return 1;
-      }
-      if (recorded < require_reduction) {
-        std::fprintf(stderr,
-                     "FAIL: recorded ineq_candidate_reduction %.1fx below "
-                     "--require-reduction=%.1f\n",
-                     recorded, require_reduction);
-        return 1;
-      }
+    double recorded_filters = 0.0;
+    if (!bench::ReadBenchValue(check, "ineq_filters", &recorded_filters)) {
+      std::fprintf(stderr, "FAIL: %s has no ineq_filters metric\n", check.c_str());
+      return 1;
     }
-    std::printf("%s: valid %s file\n", check.c_str(), bench::kBenchJsonSchema);
+    IneqSection section;
+    if (!BuildIneqSection(static_cast<size_t>(recorded_filters), &section)) {
+      return 1;
+    }
+    if (!bench::MatchesRecorded(check, section.CountRows(), bench::RecordedRows::kEmitted,
+                                &error)) {
+      std::fprintf(stderr, "FAIL: inequality counts differ from %s: %s\n", check.c_str(),
+                   error.c_str());
+      return 1;
+    }
+    if (require_reduction > 0.0 && section.reduction() < require_reduction) {
+      std::fprintf(stderr,
+                   "FAIL: ineq_candidate_reduction %.1fx below "
+                   "--require-reduction=%.1f\n",
+                   section.reduction(), require_reduction);
+      return 1;
+    }
+    std::printf("%s: valid %s file; inequality counts reproduced\n", check.c_str(),
+                bench::kBenchJsonSchema);
     return 0;
   }
 
@@ -401,84 +509,18 @@ int Main(int argc, char** argv) {
   const double exact_speedup = exact_linear_ns / exact_hashed_ns;
 
   // ---- Inequality at scale -----------------------------------------------
-  Rng ineq_rng(987654321);
-  const std::vector<IneqEntry> ineq = MakeIneqFilters(ineq_filters, &ineq_rng);
-  const std::vector<AttributeSet> ineq_messages = MakeIneqMessages(512, &ineq_rng);
-  MatchIndex ineq_index(kKeyConfidence);
-  std::unordered_map<uint64_t, uint64_t> old_eq_buckets;
-  uint64_t old_any_count = 0;
-  for (const IneqEntry& entry : ineq) {
-    if (!ineq_index.Insert(entry.id, 0, &entry.attrs)) {
-      std::fprintf(stderr, "FAIL: duplicate id in inequality corpus\n");
-      return 1;
-    }
-    if (entry.old_index_bucketed) {
-      ++old_eq_buckets[entry.old_bucket_bits];
-    } else {
-      ++old_any_count;
-    }
+  IneqSection section;
+  if (!BuildIneqSection(ineq_filters, &section)) {
+    return 1;
   }
-
-  // Soundness spot-check against a full scan (a handful of messages — the
-  // randomized equivalence suite in tests/ is the exhaustive version).
-  for (size_t m = 0; m < ineq_messages.size(); m += 128) {
-    std::vector<uint32_t> candidates;
-    ineq_index.ForEachCandidate(ineq_messages[m], [&](const MatchIndexEntry& entry) {
-      if (OneWayMatch(*entry.attrs, ineq_messages[m])) {
-        candidates.push_back(entry.id);
-      }
-    });
-    std::sort(candidates.begin(), candidates.end());
-    size_t expected = 0;
-    for (const IneqEntry& entry : ineq) {
-      if (OneWayMatch(entry.attrs, ineq_messages[m])) {
-        ++expected;
-        if (!std::binary_search(candidates.begin(), candidates.end(), entry.id)) {
-          std::fprintf(stderr, "FAIL: index lost a matching entry (id=%u)\n", entry.id);
-          return 1;
-        }
-      }
-    }
-    if (expected != candidates.size()) {
-      std::fprintf(stderr, "FAIL: confirmed candidate count %zu != full-scan %zu\n",
-                   candidates.size(), expected);
-      return 1;
-    }
-  }
-
-  // Candidate-set sizes. The pre-PR baseline is arithmetic: every
-  // non-EQ-classified filter sat in the any-scan group, so each message
-  // visited all of them plus its EQ bucket.
-  uint64_t scan_candidates = 0;
-  uint64_t indexed_candidates = 0;
-  for (const AttributeSet& message : ineq_messages) {
-    scan_candidates += old_any_count;
-    for (const Attribute& attr : message.items()) {
-      if (attr.key() == kKeyConfidence && attr.op() == AttrOp::kIs) {
-        const auto it = old_eq_buckets.find(
-            MatchIndex::NormalizedBits(*attr.AsDouble()));
-        if (it != old_eq_buckets.end()) {
-          scan_candidates += it->second;
-        }
-      }
-    }
-    ineq_index.ForEachCandidate(message, [&](const MatchIndexEntry&) {
-      ++indexed_candidates;
-    });
-  }
-  const double ineq_scan_avg =
-      static_cast<double>(scan_candidates) / static_cast<double>(ineq_messages.size());
-  const double ineq_indexed_avg =
-      static_cast<double>(indexed_candidates) / static_cast<double>(ineq_messages.size());
-  const double ineq_reduction = ineq_scan_avg / ineq_indexed_avg;
 
   // Dispatch timing over the index that exists; the O(filters) baseline is
   // deliberately not timed at this scale.
   const int ineq_reps = std::max(1, std::min(5, reps / 8));
-  const double ineq_dispatch_ns = TimeNsPerOp(ineq_reps, ineq_messages.size(), [&] {
+  const double ineq_dispatch_ns = TimeNsPerOp(ineq_reps, section.messages.size(), [&] {
     uint64_t acc = 0;
-    for (const AttributeSet& message : ineq_messages) {
-      ineq_index.ForEachCandidate(message, [&](const MatchIndexEntry& entry) {
+    for (const AttributeSet& message : section.messages) {
+      section.index.ForEachCandidate(message, [&](const MatchIndexEntry& entry) {
         if (OneWayMatch(*entry.attrs, message)) {
           acc += entry.id;
         }
@@ -496,26 +538,24 @@ int Main(int argc, char** argv) {
   std::printf("%-28s  %12.0f   (%.1fx)\n", "exact: hash pre-check", exact_hashed_ns,
               exact_speedup);
   std::printf("\n=== Inequality at scale (%zu filters, %zu messages, best of %d reps) ===\n\n",
-              ineq_filters, ineq_messages.size(), ineq_reps);
-  std::printf("%-28s  %12.0f   candidates/message\n", "any-scan baseline", ineq_scan_avg);
+              ineq_filters, section.messages.size(), ineq_reps);
+  std::printf("%-28s  %12.0f   candidates/message\n", "any-scan baseline", section.scan_avg);
   std::printf("%-28s  %12.0f   candidates/message  (%.1fx fewer)\n", "interval index",
-              ineq_indexed_avg, ineq_reduction);
+              section.indexed_avg, section.reduction());
   std::printf("%-28s  %12.0f   ns/message\n", "dispatch: per message", ineq_dispatch_ns);
 
   if (!out.empty()) {
-    const std::vector<bench::BenchResult> results = {
+    std::vector<bench::BenchResult> results = {
         {"dispatch_linear_full_chain", "ns/op", dispatch_linear_ns},
         {"dispatch_indexed_merge_scan", "ns/op", dispatch_indexed_ns},
         {"dispatch_speedup", "x", dispatch_speedup},
         {"exact_linear_multiset", "ns/op", exact_linear_ns},
         {"exact_hash_precheck", "ns/op", exact_hashed_ns},
         {"exact_speedup", "x", exact_speedup},
-        {"ineq_filters", "count", static_cast<double>(ineq_filters)},
-        {"ineq_candidates_scan", "candidates/msg", ineq_scan_avg},
-        {"ineq_candidates_indexed", "candidates/msg", ineq_indexed_avg},
-        {"ineq_candidate_reduction", "x", ineq_reduction},
-        {"ineq_dispatch_indexed", "ns/op", ineq_dispatch_ns},
     };
+    const std::vector<bench::BenchResult> counts = section.CountRows();
+    results.insert(results.end(), counts.begin(), counts.end());
+    results.push_back({"ineq_dispatch_indexed", "ns/op", ineq_dispatch_ns});
     if (!bench::WriteBenchJson(out, "matching_hotpath", results)) {
       return 1;
     }
@@ -531,9 +571,9 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: speedup below --require-speedup=%.1f\n", require);
     return 1;
   }
-  if (require_reduction > 0.0 && ineq_reduction < require_reduction) {
+  if (require_reduction > 0.0 && section.reduction() < require_reduction) {
     std::fprintf(stderr, "FAIL: candidate reduction %.1fx below --require-reduction=%.1f\n",
-                 ineq_reduction, require_reduction);
+                 section.reduction(), require_reduction);
     return 1;
   }
   return 0;

@@ -50,7 +50,7 @@
 #include "bench/bench_flags.h"
 #include "bench/bench_json.h"
 #include "src/apps/surveillance.h"
-#include "src/testbed/sharded_world.h"
+#include "src/testbed/testbed_world.h"
 #include "src/testbed/topology.h"
 #include "src/trace/trace.h"
 
@@ -59,7 +59,7 @@ namespace {
 
 constexpr double kSpacing = 10.0;
 constexpr double kRange = 12.0;
-constexpr SimTime kSourceStart = 1 * kSecond;
+constexpr SimTime kFieldSourceStart = 1 * kSecond;
 
 NodeId GridId(int side, int row, int col) {
   return static_cast<NodeId>(row * side + col) + 1;
@@ -85,17 +85,10 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
                    bool traced) {
   const TestbedLayout layout = GridLayout(static_cast<size_t>(side), static_cast<size_t>(side),
                                           kSpacing, kRange);
-  ShardedWorldParams params;
-  params.regions = regions;
-  params.threads = threads;
-  params.seed = seed;
-  params.radio = SimulationRadioConfig();
-  ShardedWorld world(layout, params);
-
   FingerprintTraceSink trace;
-  if (traced) {
-    world.set_merged_trace_sink(&trace);
-  }
+  TestbedWorld world(seed, layout, MakePropagation(layout, 0.98),
+                     NodeOptions{.radio = SimulationRadioConfig()}, traced ? &trace : nullptr,
+                     {.regions = regions, .threads = threads});
 
   // One sink per region cell center, four sources three hops out — every
   // region carries comparable load, and the neighborhoods straddle region
@@ -122,7 +115,7 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
         sources.push_back(
             std::make_unique<SurveillanceSource>(world.node(id), config, next_source_id++));
         SurveillanceSource* source = sources.back().get();
-        world.sim_of(id).At(kSourceStart, [source] { source->Start(); });
+        world.sim_of(id).At(kFieldSourceStart, [source] { source->Start(); });
       }
     }
   }
@@ -133,13 +126,14 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
   const auto stop = std::chrono::steady_clock::now();
   output.wall_seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(stop - start).count();
-  for (const auto& [id, node] : world.nodes()) {
-    output.diffusion_bytes += node->stats().bytes_sent;
-  }
-  output.border_frames = world.bridge().frames_handed_off();
-  output.deliveries_clamped = world.bridge().deliveries_clamped();
-  for (int r = 0; r < world.region_map().regions(); ++r) {
-    output.clamped_by_region.push_back(world.bridge().deliveries_clamped_in(r));
+  output.diffusion_bytes = world.TotalDiffusionBytes();
+  output.clamped_by_region.assign(static_cast<size_t>(world.regions()), 0);
+  if (world.regions() > 1) {  // one region has no borders
+    output.border_frames = world.bridge().frames_handed_off();
+    output.deliveries_clamped = world.bridge().deliveries_clamped();
+    for (int r = 0; r < world.regions(); ++r) {
+      output.clamped_by_region[static_cast<size_t>(r)] = world.bridge().deliveries_clamped_in(r);
+    }
   }
   output.fingerprint = trace.fingerprint();
   output.trace_events = trace.count();
@@ -147,8 +141,8 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
   for (const auto& sink : sinks) {
     output.distinct_events += sink->distinct_events();
   }
-  output.regions = world.region_map().regions();
-  output.window = world.window();
+  output.regions = world.regions();
+  output.window = world.engine().window();
   return output;
 }
 

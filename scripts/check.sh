@@ -136,6 +136,14 @@ cmake -B build -G Ninja
 cmake --build build
 note_ran build
 
+# The benchmark package compiles the library from src/ on its own, so a
+# header it uses can break it while the main build stays green. Build both
+# of its targets; run nothing: perfbench_test still carries a known-red
+# test (ROADMAP.md item 11).
+cmake -S perfbench -B build/perfbench -G Ninja
+cmake --build build/perfbench --target perfbench perfbench_test
+note_ran perfbench-build
+
 # Project-specific static analysis: the tree must be diffusion-lint clean.
 ./build/tools/diffusion_lint src bench tests examples
 note_ran lint

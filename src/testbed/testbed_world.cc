@@ -1,36 +1,93 @@
 #include "src/testbed/testbed_world.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "src/radio/energy.h"
 
 namespace diffusion {
-namespace {
-
-// Sets the sink on the simulator before the channel, the first thing built
-// over it, exists.
-Simulator* WithTraceSink(Simulator* sim, TraceSink* trace_sink) {
-  sim->set_trace_sink(trace_sink);
-  return sim;
-}
-
-}  // namespace
 
 TestbedWorld::TestbedWorld(uint64_t seed, const TestbedLayout& layout,
                            std::unique_ptr<PropagationModel> propagation,
-                           const OptionsFor& options_for, TraceSink* trace_sink)
-    : sim_(seed), channel_(WithTraceSink(&sim_, trace_sink), std::move(propagation)) {
-  for (NodeId id : layout.node_ids) {
-    nodes_[id] = std::make_unique<DiffusionNode>(&sim_, &channel_, id, options_for(id));
+                           const OptionsFor& options_for, TraceSink* trace_sink,
+                           const WorldSharding& sharding)
+    : map_(layout.node_ids, layout.positions, sharding.regions) {
+  ShardedEngineConfig config{.regions = map_.regions(),
+                             .threads = sharding.threads,
+                             .window = sharding.window,
+                             .seed = seed};
+  const auto* disk = dynamic_cast<const DiskPropagation*>(propagation.get());
+  if (map_.regions() > 1) {
+    if (disk == nullptr) {
+      std::fprintf(stderr, "TestbedWorld: %d regions need a DiskPropagation\n", map_.regions());
+      std::abort();
+    }
+    matrix_ = std::make_unique<RegionLinkMatrix>(map_, *disk,
+                                                 options_for(layout.node_ids.front()).radio.mac);
+    if (config.window == 0) {
+      config.window = std::max(matrix_->min_frame_airtime(), 1 * kMillisecond);
+    }
+  }
+  engine_ = std::make_unique<ShardedEngine>(config);
+  set_merged_trace_sink(trace_sink);
+
+  std::vector<Channel*> channel_ptrs;
+  for (int region = 0; region < map_.regions(); ++region) {
+    // Region 0 keeps the caller's model; the others get copies of it.
+    std::unique_ptr<PropagationModel> model =
+        region == 0 ? std::move(propagation) : std::make_unique<DiskPropagation>(*disk);
+    channels_.push_back(std::make_unique<Channel>(&engine_->region_sim(region), std::move(model)));
+    channel_ptrs.push_back(channels_.back().get());
+  }
+  if (matrix_ != nullptr) {
+    bridge_ = std::make_unique<RegionBridge>(matrix_.get(), std::move(channel_ptrs));
+    engine_->set_coupler(bridge_.get());
+  }
+
+  for (int region = 0; region < map_.regions(); ++region) {
+    Simulator* sim = &engine_->region_sim(region);
+    Channel* channel = channels_[static_cast<size_t>(region)].get();
+    for (NodeId id : layout.node_ids) {
+      if (map_.RegionOf(id) == region) {
+        nodes_[id] = std::make_unique<DiffusionNode>(sim, channel, id, options_for(id));
+      }
+    }
   }
 }
 
 TestbedWorld::TestbedWorld(uint64_t seed, const TestbedLayout& layout,
                            std::unique_ptr<PropagationModel> propagation,
-                           const NodeOptions& options, TraceSink* trace_sink)
+                           const NodeOptions& options, TraceSink* trace_sink,
+                           const WorldSharding& sharding)
     : TestbedWorld(seed, layout, std::move(propagation),
-                   [&options](NodeId) { return options; }, trace_sink) {}
+                   [&options](NodeId) { return options; }, trace_sink, sharding) {}
+
+void TestbedWorld::set_merged_trace_sink(TraceSink* sink) {
+  if (regions() == 1) {
+    sim().set_trace_sink(sink);
+  } else {
+    engine_->set_merged_trace_sink(sink);
+  }
+}
+
+uint64_t TestbedWorld::RunUntil(SimTime end) {
+  return regions() == 1 ? sim().RunUntil(end) : engine_->RunUntil(end);
+}
+
+ChannelStats TestbedWorld::TotalChannelStats() const {
+  ChannelStats total;
+  for (const auto& channel : channels_) {
+    const ChannelStats& stats = channel->stats();
+    total.transmissions += stats.transmissions;
+    total.receptions_attempted += stats.receptions_attempted;
+    total.collisions += stats.collisions;
+    total.propagation_losses += stats.propagation_losses;
+    total.deliveries += stats.deliveries;
+  }
+  return total;
+}
 
 void TestbedWorld::SuppressDuplicates(const SurveillanceConfig& sconfig) {
   for (auto& [id, node] : nodes_) {

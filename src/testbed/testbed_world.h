@@ -1,21 +1,29 @@
-// The one builder of single-simulator experiment worlds.
+// The one builder of experiment worlds.
 //
-// Every experiment in §6 runs on one network assembled the same way: a
-// seeded Simulator, one Channel over a propagation model, and a
-// DiffusionNode per layout id. TestbedWorld owns exactly that. Its members
-// are declared in construction order, and that order is a contract:
+// Every experiment in §6 runs on one network assembled the same way: seeded
+// simulators, a Channel per simulator over a propagation model, and a
+// DiffusionNode per layout id, cut into the spatial regions of
+// src/radio/region_map.h. Construction order is a contract:
 //
-//   1. the Simulator, with the trace sink set before anything else exists;
-//   2. the Channel, which forks the simulator's RNG;
-//   3. the nodes, in layout.node_ids order, each forking the RNG in turn.
+//   1. one Simulator per region (ShardedEngine; region 0 keeps the seed);
+//   2. the trace sink, before anything that traces exists;
+//   3. one Channel per region, each forking its region's RNG;
+//   4. the nodes, region by region, in layout.node_ids order within one.
 //
-// The fork sequence fixes every random draw of the run, so two runners that
-// build through TestbedWorld with the same arguments produce the same
-// output byte for byte. Applications and filters (other than the ones
-// SuppressDuplicates adds) are the caller's; build them after the world and
-// let them die before it.
+// The fork sequence fixes every random draw, so two runners that build
+// through TestbedWorld with the same arguments produce the same output byte
+// for byte. One region (the default; every paper runner) runs straight
+// through its one simulator: no window loop, trace buffering or worker.
 //
-// ShardedWorld (sharded_world.h) is the multi-region counterpart.
+// More regions need a DiskPropagation, whose geometry the link matrix reads;
+// each region's channel gets a copy (local endpoints only), and a
+// RegionBridge couples them at each window barrier. The run is deterministic
+// at any thread count, but at region borders a frame cannot collide with
+// transmissions its destination region starts after it was posted, and its
+// delivery may wait for the next barrier. Within a region the radio is exact.
+//
+// Applications and filters (other than the ones SuppressDuplicates adds)
+// are the caller's; build them after the world and let them die before it.
 
 #ifndef SRC_TESTBED_TESTBED_WORLD_H_
 #define SRC_TESTBED_TESTBED_WORLD_H_
@@ -30,33 +38,74 @@
 #include "src/core/node.h"
 #include "src/filters/duplicate_suppression_filter.h"
 #include "src/radio/channel.h"
+#include "src/radio/region_bridge.h"
+#include "src/radio/region_map.h"
+#include "src/sim/sharded_engine.h"
 #include "src/sim/simulator.h"
 #include "src/testbed/topology.h"
 #include "src/trace/trace.h"
 
 namespace diffusion {
 
+// How a TestbedWorld is cut into regions.
+struct WorldSharding {
+  // Target region count (RegionMap may cut slightly fewer).
+  int regions = 1;
+  // Worker threads; 0 = hardware concurrency. Output is the same for all.
+  unsigned threads = 1;
+  // Conservative lookahead window; 0 picks max(min frame airtime, 1 ms),
+  // which clamps border deliveries to the barrier on a radio whose frames
+  // are shorter (see src/radio/region_bridge.h).
+  SimDuration window = 0;
+};
+
 class TestbedWorld {
  public:
-  // Options for one node, asked once per id in layout order.
+  // Options for one node, asked once per id in construction order. A
+  // multi-region world also asks for the first layout id's options up
+  // front: its lookahead comes from that node's MAC, so every node must
+  // share one bitrate and frame overhead.
   using OptionsFor = std::function<NodeOptions(NodeId id)>;
 
   // `trace_sink` is borrowed and must outlive the world; null = untraced.
   TestbedWorld(uint64_t seed, const TestbedLayout& layout,
                std::unique_ptr<PropagationModel> propagation, const OptionsFor& options_for,
-               TraceSink* trace_sink = nullptr);
+               TraceSink* trace_sink = nullptr, const WorldSharding& sharding = {});
   // Every node built from the same options.
   TestbedWorld(uint64_t seed, const TestbedLayout& layout,
                std::unique_ptr<PropagationModel> propagation, const NodeOptions& options,
-               TraceSink* trace_sink = nullptr);
+               TraceSink* trace_sink = nullptr, const WorldSharding& sharding = {});
 
   TestbedWorld(const TestbedWorld&) = delete;
   TestbedWorld& operator=(const TestbedWorld&) = delete;
 
-  Simulator& sim() { return sim_; }
-  Channel& channel() { return channel_; }
+  int regions() const { return map_.regions(); }
+  const RegionMap& region_map() const { return map_; }
+  // With one region the engine's window loop and counters stay idle.
+  ShardedEngine& engine() { return *engine_; }
+  // The border coupling; multi-region worlds only.
+  const RegionBridge& bridge() const { return *bridge_; }
+
+  // The one simulator and channel of a one-region world.
+  Simulator& sim() { return engine_->region_sim(0); }
+  Channel& channel() { return *channels_.front(); }
+  // The simulator and channel of the region that owns `id`: schedule
+  // application events (source starts, fault plans) through these, never
+  // through another region's.
+  Simulator& sim_of(NodeId id) { return engine_->region_sim(map_.RegionOf(id)); }
+  Channel& channel_of(NodeId id) { return *channels_[static_cast<size_t>(map_.RegionOf(id))]; }
+
   DiffusionNode* node(NodeId id) { return nodes_.at(id).get(); }
   const std::map<NodeId, std::unique_ptr<DiffusionNode>>& nodes() const { return nodes_; }
+
+  // Attaches (or with null detaches) the trace sink after construction;
+  // see ShardedEngine::set_merged_trace_sink.
+  void set_merged_trace_sink(TraceSink* sink);
+  // Runs every region to `end` inclusive and returns the events executed.
+  uint64_t RunUntil(SimTime end);
+
+  // Channel-wide counters summed over every region's channel.
+  ChannelStats TotalChannelStats() const;
 
   // Puts a DuplicateSuppressionFilter matching `sconfig`'s data on every
   // node ("all nodes were configured with aggregation filters", §6.1). The
@@ -79,8 +128,11 @@ class TestbedWorld {
   double CommunicationEnergy() const;
 
  private:
-  Simulator sim_;
-  Channel channel_;
+  RegionMap map_;
+  std::unique_ptr<RegionLinkMatrix> matrix_;  // null with one region
+  std::unique_ptr<ShardedEngine> engine_;
+  std::vector<std::unique_ptr<Channel>> channels_;
+  std::unique_ptr<RegionBridge> bridge_;  // null with one region
   std::map<NodeId, std::unique_ptr<DiffusionNode>> nodes_;
   std::vector<std::unique_ptr<DuplicateSuppressionFilter>> suppression_;
 };

@@ -48,6 +48,48 @@ TEST(BenchJsonTest, RejectsAResultWithoutUnit) {
   EXPECT_NE(error.find("\"delivery\" missing \"unit\""), std::string::npos) << error;
 }
 
+// A row's keys are its own: a missing "unit" is not found in the next row.
+TEST(BenchJsonTest, RejectsAMissingUnitBeforeAnotherRow) {
+  const std::string text =
+      "{\n  \"schema\": \"diffusion-bench-v1\",\n  \"bench\": \"demo\",\n  \"results\": [\n"
+      "    {\"name\": \"events\", \"value\": 1},\n"
+      "    {\"name\": \"delivery\", \"unit\": \"%\", \"value\": 2}\n  ]\n}\n";
+  const std::string path = WriteTemp("borrowed_unit", text);
+  std::string error;
+  EXPECT_FALSE(ValidateBenchJson(path, &error));
+  EXPECT_NE(error.find("\"events\" missing \"unit\""), std::string::npos) << error;
+}
+
+// A ']' inside a row name does not end the results array.
+TEST(BenchJsonTest, ReadsRowsAfterANameHoldingABracket) {
+  const std::string path = WriteTemp(
+      "bracket", BenchJson("demo", {{"latency[p50]", "ms", 4}, {"events", "count", 1200}}));
+  std::string error;
+  EXPECT_TRUE(ValidateBenchJson(path, &error)) << error;
+  double value = 0.0;
+  ASSERT_TRUE(ReadBenchValue(path, "events", &value));
+  EXPECT_EQ(value, 1200);
+  EXPECT_TRUE(MatchesRecorded(path, {{"events", "count", 1200}}, RecordedRows::kEmitted, &error))
+      << error;
+}
+
+TEST(BenchJsonTest, RejectsTextAfterTheDocument) {
+  const std::string path = WriteTemp("trailing", BenchJson("demo", kRows) + "{}\n");
+  std::string error;
+  EXPECT_FALSE(ValidateBenchJson(path, &error));
+  EXPECT_NE(error.find("trailing characters after document"), std::string::npos) << error;
+}
+
+// A value is one whole number, not the number its text starts with.
+TEST(BenchJsonTest, RejectsAValueWithTrailingCharacters) {
+  std::string text = BenchJson("demo", kRows);
+  text.replace(text.find("87.5"), 4, "87.5.1");
+  const std::string path = WriteTemp("two_points", text);
+  std::string error;
+  EXPECT_FALSE(ValidateBenchJson(path, &error));
+  EXPECT_NE(error.find("malformed number"), std::string::npos) << error;
+}
+
 TEST(BenchJsonTest, RejectsAnEmptyResultsArray) {
   const std::string path = WriteTemp("empty", BenchJson("demo", {}));
   std::string error;

@@ -1,6 +1,6 @@
 // Differential tests for the sharded parallel simulation core: the spatial
 // partition, the conservative-window engine, the cross-region mailboxes, and
-// the testbed-level ShardedWorld. The load-bearing properties are
+// the multi-region TestbedWorld. The load-bearing properties are
 //   (a) one region reproduces the monolithic sequential run byte-for-byte,
 //   (b) output is invariant under the thread count — the determinism gate
 //       bench/parallel_scaling enforces at 10k nodes, pinned here on small
@@ -30,7 +30,7 @@
 #include "src/radio/region_mailbox.h"
 #include "src/radio/region_map.h"
 #include "src/sim/sharded_engine.h"
-#include "src/testbed/sharded_world.h"
+#include "src/testbed/testbed_world.h"
 #include "src/testbed/topology.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace.h"
@@ -271,8 +271,8 @@ TEST(ShardedWorldTest, SingleRegionMatchesMonolithicByteForByte) {
   const uint64_t seed = 11;
   const SimTime end = 60 * kSecond;
 
-  // Monolithic reference, constructed in the same order ShardedWorld uses
-  // (channel first, then nodes ascending by id).
+  // Monolithic reference, constructed in the order TestbedWorld uses
+  // (channel first, then nodes in layout order, here ascending by id).
   MemoryTraceSink mono_trace;
   std::vector<TraceEvent> mono_events;
   uint64_t mono_bytes = 0;
@@ -298,19 +298,12 @@ TEST(ShardedWorldTest, SingleRegionMatchesMonolithicByteForByte) {
   std::vector<TraceEvent> sharded_events;
   uint64_t sharded_bytes = 0;
   {
-    ShardedWorldParams params;
-    params.regions = 1;
-    params.threads = 1;
-    params.seed = seed;
-    ShardedWorld world(layout, params);
-    ASSERT_EQ(world.region_map().regions(), 1);
-    world.set_merged_trace_sink(&sharded_trace);
+    TestbedWorld world(seed, layout, MakePropagation(layout, 0.98), NodeOptions{}, &sharded_trace);
+    ASSERT_EQ(world.regions(), 1);
     GridApps apps = StartApps(world.node(1), {world.node(16), world.node(13)});
     world.RunUntil(end);
     sharded_events = sharded_trace.events();
-    for (const auto& [id, node] : world.nodes()) {
-      sharded_bytes += node->stats().bytes_sent;
-    }
+    sharded_bytes = world.TotalDiffusionBytes();
   }
 
   EXPECT_GT(mono_events.size(), 100u);
@@ -341,16 +334,12 @@ RunDigest RunShardedGrid(const TestbedLayout& layout, int regions, unsigned thre
                          uint64_t seed, SimTime end, SimTime kill_at = 0,
                          NodeId kill_node = 0) {
   FingerprintTraceSink trace;
-  ShardedWorldParams params;
-  params.regions = regions;
-  params.threads = threads;
-  params.seed = seed;
   // The testbed's 300 ms forward jitter: at the 100 ms default, relays
   // collide on nearly every two-fragment interest flood (hidden terminals),
   // and some seeds deliver nothing.
-  params.diffusion = TestbedDiffusionConfig();
-  ShardedWorld world(layout, params);
-  world.set_merged_trace_sink(&trace);
+  TestbedWorld world(seed, layout, MakePropagation(layout, 0.98),
+                     NodeOptions{.diffusion = TestbedDiffusionConfig()}, &trace,
+                     {.regions = regions, .threads = threads});
 
   const NodeId last = layout.node_ids.back();
   GridApps apps = StartApps(world.node(1), {world.node(last), world.node(last - 1)});
@@ -364,9 +353,7 @@ RunDigest RunShardedGrid(const TestbedLayout& layout, int regions, unsigned thre
   digest.engine_events = world.RunUntil(end);
   digest.fingerprint = trace.fingerprint();
   digest.trace_events = trace.count();
-  for (const auto& [id, node] : world.nodes()) {
-    digest.bytes_sent += node->stats().bytes_sent;
-  }
+  digest.bytes_sent = world.TotalDiffusionBytes();
   digest.distinct_events = apps.sink->distinct_events();
   digest.frames_handed_off = world.bridge().frames_handed_off();
   return digest;
@@ -396,10 +383,8 @@ TEST(ShardedWorldTest, OversubscribedThreadsMatchOneThread) {
   const int regions = 2 * static_cast<int>(threads);
   const TestbedLayout layout = GridLayout(8, 8, 10.0, 12.0);
   {
-    ShardedWorldParams params;
-    params.regions = regions;
-    params.threads = threads;
-    ShardedWorld world(layout, params);
+    TestbedWorld world(1, layout, MakePropagation(layout, 0.98), NodeOptions{}, nullptr,
+                       {.regions = regions, .threads = threads});
     ASSERT_EQ(world.engine().threads(), threads);
   }
   const SimTime end = 60 * kSecond;
@@ -420,12 +405,9 @@ TEST(ShardedWorldTest, CrossRegionFragmentReassembly) {
   layout.positions[2] = Position{55.0, 0.0};
   layout.radio_range = 12.0;
 
-  ShardedWorldParams params;
-  params.regions = 2;
-  params.threads = 2;
-  params.seed = 3;
-  ShardedWorld world(layout, params);
-  ASSERT_EQ(world.region_map().regions(), 2);
+  TestbedWorld world(3, layout, MakePropagation(layout, 0.98), NodeOptions{}, nullptr,
+                     {.regions = 2, .threads = 2});
+  ASSERT_EQ(world.regions(), 2);
   ASSERT_NE(world.region_map().RegionOf(1), world.region_map().RegionOf(2));
 
   GridApps apps = StartApps(world.node(2), {world.node(1)});
@@ -450,23 +432,67 @@ TEST(ShardedWorldTest, CrashMidWindowIsDeterministic) {
   EXPECT_TRUE(one == four);
 }
 
+// The paper's own layout, cut in two: two floors, an inter-floor range and
+// ids that are not ascending in layout order, on the testbed radio.
+RunDigest RunIsiTestbed(unsigned threads) {
+  const TestbedLayout layout = IsiTestbedLayout();
+  FingerprintTraceSink trace;
+  TestbedWorld world(4, layout, MakePropagation(layout, 0.98),
+                     NodeOptions{.diffusion = TestbedDiffusionConfig(),
+                                 .radio = TestbedRadioConfig()},
+                     &trace, {.regions = 2, .threads = threads});
+  EXPECT_EQ(world.regions(), 2);
+  std::vector<DiffusionNode*> sources;
+  for (NodeId id : kIsiSourceNodes) {
+    sources.push_back(world.node(id));
+  }
+  GridApps apps = StartApps(world.node(kIsiSinkNode), sources);
+
+  RunDigest digest;
+  digest.engine_events = world.RunUntil(5 * kMinute);
+  digest.fingerprint = trace.fingerprint();
+  digest.trace_events = trace.count();
+  digest.bytes_sent = world.TotalDiffusionBytes();
+  digest.distinct_events = apps.sink->distinct_events();
+  digest.frames_handed_off = world.bridge().frames_handed_off();
+  return digest;
+}
+
+TEST(ShardedWorldTest, IsiTestbedAcrossTwoRegionsIsThreadInvariant) {
+  const RunDigest one = RunIsiTestbed(1);
+  const RunDigest two = RunIsiTestbed(2);
+  EXPECT_GT(one.frames_handed_off, 0u);  // traffic crossed the border
+  EXPECT_GT(one.distinct_events, 0u);
+  EXPECT_GT(one.bytes_sent, 0u);
+  EXPECT_TRUE(one == two);
+}
+
+// The link matrix reads disk geometry, so more than one region refuses any
+// other propagation model.
+TEST(ShardedWorldTest, MultiRegionWorldNeedsDiskPropagation) {
+#if defined(DIFFUSION_TEST_TSAN)
+  GTEST_SKIP() << "death tests are unsupported under TSan";
+#else
+  const TestbedLayout layout = GridLayout(4, 4, 10.0, 12.0);
+  EXPECT_DEATH(TestbedWorld(1, layout, std::make_unique<ExplicitTopology>(), NodeOptions{},
+                            nullptr, {.regions = 2}),
+               "2 regions need a DiskPropagation");
+#endif
+}
+
 TEST(ShardedWorldTest, BridgeMetricsExposePerRegionClamps) {
   // A window much longer than frame airtime forces clamped deliveries; the
   // bridge publishes the totals and the per-region breakdown as globals.
   const TestbedLayout layout = GridLayout(6, 6, 10.0, 12.0);
-  ShardedWorldParams params;
-  params.regions = 4;
-  params.threads = 1;
-  params.seed = 9;
-  params.window = 50 * kMillisecond;
-  ShardedWorld world(layout, params);
-  ASSERT_EQ(world.region_map().regions(), 4);
+  TestbedWorld world(9, layout, MakePropagation(layout, 0.98), NodeOptions{}, nullptr,
+                     {.regions = 4, .window = 50 * kMillisecond});
+  ASSERT_EQ(world.regions(), 4);
 
   GridApps apps = StartApps(world.node(1), {world.node(36), world.node(31)});
   world.RunUntil(30 * kSecond);
 
   MetricsRegistry registry;
-  world.RegisterBridgeMetrics(&registry);
+  world.bridge().RegisterMetrics(&registry);
   const std::map<std::string, double> globals = registry.CollectGlobal();
 
   ASSERT_TRUE(globals.count("bridge.frames_handed_off"));
@@ -476,7 +502,7 @@ TEST(ShardedWorldTest, BridgeMetricsExposePerRegionClamps) {
   EXPECT_GT(world.bridge().deliveries_clamped(), 0u);
 
   double per_region_sum = 0;
-  for (int region = 0; region < world.region_map().regions(); ++region) {
+  for (int region = 0; region < world.regions(); ++region) {
     const std::string key = "bridge.deliveries_clamped.r" + std::to_string(region);
     ASSERT_TRUE(globals.count(key)) << key;
     EXPECT_EQ(globals.at(key),

@@ -27,7 +27,7 @@
 #include "src/radio/region_map.h"
 #include "src/radio/shadowing.h"
 #include "src/sim/simulator.h"
-#include "src/testbed/sharded_world.h"
+#include "src/testbed/testbed_world.h"
 #include "src/testbed/topology.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
@@ -1409,11 +1409,8 @@ TEST(RegionMapTest, LargeNodeIdsPartitionAndRunAcrossRegions) {
   layout.positions[kSink] = Position{55.0, 0.0};
   layout.radio_range = 12.0;
 
-  ShardedWorldParams params;
-  params.regions = 2;
-  params.threads = 2;
-  params.seed = 3;
-  ShardedWorld world(layout, params);
+  TestbedWorld world(3, layout, MakePropagation(layout, 0.98), NodeOptions{}, nullptr,
+                     {.regions = 2, .threads = 2});
   const RegionMap& map = world.region_map();
   ASSERT_EQ(map.regions(), 2);
   EXPECT_EQ(map.RegionOf(kSource), 0);
