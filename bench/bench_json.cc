@@ -175,10 +175,7 @@ bool ValidateBenchJson(const std::string& path, std::string* error) {
 
 bool ReadBenchValue(const std::string& path, const std::string& name, double* value) {
   std::vector<BenchResult> rows;
-  if (!ReadResults(path, &rows, nullptr)) {
-    return false;
-  }
-  const BenchResult* row = FindRow(rows, name);
+  const BenchResult* row = ReadResults(path, &rows, nullptr) ? FindRow(rows, name) : nullptr;
   if (row == nullptr) {
     return false;
   }

@@ -429,9 +429,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
     if (require_reduction > 0.0 && section.reduction() < require_reduction) {
-      std::fprintf(stderr,
-                   "FAIL: ineq_candidate_reduction %.1fx below "
-                   "--require-reduction=%.1f\n",
+      std::fprintf(stderr, "FAIL: candidate reduction %.1fx below --require-reduction=%.1f\n",
                    section.reduction(), require_reduction);
       return 1;
     }

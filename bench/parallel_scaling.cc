@@ -142,7 +142,7 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
     output.distinct_events += sink->distinct_events();
   }
   output.regions = world.regions();
-  output.window = world.engine().window();
+  output.window = world.regions() > 1 ? world.engine().window() : 0;  // one region: no windows
   return output;
 }
 

@@ -10,7 +10,7 @@
 // falls inside the elapsed window is delivered at the barrier instead —
 // deterministically late by at most one window. Only a window no longer
 // than every frame's airtime clamps nothing. A multi-region TestbedWorld's
-// default window, max(min_frame_airtime, 1 ms), clamps on a fast radio: on
+// window, max(min_frame_airtime, 1 ms), clamps on a fast radio: on
 // SimulationRadioConfig()'s 1.6 Mb/s radio every frame lasts 130-450 us,
 // under the 1 ms floor, and BENCH_parallel.json's 10k-node world (seed 9000,
 // 16 regions) delivers 2423 of its 4108 border frames late.

@@ -13,7 +13,7 @@ namespace diffusion {
 struct ShardedWorldParams {
   int regions = 4;
   unsigned threads = 1;
-  SimDuration window = 0;
+  SimDuration window = 0;  // unused: TestbedWorld derives the window
   uint64_t seed = 1;
   double link_delivery = 0.98;
   DiffusionConfig diffusion{};
@@ -25,9 +25,7 @@ class ShardedWorld : public TestbedWorld {
   ShardedWorld(const TestbedLayout& layout, const ShardedWorldParams& params)
       : TestbedWorld(params.seed, layout, MakePropagation(layout, params.link_delivery),
                      NodeOptions{.diffusion = params.diffusion, .radio = params.radio}, nullptr,
-                     {.regions = params.regions,
-                      .threads = params.threads,
-                      .window = params.window}) {}
+                     {.regions = params.regions, .threads = params.threads}) {}
 };
 
 }  // namespace diffusion

@@ -8,27 +8,30 @@
 #include "src/radio/energy.h"
 
 namespace diffusion {
+namespace {
+
+// Misuse is a caller bug: fail loudly rather than touch the wrong region.
+void Require(bool ok, const char* what) {
+  if (!ok) {
+    std::fprintf(stderr, "TestbedWorld: %s\n", what);
+    std::abort();
+  }
+}
+
+}  // namespace
 
 TestbedWorld::TestbedWorld(uint64_t seed, const TestbedLayout& layout,
                            std::unique_ptr<PropagationModel> propagation,
                            const OptionsFor& options_for, TraceSink* trace_sink,
                            const WorldSharding& sharding)
     : map_(layout.node_ids, layout.positions, sharding.regions) {
-  ShardedEngineConfig config{.regions = map_.regions(),
-                             .threads = sharding.threads,
-                             .window = sharding.window,
-                             .seed = seed};
+  ShardedEngineConfig config{.regions = map_.regions(), .threads = sharding.threads, .seed = seed};
   const auto* disk = dynamic_cast<const DiskPropagation*>(propagation.get());
   if (map_.regions() > 1) {
-    if (disk == nullptr) {
-      std::fprintf(stderr, "TestbedWorld: %d regions need a DiskPropagation\n", map_.regions());
-      std::abort();
-    }
+    Require(disk != nullptr, "more than one region needs a DiskPropagation");
     matrix_ = std::make_unique<RegionLinkMatrix>(map_, *disk,
                                                  options_for(layout.node_ids.front()).radio.mac);
-    if (config.window == 0) {
-      config.window = std::max(matrix_->min_frame_airtime(), 1 * kMillisecond);
-    }
+    config.window = std::max(matrix_->min_frame_airtime(), 1 * kMillisecond);
   }
   engine_ = std::make_unique<ShardedEngine>(config);
   set_merged_trace_sink(trace_sink);
@@ -63,6 +66,16 @@ TestbedWorld::TestbedWorld(uint64_t seed, const TestbedLayout& layout,
                            const WorldSharding& sharding)
     : TestbedWorld(seed, layout, std::move(propagation),
                    [&options](NodeId) { return options; }, trace_sink, sharding) {}
+
+const RegionBridge& TestbedWorld::bridge() const {
+  Require(bridge_ != nullptr, "bridge() needs more than one region");
+  return *bridge_;
+}
+
+int TestbedWorld::OnlyRegion() const {
+  Require(regions() == 1, "sim() and channel() need one region; use sim_of(id), channel_of(id)");
+  return 0;
+}
 
 void TestbedWorld::set_merged_trace_sink(TraceSink* sink) {
   if (regions() == 1) {

@@ -17,10 +17,11 @@
 //
 // More regions need a DiskPropagation, whose geometry the link matrix reads;
 // each region's channel gets a copy (local endpoints only), and a
-// RegionBridge couples them at each window barrier. The run is deterministic
-// at any thread count, but at region borders a frame cannot collide with
-// transmissions its destination region starts after it was posted, and its
-// delivery may wait for the next barrier. Within a region the radio is exact.
+// RegionBridge couples them at the barrier closing each window of
+// max(shortest frame airtime, 1 ms). The run is deterministic at any thread
+// count, but at region borders a frame cannot collide with transmissions
+// its destination region starts after it was posted, and its delivery may
+// wait for the next barrier. Within a region the radio is exact.
 //
 // Applications and filters (other than the ones SuppressDuplicates adds)
 // are the caller's; build them after the world and let them die before it.
@@ -49,14 +50,8 @@ namespace diffusion {
 
 // How a TestbedWorld is cut into regions.
 struct WorldSharding {
-  // Target region count (RegionMap may cut slightly fewer).
-  int regions = 1;
-  // Worker threads; 0 = hardware concurrency. Output is the same for all.
-  unsigned threads = 1;
-  // Conservative lookahead window; 0 picks max(min frame airtime, 1 ms),
-  // which clamps border deliveries to the barrier on a radio whose frames
-  // are shorter (see src/radio/region_bridge.h).
-  SimDuration window = 0;
+  int regions = 1;       // a target: RegionMap may cut slightly fewer
+  unsigned threads = 1;  // 0 = hardware concurrency; output is the same for all
 };
 
 class TestbedWorld {
@@ -83,15 +78,14 @@ class TestbedWorld {
   const RegionMap& region_map() const { return map_; }
   // With one region the engine's window loop and counters stay idle.
   ShardedEngine& engine() { return *engine_; }
-  // The border coupling; multi-region worlds only.
-  const RegionBridge& bridge() const { return *bridge_; }
+  // The border coupling. Aborts in a one-region world, which has none.
+  const RegionBridge& bridge() const;
 
-  // The one simulator and channel of a one-region world.
-  Simulator& sim() { return engine_->region_sim(0); }
-  Channel& channel() { return *channels_.front(); }
-  // The simulator and channel of the region that owns `id`: schedule
-  // application events (source starts, fault plans) through these, never
-  // through another region's.
+  // The one simulator and channel of a one-region world; abort with more.
+  Simulator& sim() { return engine_->region_sim(OnlyRegion()); }
+  Channel& channel() { return *channels_[static_cast<size_t>(OnlyRegion())]; }
+  // The simulator and channel of the region owning `id`. Schedule application
+  // events (source starts, fault plans) through these, never another region's.
   Simulator& sim_of(NodeId id) { return engine_->region_sim(map_.RegionOf(id)); }
   Channel& channel_of(NodeId id) { return *channels_[static_cast<size_t>(map_.RegionOf(id))]; }
 
@@ -128,6 +122,9 @@ class TestbedWorld {
   double CommunicationEnergy() const;
 
  private:
+  // 0, or aborts when the world has more than one region.
+  int OnlyRegion() const;
+
   RegionMap map_;
   std::unique_ptr<RegionLinkMatrix> matrix_;  // null with one region
   std::unique_ptr<ShardedEngine> engine_;

@@ -306,11 +306,29 @@ TEST(ShardedWorldTest, SingleRegionMatchesMonolithicByteForByte) {
     sharded_bytes = world.TotalDiffusionBytes();
   }
 
+  // The same world driven through the engine's window loop, per-region
+  // trace buffering and barrier merge, which a one-region world skips.
+  MemoryTraceSink windowed_trace;
+  std::vector<TraceEvent> windowed_events;
+  uint64_t windowed_bytes = 0;
+  {
+    TestbedWorld world(seed, layout, MakePropagation(layout, 0.98), NodeOptions{});
+    world.engine().set_merged_trace_sink(&windowed_trace);
+    GridApps apps = StartApps(world.node(1), {world.node(16), world.node(13)});
+    world.engine().RunUntil(end);
+    EXPECT_GT(world.engine().barriers_run(), 0u);
+    windowed_events = windowed_trace.events();
+    windowed_bytes = world.TotalDiffusionBytes();
+  }
+
   EXPECT_GT(mono_events.size(), 100u);
   EXPECT_GT(mono_bytes, 0u);
   EXPECT_EQ(mono_bytes, sharded_bytes);
+  EXPECT_EQ(mono_bytes, windowed_bytes);
   ASSERT_EQ(mono_events.size(), sharded_events.size());
   EXPECT_TRUE(mono_events == sharded_events);
+  ASSERT_EQ(mono_events.size(), windowed_events.size());
+  EXPECT_TRUE(mono_events == windowed_events);
 }
 
 // Fingerprint + byte totals of one sharded run.
@@ -476,16 +494,34 @@ TEST(ShardedWorldTest, MultiRegionWorldNeedsDiskPropagation) {
   const TestbedLayout layout = GridLayout(4, 4, 10.0, 12.0);
   EXPECT_DEATH(TestbedWorld(1, layout, std::make_unique<ExplicitTopology>(), NodeOptions{},
                             nullptr, {.regions = 2}),
-               "2 regions need a DiskPropagation");
+               "more than one region needs a DiskPropagation");
+#endif
+}
+
+// Accessors that exist for one region count abort under the other rather
+// than hand out another region's simulator or a missing bridge.
+TEST(ShardedWorldTest, AccessorsOfTheOtherRegionCountAbort) {
+#if defined(DIFFUSION_TEST_TSAN)
+  GTEST_SKIP() << "death tests are unsupported under TSan";
+#else
+  const TestbedLayout layout = GridLayout(4, 4, 10.0, 12.0);
+  TestbedWorld one(1, layout, MakePropagation(layout, 0.98), NodeOptions{});
+  EXPECT_DEATH(one.bridge(), "bridge\\(\\) needs more than one region");
+  TestbedWorld two(1, layout, MakePropagation(layout, 0.98), NodeOptions{}, nullptr,
+                   {.regions = 2});
+  ASSERT_EQ(two.regions(), 2);
+  EXPECT_DEATH(two.sim(), "need one region; use sim_of");
+  EXPECT_DEATH(two.channel(), "need one region; use sim_of");
 #endif
 }
 
 TEST(ShardedWorldTest, BridgeMetricsExposePerRegionClamps) {
-  // A window much longer than frame airtime forces clamped deliveries; the
-  // bridge publishes the totals and the per-region breakdown as globals.
+  // The simulation radio's frames (130-450 us) are shorter than the 1 ms
+  // window floor, so border deliveries clamp to the barrier; the bridge
+  // publishes the totals and the per-region breakdown as globals.
   const TestbedLayout layout = GridLayout(6, 6, 10.0, 12.0);
-  TestbedWorld world(9, layout, MakePropagation(layout, 0.98), NodeOptions{}, nullptr,
-                     {.regions = 4, .window = 50 * kMillisecond});
+  TestbedWorld world(9, layout, MakePropagation(layout, 0.98),
+                     NodeOptions{.radio = SimulationRadioConfig()}, nullptr, {.regions = 4});
   ASSERT_EQ(world.regions(), 4);
 
   GridApps apps = StartApps(world.node(1), {world.node(36), world.node(31)});
