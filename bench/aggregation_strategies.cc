@@ -18,7 +18,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_flags.h"
+#include "bench/harness.h"
 #include "bench/replicate.h"
 #include "src/testbed/experiments.h"
 #include "src/testbed/harness.h"
@@ -32,11 +32,18 @@ struct Strategy {
 };
 
 int Main(int argc, char** argv) {
-  const int runs = static_cast<int>(bench::IntFlag(argc, argv, "runs", 3));
-  const int minutes = static_cast<int>(bench::IntFlag(argc, argv, "minutes", 15));
-  const uint64_t base_seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 6000));
-  const int window_ms = static_cast<int>(bench::IntFlag(argc, argv, "window-ms", 2000));
-  const unsigned jobs = bench::JobsFlag(argc, argv);
+  int runs = 3;
+  int minutes = 15;
+  int base_seed = 6000;
+  int window_ms = 2000;
+  int jobs = 0;
+  bench::ParseFlags(argc, argv,
+                    {{"runs", &runs, "replicates per strategy"},
+                     {"minutes", &minutes, "simulated minutes per replicate"},
+                     {"seed", &base_seed, "seed of the first replicate"},
+                     {"window-ms", &window_ms, "counting filter's hold window, ms"},
+                     {"jobs", &jobs, "worker threads; 0 = all cores"}});
+  const unsigned workers = ReplicationPool::ResolveJobs(static_cast<unsigned>(jobs));
 
   const Strategy strategies[] = {
       {"none", AggregationStrategy::kNone},
@@ -49,7 +56,7 @@ int Main(int argc, char** argv) {
   // aggregation below walks results in this order, so the table is
   // independent of --jobs.
   const std::vector<Fig8Result> results = bench::RunReplicates<Fig8Result>(
-      jobs, strategy_count * static_cast<size_t>(runs), /*trace_out=*/"", nullptr,
+      workers, strategy_count * static_cast<size_t>(runs), /*trace_out=*/"", nullptr,
       [&strategies, runs, minutes, window_ms, base_seed](size_t i, TraceSink* sink) {
         Fig8Params params;
         params.sources = 4;
@@ -63,7 +70,7 @@ int Main(int argc, char** argv) {
 
   std::printf("=== Aggregation strategies on the Figure-8 workload (4 sources,\n");
   std::printf("    %d runs x %d min, counting window %d ms, %u jobs) ===\n\n", runs, minutes,
-              window_ms, jobs);
+              window_ms, workers);
   std::printf("%-13s  %-18s  %-16s  %-18s\n", "strategy", "bytes/event", "delivery %",
               "first-copy latency");
 

@@ -15,42 +15,19 @@
 //
 // Emits BENCH_congestion.json ("diffusion-bench-v1" schema). The output
 // contains no wall-clock values: the same seed produces a byte-identical
-// file on every run/machine at any --jobs. Flags:
-//   --scenario=NAME              load_sweep | flooder | fairness | all
-//   --seed=N                     simulation seed (default 1)
-//   --minutes=N                  simulated minutes per run (default 6)
-//   --jobs=N                     worker threads (0 = hardware concurrency)
-//   --out=PATH                   output JSON (default BENCH_congestion.json)
-//   --check=PATH                 re-run the scenarios whose rows the file
-//                                holds (with --seed and --minutes) and fail
-//                                unless the run emits exactly the file's
-//                                rows with its values; writes nothing
-//   --trace-out=PATH             JSONL flight-recorder trace (first run)
-//   --require-shaping-gain=X     exit 1 unless shaped delivery >= X *
-//                                unshaped at the top of the load sweep
-//   --require-flood-protection=X exit 1 unless shaped delivery under the
-//                                flooder stays within fraction X of the
-//                                flooder-free baseline
-//   --require-fairness=X         exit 1 unless the shaped two-sink min/max
-//                                delivery ratio is >= X
+// file on every run/machine at any --jobs.
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench/bench_flags.h"
-#include "bench/bench_json.h"
+#include "bench/harness.h"
 #include "bench/replicate.h"
 #include "src/testbed/congestion.h"
 
 namespace diffusion {
 namespace {
-
-double DoubleFlag(int argc, char** argv, const char* name, double fallback) {
-  const std::string value = bench::StringFlag(argc, argv, name);
-  return value.empty() ? fallback : std::strtod(value.c_str(), nullptr);
-}
 
 // The sweep's offered-load points, most gentle first. 6 s is the paper's
 // agreed rate; the top of the sweep is 32x that, well past the channel's
@@ -66,16 +43,28 @@ struct RunSpec {
 };
 
 int Main(int argc, char** argv) {
-  const std::string check = bench::StringFlag(argc, argv, "check");
-  const std::string scenario_flag = bench::StringFlag(argc, argv, "scenario", "all");
-  const uint64_t seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 1));
-  const int64_t minutes = bench::IntFlag(argc, argv, "minutes", 6);
-  const std::string out = bench::StringFlag(argc, argv, "out", "BENCH_congestion.json");
-  const std::string trace_out = bench::StringFlag(argc, argv, "trace-out");
-  const double require_gain = DoubleFlag(argc, argv, "require-shaping-gain", 0.0);
-  const double require_protection = DoubleFlag(argc, argv, "require-flood-protection", -1.0);
-  const double require_fairness = DoubleFlag(argc, argv, "require-fairness", 0.0);
-  const unsigned jobs = bench::JobsFlag(argc, argv);
+  std::string scenario_flag = "all";
+  int seed = 1;
+  int minutes = 6;
+  int jobs = 0;
+  std::string out = "BENCH_congestion.json";
+  std::string check;
+  std::string trace_out;
+  double require_gain = 0.0;
+  double require_protection = 1.0;  // degradation never exceeds 1: no gate
+  double require_fairness = 0.0;
+  bench::ParseFlags(argc, argv,
+                    {{"scenario", &scenario_flag, "load_sweep | flooder | fairness | all"},
+                     {"seed", &seed, "simulation seed"},
+                     {"minutes", &minutes, "simulated minutes per run"},
+                     {"jobs", &jobs, "worker threads; 0 = all cores"},
+                     {"out", &out, "where to write the JSON"},
+                     {"check", &check, "re-run the scenarios this file holds; write nothing"},
+                     {"trace-out", &trace_out, "JSONL trace of the first run"},
+                     {"require-shaping-gain", &require_gain, "min shaped/unshaped at sweep top"},
+                     {"require-flood-protection", &require_protection, "max loss to the flooder"},
+                     {"require-fairness", &require_fairness, "min shaped two-sink min/max ratio"}});
+  const unsigned workers = ReplicationPool::ResolveJobs(static_cast<unsigned>(jobs));
 
   if (minutes < 2) {
     std::fprintf(stderr, "--minutes must be >= 2 (60 s warmup + measurement window)\n");
@@ -85,17 +74,13 @@ int Main(int argc, char** argv) {
   bool run_sweep = scenario_flag == "all" || scenario_flag == "load_sweep";
   bool run_flooder = scenario_flag == "all" || scenario_flag == "flooder";
   bool run_fairness = scenario_flag == "all" || scenario_flag == "fairness";
+  std::optional<bench::RecordedFile> recorded;
   if (!check.empty()) {
-    std::string error;
-    if (!bench::ValidateBenchJson(check, &error)) {
-      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
-      return 1;
-    }
+    recorded.emplace(check);
     // Each scenario ends with one summary row; re-run those the file holds.
-    double unused = 0.0;
-    run_sweep = bench::ReadBenchValue(check, "sweep_top_shaping_gain", &unused);
-    run_flooder = bench::ReadBenchValue(check, "flooder_degradation", &unused);
-    run_fairness = bench::ReadBenchValue(check, "fairness_min_max_ratio", &unused);
+    run_sweep = recorded->Has("sweep_top_shaping_gain");
+    run_flooder = recorded->Has("flooder_degradation");
+    run_fairness = recorded->Has("fairness_min_max_ratio");
     if (!run_sweep && !run_flooder && !run_fairness) {
       std::fprintf(stderr, "FAIL: %s holds no scenario's rows\n", check.c_str());
       return 1;
@@ -165,12 +150,12 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("=== Congestion suite (seed %llu, %lld min/run, %u jobs, %zu runs) ===\n\n",
-              static_cast<unsigned long long>(seed), static_cast<long long>(minutes), jobs,
+              static_cast<unsigned long long>(seed), static_cast<long long>(minutes), workers,
               specs.size());
 
   const std::vector<CongestionRunResult> run_results =
       bench::RunReplicates<CongestionRunResult>(
-          jobs, specs.size(), trace_out, nullptr, [&specs](size_t i, TraceSink* sink) {
+          workers, specs.size(), trace_out, nullptr, [&specs](size_t i, TraceSink* sink) {
             CongestionRunParams params = specs[i].params;
             params.trace_sink = sink;
             return RunCongestionScenario(params);
@@ -240,7 +225,7 @@ int Main(int argc, char** argv) {
                 "(degradation %.1f%%)\n",
                 baseline->delivery * 100.0, attacked->delivery * 100.0,
                 defended->delivery * 100.0, degradation * 100.0);
-    if (require_protection >= 0.0 && degradation > require_protection) {
+    if (degradation > require_protection) {
       std::fprintf(stderr, "FAIL: flooder degradation %.2f > allowed %.2f\n", degradation,
                    require_protection);
       ok = false;
@@ -265,19 +250,10 @@ int Main(int argc, char** argv) {
   std::printf("shaped delivery degrades gracefully; the flooder starves well-behaved traffic\n");
   std::printf("only when shaping is off; two shaped sinks split delivery evenly.\n");
 
-  if (check.empty()) {
-    if (!bench::WriteBenchJson(out, "congestion_sweep", results)) {
-      return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
+  if (recorded) {
+    recorded->Verify(results, bench::RecordedRows::kAll);
   } else {
-    std::string error;
-    if (!bench::MatchesRecorded(check, results, bench::RecordedRows::kAll, &error)) {
-      std::fprintf(stderr, "FAIL: %s differs from this run: %s\n", check.c_str(), error.c_str());
-      return 1;
-    }
-    std::printf("%s: valid %s file; every row reproduced\n", check.c_str(),
-                bench::kBenchJsonSchema);
+    bench::WriteBenchJson(out, "congestion_sweep", results);
   }
   return ok ? 0 : 1;
 }

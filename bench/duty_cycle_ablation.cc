@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "bench/bench_flags.h"
+#include "bench/harness.h"
 #include "src/radio/energy.h"
 #include "src/testbed/experiments.h"
 #include "src/testbed/harness.h"
@@ -26,11 +26,15 @@ namespace diffusion {
 namespace {
 
 int Main(int argc, char** argv) {
-  const int runs = static_cast<int>(bench::IntFlag(argc, argv, "runs", 3));
-  const int minutes = static_cast<int>(bench::IntFlag(argc, argv, "minutes", 15));
-  const uint64_t base_seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 8000));
-  // Flight recorder: trace the first (always-on) run only.
-  const std::string trace_out = bench::StringFlag(argc, argv, "trace-out");
+  int runs = 3;
+  int minutes = 15;
+  int base_seed = 8000;
+  std::string trace_out;
+  bench::ParseFlags(argc, argv,
+                    {{"runs", &runs, "replicates per point"},
+                     {"minutes", &minutes, "simulated minutes per replicate"},
+                     {"seed", &base_seed, "seed of the first replicate"},
+                     {"trace-out", &trace_out, "JSONL trace of the first duty-1.0 run"}});
   std::unique_ptr<TraceWriter> trace;
   if (!trace_out.empty()) {
     std::printf("writing JSONL trace of the first duty-1.0 run to %s\n", trace_out.c_str());

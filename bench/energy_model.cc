@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/apps/surveillance.h"
 #include "src/radio/energy.h"
 #include "src/testbed/testbed_world.h"
@@ -32,7 +33,8 @@ void PrintTable(const TimeShares& shares, const char* label) {
   std::printf("\n");
 }
 
-int Main() {
+int Main(int argc, char** argv) {
+  bench::ParseFlags(argc, argv, {});
   std::printf("=== §6.1 energy model: P_d = d·p_l·t_l + p_r·t_r + p_s·t_s ===\n\n");
   PrintTable(PaperTimeShares(), "Paper's aggregate time shares");
 
@@ -78,4 +80,4 @@ int Main() {
 }  // namespace
 }  // namespace diffusion
 
-int main() { return diffusion::Main(); }
+int main(int argc, char** argv) { return diffusion::Main(argc, argv); }

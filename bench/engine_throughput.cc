@@ -7,33 +7,20 @@
 //    bytes, and the trace fingerprint of one traced 2-minute run) is a pure
 //    function of (seed, runs, minutes) and byte-identical for any --jobs;
 //    scripts/check.sh cmp-gates --deterministic-only output across --jobs
-//    values, and --check re-runs it against the committed file.
+//    values, and --check re-runs it at the file's recorded runs and minutes
+//    against the committed file.
 //  * The timing section (events_per_sec median, min and max over the --runs
 //    replicates) varies run to run like every wall-clock metric (cf.
 //    BENCH_matching.json); timing runs are always serial regardless of
 //    --jobs.
 //
-// Emits BENCH_engine.json ("diffusion-bench-v1" schema). Flags:
-//   --out=PATH            where to write the JSON (default BENCH_engine.json)
-//   --check=PATH          validate an existing file against the schema, then
-//                         re-run the deterministic section at the file's
-//                         recorded runs and sim_minutes_per_run and fail on
-//                         any row that differs; nothing is written
-//   --runs=N              replicates per section (default 3)
-//   --minutes=M           simulated minutes per replicate (default 20)
-//   --seed=S              seed of the first replicate (default 3000)
-//   --jobs=N              worker threads for the deterministic section
-//   --deterministic-only  emit only the deterministic metrics (the --jobs
-//                         cmp gate) and skip the timing section
+// Emits BENCH_engine.json ("diffusion-bench-v1" schema).
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "bench/bench_flags.h"
-#include "bench/bench_json.h"
+#include "bench/harness.h"
 #include "bench/replicate.h"
 #include "src/testbed/experiments.h"
 
@@ -84,44 +71,38 @@ std::vector<bench::BenchResult> DeterministicSection(uint64_t base_seed, int run
 }
 
 int Main(int argc, char** argv) {
-  const uint64_t base_seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 3000));
-  const unsigned jobs = bench::JobsFlag(argc, argv);
-  const std::string check = bench::StringFlag(argc, argv, "check");
+  std::string out = "BENCH_engine.json";
+  std::string check;
+  int runs = 3;
+  int minutes = 20;
+  int base_seed = 3000;
+  int jobs = 0;
+  bool deterministic_only = false;
+  bench::ParseFlags(argc, argv,
+                    {{"out", &out, "where to write the JSON; empty writes nothing"},
+                     {"check", &check, "re-run this file's deterministic rows; write nothing"},
+                     {"runs", &runs, "replicates per section"},
+                     {"minutes", &minutes, "simulated minutes per replicate"},
+                     {"seed", &base_seed, "seed of the first replicate"},
+                     {"jobs", &jobs, "deterministic-section workers; 0 = all cores"},
+                     {"deterministic-only", &deterministic_only, "skip the timing section"}});
+  const unsigned workers = ReplicationPool::ResolveJobs(static_cast<unsigned>(jobs));
   if (!check.empty()) {
-    std::string error;
-    if (!bench::ValidateBenchJson(check, &error)) {
-      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
-      return 1;
-    }
-    double runs = 0.0;
-    double minutes = 0.0;
-    if (!bench::ReadBenchValue(check, "runs", &runs) ||
-        !bench::ReadBenchValue(check, "sim_minutes_per_run", &minutes)) {
-      std::fprintf(stderr, "FAIL: %s records no runs or sim_minutes_per_run\n", check.c_str());
-      return 1;
-    }
-    const std::vector<bench::BenchResult> fresh = DeterministicSection(
-        base_seed, static_cast<int>(runs), static_cast<int>(minutes), jobs);
-    if (!bench::MatchesRecorded(check, fresh, bench::RecordedRows::kEmitted, &error)) {
-      std::fprintf(stderr, "FAIL: deterministic section differs from %s: %s\n", check.c_str(),
-                   error.c_str());
-      return 1;
-    }
-    std::printf("%s: valid %s file; deterministic section reproduced\n", check.c_str(),
-                bench::kBenchJsonSchema);
+    const bench::RecordedFile recorded(check);
+    const int recorded_runs = static_cast<int>(recorded.Value("runs"));
+    const int recorded_minutes = static_cast<int>(recorded.Value("sim_minutes_per_run"));
+    recorded.Verify(DeterministicSection(base_seed, recorded_runs, recorded_minutes, workers),
+                    bench::RecordedRows::kEmitted);
     return 0;
   }
 
-  const int runs = static_cast<int>(bench::IntFlag(argc, argv, "runs", 3));
-  const int minutes = static_cast<int>(bench::IntFlag(argc, argv, "minutes", 20));
-  const bool deterministic_only = bench::BoolFlag(argc, argv, "deterministic-only");
-  const std::string out = bench::StringFlag(argc, argv, "out", "BENCH_engine.json");
   if (runs < 1) {
     std::fprintf(stderr, "FAIL: --runs must be at least 1\n");
     return 1;
   }
 
-  std::vector<bench::BenchResult> results = DeterministicSection(base_seed, runs, minutes, jobs);
+  std::vector<bench::BenchResult> results =
+      DeterministicSection(base_seed, runs, minutes, workers);
   std::printf("=== Engine throughput: Figure-7 testbed, %d x %d min, 4 sources ===\n\n", runs,
               minutes);
   for (const bench::BenchResult& row : results) {
@@ -132,33 +113,22 @@ int Main(int argc, char** argv) {
     // ---- timing section (always serial) ----------------------------------
     std::vector<double> rates;
     for (int i = 0; i < runs; ++i) {
-      const auto start = std::chrono::steady_clock::now();
-      const Fig8Result result =
-          RunFig8(BaseParams(base_seed + static_cast<uint64_t>(i), minutes * kMinute));
-      const std::chrono::duration<double> seconds = std::chrono::steady_clock::now() - start;
-      rates.push_back(static_cast<double>(result.events_executed) / seconds.count());
+      uint64_t events = 0;
+      const double seconds = bench::Seconds([&] {
+        events = RunFig8(BaseParams(base_seed + static_cast<uint64_t>(i), minutes * kMinute))
+                     .events_executed;
+      });
+      rates.push_back(static_cast<double>(events) / seconds);
     }
-    std::sort(rates.begin(), rates.end());
-    const size_t mid = rates.size() / 2;
-    const double median = rates.size() % 2 == 1 ? rates[mid] : (rates[mid - 1] + rates[mid]) / 2;
+    const bench::Spread spread = bench::SpreadOf(rates);
     std::printf("\n%-28s  %16.0f   (median of %d; min %.0f, max %.0f)\n", "events_per_sec",
-                median, runs, rates.front(), rates.back());
-    results.push_back({"events_per_sec", "events/s", median});
-    results.push_back({"events_per_sec_min", "events/s", rates.front()});
-    results.push_back({"events_per_sec_max", "events/s", rates.back()});
+                spread.median, runs, spread.min, spread.max);
+    results.push_back({"events_per_sec", "events/s", spread.median});
+    results.push_back({"events_per_sec_min", "events/s", spread.min});
+    results.push_back({"events_per_sec_max", "events/s", spread.max});
   }
 
-  if (!out.empty()) {
-    if (!bench::WriteBenchJson(out, "engine_throughput", results)) {
-      return 1;
-    }
-    std::string error;
-    if (!bench::ValidateBenchJson(out, &error)) {
-      std::fprintf(stderr, "FAIL: emitted file does not validate: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", out.c_str());
-  }
+  bench::WriteBenchJson(out, "engine_throughput", results);
   return 0;
 }
 

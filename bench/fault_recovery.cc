@@ -9,30 +9,17 @@
 //
 // Emits BENCH_fault.json ("diffusion-bench-v1" schema). The output contains
 // no wall-clock values: the same seed and plan produce a byte-identical file
-// on every run/machine. Flags:
-//   --scenario=NAME   crash | degrade | partition | all (default all)
-//   --seed=N          simulation seed (default 1)
-//   --sources=N       1..4 active Figure 7 sources (default 1)
-//   --plan=PATH       diffusion-fault-plan-v1 JSON overriding the built-in
-//                     plan (single-scenario runs only)
-//   --out=PATH        where to write the JSON (default BENCH_fault.json)
-//   --check=PATH      re-run the scenarios whose rows the file holds (with
-//                     --seed, --sources and --plan) and fail unless the run
-//                     emits exactly the file's rows with its values; writes
-//                     nothing
-//   --print-plan      dump the built-in plan JSON for --scenario and exit
-//   --trace-out=PATH  JSONL flight-recorder trace of the run
-//   --require-repair  exit 1 unless every scenario repaired within its bound
-//                     (2x the interest refresh period) — the CI gate
+// on every run/machine. A scenario's repair bound is 2x the interest refresh
+// period; --require-repair makes missing it fail the run (the CI gate).
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench/bench_flags.h"
-#include "bench/bench_json.h"
+#include "bench/harness.h"
 #include "bench/replicate.h"
 #include "src/fault/scenarios.h"
 
@@ -60,29 +47,36 @@ void AppendScenarioResults(const std::string& prefix, const FaultScenarioResult&
 }
 
 int Main(int argc, char** argv) {
-  const std::string check = bench::StringFlag(argc, argv, "check");
-  const std::string scenario_flag = bench::StringFlag(argc, argv, "scenario", "all");
-  const uint64_t seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 1));
-  const int sources = static_cast<int>(bench::IntFlag(argc, argv, "sources", 1));
-  const std::string plan_path = bench::StringFlag(argc, argv, "plan");
-  const std::string out = bench::StringFlag(argc, argv, "out", "BENCH_fault.json");
-  const std::string trace_out = bench::StringFlag(argc, argv, "trace-out");
-  const bool require_repair = bench::BoolFlag(argc, argv, "require-repair");
-  const bool print_plan = bench::BoolFlag(argc, argv, "print-plan");
-  const unsigned jobs = bench::JobsFlag(argc, argv);
+  std::string scenario_flag = "all";
+  int seed = 1;
+  int sources = 1;
+  std::string plan_path;
+  std::string out = "BENCH_fault.json";
+  std::string check;
+  bool print_plan = false;
+  std::string trace_out;
+  bool require_repair = false;
+  int jobs = 0;
+  bench::ParseFlags(argc, argv,
+                    {{"scenario", &scenario_flag, "crash | degrade | partition | all"},
+                     {"seed", &seed, "simulation seed"},
+                     {"sources", &sources, "1..4 active Figure 7 sources"},
+                     {"plan", &plan_path, "fault-plan JSON replacing the built-in plan"},
+                     {"out", &out, "where to write the JSON"},
+                     {"check", &check, "re-run the scenarios this file holds; write nothing"},
+                     {"print-plan", &print_plan, "print the built-in plan and exit"},
+                     {"trace-out", &trace_out, "JSONL trace of the first scenario"},
+                     {"require-repair", &require_repair, "fail on a repair past its bound"},
+                     {"jobs", &jobs, "worker threads; 0 = all cores"}});
+  const unsigned workers = ReplicationPool::ResolveJobs(static_cast<unsigned>(jobs));
 
   std::vector<FaultScenario> scenarios;
+  std::optional<bench::RecordedFile> recorded;
   if (!check.empty()) {
-    std::string error;
-    if (!bench::ValidateBenchJson(check, &error)) {
-      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
-      return 1;
-    }
+    recorded.emplace(check);
     for (FaultScenario scenario :
          {FaultScenario::kCrash, FaultScenario::kDegrade, FaultScenario::kPartition}) {
-      double unused = 0.0;
-      if (bench::ReadBenchValue(check, std::string(FaultScenarioName(scenario)) + "_time_to_repair",
-                                &unused)) {
+      if (recorded->Has(std::string(FaultScenarioName(scenario)) + "_time_to_repair")) {
         scenarios.push_back(scenario);
       }
     }
@@ -134,7 +128,7 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("=== Fault recovery (seed %llu, %d source%s, %u jobs) ===\n\n",
-              static_cast<unsigned long long>(seed), sources, sources == 1 ? "" : "s", jobs);
+              static_cast<unsigned long long>(seed), sources, sources == 1 ? "" : "s", workers);
 
   // Scenarios are independent simulations; fan them out --jobs at a time.
   // Results are consumed in scenario order below, so BENCH_fault.json stays
@@ -142,7 +136,7 @@ int Main(int argc, char** argv) {
   // traces (one recorder per file).
   const std::vector<FaultScenarioResult> scenario_results =
       bench::RunReplicates<FaultScenarioResult>(
-          jobs, scenarios.size(), trace_out, nullptr,
+          workers, scenarios.size(), trace_out, nullptr,
           [&scenarios, seed, sources, &plan_json](size_t i, TraceSink* sink) {
             FaultScenarioParams params;
             params.scenario = scenarios[i];
@@ -176,19 +170,10 @@ int Main(int argc, char** argv) {
   std::printf("refresh period — repair rides the refresh/exploratory cadence the protocol\n");
   std::printf("already pays for, with no dedicated recovery machinery.\n");
 
-  if (check.empty()) {
-    if (!bench::WriteBenchJson(out, "fault_recovery", results)) {
-      return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
+  if (recorded) {
+    recorded->Verify(results, bench::RecordedRows::kAll);
   } else {
-    std::string error;
-    if (!bench::MatchesRecorded(check, results, bench::RecordedRows::kAll, &error)) {
-      std::fprintf(stderr, "FAIL: %s differs from this run: %s\n", check.c_str(), error.c_str());
-      return 1;
-    }
-    std::printf("%s: valid %s file; every row reproduced\n", check.c_str(),
-                bench::kBenchJsonSchema);
+    bench::WriteBenchJson(out, "fault_recovery", results);
   }
 
   if (require_repair && !all_repaired_in_bound) {

@@ -15,10 +15,9 @@
 // absolute numbers here reflect the host CPU, not the PC/104 node; the paper
 // measured ~500 µs per small-set match at 66 MHz.
 
-#include <chrono>
 #include <cstdio>
 
-#include "bench/bench_flags.h"
+#include "bench/harness.h"
 #include "src/apps/animal.h"
 #include "src/naming/matching.h"
 #include "src/testbed/harness.h"
@@ -41,18 +40,20 @@ double TimeMatch(const AttributeVector& a, const AttributeVector& b, int iterati
   for (int i = 0; i < 100; ++i) {
     sink = sink ^ TwoWayMatch(a, b);
   }
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iterations; ++i) {
-    sink = sink ^ TwoWayMatch(a, b);
-  }
-  const auto end = std::chrono::steady_clock::now();
-  (void)sink;
-  return std::chrono::duration<double, std::nano>(end - start).count() / iterations;
+  const double seconds = bench::Seconds([&] {
+    for (int i = 0; i < iterations; ++i) {
+      sink = sink ^ TwoWayMatch(a, b);
+    }
+  });
+  return seconds * 1e9 / iterations;
 }
 
 int Main(int argc, char** argv) {
-  const int reps = static_cast<int>(bench::IntFlag(argc, argv, "reps", 25));
-  const uint64_t seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 42));
+  int reps = 25;
+  int seed = 42;
+  bench::ParseFlags(argc, argv,
+                    {{"reps", &reps, "repetitions per point, each in a new random order"},
+                     {"seed", &seed, "attribute-order shuffle seed"}});
 
   std::printf("=== Figure 11: two-way matching cost vs attributes in Set B ===\n");
   std::printf("(ns per match, mean ± 95%% CI over %d repetitions with randomized order;\n", reps);

@@ -14,7 +14,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "bench/bench_flags.h"
+#include "bench/harness.h"
 #include "src/testbed/experiments.h"
 #include "src/testbed/harness.h"
 
@@ -22,9 +22,13 @@ namespace diffusion {
 namespace {
 
 int Main(int argc, char** argv) {
-  const int runs = static_cast<int>(bench::IntFlag(argc, argv, "runs", 3));
-  const int minutes = static_cast<int>(bench::IntFlag(argc, argv, "minutes", 4));
-  const uint64_t base_seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 9500));
+  int runs = 3;
+  int minutes = 4;
+  int base_seed = 9500;
+  bench::ParseFlags(argc, argv,
+                    {{"runs", &runs, "replicates per point"},
+                     {"minutes", &minutes, "simulated minutes per replicate"},
+                     {"seed", &base_seed, "seed of the first replicate"}});
 
   const size_t node_counts[] = {50, 100, 150, 200, 250};
 

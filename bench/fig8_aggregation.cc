@@ -9,8 +9,8 @@
 // paper used five 30-minute experiments.
 //
 // Replicates are independent (seed, params) simulations and run --jobs at a
-// time (see bench/replicate.h); every output — the table, --bench-json and
-// the merged --trace-out — is byte-identical regardless of --jobs.
+// time (see bench/replicate.h); every output — the table, --out and the
+// merged --trace-out — is byte-identical regardless of --jobs.
 //
 // Expected shape (paper): with suppression the traffic is roughly constant
 // in the source count; without it traffic climbs steeply; suppression saves
@@ -20,8 +20,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_flags.h"
-#include "bench/bench_json.h"
+#include "bench/harness.h"
 #include "bench/replicate.h"
 #include "src/testbed/experiments.h"
 #include "src/testbed/harness.h"
@@ -38,17 +37,23 @@ struct Cell {
 };
 
 int Main(int argc, char** argv) {
-  const int runs = static_cast<int>(bench::IntFlag(argc, argv, "runs", 5));
-  const int minutes = static_cast<int>(bench::IntFlag(argc, argv, "minutes", 30));
-  const uint64_t base_seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 1000));
-  const unsigned jobs = bench::JobsFlag(argc, argv);
+  int runs = 5;
+  int minutes = 30;
+  int base_seed = 1000;
+  int jobs = 0;
+  std::string trace_out;
+  std::string out;
   // Flight recorder: trace the first (1-source, with-suppression) run only —
   // one full trace is plenty and tracing every sweep point would dwarf the
   // results in I/O.
-  const std::string trace_out = bench::StringFlag(argc, argv, "trace-out");
-  // Deterministic diffusion-bench-v1 export (no wall-clock values): the same
-  // seeds produce a byte-identical file at every --jobs.
-  const std::string bench_json_out = bench::StringFlag(argc, argv, "bench-json");
+  bench::ParseFlags(argc, argv,
+                    {{"runs", &runs, "replicates per point"},
+                     {"minutes", &minutes, "simulated minutes per replicate"},
+                     {"seed", &base_seed, "seed of the first replicate"},
+                     {"jobs", &jobs, "worker threads; 0 = all cores"},
+                     {"trace-out", &trace_out, "JSONL trace of the first run"},
+                     {"out", &out, "write the table as diffusion-bench-v1 JSON"}});
+  const unsigned workers = ReplicationPool::ResolveJobs(static_cast<unsigned>(jobs));
 
   // Flatten the sweep into the serial loop's execution order; aggregation
   // below consumes results in this (seed) order, never completion order.
@@ -61,7 +66,7 @@ int Main(int argc, char** argv) {
   }
 
   const std::vector<Fig8Result> results = bench::RunReplicates<Fig8Result>(
-      jobs, cells.size(), trace_out,
+      workers, cells.size(), trace_out,
       [&cells](size_t i) {
         return cells[i].sources == 1 && cells[i].run == 0 && cells[i].suppression;
       },
@@ -97,7 +102,7 @@ int Main(int argc, char** argv) {
   }
   std::printf("=== Figure 8: in-network aggregation on the 14-node testbed ===\n");
   std::printf("(%d runs x %d min per point, %u jobs; bytes sent by all diffusion modules per\n",
-              runs, minutes, jobs);
+              runs, minutes, workers);
   std::printf(" distinct event received at the sink; mean ± 95%% CI)\n\n");
   std::printf("%-8s  %-20s  %-20s  %-8s  %-12s  %-12s\n", "sources", "with suppression",
               "without suppression", "savings", "model(ideal)", "model(none)");
@@ -135,12 +140,7 @@ int Main(int argc, char** argv) {
     std::printf("%-8d  %-20s  %-20s\n", sources, FormatWithCI(delivery_with[sources], 1).c_str(),
                 FormatWithCI(delivery_without[sources], 1).c_str());
   }
-  if (!bench_json_out.empty()) {
-    if (!bench::WriteBenchJson(bench_json_out, "fig8_aggregation", bench_results)) {
-      return 1;
-    }
-    std::printf("\nwrote %s\n", bench_json_out.c_str());
-  }
+  bench::WriteBenchJson(out, "fig8_aggregation", bench_results);
   return 0;
 }
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <initializer_list>
 
+#include "bench/harness.h"
 #include "src/testbed/traffic_model.h"
 
 namespace diffusion {
@@ -29,7 +30,8 @@ const char* ModelName(AggregationModel model) {
   return "?";
 }
 
-int Main() {
+int Main(int argc, char** argv) {
+  bench::ParseFlags(argc, argv, {});
   const TrafficModelParams params;
   std::printf("=== §6.1 analytic traffic model (127 B messages, 14-node floods, 5-hop path,\n");
   std::printf("    interests/60 s, events/6 s, 1-in-10 exploratory) ===\n\n");
@@ -65,4 +67,4 @@ int Main() {
 }  // namespace
 }  // namespace diffusion
 
-int main() { return diffusion::Main(); }
+int main(int argc, char** argv) { return diffusion::Main(argc, argv); }

@@ -10,9 +10,8 @@
 // hops). Each point: mean of --runs x --minutes-long windows with 95% CI —
 // the paper used three 20-minute experiments.
 //
-// Replicates run --jobs at a time (bench/replicate.h); the table, the
-// --bench-json file and the merged --trace-out are byte-identical for every
-// --jobs value.
+// Replicates run --jobs at a time (bench/replicate.h); the table, the --out
+// file and the merged --trace-out are byte-identical for every --jobs value.
 //
 // Expected shape (paper): the nested query delivers more than the flat query
 // everywhere; both fall off as sensors are added, the flat query faster; the
@@ -21,8 +20,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench/bench_flags.h"
-#include "bench/bench_json.h"
+#include "bench/harness.h"
 #include "bench/replicate.h"
 #include "src/testbed/experiments.h"
 #include "src/testbed/harness.h"
@@ -38,15 +36,22 @@ struct Cell {
 };
 
 int Main(int argc, char** argv) {
-  const int runs = static_cast<int>(bench::IntFlag(argc, argv, "runs", 3));
-  const int minutes = static_cast<int>(bench::IntFlag(argc, argv, "minutes", 20));
-  const uint64_t base_seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 2000));
-  const bool triggered = bench::BoolFlag(argc, argv, "triggered");
-  const unsigned jobs = bench::JobsFlag(argc, argv);
-  // Flight recorder: trace the first nested run only.
-  const std::string trace_out = bench::StringFlag(argc, argv, "trace-out");
-  // Deterministic diffusion-bench-v1 export; byte-identical at every --jobs.
-  const std::string bench_json_out = bench::StringFlag(argc, argv, "bench-json");
+  int runs = 3;
+  int minutes = 20;
+  int base_seed = 2000;
+  bool triggered = false;
+  int jobs = 0;
+  std::string trace_out;
+  std::string out;
+  bench::ParseFlags(argc, argv,
+                    {{"runs", &runs, "replicates per point"},
+                     {"minutes", &minutes, "simulated minutes per replicate"},
+                     {"seed", &base_seed, "seed of the first replicate"},
+                     {"triggered", &triggered, "flat mode runs per-event triggered queries"},
+                     {"jobs", &jobs, "worker threads; 0 = all cores"},
+                     {"trace-out", &trace_out, "JSONL trace of the first nested run"},
+                     {"out", &out, "write the table as diffusion-bench-v1 JSON"}});
+  const unsigned workers = ReplicationPool::ResolveJobs(static_cast<unsigned>(jobs));
 
   const QueryMode flat_mode = triggered ? QueryMode::kFlatTriggered : QueryMode::kFlat;
   const int light_counts[] = {1, 2, 4};
@@ -60,7 +65,7 @@ int Main(int argc, char** argv) {
   }
 
   const std::vector<Fig9Result> results = bench::RunReplicates<Fig9Result>(
-      jobs, cells.size(), trace_out,
+      workers, cells.size(), trace_out,
       [](size_t i) { return i == 0; },  // cells[0] is the first nested run
       [&cells, minutes, base_seed, flat_mode](size_t i, TraceSink* sink) {
         const Cell& cell = cells[i];
@@ -79,7 +84,7 @@ int Main(int argc, char** argv) {
 
   std::printf("=== Figure 9: %% of light-change events delivering audio to the user ===\n");
   std::printf("(%d runs x %d min per point, %u jobs; mean ± 95%% CI; flat mode: %s)\n\n", runs,
-              minutes, jobs,
+              minutes, workers,
               triggered ? "per-event triggered queries" : "one-level data correlation");
   std::printf("%-8s  %-20s  %-20s  %-16s  %-16s\n", "sensors", "nested %", "flat %",
               "nested bytes", "flat bytes");
@@ -115,12 +120,7 @@ int Main(int argc, char** argv) {
       "\nLocalizing data near the triggering event (nested) both delivers more events and\n"
       "moves fewer bytes — 'localizing the data to the sensors is very important to\n"
       "parsimonious use of bandwidth' (§6.2).\n");
-  if (!bench_json_out.empty()) {
-    if (!bench::WriteBenchJson(bench_json_out, "fig9_nested_queries", bench_results)) {
-      return 1;
-    }
-    std::printf("wrote %s\n", bench_json_out.c_str());
-  }
+  bench::WriteBenchJson(out, "fig9_nested_queries", bench_results);
   return 0;
 }
 

@@ -13,7 +13,7 @@
 
 #include <cstdio>
 
-#include "bench/bench_flags.h"
+#include "bench/harness.h"
 #include "src/testbed/experiments.h"
 #include "src/testbed/harness.h"
 
@@ -21,10 +21,15 @@ namespace diffusion {
 namespace {
 
 int Main(int argc, char** argv) {
-  const int runs = static_cast<int>(bench::IntFlag(argc, argv, "runs", 3));
-  const int grid = static_cast<int>(bench::IntFlag(argc, argv, "grid", 6));
-  const int minutes = static_cast<int>(bench::IntFlag(argc, argv, "minutes", 10));
-  const uint64_t base_seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 4000));
+  int runs = 3;
+  int grid = 6;
+  int minutes = 10;
+  int base_seed = 4000;
+  bench::ParseFlags(argc, argv,
+                    {{"runs", &runs, "replicates per point"},
+                     {"grid", &grid, "grid side, in nodes"},
+                     {"minutes", &minutes, "simulated minutes per replicate"},
+                     {"seed", &base_seed, "seed of the first replicate"}});
 
   std::printf("=== Geo-scoped interest flooding (%dx%d grid, sink corner -> far-edge region,\n",
               grid, grid);

@@ -26,29 +26,18 @@
 //    then measured for real: candidate-set size and per-message dispatch
 //    time.
 //
-// Emits BENCH_matching.json ("diffusion-bench-v1" schema). Flags:
-//   --out=PATH              where to write the JSON (default BENCH_matching.json)
-//   --check=PATH            validate an existing file against the schema, then
-//                           re-run the inequality-at-scale counts at the file's
-//                           ineq_filters and fail on any count row that differs
-//                           (timing rows are not checked); nothing is written
-//   --reps=N                timing repetitions (default 40)
-//   --filters=N             inequality-section index size (default 1000000)
-//   --require-speedup=X     exit non-zero unless both EQ speedups reach X
-//   --require-reduction=X   exit non-zero unless the inequality candidate-set
-//                           reduction reaches X; with --check, re-verifies the
-//                           ineq_candidate_reduction recorded in the file
+// Emits BENCH_matching.json ("diffusion-bench-v1" schema). --check rebuilds
+// the inequality section at the file's ineq_filters and compares its count
+// rows (timing rows are never checked); --require-reduction then gates the
+// re-run reduction.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "bench/bench_flags.h"
-#include "bench/bench_json.h"
+#include "bench/harness.h"
 #include "src/apps/animal.h"
 #include "src/core/match_index.h"
 #include "src/naming/keys.h"
@@ -383,67 +372,45 @@ bool BuildIneqSection(size_t count, IneqSection* section) {
   return true;
 }
 
-// Nanoseconds per call of `fn` over the whole message stream, best of `reps`
-// (best-of tolerates scheduler noise better than the mean).
+// Nanoseconds per op of `fn` over the whole message stream, the fastest of
+// `reps` calls (the min tolerates scheduler noise better than the mean).
 template <typename Fn>
-double TimeNsPerOp(int reps, size_t ops_per_rep, Fn&& fn) {
-  double best = 0.0;
+double NsPerOp(int reps, size_t ops, Fn&& fn) {
+  std::vector<double> samples;
   for (int rep = 0; rep < reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start).count()) /
-        static_cast<double>(ops_per_rep);
-    if (rep == 0 || ns < best) {
-      best = ns;
-    }
+    samples.push_back(bench::Seconds(fn) * 1e9 / static_cast<double>(ops));
   }
-  return best;
+  return bench::SpreadOf(std::move(samples)).min;
 }
 
 int Main(int argc, char** argv) {
-  const double require_reduction = std::strtod(
-      bench::StringFlag(argc, argv, "require-reduction", "0").c_str(), nullptr);
-  const std::string check = bench::StringFlag(argc, argv, "check");
+  std::string out = "BENCH_matching.json";
+  std::string check;
+  int reps = 40;
+  int ineq_filters = 1000000;
+  double require = 0.0;
+  double require_reduction = 0.0;
+  bench::ParseFlags(argc, argv,
+                    {{"out", &out, "where to write the JSON; empty writes nothing"},
+                     {"check", &check, "re-run this file's inequality counts; write nothing"},
+                     {"reps", &reps, "timing repetitions"},
+                     {"filters", &ineq_filters, "inequality-section index size"},
+                     {"require-speedup", &require, "minimum of both EQ speedups; 0 = no gate"},
+                     {"require-reduction", &require_reduction, "min candidate-set reduction"}});
   if (!check.empty()) {
-    std::string error;
-    if (!bench::ValidateBenchJson(check, &error)) {
-      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
-      return 1;
-    }
-    double recorded_filters = 0.0;
-    if (!bench::ReadBenchValue(check, "ineq_filters", &recorded_filters)) {
-      std::fprintf(stderr, "FAIL: %s has no ineq_filters metric\n", check.c_str());
-      return 1;
-    }
+    const bench::RecordedFile recorded(check);
     IneqSection section;
-    if (!BuildIneqSection(static_cast<size_t>(recorded_filters), &section)) {
+    if (!BuildIneqSection(static_cast<size_t>(recorded.Value("ineq_filters")), &section)) {
       return 1;
     }
-    if (!bench::MatchesRecorded(check, section.CountRows(), bench::RecordedRows::kEmitted,
-                                &error)) {
-      std::fprintf(stderr, "FAIL: inequality counts differ from %s: %s\n", check.c_str(),
-                   error.c_str());
-      return 1;
-    }
+    recorded.Verify(section.CountRows(), bench::RecordedRows::kEmitted);
     if (require_reduction > 0.0 && section.reduction() < require_reduction) {
       std::fprintf(stderr, "FAIL: candidate reduction %.1fx below --require-reduction=%.1f\n",
                    section.reduction(), require_reduction);
       return 1;
     }
-    std::printf("%s: valid %s file; inequality counts reproduced\n", check.c_str(),
-                bench::kBenchJsonSchema);
     return 0;
   }
-
-  const int reps = static_cast<int>(bench::IntFlag(argc, argv, "reps", 40));
-  const size_t ineq_filters =
-      static_cast<size_t>(bench::IntFlag(argc, argv, "filters", 1000000));
-  const std::string out = bench::StringFlag(argc, argv, "out", "BENCH_matching.json");
-  const double require = std::strtod(
-      bench::StringFlag(argc, argv, "require-speedup", "0").c_str(), nullptr);
 
   Rng rng(1234);
   const std::vector<Entry> filters = MakeFilters();
@@ -474,28 +441,28 @@ int Main(int argc, char** argv) {
     }
   }
 
-  const double dispatch_linear_ns = TimeNsPerOp(reps, messages.size(), [&] {
+  const double dispatch_linear_ns = NsPerOp(reps, messages.size(), [&] {
     uint64_t acc = 0;
     for (const Msg& msg : messages) {
       acc += DispatchLinear(filters, msg);
     }
     g_sink = acc;
   });
-  const double dispatch_indexed_ns = TimeNsPerOp(reps, messages.size(), [&] {
+  const double dispatch_indexed_ns = NsPerOp(reps, messages.size(), [&] {
     uint64_t acc = 0;
     for (const Msg& msg : messages) {
       acc += DispatchIndexed(index, msg);
     }
     g_sink = acc;
   });
-  const double exact_linear_ns = TimeNsPerOp(reps, exact.probes.size(), [&] {
+  const double exact_linear_ns = NsPerOp(reps, exact.probes.size(), [&] {
     uint64_t acc = 0;
     for (const Msg& probe : exact.probes) {
       acc += FindExactLinear(exact.linear_entries, probe);
     }
     g_sink = acc;
   });
-  const double exact_hashed_ns = TimeNsPerOp(reps, exact.probes.size(), [&] {
+  const double exact_hashed_ns = NsPerOp(reps, exact.probes.size(), [&] {
     uint64_t acc = 0;
     for (const Msg& probe : exact.probes) {
       acc += FindExactHashed(exact.entries, probe);
@@ -508,14 +475,14 @@ int Main(int argc, char** argv) {
 
   // ---- Inequality at scale -----------------------------------------------
   IneqSection section;
-  if (!BuildIneqSection(ineq_filters, &section)) {
+  if (!BuildIneqSection(static_cast<size_t>(ineq_filters), &section)) {
     return 1;
   }
 
   // Dispatch timing over the index that exists; the O(filters) baseline is
   // deliberately not timed at this scale.
   const int ineq_reps = std::max(1, std::min(5, reps / 8));
-  const double ineq_dispatch_ns = TimeNsPerOp(ineq_reps, section.messages.size(), [&] {
+  const double ineq_dispatch_ns = NsPerOp(ineq_reps, section.messages.size(), [&] {
     uint64_t acc = 0;
     for (const AttributeSet& message : section.messages) {
       section.index.ForEachCandidate(message, [&](const MatchIndexEntry& entry) {
@@ -535,35 +502,25 @@ int Main(int argc, char** argv) {
   std::printf("%-28s  %12.0f\n", "exact: multiset compare", exact_linear_ns);
   std::printf("%-28s  %12.0f   (%.1fx)\n", "exact: hash pre-check", exact_hashed_ns,
               exact_speedup);
-  std::printf("\n=== Inequality at scale (%zu filters, %zu messages, best of %d reps) ===\n\n",
+  std::printf("\n=== Inequality at scale (%d filters, %zu messages, best of %d reps) ===\n\n",
               ineq_filters, section.messages.size(), ineq_reps);
   std::printf("%-28s  %12.0f   candidates/message\n", "any-scan baseline", section.scan_avg);
   std::printf("%-28s  %12.0f   candidates/message  (%.1fx fewer)\n", "interval index",
               section.indexed_avg, section.reduction());
   std::printf("%-28s  %12.0f   ns/message\n", "dispatch: per message", ineq_dispatch_ns);
 
-  if (!out.empty()) {
-    std::vector<bench::BenchResult> results = {
-        {"dispatch_linear_full_chain", "ns/op", dispatch_linear_ns},
-        {"dispatch_indexed_merge_scan", "ns/op", dispatch_indexed_ns},
-        {"dispatch_speedup", "x", dispatch_speedup},
-        {"exact_linear_multiset", "ns/op", exact_linear_ns},
-        {"exact_hash_precheck", "ns/op", exact_hashed_ns},
-        {"exact_speedup", "x", exact_speedup},
-    };
-    const std::vector<bench::BenchResult> counts = section.CountRows();
-    results.insert(results.end(), counts.begin(), counts.end());
-    results.push_back({"ineq_dispatch_indexed", "ns/op", ineq_dispatch_ns});
-    if (!bench::WriteBenchJson(out, "matching_hotpath", results)) {
-      return 1;
-    }
-    std::string error;
-    if (!bench::ValidateBenchJson(out, &error)) {
-      std::fprintf(stderr, "FAIL: emitted file does not validate: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", out.c_str());
-  }
+  std::vector<bench::BenchResult> results = {
+      {"dispatch_linear_full_chain", "ns/op", dispatch_linear_ns},
+      {"dispatch_indexed_merge_scan", "ns/op", dispatch_indexed_ns},
+      {"dispatch_speedup", "x", dispatch_speedup},
+      {"exact_linear_multiset", "ns/op", exact_linear_ns},
+      {"exact_hash_precheck", "ns/op", exact_hashed_ns},
+      {"exact_speedup", "x", exact_speedup},
+  };
+  const std::vector<bench::BenchResult> counts = section.CountRows();
+  results.insert(results.end(), counts.begin(), counts.end());
+  results.push_back({"ineq_dispatch_indexed", "ns/op", ineq_dispatch_ns});
+  bench::WriteBenchJson(out, "matching_hotpath", results);
 
   if (require > 0.0 && (dispatch_speedup < require || exact_speedup < require)) {
     std::fprintf(stderr, "FAIL: speedup below --require-speedup=%.1f\n", require);

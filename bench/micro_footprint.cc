@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/core/message.h"
 #include "src/core/node.h"
 #include "src/micro/micro_gateway.h"
@@ -23,7 +24,8 @@
 namespace diffusion {
 namespace {
 
-int Main() {
+int Main(int argc, char** argv) {
+  bench::ParseFlags(argc, argv, {});
   std::printf("=== Micro-diffusion (§4.3) ===\n\n");
   std::printf("Static engine budgets:\n");
   std::printf("  gradients: %zu slots (paper: 5)\n", MicroNode::kMaxGradients);
@@ -95,4 +97,4 @@ int Main() {
 }  // namespace
 }  // namespace diffusion
 
-int main() { return diffusion::Main(); }
+int main(int argc, char** argv) { return diffusion::Main(argc, argv); }

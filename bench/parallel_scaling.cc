@@ -17,38 +17,18 @@
 //  * The timing section (events_per_sec_t*, parallel_speedup_4t) varies run
 //    to run like every wall-clock metric.
 //
-// Emits BENCH_parallel.json ("diffusion-bench-v1" schema). Flags:
-//   --out=PATH            where to write the JSON (default BENCH_parallel.json)
-//   --check=PATH          validate a file written by a full run against the
-//                         schema, then re-run its deterministic section (one
-//                         traced --fp-seconds run with the same --side,
-//                         --regions, --seconds and --seed) and fail on any row
-//                         that differs; nothing is written
-//   --side=N              grid side (default 100 -> 10,000 nodes)
-//   --regions=N           target region count (default 16)
-//   --seconds=N           simulated seconds per timed run (default 30)
-//   --fp-seconds=N        simulated seconds per traced fingerprint run
-//                         (default 10)
-//   --threads=N           with --deterministic-only or --check: the thread
-//                         count to run
-//   --deterministic-only  one traced run; emit only deterministic metrics
-//                         (the cross-thread cmp gate), no timing
-//   --require-speedup=X   exit non-zero unless parallel_speedup_4t reaches X.
-//                         Only enforced when at least 4 hardware threads are
-//                         available (the determinism gates always run); with
-//                         --check, re-verifies the recorded value the same
-//                         way against the recorded threads_available.
+// Emits BENCH_parallel.json ("diffusion-bench-v1" schema). --require-speedup
+// is enforced only where at least 4 hardware threads are available (the
+// determinism gates always run); with --check it re-verifies the recorded
+// parallel_speedup_4t the same way against the recorded threads_available.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/bench_flags.h"
-#include "bench/bench_json.h"
+#include "bench/harness.h"
 #include "src/apps/surveillance.h"
 #include "src/testbed/testbed_world.h"
 #include "src/testbed/topology.h"
@@ -121,11 +101,8 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
   }
 
   RunOutput output;
-  const auto start = std::chrono::steady_clock::now();
-  output.events_executed = world.RunUntil(sim_seconds * kSecond);
-  const auto stop = std::chrono::steady_clock::now();
   output.wall_seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(stop - start).count();
+      bench::Seconds([&] { output.events_executed = world.RunUntil(sim_seconds * kSecond); });
   output.diffusion_bytes = world.TotalDiffusionBytes();
   output.clamped_by_region.assign(static_cast<size_t>(world.regions()), 0);
   if (world.regions() > 1) {  // one region has no borders
@@ -173,68 +150,68 @@ void AppendPerRegionClamps(const RunOutput& run, std::vector<bench::BenchResult>
   }
 }
 
+// The --require-speedup gate: false (with a FAIL line) when `speedup` falls
+// short of `require`; waived for a speedup measured on fewer than 4 hardware
+// threads.
+bool MeetsSpeedup(double require, double speedup, double threads_available) {
+  if (threads_available < 4.0) {
+    std::printf("SKIP: %.0f hardware threads; --require-speedup needs at least 4\n",
+                threads_available);
+    return true;
+  }
+  if (speedup < require) {
+    std::fprintf(stderr, "FAIL: parallel_speedup_4t %.2fx below --require-speedup=%.1f\n",
+                 speedup, require);
+    return false;
+  }
+  return true;
+}
+
 int Main(int argc, char** argv) {
-  const double require = std::strtod(
-      bench::StringFlag(argc, argv, "require-speedup", "0").c_str(), nullptr);
-  const std::string check = bench::StringFlag(argc, argv, "check");
-  const int side = static_cast<int>(bench::IntFlag(argc, argv, "side", 100));
-  const int regions = static_cast<int>(bench::IntFlag(argc, argv, "regions", 16));
-  const int seconds = static_cast<int>(bench::IntFlag(argc, argv, "seconds", 30));
-  const int fp_seconds = static_cast<int>(bench::IntFlag(argc, argv, "fp-seconds", 10));
-  const uint64_t seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 9000));
-  const unsigned threads = static_cast<unsigned>(bench::IntFlag(argc, argv, "threads", 1));
+  std::string out = "BENCH_parallel.json";
+  std::string check;
+  int side = 100;
+  int regions = 16;
+  int seconds = 30;
+  int fp_seconds = 10;
+  int seed = 9000;
+  int threads = 1;
+  bool deterministic_only = false;
+  double require = 0.0;
+  bench::ParseFlags(argc, argv,
+                    {{"out", &out, "where to write the JSON; empty writes nothing"},
+                     {"check", &check, "re-run this file's deterministic rows; write nothing"},
+                     {"side", &side, "grid side (100 = 10,000 nodes)"},
+                     {"regions", &regions, "target region count"},
+                     {"seconds", &seconds, "simulated seconds per timed run"},
+                     {"fp-seconds", &fp_seconds, "simulated seconds per traced run"},
+                     {"seed", &seed, "simulation seed"},
+                     {"threads", &threads, "threads for --deterministic-only and --check"},
+                     {"deterministic-only", &deterministic_only, "one traced run; no timing"},
+                     {"require-speedup", &require, "minimum parallel_speedup_4t; 0 = no gate"}});
   if (!check.empty()) {
-    std::string error;
-    if (!bench::ValidateBenchJson(check, &error)) {
-      std::fprintf(stderr, "FAIL: %s\n", error.c_str());
-      return 1;
-    }
-    const RunOutput run = RunWorld(side, regions, threads, seed, fp_seconds, /*traced=*/true);
+    const bench::RecordedFile recorded(check);
+    const RunOutput run = RunWorld(side, regions, static_cast<unsigned>(threads), seed,
+                                   fp_seconds, /*traced=*/true);
     std::vector<bench::BenchResult> fresh = ShapeAndCounts(side, seconds, run);
     fresh.push_back({"barriers_run", "count", static_cast<double>(run.barriers_run)});
     AppendPerRegionClamps(run, &fresh);
-    if (!bench::MatchesRecorded(check, fresh, bench::RecordedRows::kEmitted, &error)) {
-      std::fprintf(stderr, "FAIL: deterministic section differs from %s: %s\n", check.c_str(),
-                   error.c_str());
+    recorded.Verify(fresh, bench::RecordedRows::kEmitted);
+    if (require > 0.0 && !MeetsSpeedup(require, recorded.Value("parallel_speedup_4t"),
+                                       recorded.Value("threads_available"))) {
       return 1;
     }
-    if (require > 0.0) {
-      double available = 0.0;
-      if (!bench::ReadBenchValue(check, "threads_available", &available)) {
-        std::fprintf(stderr, "FAIL: %s has no threads_available metric\n", check.c_str());
-        return 1;
-      }
-      if (available < 4.0) {
-        std::printf("SKIP: recorded on %d hardware threads; speedup not meaningful below 4\n",
-                    static_cast<int>(available));
-      } else {
-        double recorded = 0.0;
-        if (!bench::ReadBenchValue(check, "parallel_speedup_4t", &recorded)) {
-          std::fprintf(stderr, "FAIL: %s has no parallel_speedup_4t metric\n", check.c_str());
-          return 1;
-        }
-        if (recorded < require) {
-          std::fprintf(stderr,
-                       "FAIL: recorded parallel_speedup_4t %.2fx below --require-speedup=%.1f\n",
-                       recorded, require);
-          return 1;
-        }
-      }
-    }
-    std::printf("%s: valid %s file; deterministic section reproduced\n", check.c_str(),
-                bench::kBenchJsonSchema);
     return 0;
   }
 
-  const bool deterministic_only = bench::BoolFlag(argc, argv, "deterministic-only");
-  const std::string out = bench::StringFlag(argc, argv, "out", "BENCH_parallel.json");
   const unsigned threads_available = std::thread::hardware_concurrency();
 
   if (deterministic_only) {
     // One traced run at the requested thread count; print and emit only
     // metrics that are a pure function of (seed, side, regions, window) so
     // outputs at different --threads values can be cmp'd byte for byte.
-    const RunOutput run = RunWorld(side, regions, threads, seed, fp_seconds, /*traced=*/true);
+    const RunOutput run = RunWorld(side, regions, static_cast<unsigned>(threads), seed,
+                                   fp_seconds, /*traced=*/true);
     std::printf("nodes=%d regions=%d window_us=%lld events=%llu bytes=%llu border=%llu "
                 "clamped=%llu fp=%llu trace_events=%llu delivered=%zu barriers=%llu\n",
                 side * side, run.regions, static_cast<long long>(run.window / kMicrosecond),
@@ -245,16 +222,11 @@ int Main(int argc, char** argv) {
                 static_cast<unsigned long long>(run.fingerprint),
                 static_cast<unsigned long long>(run.trace_events), run.distinct_events,
                 static_cast<unsigned long long>(run.barriers_run));
-    if (!out.empty()) {
-      std::vector<bench::BenchResult> results = ShapeAndCounts(side, fp_seconds, run);
-      results.push_back({"trace_events", "count", static_cast<double>(run.trace_events)});
-      results.push_back({"barriers_run", "count", static_cast<double>(run.barriers_run)});
-      AppendPerRegionClamps(run, &results);
-      if (!bench::WriteBenchJson(out, "parallel_scaling", results)) {
-        return 1;
-      }
-      std::printf("wrote %s\n", out.c_str());
-    }
+    std::vector<bench::BenchResult> results = ShapeAndCounts(side, fp_seconds, run);
+    results.push_back({"trace_events", "count", static_cast<double>(run.trace_events)});
+    results.push_back({"barriers_run", "count", static_cast<double>(run.barriers_run)});
+    AppendPerRegionClamps(run, &results);
+    bench::WriteBenchJson(out, "parallel_scaling", results);
     return 0;
   }
 
@@ -302,39 +274,18 @@ int Main(int argc, char** argv) {
   std::printf("\n%-28s  %16.2fx\n", "speedup @ 4 threads", speedup_4t);
   std::printf("%-28s  %16u\n", "hardware threads", threads_available);
 
-  if (!out.empty()) {
-    std::vector<bench::BenchResult> results = ShapeAndCounts(side, seconds, fp_runs[0]);
-    results.insert(results.end(),
-                   {{"barriers_run", "count", static_cast<double>(fp_runs[0].barriers_run)},
-                    {"events_per_sec_t1", "events/s", events_per_sec[0]},
-                    {"events_per_sec_t2", "events/s", events_per_sec[1]},
-                    {"events_per_sec_t4", "events/s", events_per_sec[2]},
-                    {"events_per_sec_t8", "events/s", events_per_sec[3]},
-                    {"parallel_speedup_4t", "x", speedup_4t},
-                    {"threads_available", "count", static_cast<double>(threads_available)}});
-    AppendPerRegionClamps(fp_runs[0], &results);
-    if (!bench::WriteBenchJson(out, "parallel_scaling", results)) {
-      return 1;
-    }
-    std::string error;
-    if (!bench::ValidateBenchJson(out, &error)) {
-      std::fprintf(stderr, "FAIL: emitted file does not validate: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("\nwrote %s\n", out.c_str());
-  }
-
-  if (require > 0.0) {
-    if (threads_available < 4) {
-      std::printf("SKIP: %u hardware threads; --require-speedup needs at least 4\n",
-                  threads_available);
-    } else if (speedup_4t < require) {
-      std::fprintf(stderr, "FAIL: parallel_speedup_4t %.2fx below --require-speedup=%.1f\n",
-                   speedup_4t, require);
-      return 1;
-    }
-  }
-  return 0;
+  std::vector<bench::BenchResult> results = ShapeAndCounts(side, seconds, fp_runs[0]);
+  results.insert(results.end(),
+                 {{"barriers_run", "count", static_cast<double>(fp_runs[0].barriers_run)},
+                  {"events_per_sec_t1", "events/s", events_per_sec[0]},
+                  {"events_per_sec_t2", "events/s", events_per_sec[1]},
+                  {"events_per_sec_t4", "events/s", events_per_sec[2]},
+                  {"events_per_sec_t8", "events/s", events_per_sec[3]},
+                  {"parallel_speedup_4t", "x", speedup_4t},
+                  {"threads_available", "count", static_cast<double>(threads_available)}});
+  AppendPerRegionClamps(fp_runs[0], &results);
+  bench::WriteBenchJson(out, "parallel_scaling", results);
+  return require > 0.0 && !MeetsSpeedup(require, speedup_4t, threads_available) ? 1 : 0;
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 //
 // Every figure in the paper is a mean over 3-5 independent (seed, params)
 // replicates; the benches reproduce them by fanning those replicates out
-// over a ReplicationPool. Contract with the flags:
-//
-//   --jobs=N   worker threads; 0 or absent = hardware concurrency; 1 = the
-//              serial pre-pool behavior (no threads spawned)
+// over a ReplicationPool. A bench's --jobs=N sets the worker threads: 0 or
+// absent = hardware concurrency (ReplicationPool::ResolveJobs); 1 = the
+// serial pre-pool behavior (no threads spawned).
 //
 // Output is bit-identical for every N: results come back in index (= seed)
 // order, aggregation consumes them front-to-back, and traced replicates
@@ -20,18 +19,11 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_flags.h"
 #include "src/sim/replication.h"
 #include "src/trace/trace.h"
 
 namespace diffusion {
 namespace bench {
-
-// Parses --jobs=N and resolves 0/absent to the hardware concurrency.
-inline unsigned JobsFlag(int argc, char** argv) {
-  const int64_t jobs = IntFlag(argc, argv, "jobs", 0);
-  return ReplicationPool::ResolveJobs(jobs > 0 ? static_cast<unsigned>(jobs) : 0);
-}
 
 // Buffer i is non-null iff `trace_out` is non-empty and traced(i) (a null
 // `traced` selects replicate 0 only — the benches' "trace the first run"

@@ -8,11 +8,9 @@
 // node count (floods touch every node, but the reinforced data paths don't),
 // and delivery stays high.
 
-#include <chrono>
 #include <cstdio>
 
-#include "bench/bench_flags.h"
-#include "bench/bench_json.h"
+#include "bench/harness.h"
 #include "bench/replicate.h"
 #include "src/testbed/experiments.h"
 #include "src/testbed/harness.h"
@@ -21,15 +19,22 @@ namespace diffusion {
 namespace {
 
 int Main(int argc, char** argv) {
-  const int runs = static_cast<int>(bench::IntFlag(argc, argv, "runs", 3));
-  const int minutes = static_cast<int>(bench::IntFlag(argc, argv, "minutes", 3));
-  const uint64_t base_seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 5000));
-  const unsigned jobs = bench::JobsFlag(argc, argv);
-  // Flight recorder: trace the first (smallest-network) run only.
-  const std::string trace_out = bench::StringFlag(argc, argv, "trace-out");
-  // Wall-clock per sweep point in diffusion-bench-v1 form — the matching
-  // fast path shows up here as simulator throughput.
-  const std::string bench_json_out = bench::StringFlag(argc, argv, "bench-json");
+  int runs = 3;
+  int minutes = 3;
+  int base_seed = 5000;
+  int jobs = 0;
+  std::string trace_out;
+  std::string out;
+  // The --out file holds the wall clock per sweep point — the matching fast
+  // path shows up there as simulator throughput.
+  bench::ParseFlags(argc, argv,
+                    {{"runs", &runs, "replicates per point"},
+                     {"minutes", &minutes, "simulated minutes per replicate"},
+                     {"seed", &base_seed, "seed of the first replicate"},
+                     {"jobs", &jobs, "worker threads; 0 = all cores"},
+                     {"trace-out", &trace_out, "JSONL trace of the first 30-node run"},
+                     {"out", &out, "write the wall clock per point as JSON"}});
+  const unsigned workers = ReplicationPool::ResolveJobs(static_cast<unsigned>(jobs));
 
   const size_t node_counts[] = {30, 50, 80, 120};
 
@@ -39,7 +44,7 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("=== Scalability sweep (5 sources, 5 sinks, suppression on, 1.6 Mb/s,\n");
-  std::printf("    %d runs x %d min per point, %u jobs) ===\n\n", runs, minutes, jobs);
+  std::printf("    %d runs x %d min per point, %u jobs) ===\n\n", runs, minutes, workers);
   std::printf("%-8s  %-18s  %-18s  %-14s\n", "nodes", "bytes/event", "delivery %",
               "bytes/event/node");
 
@@ -48,32 +53,30 @@ int Main(int argc, char** argv) {
   for (size_t nodes : node_counts) {
     RunningStat bytes;
     RunningStat delivery;
-    const auto wall_start = std::chrono::steady_clock::now();
     // One batch per sweep point: its `runs` replicates execute --jobs at a
-    // time, and the wall-clock below measures the whole batch. Only the
-    // first point's first replicate traces.
-    const std::vector<ScaleResult> results = bench::RunReplicates<ScaleResult>(
-        jobs, static_cast<size_t>(runs), nodes == node_counts[0] ? trace_out : "", nullptr,
-        [nodes, minutes, base_seed](size_t run, TraceSink* sink) {
-          ScaleParams params;
-          params.nodes = nodes;
-          // Scale the field with the node count to hold density (and hop
-          // counts per unit area) roughly constant.
-          params.field_size = 100.0 * std::sqrt(static_cast<double>(nodes) / 50.0);
-          params.duration = static_cast<SimDuration>(minutes) * kMinute;
-          params.seed = base_seed + run;
-          params.trace_sink = sink;
-          return RunScaleExperiment(params);
-        });
+    // time, and the wall clock measures the whole batch. Only the first
+    // point's first replicate traces.
+    std::vector<ScaleResult> results;
+    const double wall_seconds = bench::Seconds([&] {
+      results = bench::RunReplicates<ScaleResult>(
+          workers, static_cast<size_t>(runs), nodes == node_counts[0] ? trace_out : "", nullptr,
+          [nodes, minutes, base_seed](size_t run, TraceSink* sink) {
+            ScaleParams params;
+            params.nodes = nodes;
+            // Scale the field with the node count to hold density (and hop
+            // counts per unit area) roughly constant.
+            params.field_size = 100.0 * std::sqrt(static_cast<double>(nodes) / 50.0);
+            params.duration = static_cast<SimDuration>(minutes) * kMinute;
+            params.seed = base_seed + run;
+            params.trace_sink = sink;
+            return RunScaleExperiment(params);
+          });
+    });
     for (const ScaleResult& result : results) {
       bytes.Add(result.bytes_per_event);
       delivery.Add(result.delivery_rate * 100.0);
     }
-    const double wall_ms =
-        static_cast<double>(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                std::chrono::steady_clock::now() - wall_start)
-                                .count()) /
-        static_cast<double>(runs);
+    const double wall_ms = wall_seconds * 1000.0 / static_cast<double>(runs);
     wall_clock.push_back({"wall_clock_" + std::to_string(nodes) + "_nodes", "ms/run", wall_ms});
     const double per_node = bytes.mean() / static_cast<double>(nodes);
     if (first_per_node == 0.0) {
@@ -84,12 +87,7 @@ int Main(int argc, char** argv) {
   }
   std::printf("\nShape to check: per-node cost roughly flat or falling as the network grows\n");
   std::printf("(flood cost is linear in nodes, data-path cost is linear in hops only).\n");
-  if (!bench_json_out.empty()) {
-    if (!bench::WriteBenchJson(bench_json_out, "scaling_sweep", wall_clock)) {
-      return 1;
-    }
-    std::printf("wrote %s\n", bench_json_out.c_str());
-  }
+  bench::WriteBenchJson(out, "scaling_sweep", wall_clock);
   return 0;
 }
 

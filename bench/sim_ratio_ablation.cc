@@ -16,7 +16,7 @@
 
 #include <cstdio>
 
-#include "bench/bench_flags.h"
+#include "bench/harness.h"
 #include "src/testbed/experiments.h"
 #include "src/testbed/harness.h"
 
@@ -30,10 +30,15 @@ struct RatioConfig {
 };
 
 int Main(int argc, char** argv) {
-  const int runs = static_cast<int>(bench::IntFlag(argc, argv, "runs", 3));
-  const int nodes = static_cast<int>(bench::IntFlag(argc, argv, "nodes", 50));
-  const int minutes = static_cast<int>(bench::IntFlag(argc, argv, "minutes", 5));
-  const uint64_t base_seed = static_cast<uint64_t>(bench::IntFlag(argc, argv, "seed", 3000));
+  int runs = 3;
+  int nodes = 50;
+  int minutes = 5;
+  int base_seed = 3000;
+  bench::ParseFlags(argc, argv,
+                    {{"runs", &runs, "replicates per point"},
+                     {"nodes", &nodes, "random-network size"},
+                     {"minutes", &minutes, "simulated minutes per replicate"},
+                     {"seed", &base_seed, "seed of the first replicate"}});
 
   const RatioConfig ratios[] = {
       // Testbed-like: events every 6 s, 1-in-10 exploratory.

@@ -47,7 +47,7 @@ run_tidy() {
     return 0
   fi
   if [[ ! -f build/compile_commands.json ]]; then
-    cmake -B build -G Ninja
+    cmake -B build -S .
   fi
   git ls-files '*.cc' -- src bench tests examples \
     | xargs clang-tidy -p build --quiet --warnings-as-errors='*'
@@ -68,7 +68,7 @@ run_analyze() {
     return 0
   fi
   if [[ ! -f build/compile_commands.json ]]; then
-    cmake -B build -G Ninja
+    cmake -B build -S .
   fi
   local checks='-*,clang-analyzer-core.*,clang-analyzer-cplusplus.*'
   checks+=',clang-analyzer-deadcode.*,clang-analyzer-unix.*,clang-analyzer-security.*'
@@ -132,16 +132,19 @@ else
   note_ran columns
 fi
 
-cmake -B build -G Ninja
-cmake --build build
+# No -G: a build/ that is already configured keeps its generator (the tier-1
+# command configures it with the default one, CI with Ninja), and a fresh one
+# gets the default.
+cmake -B build -S .
+cmake --build build -j "$(nproc)"
 note_ran build
 
 # The benchmark package compiles the library from src/ on its own, so a
 # header it uses can break it while the main build stays green. Build both
 # of its targets; run nothing: perfbench_test still carries a known-red
 # test (ROADMAP.md item 11).
-cmake -S perfbench -B build/perfbench -G Ninja
-cmake --build build/perfbench --target perfbench perfbench_test
+cmake -S perfbench -B build/perfbench
+cmake --build build/perfbench -j "$(nproc)" --target perfbench perfbench_test
 note_ran perfbench-build
 
 # Project-specific static analysis: the tree must be diffusion-lint clean.
@@ -213,9 +216,9 @@ cmp build/parallel_t1.json build/parallel_t8.json
 # Parallel replication must not change results: the Figure-8 sweep's bench
 # JSON and merged trace are byte-identical at --jobs=1 and --jobs=8.
 ./build/bench/fig8_aggregation --runs=2 --minutes=1 --jobs=1 \
-  --bench-json=build/fig8_j1.json --trace-out=build/fig8_j1.jsonl >/dev/null
+  --out=build/fig8_j1.json --trace-out=build/fig8_j1.jsonl >/dev/null
 ./build/bench/fig8_aggregation --runs=2 --minutes=1 --jobs=8 \
-  --bench-json=build/fig8_j8.json --trace-out=build/fig8_j8.jsonl >/dev/null
+  --out=build/fig8_j8.json --trace-out=build/fig8_j8.jsonl >/dev/null
 cmp build/fig8_j1.json build/fig8_j8.json
 cmp build/fig8_j1.jsonl build/fig8_j8.jsonl
 
