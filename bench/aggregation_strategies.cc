@@ -38,8 +38,8 @@ int Main(int argc, char** argv) {
   int window_ms = 2000;
   int jobs = 0;
   bench::ParseFlags(argc, argv,
-                    {{"runs", &runs, "replicates per strategy"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                    {{"runs", &runs, "replicates per strategy", 1},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"},
                      {"window-ms", &window_ms, "counting filter's hold window, ms"},
                      {"jobs", &jobs, "worker threads; 0 = all cores"}});

@@ -31,8 +31,8 @@ int Main(int argc, char** argv) {
   int base_seed = 8000;
   std::string trace_out;
   bench::ParseFlags(argc, argv,
-                    {{"runs", &runs, "replicates per point"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                    {{"runs", &runs, "replicates per point", 1},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"},
                      {"trace-out", &trace_out, "JSONL trace of the first duty-1.0 run"}});
   std::unique_ptr<TraceWriter> trace;

@@ -37,13 +37,14 @@ Fig8Params BaseParams(uint64_t seed, SimDuration duration) {
 }
 
 // The rows every run emits and --check compares: the run shape, summed work
-// counts over `runs` replicates, and one traced 2-minute run's fingerprint.
+// counts over `runs` replicates, and one traced 2-minute run's fingerprint
+// and byte ledger.
 std::vector<bench::BenchResult> DeterministicSection(uint64_t base_seed, int runs, int minutes,
                                                      unsigned jobs) {
   FingerprintTraceSink trace;
   Fig8Params probe = BaseParams(base_seed, 2 * kMinute);
   probe.trace_sink = &trace;
-  RunFig8(probe);
+  const MemoryLedger probe_memory = RunFig8(probe).memory;
 
   const std::vector<Fig8Result> det_results = bench::RunReplicates<Fig8Result>(
       jobs, static_cast<size_t>(runs), /*trace_out=*/"", nullptr,
@@ -60,7 +61,7 @@ std::vector<bench::BenchResult> DeterministicSection(uint64_t base_seed, int run
     total_delivered += result.distinct_events;
     total_bytes += result.diffusion_bytes;
   }
-  return {
+  std::vector<bench::BenchResult> rows = {
       {"runs", "count", static_cast<double>(runs)},
       {"sim_minutes_per_run", "min", static_cast<double>(minutes)},
       {"events_executed", "count", static_cast<double>(total_events)},
@@ -68,6 +69,10 @@ std::vector<bench::BenchResult> DeterministicSection(uint64_t base_seed, int run
       {"diffusion_bytes", "bytes", static_cast<double>(total_bytes)},
       {"trace_fingerprint", "hash53", static_cast<double>(trace.fingerprint())},
   };
+  for (const auto& [name, bytes] : MemoryRows(probe_memory)) {
+    rows.push_back({"memory_" + name + "_bytes", "bytes", static_cast<double>(bytes)});
+  }
+  return rows;
 }
 
 int Main(int argc, char** argv) {
@@ -81,8 +86,8 @@ int Main(int argc, char** argv) {
   bench::ParseFlags(argc, argv,
                     {{"out", &out, "where to write the JSON; empty writes nothing"},
                      {"check", &check, "re-run this file's deterministic rows; write nothing"},
-                     {"runs", &runs, "replicates per section"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                     {"runs", &runs, "replicates per section", 1},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"},
                      {"jobs", &jobs, "deterministic-section workers; 0 = all cores"},
                      {"deterministic-only", &deterministic_only, "skip the timing section"}});
@@ -94,11 +99,6 @@ int Main(int argc, char** argv) {
     recorded.Verify(DeterministicSection(base_seed, recorded_runs, recorded_minutes, workers),
                     bench::RecordedRows::kEmitted);
     return 0;
-  }
-
-  if (runs < 1) {
-    std::fprintf(stderr, "FAIL: --runs must be at least 1\n");
-    return 1;
   }
 
   std::vector<bench::BenchResult> results =

@@ -52,7 +52,7 @@ int Main(int argc, char** argv) {
   int reps = 25;
   int seed = 42;
   bench::ParseFlags(argc, argv,
-                    {{"reps", &reps, "repetitions per point, each in a new random order"},
+                    {{"reps", &reps, "repetitions per point, each in a new random order", 1},
                      {"seed", &seed, "attribute-order shuffle seed"}});
 
   std::printf("=== Figure 11: two-way matching cost vs attributes in Set B ===\n");

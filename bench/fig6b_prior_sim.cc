@@ -26,8 +26,8 @@ int Main(int argc, char** argv) {
   int minutes = 4;
   int base_seed = 9500;
   bench::ParseFlags(argc, argv,
-                    {{"runs", &runs, "replicates per point"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                    {{"runs", &runs, "replicates per point", 1},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"}});
 
   const size_t node_counts[] = {50, 100, 150, 200, 250};

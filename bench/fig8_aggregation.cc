@@ -47,8 +47,8 @@ int Main(int argc, char** argv) {
   // one full trace is plenty and tracing every sweep point would dwarf the
   // results in I/O.
   bench::ParseFlags(argc, argv,
-                    {{"runs", &runs, "replicates per point"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                    {{"runs", &runs, "replicates per point", 1},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"},
                      {"jobs", &jobs, "worker threads; 0 = all cores"},
                      {"trace-out", &trace_out, "JSONL trace of the first run"},

@@ -44,8 +44,8 @@ int Main(int argc, char** argv) {
   std::string trace_out;
   std::string out;
   bench::ParseFlags(argc, argv,
-                    {{"runs", &runs, "replicates per point"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                    {{"runs", &runs, "replicates per point", 1},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"},
                      {"triggered", &triggered, "flat mode runs per-event triggered queries"},
                      {"jobs", &jobs, "worker threads; 0 = all cores"},

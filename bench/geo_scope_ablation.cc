@@ -26,9 +26,9 @@ int Main(int argc, char** argv) {
   int minutes = 10;
   int base_seed = 4000;
   bench::ParseFlags(argc, argv,
-                    {{"runs", &runs, "replicates per point"},
-                     {"grid", &grid, "grid side, in nodes"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                    {{"runs", &runs, "replicates per point", 1},
+                     {"grid", &grid, "grid side, in nodes", 3},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"}});
 
   std::printf("=== Geo-scoped interest flooding (%dx%d grid, sink corner -> far-edge region,\n",

@@ -16,14 +16,21 @@ namespace {
 
 constexpr char kBenchJsonSchema[] = "diffusion-bench-v1";
 
-// Stores `text` in `target` when all of it reads as a T that is >= 0 and
-// finite; false otherwise.
+std::string FormatValue(double value) {
+  // Round-trippable without scientific noise for the magnitudes benches emit.
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", value);
+  return buf;
+}
+
+// Stores `text` in `target` when all of it reads as a T that is finite and
+// at least `minimum`; false otherwise.
 template <typename T>
-bool StoreNumber(const std::string& text, T* target) {
+bool StoreNumber(const std::string& text, double minimum, T* target) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end || !(value >= 0) ||
+  if (error != std::errc() || stop != end || !(static_cast<double>(value) >= minimum) ||
       !std::isfinite(static_cast<double>(value))) {
     return false;
   }
@@ -64,18 +71,15 @@ std::string ParseArgument(const std::string& arg, const std::vector<Flag>& flags
     **target = text;
     return "";
   }
+  const std::string minimum = FormatValue(flag->minimum);
   if (int* const* target = std::get_if<int*>(&flag->value)) {
-    return StoreNumber(text, *target) ? "" : arg + ": not a whole number in [0, 2147483647]";
+    return StoreNumber(text, flag->minimum, *target)
+               ? ""
+               : arg + ": not a whole number in [" + minimum + ", 2147483647]";
   }
-  return StoreNumber(text, std::get<double*>(flag->value)) ? ""
-                                                           : arg + ": not a finite number >= 0";
-}
-
-std::string FormatValue(double value) {
-  // Round-trippable without scientific noise for the magnitudes benches emit.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
+  return StoreNumber(text, flag->minimum, std::get<double*>(flag->value))
+             ? ""
+             : arg + ": not a finite number >= " + minimum;
 }
 
 // The usage text: one line per flag with its form, help and default.
@@ -96,6 +100,9 @@ std::string Usage(const std::string& program, const std::vector<Flag>& flags) {
     }
     form.resize(std::max<size_t>(form.size() + 1, 30), ' ');
     usage += "  " + form + flag.help;
+    if (flag.minimum > 0.0) {
+      fallback += ", at least " + FormatValue(flag.minimum);
+    }
     usage += fallback.empty() ? "\n" : " (default " + fallback + ")\n";
   }
   return usage;
@@ -292,6 +299,18 @@ void RecordedFile::Verify(const std::vector<BenchResult>& fresh, RecordedRows sc
   }
   std::printf("%s: valid %s file; %zu rows reproduced\n", path_.c_str(), kBenchJsonSchema,
               fresh.size());
+}
+
+uint64_t ProcessStatusBytes(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  const std::string prefix = field + ":";
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind(prefix, 0) == 0) {
+      // "VmHWM:   12345 kB"
+      return std::strtoull(line.c_str() + prefix.size(), nullptr, 10) * 1024;
+    }
+  }
+  return 0;
 }
 
 Spread SpreadOf(std::vector<double> samples) {

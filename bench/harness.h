@@ -24,6 +24,7 @@
 #define BENCH_HARNESS_H_
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <variant>
 #include <vector>
@@ -35,13 +36,16 @@ namespace bench {
 // value; the variable's value before parsing is the flag's default. The
 // variable's type fixes the form the flag takes:
 //   bool         --name       a switch; it takes no value
-//   int          --name=N     a whole number in [0, INT_MAX]
-//   double       --name=X     a finite number >= 0
+//   int          --name=N     a whole number in [minimum, INT_MAX]
+//   double       --name=X     a finite number >= minimum
 //   std::string  --name=TEXT  any text, the empty text included
 struct Flag {
   const char* name;
   std::variant<bool*, int*, double*, std::string*> value;
   const char* help;
+  // The smallest value a number flag takes: a count that must be at least
+  // one says so here, and ParseFlags refuses anything below it.
+  double minimum = 0.0;
 };
 
 // Parses argv[1..argc) against `flags`, storing each value in its variable.
@@ -102,6 +106,10 @@ class RecordedFile {
   std::string path_;
   std::vector<BenchResult> rows_;
 };
+
+// The value of `field` ("VmRSS", "VmHWM", ...) in /proc/self/status, in
+// bytes; 0 where the file or the field is missing.
+uint64_t ProcessStatusBytes(const std::string& field);
 
 // The min, median and max of a set of timing samples.
 struct Spread {

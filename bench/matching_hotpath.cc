@@ -393,8 +393,8 @@ int Main(int argc, char** argv) {
   bench::ParseFlags(argc, argv,
                     {{"out", &out, "where to write the JSON; empty writes nothing"},
                      {"check", &check, "re-run this file's inequality counts; write nothing"},
-                     {"reps", &reps, "timing repetitions"},
-                     {"filters", &ineq_filters, "inequality-section index size"},
+                     {"reps", &reps, "timing repetitions", 1},
+                     {"filters", &ineq_filters, "inequality-section index size", 1},
                      {"require-speedup", &require, "minimum of both EQ speedups; 0 = no gate"},
                      {"require-reduction", &require_reduction, "min candidate-set reduction"}});
   if (!check.empty()) {

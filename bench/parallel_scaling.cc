@@ -40,6 +40,7 @@ namespace {
 constexpr double kSpacing = 10.0;
 constexpr double kRange = 12.0;
 constexpr SimTime kFieldSourceStart = 1 * kSecond;
+constexpr double kMiB = 1024.0 * 1024.0;
 
 NodeId GridId(int side, int row, int col) {
   return static_cast<NodeId>(row * side + col) + 1;
@@ -58,6 +59,7 @@ struct RunOutput {
   size_t distinct_events = 0;
   int regions = 0;
   SimDuration window = 0;
+  MemoryLedger memory;  // at the end of the run
   double wall_seconds = 0.0;
 };
 
@@ -72,7 +74,8 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
 
   // One sink per region cell center, four sources three hops out — every
   // region carries comparable load, and the neighborhoods straddle region
-  // borders (the cell centers sit near the spatial cut lines).
+  // borders (the cell centers sit near the spatial cut lines). The first
+  // center sits side/8 from the edge, so the grid needs side >= 24.
   const int cells = 4;  // app placement grid; independent of --regions
   const int step = side / cells;
   const int offset = step / 2;
@@ -120,6 +123,7 @@ RunOutput RunWorld(int side, int regions, unsigned threads, uint64_t seed, int s
   }
   output.regions = world.regions();
   output.window = world.regions() > 1 ? world.engine().window() : 0;  // one region: no windows
+  output.memory = world.Memory();
   return output;
 }
 
@@ -150,6 +154,14 @@ void AppendPerRegionClamps(const RunOutput& run, std::vector<bench::BenchResult>
   }
 }
 
+// The world's byte ledger at the end of the run, one row per structure.
+// Deterministic like the work counts: capacities follow the work.
+void AppendMemoryRows(const RunOutput& run, std::vector<bench::BenchResult>* results) {
+  for (const auto& [name, bytes] : MemoryRows(run.memory)) {
+    results->push_back({"memory_" + name + "_bytes", "bytes", static_cast<double>(bytes)});
+  }
+}
+
 // The --require-speedup gate: false (with a FAIL line) when `speedup` falls
 // short of `require`; waived for a speedup measured on fewer than 4 hardware
 // threads.
@@ -168,6 +180,7 @@ bool MeetsSpeedup(double require, double speedup, double threads_available) {
 }
 
 int Main(int argc, char** argv) {
+  const uint64_t start_rss = bench::ProcessStatusBytes("VmRSS");
   std::string out = "BENCH_parallel.json";
   std::string check;
   int side = 100;
@@ -181,10 +194,10 @@ int Main(int argc, char** argv) {
   bench::ParseFlags(argc, argv,
                     {{"out", &out, "where to write the JSON; empty writes nothing"},
                      {"check", &check, "re-run this file's deterministic rows; write nothing"},
-                     {"side", &side, "grid side (100 = 10,000 nodes)"},
-                     {"regions", &regions, "target region count"},
-                     {"seconds", &seconds, "simulated seconds per timed run"},
-                     {"fp-seconds", &fp_seconds, "simulated seconds per traced run"},
+                     {"side", &side, "grid side (100 = 10,000 nodes); sources need 24", 24},
+                     {"regions", &regions, "target region count", 1},
+                     {"seconds", &seconds, "simulated seconds per timed run", 1},
+                     {"fp-seconds", &fp_seconds, "simulated seconds per traced run", 1},
                      {"seed", &seed, "simulation seed"},
                      {"threads", &threads, "threads for --deterministic-only and --check"},
                      {"deterministic-only", &deterministic_only, "one traced run; no timing"},
@@ -196,6 +209,7 @@ int Main(int argc, char** argv) {
     std::vector<bench::BenchResult> fresh = ShapeAndCounts(side, seconds, run);
     fresh.push_back({"barriers_run", "count", static_cast<double>(run.barriers_run)});
     AppendPerRegionClamps(run, &fresh);
+    AppendMemoryRows(run, &fresh);
     recorded.Verify(fresh, bench::RecordedRows::kEmitted);
     if (require > 0.0 && !MeetsSpeedup(require, recorded.Value("parallel_speedup_4t"),
                                        recorded.Value("threads_available"))) {
@@ -226,6 +240,14 @@ int Main(int argc, char** argv) {
     results.push_back({"trace_events", "count", static_cast<double>(run.trace_events)});
     results.push_back({"barriers_run", "count", static_cast<double>(run.barriers_run)});
     AppendPerRegionClamps(run, &results);
+    AppendMemoryRows(run, &results);
+    // How much of the peak the ledger explains: the process's high-water
+    // mark less what it held before building anything.
+    const double peak_growth = static_cast<double>(bench::ProcessStatusBytes("VmHWM")) -
+                               static_cast<double>(start_rss);
+    const double ledger = static_cast<double>(run.memory.total());
+    std::printf("ledger=%.1f MiB peak_rss_growth=%.1f MiB explained=%.0f%%\n", ledger / kMiB,
+                peak_growth / kMiB, peak_growth > 0.0 ? 100.0 * ledger / peak_growth : 0.0);
     bench::WriteBenchJson(out, "parallel_scaling", results);
     return 0;
   }
@@ -284,6 +306,7 @@ int Main(int argc, char** argv) {
                   {"parallel_speedup_4t", "x", speedup_4t},
                   {"threads_available", "count", static_cast<double>(threads_available)}});
   AppendPerRegionClamps(fp_runs[0], &results);
+  AppendMemoryRows(fp_runs[0], &results);
   bench::WriteBenchJson(out, "parallel_scaling", results);
   return require > 0.0 && !MeetsSpeedup(require, speedup_4t, threads_available) ? 1 : 0;
 }

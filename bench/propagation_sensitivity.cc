@@ -24,8 +24,8 @@ int Main(int argc, char** argv) {
   int minutes = 15;
   int base_seed = 9000;
   bench::ParseFlags(argc, argv,
-                    {{"runs", &runs, "replicates per point"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                    {{"runs", &runs, "replicates per point", 1},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"}});
 
   struct Row {

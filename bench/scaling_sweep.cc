@@ -28,8 +28,8 @@ int Main(int argc, char** argv) {
   // The --out file holds the wall clock per sweep point — the matching fast
   // path shows up there as simulator throughput.
   bench::ParseFlags(argc, argv,
-                    {{"runs", &runs, "replicates per point"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                    {{"runs", &runs, "replicates per point", 1},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"},
                      {"jobs", &jobs, "worker threads; 0 = all cores"},
                      {"trace-out", &trace_out, "JSONL trace of the first 30-node run"},

@@ -35,9 +35,9 @@ int Main(int argc, char** argv) {
   int minutes = 5;
   int base_seed = 3000;
   bench::ParseFlags(argc, argv,
-                    {{"runs", &runs, "replicates per point"},
-                     {"nodes", &nodes, "random-network size"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                    {{"runs", &runs, "replicates per point", 1},
+                     {"nodes", &nodes, "random-network size", 2},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"}});
 
   const RatioConfig ratios[] = {

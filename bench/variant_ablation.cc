@@ -26,8 +26,8 @@ int Main(int argc, char** argv) {
   int minutes = 15;
   int base_seed = 7000;
   bench::ParseFlags(argc, argv,
-                    {{"runs", &runs, "replicates per point"},
-                     {"minutes", &minutes, "simulated minutes per replicate"},
+                    {{"runs", &runs, "replicates per point", 1},
+                     {"minutes", &minutes, "simulated minutes per replicate", 1},
                      {"seed", &base_seed, "seed of the first replicate"}});
 
   std::printf("=== Two-phase vs one-phase pull on the Figure-8 workload (4 sources,\n");

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 
+#include "src/util/memory_bytes.h"
+
 namespace diffusion {
 
 DataCache::DataCache(size_t capacity) : capacity_(capacity) {
@@ -95,6 +97,8 @@ void DataCache::Clear() {
   head_ = 0;
   std::fill(table_.begin(), table_.end(), 0);
 }
+
+size_t DataCache::MemoryBytes() const { return VectorBytes(ring_) + VectorBytes(table_); }
 
 bool DataCache::ConsistencyCheck() const {
   const auto free_slots = static_cast<size_t>(std::count(table_.begin(), table_.end(), 0u));

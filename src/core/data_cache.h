@@ -43,6 +43,9 @@ class DataCache {
   // size(); ConsistencyCheck verifies the table agrees.
   size_t order_size() const { return ring_.size(); }
 
+  // Heap bytes held: the ring and the table (src/util/memory_bytes.h).
+  size_t MemoryBytes() const;
+
   // True when the table and the ring agree: the table holds one entry per
   // ring position, and looking up each ring id finds its own position.
   bool ConsistencyCheck() const;

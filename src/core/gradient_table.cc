@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/naming/matching.h"
+#include "src/util/memory_bytes.h"
 
 namespace diffusion {
 
@@ -87,6 +88,14 @@ InterestEntry& GradientTable::InsertOrRefresh(const AttributeSet& attrs, SimTime
   hash_col_.push_back(entries_.back().attrs.hash());
   entry_col_.push_back(&entries_.back());
   return entries_.back();
+}
+
+size_t GradientTable::MemoryBytes() const {
+  size_t bytes = ListBytes(entries_) + VectorBytes(hash_col_) + VectorBytes(entry_col_);
+  for (const InterestEntry& entry : entries_) {
+    bytes += VectorBytes(entry.gradients) + HashMapBytes(entry.reinforced_upstream);
+  }
+  return bytes;
 }
 
 void GradientTable::EraseColumn(size_t index) {

@@ -114,6 +114,11 @@ class GradientTable {
 
   size_t size() const { return entries_.size(); }
 
+  // Heap bytes held: the entries, their gradients and reinforcement maps,
+  // and the probe columns. An entry's attribute storage is shared
+  // copy-on-write with the messages that carried it, so it is not counted.
+  size_t MemoryBytes() const;
+
   // Iteration support (e.g. for the debugging/monitoring filter). Callers
   // may mutate entry *contents* (gradients, reinforcement flags) but must
   // not insert/erase entries or reassign attrs — structural changes go

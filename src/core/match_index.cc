@@ -5,6 +5,8 @@
 #include <limits>
 #include <utility>
 
+#include "src/util/memory_bytes.h"
+
 namespace diffusion {
 
 uint64_t MatchIndex::NormalizedBits(double v) {
@@ -198,6 +200,32 @@ void MatchIndex::ReleaseGroup(const Position& position) {
     case GroupKind::kUnconstrained:
       break;  // static members; nothing to release
   }
+}
+
+namespace {
+
+// A keyed container of groups: its own nodes plus each group's entries.
+template <typename Container>
+size_t GroupsBytes(const Container& groups, size_t container_bytes) {
+  for (const auto& [key, group] : groups) {
+    container_bytes += VectorBytes(group);
+  }
+  return container_bytes;
+}
+
+}  // namespace
+
+size_t MatchIndex::MemoryBytes() const {
+  size_t bytes = VectorBytes(interval_root_) + VectorBytes(any_) + VectorBytes(unconstrained_);
+  bytes += GroupsBytes(num_eq_, HashMapBytes(num_eq_));
+  bytes += GroupsBytes(str_eq_, HashMapBytes(str_eq_));
+  for (const std::map<double, Group>* endpoints : {&ge_, &gt_, &le_, &lt_}) {
+    bytes += GroupsBytes(*endpoints, MapBytes(*endpoints));
+  }
+  bytes += GroupsBytes(trie_, MapBytes(trie_));
+  bytes += GroupsBytes(ne_num_, MapBytes(ne_num_));
+  bytes += GroupsBytes(ne_str_, MapBytes(ne_str_));
+  return bytes + interner_.MemoryBytes() + HashMapBytes(positions_);
 }
 
 size_t MatchIndex::group_count() const {

@@ -110,6 +110,10 @@ class MatchIndex {
   // this never exceeds size() and dispatch never walks an empty group.
   size_t group_count() const;
 
+  // Heap bytes held: every group's entries, the containers filing them,
+  // the interner and the position map (src/util/memory_bytes.h).
+  size_t MemoryBytes() const;
+
   // Invokes `fn(const MatchIndexEntry&)` for every entry that could match
   // `message`, at most once per entry. The index must not be mutated from
   // inside `fn`.

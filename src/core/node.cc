@@ -9,8 +9,25 @@
 #include "src/naming/matching.h"
 #include "src/radio/energy.h"
 #include "src/util/logging.h"
+#include "src/util/memory_bytes.h"
 
 namespace diffusion {
+namespace {
+
+// `index`, built on first use.
+MatchIndex& Built(std::unique_ptr<MatchIndex>* index) {
+  if (*index == nullptr) {
+    *index = std::make_unique<MatchIndex>(kKeyClass);
+  }
+  return **index;
+}
+
+// Heap bytes of an index built on first use: the object and what it holds.
+size_t IndexBytes(const std::unique_ptr<MatchIndex>& index) {
+  return index == nullptr ? 0 : sizeof(MatchIndex) + index->MemoryBytes();
+}
+
+}  // namespace
 
 // ---- FilterApi ----
 
@@ -112,7 +129,7 @@ SubscriptionHandle DiffusionNode::Subscribe(AttributeSet attrs, DataCallback cal
   const SubscriptionHandle handle = subscription.handle;
   auto [it, inserted] = subscriptions_.emplace(handle, std::move(subscription));
   // Index after emplacing: the entry points into the map node (stable).
-  const bool indexed = subscription_index_.Insert(handle.value(), 0, &it->second.attrs);
+  const bool indexed = Built(&subscription_index_).Insert(handle.value(), 0, &it->second.attrs);
   assert(indexed);  // handle values are never reused
   (void)indexed;
   if (!it->second.local_only) {
@@ -148,7 +165,7 @@ ApiResult DiffusionNode::Unsubscribe(SubscriptionHandle handle) {
   // Erase by id alone: the index's position map finds the entry even if the
   // attributes were mutated while indexed (the old re-classification path
   // could silently miss and leave a dangling entry).
-  const bool erased = subscription_index_.Erase(handle.value());
+  const bool erased = subscription_index_->Erase(handle.value());
   assert(erased);  // every live subscription is indexed
   (void)erased;
   subscriptions_.erase(it);
@@ -247,7 +264,8 @@ FilterHandle DiffusionNode::AddFilter(AttributeSet attrs, int16_t priority,
   filter.callback = std::move(callback);
   const FilterHandle handle = filter.handle;
   auto [it, inserted] = filters_.emplace(handle, std::move(filter));
-  const bool indexed = filter_index_.Insert(handle.value(), priority, &it->second.attrs);
+  const bool indexed =
+      Built(&filter_index_).Insert(handle.value(), priority, &it->second.attrs);
   assert(indexed);  // handle values are never reused
   (void)indexed;
   return handle;
@@ -258,11 +276,22 @@ ApiResult DiffusionNode::RemoveFilter(FilterHandle handle) {
   if (it == filters_.end()) {
     return ApiResult::kUnknownHandle;
   }
-  const bool erased = filter_index_.Erase(handle.value());
+  const bool erased = filter_index_->Erase(handle.value());
   assert(erased);  // every live filter is indexed
   (void)erased;
   filters_.erase(it);
   return ApiResult::kOk;
+}
+
+NodeMemory DiffusionNode::MemoryBytes() const {
+  return NodeMemory{
+      .gradients = gradients_.MemoryBytes(),
+      .data_cache = seen_packets_.MemoryBytes(),
+      .match_indexes = IndexBytes(filter_index_) + IndexBytes(subscription_index_),
+      .other = MapBytes(subscriptions_) + MapBytes(publications_) + MapBytes(filters_) +
+               VectorBytes(neighbors_) + HashSetBytes(pending_transmits_),
+      .radio = radio_.MemoryBytes(),
+  };
 }
 
 void DiffusionNode::RegisterMetrics(MetricsRegistry* registry) {
@@ -421,12 +450,16 @@ void DiffusionNode::ReceiveDecoded(NodeId from, Message message) {
 }
 
 void DiffusionNode::DispatchToChain(Message message, int32_t below_priority) {
+  if (filters_.empty()) {
+    CoreProcess(message);  // no chain: the core is the only element
+    return;
+  }
   // Winner selection over index candidates only; ties break toward the
   // lowest handle, matching the old ascending full-chain scan.
   bool found = false;
   int32_t best_priority = 0;
   uint32_t best_id = 0;
-  filter_index_.ForEachCandidate(message.attrs, [&](const MatchIndexEntry& entry) {
+  filter_index_->ForEachCandidate(message.attrs, [&](const MatchIndexEntry& entry) {
     if (entry.priority >= below_priority) {
       return;
     }
@@ -521,8 +554,10 @@ void DiffusionNode::ProcessInterest(Message& message) {
   // visits each entry at most once in a deterministic order, so no
   // sort+unique pass is needed.
   std::vector<uint32_t> watcher_ids;
-  subscription_index_.ForEachCandidate(
-      message.attrs, [&](const MatchIndexEntry& entry) { watcher_ids.push_back(entry.id); });
+  if (!subscriptions_.empty()) {
+    subscription_index_->ForEachCandidate(
+        message.attrs, [&](const MatchIndexEntry& entry) { watcher_ids.push_back(entry.id); });
+  }
   for (uint32_t id : watcher_ids) {
     auto sub_it = subscriptions_.find(SubscriptionHandle{id});
     if (sub_it == subscriptions_.end()) {
@@ -897,11 +932,14 @@ void DiffusionNode::SendReinforcement(MessageType type, const InterestEntry& ent
 }
 
 void DiffusionNode::DeliverLocalData(const Message& message) {
+  if (subscriptions_.empty()) {
+    return;
+  }
   // Candidates first (the index visits each entry at most once, in its
   // deterministic structural order), then re-looked-up per callback — a
   // callback may unsubscribe itself or others while we deliver.
   std::vector<uint32_t> candidate_ids;
-  subscription_index_.ForEachCandidate(
+  subscription_index_->ForEachCandidate(
       message.attrs, [&](const MatchIndexEntry& entry) { candidate_ids.push_back(entry.id); });
   bool delivered = false;
   for (uint32_t id : candidate_ids) {

@@ -99,6 +99,17 @@ struct NodeStats {
   uint64_t transmits_jittered = 0;  // originated sends delayed by TxJitterPolicy
 };
 
+// The heap bytes one node owns, by structure.
+struct NodeMemory {
+  size_t gradients = 0;
+  size_t data_cache = 0;
+  size_t match_indexes = 0;  // zero until a filter or subscription is added
+  size_t other = 0;          // handle maps, neighbour list, pending transmits
+  size_t radio = 0;          // MAC transmit ring and reassembly partials
+
+  size_t total() const { return gradients + data_cache + match_indexes + other + radio; }
+};
+
 class DiffusionNode {
  public:
   // Invoked with the attribute set of a matching data (or interest) message.
@@ -163,6 +174,10 @@ class DiffusionNode {
   const TrafficPolicy& traffic() const { return traffic_; }
   // Every node heard from since boot, ascending.
   const std::vector<NodeId>& Neighbors() const { return neighbors_; }
+
+  // Heap bytes this node owns, by structure (src/util/memory_bytes.h). The
+  // node object itself is its holder's to count.
+  NodeMemory MemoryBytes() const;
 
   // Registers this node's named counters/gauges — diffusion core
   // ("diffusion.*"), radio and MAC ("radio.*", "mac.*"), gradient table, and
@@ -287,9 +302,11 @@ class DiffusionNode {
 
   // Candidate indexes over filters_/subscriptions_, discriminated on the
   // `class` attribute. Kept in sync by Add/Remove; DispatchToChain and
-  // DeliverLocalData consult these instead of scanning the full chain.
-  MatchIndex filter_index_{kKeyClass};
-  MatchIndex subscription_index_{kKeyClass};
+  // DeliverLocalData consult these instead of scanning the full chain. Each
+  // is built by its first Insert, so a node that only relays holds neither;
+  // every caller tests the map it indexes for emptiness first.
+  std::unique_ptr<MatchIndex> filter_index_;
+  std::unique_ptr<MatchIndex> subscription_index_;
 
   std::vector<NodeId> neighbors_;  // sorted
   std::unordered_set<EventId> pending_transmits_;

@@ -1,5 +1,7 @@
 #include "src/naming/interner.h"
 
+#include "src/util/memory_bytes.h"
+
 namespace diffusion {
 
 InternId Interner::Intern(std::string_view name) {
@@ -19,6 +21,14 @@ std::optional<InternId> Interner::Find(std::string_view name) const {
     return std::nullopt;
   }
   return it->second;
+}
+
+size_t Interner::MemoryBytes() const {
+  size_t bytes = HashMapBytes(ids_) + VectorBytes(names_);
+  for (const std::string* name : names_) {
+    bytes += StringBytes(*name);
+  }
+  return bytes;
 }
 
 }  // namespace diffusion

@@ -46,6 +46,10 @@ class Interner {
   size_t size() const { return names_.size(); }
   bool empty() const { return names_.empty(); }
 
+  // Heap bytes held: the string table and the id -> string column
+  // (src/util/memory_bytes.h).
+  size_t MemoryBytes() const;
+
  private:
   // Heterogeneous lookup so Find/Intern take string_view without building a
   // temporary std::string.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/util/memory_bytes.h"
+
 namespace diffusion {
 
 Channel::Channel(Simulator* sim, std::unique_ptr<PropagationModel> propagation)
@@ -98,6 +100,22 @@ void Channel::RegisterMetrics(MetricsRegistry* registry) const {
   });
   registry->RegisterGlobalCounter("channel.deliveries",
                                   [this] { return static_cast<double>(stats_.deliveries); });
+}
+
+size_t Channel::MemoryBytes() const {
+  size_t bytes = VectorBytes(candidates_) + HashMapBytes(slot_of_) + VectorBytes(slots_) +
+                 VectorBytes(tx_slabs_) + VectorBytes(free_tx_slots_) +
+                 VectorBytes(recycled_receptions_);
+  for (const ReceiverSlot& slot : slots_) {
+    bytes += VectorBytes(slot.in_air) + VectorBytes(slot.list.receivers);
+  }
+  for (const TxSlab& slab : tx_slabs_) {
+    bytes += VectorBytes(slab.tx.receptions);
+  }
+  for (const std::vector<Reception>& receptions : recycled_receptions_) {
+    bytes += VectorBytes(receptions);
+  }
+  return bytes;
 }
 
 ChannelStats Channel::NodeStats(NodeId node) const {

@@ -122,6 +122,12 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   // The channel must outlive collections from `registry`.
   void RegisterMetrics(MetricsRegistry* registry) const;
 
+  // Heap bytes held by the channel's own state: the id -> slot table, the
+  // slots with their in-air entries and receiver lists, the transmission
+  // slabs with their reception vectors, and the recycled ones
+  // (src/util/memory_bytes.h). The propagation model reports its own.
+  size_t MemoryBytes() const;
+
  private:
   struct Reception {
     uint32_t slot;  // the receiver's index into slots_

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/util/memory_bytes.h"
+
 namespace diffusion {
 namespace {
 
@@ -95,6 +97,14 @@ void Reassembler::Purge(SimTime now) {
       ++i;
     }
   }
+}
+
+size_t Reassembler::MemoryBytes() const {
+  size_t bytes = VectorBytes(partials_);
+  for (const Partial& partial : partials_) {
+    bytes += VectorBytes(partial.have);
+  }
+  return bytes;
 }
 
 void Reassembler::Clear() {

@@ -87,6 +87,11 @@ class Reassembler {
 
   size_t pending() const { return live_; }
 
+  // Heap bytes held: every partial slot, live or spare, with its
+  // received-fragment bitmap. Bodies are shared with the sender's fragments
+  // and pooled by the simulator, so they are not counted.
+  size_t MemoryBytes() const;
+
  private:
   struct Partial {
     uint64_t key = 0;  // MakeKey(src, message_seq)

@@ -14,6 +14,7 @@
 #include "src/radio/channel.h"
 #include "src/radio/fragmentation.h"
 #include "src/sim/simulator.h"
+#include "src/util/memory_bytes.h"
 #include "src/util/rng.h"
 
 namespace diffusion {
@@ -154,6 +155,11 @@ class CsmaMac {
 
   bool transmitting() const { return transmitting_; }
   const MacStats& stats() const { return stats_; }
+  const MacConfig& config() const { return config_; }
+
+  // Heap bytes held: the transmit ring's slots. Frame bodies are shared and
+  // pooled by the simulator, so they are not counted.
+  size_t MemoryBytes() const { return VectorBytes(queue_); }
 
   // Drops all queued frames and cancels pending attempts (node death).
   void Reset();

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/util/memory_bytes.h"
+
 namespace diffusion {
 
 double EvaluateLinkQuality(const LinkQuality& quality, SimTime now) {
@@ -74,6 +76,11 @@ const Position* DiskPropagation::GetPosition(NodeId node) const {
   const size_t index = node - first_id_;
   return index < positions_.size() && positions_[index].placed ? &positions_[index].position
                                                                : nullptr;
+}
+
+size_t DiskPropagation::MemoryBytes() const {
+  return VectorBytes(positions_) + HashMapBytes(link_quality_) + HashMapBytes(blocked_) +
+         VectorBytes(grid_);
 }
 
 std::vector<NodeId> DiskPropagation::LinkOverrideTargets(NodeId from) const {

@@ -125,6 +125,10 @@ class DiskPropagation : public PropagationModel {
   // superset.)
   std::vector<NodeId> LinkOverrideTargets(NodeId from) const;
 
+  // Heap bytes held: the dense position table, the link overrides and the
+  // candidate grid (src/util/memory_bytes.h).
+  size_t MemoryBytes() const;
+
  private:
   using LinkKey = uint64_t;
   static LinkKey MakeKey(NodeId from, NodeId to) {

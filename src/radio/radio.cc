@@ -6,7 +6,7 @@ Radio::Radio(Simulator* sim, Channel* channel, NodeId id, RadioConfig config)
     : sim_(sim),
       channel_(channel),
       id_(id),
-      config_(config),
+      fragment_payload_(config.fragment_payload),
       mac_(sim, channel, this, config.mac),
       reassembler_(config.reassembly_timeout) {
   channel_->Attach(this);
@@ -20,7 +20,7 @@ bool Radio::SendBody(NodeId dst, BodyRef body, MacPriority priority, bool origin
   }
   const size_t message_bytes = body->wire_size();
   std::vector<Fragment> fragments =
-      SplitMessage(id_, dst, next_message_seq_, std::move(body), config_.fragment_payload);
+      SplitMessage(id_, dst, next_message_seq_, std::move(body), fragment_payload_);
   if (fragments.empty()) {
     ++stats_.messages_refused;  // too many fragments to number
     return false;

@@ -87,20 +87,26 @@ class Radio : public ChannelEndpoint {
   void RegisterMetrics(MetricsRegistry* registry) const;
 
   // Fraction of time this radio's receiver is powered (its MAC duty cycle).
-  double awake_fraction() const { return config_.mac.duty_cycle; }
+  double awake_fraction() const { return mac_.config().duty_cycle; }
+
+  // Heap bytes held: the MAC's transmit ring and the reassembly partials
+  // (src/util/memory_bytes.h).
+  size_t MemoryBytes() const { return mac_.MemoryBytes() + reassembler_.MemoryBytes(); }
 
   // ChannelEndpoint:
   NodeId node_id() const override { return id_; }
   bool IsAlive() const override { return alive_; }
   bool IsTransmitting() const override { return mac_.transmitting(); }
-  bool IsAwake() const override { return InAwakeWindow(sim_->now(), config_.mac); }
+  bool IsAwake() const override { return InAwakeWindow(sim_->now(), mac_.config()); }
   void OnFrameDelivered(const Fragment& fragment, SimDuration airtime) override;
 
  private:
   Simulator* sim_;
   Channel* channel_;
   NodeId id_;
-  RadioConfig config_;
+  // The one RadioConfig field read after construction; the MAC keeps its
+  // own MacConfig and the reassembler its timeout.
+  size_t fragment_payload_;
   CsmaMac mac_;
   Reassembler reassembler_;
   ReceiveCallback receive_callback_;

@@ -73,6 +73,7 @@ Fig8Result RunFig8(const Fig8Params& params) {
 
   Fig8Result result;
   result.events_executed = events_executed;
+  result.memory = world.Memory();
   result.diffusion_bytes = world.TotalDiffusionBytes() - bytes_at_warmup;
   result.distinct_events = sink.distinct_events() - events_at_warmup;
   result.possible_events = PossibleEvents(sconfig.event_interval, params.warmup,

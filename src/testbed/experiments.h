@@ -12,6 +12,7 @@
 #include <cstdint>
 
 #include "src/apps/nested_query.h"
+#include "src/testbed/testbed_world.h"
 #include "src/trace/trace.h"
 #include "src/util/time.h"
 
@@ -70,6 +71,8 @@ struct Fig8Result {
   // Scheduler events executed over warmup + measurement (the whole-engine
   // work unit bench/engine_throughput divides wall time by).
   uint64_t events_executed = 0;
+  // The world's byte ledger at the end of the run.
+  MemoryLedger memory;
 };
 
 Fig8Result RunFig8(const Fig8Params& params);

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/radio/energy.h"
+#include "src/util/memory_bytes.h"
 
 namespace diffusion {
 namespace {
@@ -100,6 +101,49 @@ ChannelStats TestbedWorld::TotalChannelStats() const {
     total.deliveries += stats.deliveries;
   }
   return total;
+}
+
+MemoryLedger TestbedWorld::Memory() const {
+  MemoryLedger ledger;
+  ledger.nodes = MapBytes(nodes_) + nodes_.size() * sizeof(DiffusionNode);
+  for (const auto& [id, node] : nodes_) {
+    const NodeMemory memory = node->MemoryBytes();
+    ledger.gradients += memory.gradients;
+    ledger.data_cache += memory.data_cache;
+    ledger.match_indexes += memory.match_indexes;
+    ledger.node_other += memory.other;
+    ledger.radio += memory.radio;
+  }
+  for (const auto& channel : channels_) {
+    ledger.channel += sizeof(Channel) + channel->MemoryBytes();
+    if (const auto* disk = dynamic_cast<const DiskPropagation*>(&channel->propagation())) {
+      ledger.propagation += sizeof(DiskPropagation) + disk->MemoryBytes();
+    }
+  }
+  return ledger;
+}
+
+void TestbedWorld::RegisterMemoryGauges(MetricsRegistry* registry) const {
+  const std::vector<std::pair<std::string, size_t>> rows = MemoryRows(MemoryLedger{});
+  for (size_t i = 0; i < rows.size(); ++i) {
+    registry->RegisterGlobalGauge("memory." + rows[i].first + "_bytes", [this, i] {
+      return static_cast<double>(MemoryRows(Memory())[i].second);
+    });
+  }
+}
+
+std::vector<std::pair<std::string, size_t>> MemoryRows(const MemoryLedger& ledger) {
+  return {
+      {"nodes", ledger.nodes},
+      {"gradients", ledger.gradients},
+      {"data_cache", ledger.data_cache},
+      {"match_indexes", ledger.match_indexes},
+      {"node_other", ledger.node_other},
+      {"radio", ledger.radio},
+      {"channel", ledger.channel},
+      {"propagation", ledger.propagation},
+      {"total", ledger.total()},
+  };
 }
 
 void TestbedWorld::SuppressDuplicates(const SurveillanceConfig& sconfig) {

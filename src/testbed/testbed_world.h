@@ -33,6 +33,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/apps/surveillance.h"
@@ -53,6 +55,35 @@ struct WorldSharding {
   int regions = 1;       // a target: RegionMap may cut slightly fewer
   unsigned threads = 1;  // 0 = hardware concurrency; output is the same for all
 };
+
+// The heap bytes a world's long-lived structures hold, by layer, from each
+// structure's MemoryBytes() (src/util/memory_bytes.h). A pure function of
+// the world's state for a given standard library, so a deterministic run
+// reports the same ledger at any thread count.
+struct MemoryLedger {
+  // The DiffusionNode objects (radio and MAC inside) and the world's id map.
+  size_t nodes = 0;
+  // What the nodes hold, summed over NodeMemory's structures.
+  size_t gradients = 0;
+  size_t data_cache = 0;
+  size_t match_indexes = 0;
+  size_t node_other = 0;
+  size_t radio = 0;
+  // Every region's Channel: the object, its slots, receiver lists, in-air
+  // state and slabs.
+  size_t channel = 0;
+  // Every region's DiskPropagation: the object, positions, overrides, grid.
+  size_t propagation = 0;
+
+  size_t total() const {
+    return nodes + gradients + data_cache + match_indexes + node_other + radio + channel +
+           propagation;
+  }
+};
+
+// The ledger's rows by name ("nodes", "gradients", ..., "total"), in the
+// order gauges and bench files list them.
+std::vector<std::pair<std::string, size_t>> MemoryRows(const MemoryLedger& ledger);
 
 class TestbedWorld {
  public:
@@ -100,6 +131,14 @@ class TestbedWorld {
 
   // Channel-wide counters summed over every region's channel.
   ChannelStats TotalChannelStats() const;
+
+  // The byte ledger, computed now. It costs one walk over the nodes and
+  // channels and nothing per event.
+  MemoryLedger Memory() const;
+  // Registers each ledger row and the total as a global gauge
+  // ("memory.<row>_bytes", "memory.total_bytes"). The world must outlive
+  // collections from `registry`.
+  void RegisterMemoryGauges(MetricsRegistry* registry) const;
 
   // Puts a DuplicateSuppressionFilter matching `sconfig`'s data on every
   // node ("all nodes were configured with aggregation filters", §6.1). The

@@ -1,5 +1,6 @@
 #include "src/testbed/topology.h"
 
+#include <algorithm>
 #include <deque>
 #include <unordered_map>
 
@@ -54,6 +55,15 @@ std::unique_ptr<DiskPropagation> MakePropagation(const TestbedLayout& layout,
                                                  double delivery_probability) {
   auto propagation = std::make_unique<DiskPropagation>(layout.radio_range, delivery_probability);
   propagation->set_inter_floor_range(layout.radio_range);
+  if (!layout.positions.empty()) {
+    // Place the lowest and the highest id first, so the dense position table
+    // is sized once to the span and never regrows; the loop sets both again.
+    const auto [low, high] = std::minmax_element(
+        layout.positions.begin(), layout.positions.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    propagation->SetPosition(low->first, low->second);
+    propagation->SetPosition(high->first, high->second);
+  }
   for (const auto& [id, position] : layout.positions) {
     propagation->SetPosition(id, position);
   }

@@ -158,14 +158,18 @@ TEST(BenchJsonTest, SpreadOfIsMinMedianMax) {
 // One flag of each type, as a bench declares them.
 struct DemoFlags {
   int runs = 3;
+  int minutes = 20;
   double require_speedup = 0.0;
+  double bound = 0.5;
   std::string out = "BENCH_demo.json";
   std::string check;
   bool deterministic_only = false;
 
   std::vector<Flag> Table() {
     return {{"runs", &runs, "replicates"},
+            {"minutes", &minutes, "simulated minutes", 1},
             {"require-speedup", &require_speedup, "ratchet"},
+            {"bound", &bound, "a fraction", 0.25},
             {"out", &out, "output path"},
             {"check", &check, "file to re-run"},
             {"deterministic-only", &deterministic_only, "skip timing"}};
@@ -192,7 +196,9 @@ TEST(BenchFlagsTest, AbsentFlagsKeepTheirDefaults) {
   DemoFlags flags;
   Parse({}, &flags);
   EXPECT_EQ(flags.runs, 3);
+  EXPECT_EQ(flags.minutes, 20);
   EXPECT_EQ(flags.require_speedup, 0.0);
+  EXPECT_EQ(flags.bound, 0.5);
   EXPECT_EQ(flags.out, "BENCH_demo.json");
   EXPECT_EQ(flags.check, "");
   EXPECT_FALSE(flags.deterministic_only);
@@ -249,12 +255,29 @@ TEST(BenchFlagsTest, RefusesMalformedAndOutOfRangeNumbers) {
   }
 }
 
+// A count whose zero would print a table of zeros declares its minimum, and
+// the parser refuses anything below it before the bench runs.
+TEST(BenchFlagsTest, RefusesANumberBelowItsMinimum) {
+  for (const char* arg : {"--minutes=0", "--minutes=-1"}) {
+    ExpectRefused({arg}, "--minutes=.*: not a whole number in \\[1, 2147483647\\]");
+  }
+  for (const char* arg : {"--bound=0.2", "--bound=0", "--bound=-1"}) {
+    ExpectRefused({arg}, "--bound=.*: not a finite number >= 0.25");
+  }
+  DemoFlags flags;
+  Parse({"--minutes=1", "--bound=0.25"}, &flags);
+  EXPECT_EQ(flags.minutes, 1);
+  EXPECT_EQ(flags.bound, 0.25);
+}
+
 TEST(BenchFlagsTest, UsageListsEveryFlagWithItsDefault) {
   DemoFlags flags;
   EXPECT_EXIT(Parse({"--help"}, &flags), testing::ExitedWithCode(2),
               "usage: demo_bench \\[flags\\]\n"
               "  --runs=N +replicates \\(default 3\\)\n"
+              "  --minutes=N +simulated minutes \\(default 20, at least 1\\)\n"
               "  --require-speedup=X +ratchet \\(default 0\\)\n"
+              "  --bound=X +a fraction \\(default 0.5, at least 0.25\\)\n"
               "  --out=TEXT +output path \\(default BENCH_demo.json\\)\n"
               "  --check=TEXT +file to re-run\n"
               "  --deterministic-only +skip timing\n");

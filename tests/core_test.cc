@@ -588,12 +588,103 @@ TEST(NeighborsTest, ListsEachHeardNodeOnceAscending) {
 
 // An idle node holds only empty containers, so its size is the fixed cost
 // every node pays before it does any work. Measured with gcc 12 on x86-64:
-// sizeof(MatchIndex) 688 B, sizeof(DiffusionNode) 2,840 B (each node holds
-// two indexes). A per-level or per-slot array of containers brought back
-// into either would fail here.
+// sizeof(MatchIndex) 688 B, sizeof(Radio) 560 B, sizeof(DiffusionNode)
+// 1,328 B. The node's two indexes sit behind pointers until their first
+// Insert, and the radio keeps no copy of the MAC's configuration; holding
+// either by value again, or bringing a per-level or per-slot array of
+// containers back, fails here.
 TEST(FootprintTest, IdleNodeStateStaysSmall) {
   EXPECT_LE(sizeof(MatchIndex), 1024u);
-  EXPECT_LE(sizeof(DiffusionNode), 4096u);
+  EXPECT_LE(sizeof(Radio), 600u);
+  EXPECT_LE(sizeof(DiffusionNode), 1536u);
+}
+
+// ---- Match indexes built on first use ----
+
+// A relay never registers a filter or a subscription, so it never builds a
+// match index, however much it forwards.
+TEST_F(LineTest, RelayOnlyNodeHoldsNoMatchIndex) {
+  (void)node(1).Subscribe(LightQuery(), [](const AttributeVector&) {});
+  const PublicationHandle pub = node(kNodes).Publish(LightPublication());
+  sim_.RunUntil(2 * kSecond);
+  for (int i = 0; i < 5; ++i) {
+    sim_.After(i * kSecond, [&, i] { (void)node(kNodes).Send(pub, Reading(i)); });
+  }
+  sim_.RunUntil(10 * kSecond);
+  const DiffusionNode& relay = node(3);
+  EXPECT_GT(relay.stats().messages_forwarded, 0u);
+  EXPECT_GT(relay.MemoryBytes().gradients, 0u);
+  EXPECT_EQ(relay.MemoryBytes().match_indexes, 0u);
+  // The sink's subscription built its index.
+  EXPECT_GE(node(1).MemoryBytes().match_indexes, sizeof(MatchIndex));
+}
+
+TEST_F(TwoNodeTest, ResubscribingAfterTheLastUnsubscribeStillDelivers) {
+  std::vector<int32_t> received;
+  const auto record = [&](const AttributeVector& attrs) { received.push_back(SequenceOf(attrs)); };
+  const SubscriptionHandle first = sink_.Subscribe(LightQuery(), record);
+  const PublicationHandle pub = source_.Publish(LightPublication());
+  sim_.RunUntil(kSecond);
+  (void)source_.Send(pub, Reading(1));
+  sim_.RunUntil(2 * kSecond);
+  EXPECT_EQ(sink_.Unsubscribe(first), ApiResult::kOk);
+  (void)sink_.Subscribe(LightQuery(), record);
+  sim_.RunUntil(3 * kSecond);
+  (void)source_.Send(pub, Reading(2));
+  sim_.RunUntil(4 * kSecond);
+  EXPECT_EQ(received, (std::vector<int32_t>{1, 2}));
+}
+
+// A filter formal on the data's `type` actual: it sees data, not interests.
+AttributeVector LightFilter() { return {Attribute::String(kKeyType, AttrOp::kEq, "light")}; }
+
+TEST_F(TwoNodeTest, FilterAddedMidRunCatchesTheNextMessage) {
+  std::vector<int32_t> received;
+  (void)sink_.Subscribe(LightQuery(), [&](const AttributeVector& attrs) {
+    received.push_back(SequenceOf(attrs));
+  });
+  const PublicationHandle pub = source_.Publish(LightPublication());
+  sim_.RunUntil(kSecond);
+  (void)source_.Send(pub, Reading(1));
+  sim_.RunUntil(2 * kSecond);
+  ASSERT_EQ(received, (std::vector<int32_t>{1}));
+
+  // The first filter on the node builds its index mid-run.
+  std::vector<int32_t> filtered;
+  FilterHandle handle = kInvalidHandle;
+  handle = sink_.AddFilter(LightFilter(), 10, [&](Message& message, FilterApi& api) {
+    filtered.push_back(SequenceOf(message.attrs.items()));
+    api.SendMessage(std::move(message), handle);
+  });
+  (void)source_.Send(pub, Reading(2));
+  sim_.RunUntil(3 * kSecond);
+  EXPECT_EQ(filtered, (std::vector<int32_t>{2}));
+  EXPECT_EQ(received, (std::vector<int32_t>{1, 2}));
+}
+
+TEST_F(TwoNodeTest, RemovingTheLastFilterSendsDispatchToTheCore) {
+  std::vector<int32_t> received;
+  (void)sink_.Subscribe(LightQuery(), [&](const AttributeVector& attrs) {
+    received.push_back(SequenceOf(attrs));
+  });
+  int filtered = 0;
+  FilterHandle handle = kInvalidHandle;
+  handle = sink_.AddFilter(LightFilter(), 10, [&](Message& message, FilterApi& api) {
+    ++filtered;
+    api.SendMessage(std::move(message), handle);
+  });
+  const PublicationHandle pub = source_.Publish(LightPublication());
+  sim_.RunUntil(kSecond);
+  (void)source_.Send(pub, Reading(1));
+  sim_.RunUntil(2 * kSecond);
+  EXPECT_EQ(filtered, 1);
+
+  EXPECT_EQ(sink_.RemoveFilter(handle), ApiResult::kOk);
+  (void)source_.Send(pub, Reading(2));
+  sim_.RunUntil(3 * kSecond);
+  EXPECT_EQ(filtered, 1);
+  EXPECT_EQ(received, (std::vector<int32_t>{1, 2}));
+  EXPECT_EQ(sink_.stats().stale_filter_reinjections, 0u);
 }
 
 }  // namespace
