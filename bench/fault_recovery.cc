@@ -60,7 +60,7 @@ int Main(int argc, char** argv) {
   bench::ParseFlags(argc, argv,
                     {{"scenario", &scenario_flag, "crash | degrade | partition | all"},
                      {"seed", &seed, "simulation seed"},
-                     {"sources", &sources, "1..4 active Figure 7 sources", 1},
+                     {"sources", &sources, "active Figure 7 sources", 1, 4},
                      {"plan", &plan_path, "fault-plan JSON replacing the built-in plan"},
                      {"out", &out, "where to write the JSON"},
                      {"check", &check, "re-run the scenarios this file holds; write nothing"},

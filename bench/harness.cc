@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -16,22 +17,16 @@ namespace {
 
 constexpr char kBenchJsonSchema[] = "diffusion-bench-v1";
 
-std::string FormatValue(double value) {
-  // Round-trippable without scientific noise for the magnitudes benches emit.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return buf;
-}
-
 // Stores `text` in `target` when all of it reads as a T that is finite and
-// at least `minimum`; false otherwise.
+// in [minimum, maximum]; false otherwise.
 template <typename T>
-bool StoreNumber(const std::string& text, double minimum, T* target) {
+bool StoreNumber(const std::string& text, double minimum, double maximum, T* target) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc() || stop != end || !(static_cast<double>(value) >= minimum) ||
-      !std::isfinite(static_cast<double>(value))) {
+  const double number = static_cast<double>(value);
+  if (error != std::errc() || stop != end || !(number >= minimum) || !(number <= maximum) ||
+      !std::isfinite(number)) {
     return false;
   }
   *target = value;
@@ -73,13 +68,17 @@ std::string ParseArgument(const std::string& arg, const std::vector<Flag>& flags
   }
   const std::string minimum = FormatValue(flag->minimum);
   if (int* const* target = std::get_if<int*>(&flag->value)) {
-    return StoreNumber(text, flag->minimum, *target)
+    const double maximum = std::min<double>(flag->maximum, INT_MAX);
+    return StoreNumber(text, flag->minimum, maximum, *target)
                ? ""
-               : arg + ": not a whole number in [" + minimum + ", 2147483647]";
+               : arg + ": not a whole number in [" + minimum + ", " + FormatValue(maximum) + "]";
   }
-  return StoreNumber(text, flag->minimum, std::get<double*>(flag->value))
+  const std::string range = std::isinf(flag->maximum)
+                                ? ">= " + minimum
+                                : "in [" + minimum + ", " + FormatValue(flag->maximum) + "]";
+  return StoreNumber(text, flag->minimum, flag->maximum, std::get<double*>(flag->value))
              ? ""
-             : arg + ": not a finite number >= " + minimum;
+             : arg + ": not a finite number " + range;
 }
 
 // The usage text: one line per flag with its form, help and default.
@@ -102,6 +101,9 @@ std::string Usage(const std::string& program, const std::vector<Flag>& flags) {
     usage += "  " + form + flag.help;
     if (flag.minimum > 0.0) {
       fallback += ", at least " + FormatValue(flag.minimum);
+    }
+    if (!std::isinf(flag.maximum)) {
+      fallback += ", at most " + FormatValue(flag.maximum);
     }
     usage += fallback.empty() ? "\n" : " (default " + fallback + ")\n";
   }
@@ -204,6 +206,16 @@ const BenchResult* FindRow(const std::vector<BenchResult>& rows, const std::stri
 [[noreturn]] void Fail(const std::string& message) { Exit(1, "FAIL: " + message + "\n"); }
 
 }  // namespace
+
+std::string FormatValue(double value) {
+  char buf[64];
+  if (std::trunc(value) == value && std::fabs(value) < 9007199254740992.0) {
+    std::snprintf(buf, sizeof(buf), "%.0f", value);  // every digit of a count
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.6g", value);
+  }
+  return buf;
+}
 
 void ParseFlags(int argc, const char* const* argv, const std::vector<Flag>& flags) {
   std::vector<const Flag*> given;

@@ -25,6 +25,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <variant>
 #include <vector>
@@ -36,8 +37,8 @@ namespace bench {
 // value; the variable's value before parsing is the flag's default. The
 // variable's type fixes the form the flag takes:
 //   bool         --name       a switch; it takes no value
-//   int          --name=N     a whole number in [minimum, INT_MAX]
-//   double       --name=X     a finite number >= minimum
+//   int          --name=N     a whole number in [minimum, min(maximum, INT_MAX)]
+//   double       --name=X     a finite number in [minimum, maximum]
 //   std::string  --name=TEXT  any text, the empty text included
 struct Flag {
   const char* name;
@@ -46,6 +47,9 @@ struct Flag {
   // The smallest value a number flag takes: a count that must be at least
   // one says so here, and ParseFlags refuses anything below it.
   double minimum = 0.0;
+  // The largest value a number flag takes, where the code it feeds has a
+  // ceiling; ParseFlags refuses anything above it.
+  double maximum = std::numeric_limits<double>::infinity();
 };
 
 // Parses argv[1..argc) against `flags`, storing each value in its variable.
@@ -53,6 +57,11 @@ struct Flag {
 // takes. On the first that is not (`--help` included), prints the diagnosis
 // and the usage built from `flags` and exits with status 2.
 void ParseFlags(int argc, const char* const* argv, const std::vector<Flag>& flags);
+
+// A row value as a file records it: an integral value below 2^53 in full,
+// any other value to six significant digits. --check compares rows in this
+// form.
+std::string FormatValue(double value);
 
 struct BenchResult {
   std::string name;

@@ -204,6 +204,14 @@ done
   --out=build/engine_j8.json >/dev/null
 cmp build/engine_j1.json build/engine_j8.json
 
+# The paper's table-only claims (EXPERIMENTS.md). The bench loop refreshed
+# BENCH_paper.json; every section re-runs against it, rows and claim
+# verdicts alike, and the file is byte-identical at --jobs=1 and --jobs=8.
+./build/bench/paper_claims --check=BENCH_paper.json
+./build/bench/paper_claims --jobs=1 --out=build/paper_j1.json >/dev/null
+./build/bench/paper_claims --jobs=8 --out=build/paper_j8.json >/dev/null
+cmp build/paper_j1.json build/paper_j8.json
+
 # Sharded-engine determinism gate: a single 10k-node run's deterministic
 # section (event counts, bytes, border frames, trace fingerprint) is
 # byte-identical at --threads=1 and --threads=8.

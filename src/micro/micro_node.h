@@ -5,7 +5,7 @@
 // supporting only limited filters ... statically configured to support 5
 // active gradients and a cache of 10 packets of the 2 relevant bytes per
 // packet." All protocol state here lives in fixed-size arrays; StateBytes()
-// reports the engine's static footprint, which the micro_footprint bench
+// reports the engine's static footprint, which paper_claims' micro section
 // checks against the paper's ~106-byte budget.
 
 #ifndef SRC_MICRO_MICRO_NODE_H_

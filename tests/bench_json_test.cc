@@ -129,6 +129,21 @@ TEST(BenchJsonTest, MismatchesNamesAValueMismatch) {
   EXPECT_EQ(file.Mismatches(moved, RecordedRows::kEmitted), "");
 }
 
+// A count is written with every digit, so --check sees a change below its
+// sixth; other values keep six significant digits.
+TEST(BenchJsonTest, WritesAnIntegralValueInFull) {
+  EXPECT_EQ(FormatValue(5048296), "5048296");
+  EXPECT_EQ(FormatValue(2811190000000001.0), "2811190000000001");
+  EXPECT_EQ(FormatValue(-3), "-3");
+  EXPECT_EQ(FormatValue(1639.4321), "1639.43");
+  EXPECT_EQ(FormatValue(9007199254740992.0), "9.0072e+15");
+  const RecordedFile file(
+      WriteTemp("integral", BenchJson("demo", {{"diffusion_bytes", "bytes", 5048296}})));
+  EXPECT_EQ(file.Mismatches({{"diffusion_bytes", "bytes", 5048296}}, RecordedRows::kAll), "");
+  EXPECT_EQ(file.Mismatches({{"diffusion_bytes", "bytes", 5048297}}, RecordedRows::kAll),
+            "diffusion_bytes recorded 5048296, now 5048297");
+}
+
 TEST(BenchJsonTest, MismatchesNamesAMissingRow) {
   const std::vector<BenchResult> recorded(kRows.begin(), kRows.begin() + 2);
   const RecordedFile file(WriteTemp("missing", BenchJson("demo", recorded)));
@@ -159,6 +174,7 @@ TEST(BenchJsonTest, SpreadOfIsMinMedianMax) {
 struct DemoFlags {
   int runs = 3;
   int minutes = 20;
+  int sources = 1;
   double require_speedup = 0.0;
   double bound = 0.5;
   std::string out = "BENCH_demo.json";
@@ -168,6 +184,7 @@ struct DemoFlags {
   std::vector<Flag> Table() {
     return {{"runs", &runs, "replicates"},
             {"minutes", &minutes, "simulated minutes", 1},
+            {"sources", &sources, "active sources", 1, 4},
             {"require-speedup", &require_speedup, "ratchet"},
             {"bound", &bound, "a fraction", 0.25},
             {"out", &out, "output path"},
@@ -270,12 +287,24 @@ TEST(BenchFlagsTest, RefusesANumberBelowItsMinimum) {
   EXPECT_EQ(flags.bound, 0.25);
 }
 
+// A count the code it feeds clamps declares its maximum, so a value past it
+// is refused instead of run as a smaller one.
+TEST(BenchFlagsTest, RefusesANumberAboveItsMaximum) {
+  for (const char* arg : {"--sources=5", "--sources=0"}) {
+    ExpectRefused({arg}, "--sources=.*: not a whole number in \\[1, 4\\]");
+  }
+  DemoFlags flags;
+  Parse({"--sources=4"}, &flags);
+  EXPECT_EQ(flags.sources, 4);
+}
+
 TEST(BenchFlagsTest, UsageListsEveryFlagWithItsDefault) {
   DemoFlags flags;
   EXPECT_EXIT(Parse({"--help"}, &flags), testing::ExitedWithCode(2),
               "usage: demo_bench \\[flags\\]\n"
               "  --runs=N +replicates \\(default 3\\)\n"
               "  --minutes=N +simulated minutes \\(default 20, at least 1\\)\n"
+              "  --sources=N +active sources \\(default 1, at least 1, at most 4\\)\n"
               "  --require-speedup=X +ratchet \\(default 0\\)\n"
               "  --bound=X +a fraction \\(default 0.5, at least 0.25\\)\n"
               "  --out=TEXT +output path \\(default BENCH_demo.json\\)\n"
