@@ -202,10 +202,9 @@ const BenchResult* FindRow(const std::vector<BenchResult>& rows, const std::stri
   std::exit(status);  // NOLINT(concurrency-mt-unsafe)
 }
 
-// Prints "FAIL: <message>" and exits with status 1.
-[[noreturn]] void Fail(const std::string& message) { Exit(1, "FAIL: " + message + "\n"); }
-
 }  // namespace
+
+void Fail(const std::string& message) { Exit(1, "FAIL: " + message + "\n"); }
 
 std::string FormatValue(double value) {
   char buf[64];
@@ -222,10 +221,14 @@ void ParseFlags(int argc, const char* const* argv, const std::vector<Flag>& flag
   for (int i = 1; i < argc; ++i) {
     const std::string error = ParseArgument(argv[i], flags, &given);
     if (!error.empty()) {
-      const std::string program = argv[0];
-      Exit(2, program + ": " + error + "\n" + Usage(program.substr(program.rfind('/') + 1), flags));
+      RefuseFlags(argv[0], flags, error);
     }
   }
+}
+
+void RefuseFlags(const char* argv0, const std::vector<Flag>& flags, const std::string& error) {
+  const std::string program = argv0;
+  Exit(2, program + ": " + error + "\n" + Usage(program.substr(program.rfind('/') + 1), flags));
 }
 
 std::string BenchJson(const std::string& bench_name, const std::vector<BenchResult>& results) {

@@ -58,6 +58,16 @@ struct Flag {
 // and the usage built from `flags` and exits with status 2.
 void ParseFlags(int argc, const char* const* argv, const std::vector<Flag>& flags);
 
+// Refuses a command line whose flags parsed but do not go together: prints
+// `error` and the usage built from `flags`, as ParseFlags does, and exits
+// with status 2.
+[[noreturn]] void RefuseFlags(const char* argv0, const std::vector<Flag>& flags,
+                              const std::string& error);
+
+// Prints "FAIL: <message>" on stderr and exits with status 1: for a file the
+// bench cannot write or read.
+[[noreturn]] void Fail(const std::string& message);
+
 // A row value as a file records it: an integral value below 2^53 in full,
 // any other value to six significant digits. --check compares rows in this
 // form.

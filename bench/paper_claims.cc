@@ -1,5 +1,6 @@
-// The paper's table-only claims as one file of gated rows (§4.3, §6.1, §6.3,
-// §6.4, §7 and the prior simulations [23] that §6.1 cites).
+// The paper's claims as one file of gated rows: Figures 8, 9 and 11 and the
+// rest of §4.3, §6.1, §6.2, §6.3, §6.4 and §7, the prior simulations [23]
+// that §6.1 cites, and the scalability §1 leans on.
 //
 // This bench runs a fixed table of sections. Each is a short function over
 // the existing runners that returns rows: a value with its unit (a mean and
@@ -18,6 +19,9 @@
 //   paper_claims                           writes BENCH_paper.json
 //   paper_claims --check=BENCH_paper.json  re-runs every section and fails
 //                                          when any row or verdict moved
+//   paper_claims --trace-out=t.jsonl       also writes the JSONL flight
+//                                          recording of Figure 8's first
+//                                          replicate (1 source, suppression)
 //
 // A plain run exits 0 whatever the verdicts say: a verdict of 0 is a
 // finding that EXPERIMENTS.md reports, not a failure of the run.
@@ -25,6 +29,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -68,6 +73,12 @@ void Claim(Rows* rows, const std::string& name, bool holds) {
   Add(rows, "claim_" + name, "claim", holds ? 1.0 : 0.0);
 }
 
+// What every section runs with.
+struct Options {
+  unsigned jobs = 1;      // simulation replicate workers
+  std::string trace_out;  // Figure 8 traces its first replicate here
+};
+
 // A simulation section's fixed envelope.
 struct Envelope {
   int runs;
@@ -85,17 +96,22 @@ void AddEnvelope(Rows* rows, const Envelope& envelope) {
 
 // Runs `run` on every (point, replicate) cell, point-major, replicate r of
 // each point seeded envelope.seed + r, `jobs` cells at a time. Results come
-// back in cell order at any `jobs`.
+// back in cell order at any `jobs`. A non-empty `trace_out` receives the
+// trace of the first cell.
 template <typename Params, typename Result>
 std::vector<Result> Sweep(unsigned jobs, const std::vector<Params>& points,
-                          const Envelope& envelope, Result (*run)(const Params&)) {
+                          const Envelope& envelope, Result (*run)(const Params&),
+                          const std::string& trace_out = "") {
   const size_t runs = static_cast<size_t>(envelope.runs);
-  const auto cell = [&](size_t i, TraceSink*) {
+  const auto cell = [&](size_t i, TraceSink* sink) {
     Params params = points[i / runs];
     params.seed = envelope.seed + i % runs;
+    if constexpr (requires { params.trace_sink; }) {
+      params.trace_sink = sink;
+    }
     return run(params);
   };
-  return bench::RunReplicates<Result>(jobs, points.size() * runs, /*trace_out=*/"", nullptr, cell);
+  return bench::RunReplicates<Result>(jobs, points.size() * runs, trace_out, nullptr, cell);
 }
 
 // `field` x `scale` over point `point`'s replicates, added in seed order.
@@ -116,6 +132,106 @@ std::string DutyName(double duty) {
   return "duty_" + std::to_string(std::lround(duty * 100)) + "pct";
 }
 
+// True when every value is above (Rising) or below (Falling) the one before.
+bool Rising(const std::vector<double>& values) {
+  return std::adjacent_find(values.begin(), values.end(), std::greater_equal<>()) == values.end();
+}
+
+bool Falling(const std::vector<double>& values) {
+  return std::adjacent_find(values.begin(), values.end(), std::less_equal<>()) == values.end();
+}
+
+// A random field of `nodes` at the density of 50 nodes on 100 m x 100 m, so
+// hop counts per unit area hold as the network grows.
+ScaleParams DensityHeldField(size_t nodes) {
+  ScaleParams params;
+  params.nodes = nodes;
+  params.field_size = 100.0 * std::sqrt(static_cast<double>(nodes) / 50.0);
+  return params;
+}
+
+// ---- Figure 8: "Bytes sent from all diffusion modules, normalized to the
+// number of distinct events, for varying numbers of sources." -------------
+//
+// §6.1's aggregation experiment: the 14-node ISI testbed, sink at node 28,
+// sources at nodes 25/16/22/13 added in that order, one 112-byte event per
+// 6 s with synchronized sequence numbers, and a duplicate-suppression filter
+// on every node in the suppressed points. The paper ran five 30-minute
+// experiments per point. Expected shape: with suppression the traffic is
+// roughly constant in the source count, without it traffic climbs steeply,
+// and "suppression is able to reduce traffic by up to 42% for four sources";
+// "only 55-80% of events generated in the experiment were delivered to the
+// sink". The traffic_model section's 990 (ideal) and 3429 B/event (4
+// sources, none) bracket the points.
+Rows Fig8(const Options& options) {
+  const Envelope envelope{5, 30, 1000};
+  std::vector<Fig8Params> points;
+  for (int sources = 1; sources <= 4; ++sources) {
+    for (AggregationStrategy strategy :
+         {AggregationStrategy::kSuppression, AggregationStrategy::kNone}) {
+      Fig8Params params;
+      params.sources = sources;
+      params.strategy = strategy;
+      params.duration = envelope.duration();
+      points.push_back(params);
+    }
+  }
+  // The first cell, and so the one --trace-out records, is 1 source with
+  // suppression at the first seed.
+  const std::vector<Fig8Result> results =
+      Sweep(options.jobs, points, envelope, &RunFig8, options.trace_out);
+
+  Rows rows;
+  AddEnvelope(&rows, envelope);
+  const TrafficModelParams model;
+  std::vector<double> suppressed_bytes;
+  std::vector<double> plain_bytes;
+  std::vector<double> savings;
+  std::vector<double> delivery;
+  bool above_ideal = true;
+  for (int sources = 1; sources <= 4; ++sources) {
+    const size_t point = 2 * static_cast<size_t>(sources - 1);
+    const RunningStat suppressed = StatOf(results, point, envelope, &Fig8Result::bytes_per_event);
+    const RunningStat plain = StatOf(results, point + 1, envelope, &Fig8Result::bytes_per_event);
+    const RunningStat delivered_suppressed =
+        StatOf(results, point, envelope, &Fig8Result::delivery_rate, 100.0);
+    const RunningStat delivered_plain =
+        StatOf(results, point + 1, envelope, &Fig8Result::delivery_rate, 100.0);
+    suppressed_bytes.push_back(suppressed.mean());
+    plain_bytes.push_back(plain.mean());
+    savings.push_back(plain.mean() > 0.0 ? (1.0 - suppressed.mean() / plain.mean()) * 100.0 : 0.0);
+    delivery.push_back(delivered_suppressed.mean());
+    delivery.push_back(delivered_plain.mean());
+    above_ideal &= suppressed.mean() > ModelBytesPerEvent(model, sources, AggregationModel::kIdeal);
+    const std::string name = "sources_" + std::to_string(sources);
+    AddStat(&rows, name + "_bytes_suppressed", "B/event", suppressed);
+    AddStat(&rows, name + "_bytes_plain", "B/event", plain);
+    Add(&rows, name + "_savings", "%", savings.back());
+    AddStat(&rows, name + "_delivery_suppressed", "%", delivered_suppressed);
+    AddStat(&rows, name + "_delivery_plain", "%", delivered_plain);
+  }
+  // One source has no duplicates to suppress: the means agree within 1%.
+  Claim(&rows, "one_source_identical",
+        std::fabs(suppressed_bytes[0] - plain_bytes[0]) <= 0.01 * plain_bytes[0]);
+  // "Roughly constant": from 1 to 4 sources, suppressed traffic grows by at
+  // most a third of what unsuppressed traffic grows.
+  Claim(&rows, "suppressed_nearly_flat",
+        suppressed_bytes[3] - suppressed_bytes[0] <= (plain_bytes[3] - plain_bytes[0]) / 3);
+  Claim(&rows, "savings_grow_with_sources", Rising(savings));
+  Claim(&rows, "savings_4_sources_within_5_points_of_42pct", std::fabs(savings[3] - 42.0) <= 5.0);
+  // The model underpredicts aggregation and matches the 4-source plain point
+  // (within 10%).
+  Claim(&rows, "suppressed_above_ideal_model", above_ideal);
+  Claim(&rows, "plain_4_sources_on_model",
+        std::fabs(plain_bytes[3] / ModelBytesPerEvent(model, 4, AggregationModel::kNone) - 1.0) <=
+            0.1);
+  const auto in_band = [](double percent) { return percent >= 55.0 && percent <= 80.0; };
+  Claim(&rows, "one_source_delivery_in_55_80pct_band",
+        in_band(delivery[0]) && in_band(delivery[1]));
+  Claim(&rows, "delivery_in_55_80pct_band", std::all_of(delivery.begin(), delivery.end(), in_band));
+  return rows;
+}
+
 // ---- §6.1 analytic traffic model -------------------------------------------
 //
 // "Summing the message cost and normalizing per event we expect aggregation
@@ -127,7 +243,7 @@ std::string DutyName(double duty) {
 // under the three aggregation idealizations: the bracket Figure 8's measured
 // points are compared against (127 B messages, 14-node floods, 5-hop path,
 // interests/60 s, events/6 s, 1-in-10 exploratory).
-Rows TrafficModel(unsigned /*jobs*/) {
+Rows TrafficModel(const Options& /*options*/) {
   const TrafficModelParams params;
   const struct {
     const char* name;
@@ -188,7 +304,7 @@ void AddEnergyTable(Rows* rows, const std::string& prefix, const TimeShares& sha
   }
 }
 
-Rows EnergyModel(unsigned /*jobs*/) {
+Rows EnergyModel(const Options& /*options*/) {
   Rows rows;
   const TimeShares paper = PaperTimeShares();
   AddEnergyTable(&rows, "paper_", paper);
@@ -228,6 +344,89 @@ Rows EnergyModel(unsigned /*jobs*/) {
     measured.send += shares.send / node_count;
   }
   AddEnergyTable(&rows, "measured_", measured);
+  return rows;
+}
+
+// ---- Figure 9: "Percentage of audio events successfully delivered to the
+// user" for nested versus flat (one-level) queries -------------------------
+//
+// §6.2: the ISI testbed, user at node 39, audio sensor at node 20, light
+// sensors at 16/25/22/13. Lights toggle every minute on the minute and
+// report their state every 2 s (~100-byte messages); the audio sensor
+// produces a ~100-byte clip per light change. The nested query has the
+// audio node sub-task the lights (3 data hops end to end); the flat query
+// carries the light reports across the network to the user, and the audio
+// clips follow (5 data hops); the triggered flat query has the user send an
+// explicit per-event query, one more fragile leg. The paper ran three
+// 20-minute experiments per point. Expected shape: nested delivers more
+// than flat everywhere; both fall as sensors are added, flat faster;
+// "nested queries reduce loss rates by 15-30%"; flat moves substantially
+// more bytes.
+Rows Fig9(const Options& options) {
+  const Envelope envelope{3, 20, 2000};
+  const int sensor_counts[] = {1, 2, 4};
+  const struct {
+    const char* name;
+    QueryMode mode;
+  } queries[] = {
+      {"nested", QueryMode::kNested},
+      {"flat", QueryMode::kFlat},
+      {"triggered", QueryMode::kFlatTriggered},
+  };
+  std::vector<Fig9Params> points;
+  for (int sensors : sensor_counts) {
+    for (const auto& query : queries) {
+      Fig9Params params;
+      params.lights = sensors;
+      params.mode = query.mode;
+      params.duration = envelope.duration();
+      points.push_back(params);
+    }
+  }
+  const std::vector<Fig9Result> results = Sweep(options.jobs, points, envelope, &RunFig9);
+
+  Rows rows;
+  AddEnvelope(&rows, envelope);
+  // delivered[q] holds query q's mean delivery at each sensor count.
+  std::vector<double> delivered[3];
+  std::vector<double> loss_cut;
+  std::vector<double> bytes_ratio;
+  for (size_t s = 0; s < 3; ++s) {
+    const std::string name = "sensors_" + std::to_string(sensor_counts[s]);
+    double bytes[3];
+    for (size_t q = 0; q < 3; ++q) {
+      const size_t point = 3 * s + q;
+      const RunningStat stat =
+          StatOf(results, point, envelope, &Fig9Result::delivered_fraction, 100.0);
+      delivered[q].push_back(stat.mean());
+      bytes[q] = StatOf(results, point, envelope, &Fig9Result::diffusion_bytes).mean();
+      AddStat(&rows, name + "_" + queries[q].name + "_delivered", "%", stat);
+      // Rounded to the byte, so a mean of over a million bytes keeps every
+      // digit in the file.
+      Add(&rows, name + "_" + queries[q].name + "_bytes", "B", std::round(bytes[q]));
+    }
+    const double nested_loss = 100.0 - delivered[0].back();
+    const double flat_loss = 100.0 - delivered[1].back();
+    loss_cut.push_back(flat_loss > 0.0 ? (1.0 - nested_loss / flat_loss) * 100.0 : 0.0);
+    bytes_ratio.push_back(bytes[1] / bytes[0]);
+    Add(&rows, name + "_loss_cut", "%", loss_cut.back());
+    Add(&rows, name + "_flat_bytes_ratio", "x", bytes_ratio.back());
+  }
+  const auto all = [](const std::vector<double>& values, auto holds) {
+    return std::all_of(values.begin(), values.end(), holds);
+  };
+  Claim(&rows, "nested_delivers_more", all(loss_cut, [](double cut) { return cut > 0.0; }));
+  Claim(&rows, "both_fall_with_sensors", Falling(delivered[0]) && Falling(delivered[1]));
+  Claim(&rows, "flat_falls_further",
+        delivered[1].front() - delivered[1].back() > delivered[0].front() - delivered[0].back());
+  Claim(&rows, "loss_cut_in_15_30pct_band",
+        all(loss_cut, [](double cut) { return cut >= 15.0 && cut <= 30.0; }));
+  Claim(&rows, "flat_moves_1_5x_the_bytes", all(bytes_ratio, [](double x) { return x >= 1.5; }));
+  bool triggered_below_flat = true;
+  for (size_t s = 0; s < 3; ++s) {
+    triggered_below_flat &= delivered[2][s] < delivered[1][s];
+  }
+  Claim(&rows, "triggered_below_flat", triggered_below_flat);
   return rows;
 }
 
@@ -293,7 +492,7 @@ Line FitLine(const std::vector<double>& x, const std::vector<double>& y) {
   return {slope, (sy - slope * sx) / n};
 }
 
-Rows Fig11Matching(unsigned /*jobs*/) {
+Rows Fig11Matching(const Options& /*options*/) {
   constexpr int kReps = 25;
   constexpr uint64_t kSeed = 42;
   const struct {
@@ -373,7 +572,7 @@ Rows Fig11Matching(unsigned /*jobs*/) {
 // because flooded exploratory traffic (which aggregation merges entirely)
 // stops dominating the reinforced-path data traffic. Paper checkpoints:
 // ~1.7x savings at 1:10 (the testbed's 42%), 3-5x at 1:100.
-Rows SimRatio(unsigned jobs) {
+Rows SimRatio(const Options& options) {
   const Envelope envelope{3, 5, 3000};
   const struct {
     const char* name;
@@ -395,7 +594,8 @@ Rows SimRatio(unsigned jobs) {
       points.push_back(params);
     }
   }
-  const std::vector<ScaleResult> results = Sweep(jobs, points, envelope, &RunScaleExperiment);
+  const std::vector<ScaleResult> results =
+      Sweep(options.jobs, points, envelope, &RunScaleExperiment);
 
   Rows rows;
   AddEnvelope(&rows, envelope);
@@ -427,7 +627,7 @@ Rows SimRatio(unsigned jobs) {
 // on, interests stop reaching off-corridor nodes, total bytes per event
 // drop, and delivery is unaffected (the corridor retains the routes that
 // matter).
-Rows GeoScope(unsigned jobs) {
+Rows GeoScope(const Options& options) {
   const Envelope envelope{3, 10, 4000};
   std::vector<GeoParams> points;
   for (bool geo : {false, true}) {
@@ -437,7 +637,7 @@ Rows GeoScope(unsigned jobs) {
     params.duration = envelope.duration();
     points.push_back(params);
   }
-  const std::vector<GeoResult> results = Sweep(jobs, points, envelope, &RunGeoExperiment);
+  const std::vector<GeoResult> results = Sweep(options.jobs, points, envelope, &RunGeoExperiment);
 
   Rows rows;
   AddEnvelope(&rows, envelope);
@@ -478,10 +678,8 @@ Rows GeoScope(unsigned jobs) {
 // forwarded immediately) and counting (§3.3's merge-and-annotate filter with
 // a 2 s hold window). Expected shape: suppression matches none's latency
 // while cutting traffic; counting pays its window in latency.
-Rows AggregationStrategies(unsigned jobs) {
+Rows AggregationStrategies(const Options& options) {
   const Envelope envelope{3, 15, 6000};
-  constexpr int kWindowMs = 2000;
-  const SimDuration window = kWindowMs * kMillisecond;
   const struct {
     const char* name;
     AggregationStrategy strategy;
@@ -495,15 +693,14 @@ Rows AggregationStrategies(unsigned jobs) {
     Fig8Params params;
     params.sources = 4;
     params.strategy = strategy.strategy;
-    params.counting_window = window;
     params.duration = envelope.duration();
     points.push_back(params);
   }
-  const std::vector<Fig8Result> results = Sweep(jobs, points, envelope, &RunFig8);
+  const std::vector<Fig8Result> results = Sweep(options.jobs, points, envelope, &RunFig8);
 
   Rows rows;
   AddEnvelope(&rows, envelope);
-  Add(&rows, "counting_window", "ms", kWindowMs);
+  Add(&rows, "counting_window", "ms", static_cast<double>(kCountingWindow / kMillisecond));
   double bytes[3];
   double latency[3];
   for (size_t s = 0; s < 3; ++s) {
@@ -519,7 +716,7 @@ Rows AggregationStrategies(unsigned jobs) {
   Claim(&rows, "suppression_cuts_bytes", bytes[1] <= 0.6 * bytes[0]);
   Claim(&rows, "suppression_adds_no_latency", latency[1] <= 1.1 * latency[0]);
   Claim(&rows, "counting_adds_its_window",
-        latency[2] >= latency[0] + static_cast<double>(window) / kSecond);
+        latency[2] >= latency[0] + static_cast<double>(kCountingWindow) / kSecond);
   return rows;
 }
 
@@ -534,21 +731,20 @@ Rows AggregationStrategies(unsigned jobs) {
 // listening negligible next to tx/rx). Expected shape: the factor sits in the
 // paper's 3-5x band across the sweep, far above the testbed's 1.7x, for the
 // ratio reasons §6.1 explains.
-Rows Fig6bPriorSim(unsigned jobs) {
+Rows Fig6bPriorSim(const Options& options) {
   const Envelope envelope{3, 4, 9500};
   const size_t node_counts[] = {50, 100, 150, 200, 250};
   std::vector<ScaleParams> points;
   for (size_t nodes : node_counts) {
     for (bool suppression : {true, false}) {
-      ScaleParams params;
-      params.nodes = nodes;
-      params.field_size = 100.0 * std::sqrt(static_cast<double>(nodes) / 50.0);
+      ScaleParams params = DensityHeldField(nodes);
       params.duration = envelope.duration();
       params.suppression = suppression;
       points.push_back(params);
     }
   }
-  const std::vector<ScaleResult> results = Sweep(jobs, points, envelope, &RunScaleExperiment);
+  const std::vector<ScaleResult> results =
+      Sweep(options.jobs, points, envelope, &RunScaleExperiment);
 
   Rows rows;
   AddEnvelope(&rows, envelope);
@@ -581,7 +777,7 @@ Rows Fig6bPriorSim(unsigned jobs) {
 // which adds gray-zone links and per-direction asymmetry. The point is
 // methodological: absolute traffic and delivery are channel-model-sensitive,
 // while the aggregation *savings* (a ratio) holds.
-Rows Propagation(unsigned jobs) {
+Rows Propagation(const Options& options) {
   const Envelope envelope{3, 15, 9000};
   const struct {
     const char* name;
@@ -606,7 +802,7 @@ Rows Propagation(unsigned jobs) {
       points.push_back(params);
     }
   }
-  const std::vector<Fig8Result> results = Sweep(jobs, points, envelope, &RunFig8);
+  const std::vector<Fig8Result> results = Sweep(options.jobs, points, envelope, &RunFig8);
 
   Rows rows;
   AddEnvelope(&rows, envelope);
@@ -631,6 +827,46 @@ Rows Propagation(unsigned jobs) {
   return rows;
 }
 
+// ---- §1/[23]: scalability -------------------------------------------------
+//
+// "[The simulation study] evaluated their performance through simulation,
+// finding that scalability is good as numbers of nodes and traffic
+// increases." The network-size sweep in the simulation-era configuration
+// (1.6 Mb/s radios, 5 sources, 5 sinks, suppression on) on density-held
+// random fields. Expected shape: bytes per event grow more slowly than the
+// node count (floods touch every node, but the reinforced data paths grow
+// only with hop count), so the per-node cost falls, and delivery stays high.
+Rows Scaling(const Options& options) {
+  const Envelope envelope{3, 3, 5000};
+  const size_t node_counts[] = {30, 50, 80, 120};
+  std::vector<ScaleParams> points;
+  for (size_t nodes : node_counts) {
+    ScaleParams params = DensityHeldField(nodes);
+    params.duration = envelope.duration();
+    points.push_back(params);
+  }
+  const std::vector<ScaleResult> results =
+      Sweep(options.jobs, points, envelope, &RunScaleExperiment);
+
+  Rows rows;
+  AddEnvelope(&rows, envelope);
+  std::vector<double> per_node;
+  bool delivery_high = true;
+  for (size_t n = 0; n < 4; ++n) {
+    const RunningStat bytes = StatOf(results, n, envelope, &ScaleResult::bytes_per_event);
+    const RunningStat delivery = StatOf(results, n, envelope, &ScaleResult::delivery_rate, 100.0);
+    per_node.push_back(bytes.mean() / static_cast<double>(node_counts[n]));
+    delivery_high &= delivery.mean() >= 90.0;
+    const std::string name = "nodes_" + std::to_string(node_counts[n]);
+    AddStat(&rows, name + "_bytes_per_event", "B/event", bytes);
+    AddStat(&rows, name + "_delivery", "%", delivery);
+    Add(&rows, name + "_bytes_per_event_per_node", "B/event", per_node.back());
+  }
+  Claim(&rows, "per_node_cost_falls", Falling(per_node));
+  Claim(&rows, "delivery_at_least_90pct", delivery_high);
+  return rows;
+}
+
 // ---- §7: two-phase vs one-phase pull ---------------------------------------
 //
 // §7's open question about mapping diffusion's parameters and phases to
@@ -643,7 +879,7 @@ Rows Propagation(unsigned jobs) {
 // exploratory flood costs a full network sweep). Its trade-off is path
 // agility: repairs ride the 60 s interest refresh instead of the exploratory
 // cadence.
-Rows Variant(unsigned jobs) {
+Rows Variant(const Options& options) {
   const Envelope envelope{3, 15, 7000};
   const char* const names[] = {"two_phase_suppressed", "two_phase_plain", "one_phase_suppressed",
                                "one_phase_plain"};
@@ -660,7 +896,7 @@ Rows Variant(unsigned jobs) {
       points.push_back(params);
     }
   }
-  const std::vector<Fig8Result> results = Sweep(jobs, points, envelope, &RunFig8);
+  const std::vector<Fig8Result> results = Sweep(options.jobs, points, envelope, &RunFig8);
 
   Rows rows;
   AddEnvelope(&rows, envelope);
@@ -698,7 +934,7 @@ Rows Variant(unsigned jobs) {
 // falls steeply with the duty cycle (listening dominates), delivery stays
 // usable while the awake windows still fit the offered load, and latency
 // grows by the sleep deferral per hop.
-Rows DutyCycle(unsigned jobs) {
+Rows DutyCycle(const Options& options) {
   const Envelope envelope{3, 15, 8000};
   const double duties[] = {1.0, 0.5, 0.22, 0.10};
   std::vector<Fig8Params> points;
@@ -709,7 +945,7 @@ Rows DutyCycle(unsigned jobs) {
     params.duration = envelope.duration();
     points.push_back(params);
   }
-  const std::vector<Fig8Result> results = Sweep(jobs, points, envelope, &RunFig8);
+  const std::vector<Fig8Result> results = Sweep(options.jobs, points, envelope, &RunFig8);
 
   Rows rows;
   AddEnvelope(&rows, envelope);
@@ -747,7 +983,7 @@ Rows DutyCycle(unsigned jobs) {
 // ISA-specific; the data budget is the enforceable one), wire compatibility
 // with full diffusion, and the tiered deployment end to end: a 2-hop mote
 // tier gatewayed into a 2-hop full-diffusion tier.
-Rows Micro(unsigned /*jobs*/) {
+Rows Micro(const Options& /*options*/) {
   Rows rows;
   Add(&rows, "gradient_slots", "slots", static_cast<double>(MicroNode::kMaxGradients));
   Add(&rows, "cache_entries", "entries", static_cast<double>(MicroNode::kCacheEntries));
@@ -817,16 +1053,19 @@ Rows Micro(unsigned /*jobs*/) {
 // The sections, in the order they run and print.
 const struct Section {
   const char* name;
-  Rows (*run)(unsigned jobs);
+  Rows (*run)(const Options& options);
 } kSections[] = {
+    {"fig8", Fig8},
     {"traffic_model", TrafficModel},
     {"energy_model", EnergyModel},
+    {"fig9", Fig9},
     {"fig11_matching", Fig11Matching},
     {"sim_ratio", SimRatio},
     {"geo_scope", GeoScope},
     {"aggregation_strategies", AggregationStrategies},
     {"fig6b_prior_sim", Fig6bPriorSim},
     {"propagation", Propagation},
+    {"scaling", Scaling},
     {"variant", Variant},
     {"duty_cycle", DutyCycle},
     {"micro", Micro},
@@ -836,11 +1075,17 @@ int Main(int argc, char** argv) {
   std::string out = "BENCH_paper.json";
   std::string check;
   int jobs = 0;
-  bench::ParseFlags(argc, argv,
-                    {{"out", &out, "where to write the JSON; empty writes nothing"},
-                     {"check", &check, "re-run every section against this file; write nothing"},
-                     {"jobs", &jobs, "simulation replicate workers; 0 = all cores"}});
-  const unsigned workers = ReplicationPool::ResolveJobs(static_cast<unsigned>(jobs));
+  Options options;
+  const std::vector<bench::Flag> flags = {
+      {"out", &out, "where to write the JSON; empty writes nothing"},
+      {"check", &check, "re-run every section against this file; write nothing"},
+      {"jobs", &jobs, "simulation replicate workers; 0 = all cores"},
+      {"trace-out", &options.trace_out, "JSONL trace of Figure 8's first replicate"}};
+  bench::ParseFlags(argc, argv, flags);
+  if (!check.empty() && !options.trace_out.empty()) {
+    bench::RefuseFlags(argv[0], flags, "--check writes nothing, so it takes no --trace-out");
+  }
+  options.jobs = ReplicationPool::ResolveJobs(static_cast<unsigned>(jobs));
   std::optional<bench::RecordedFile> recorded;
   if (!check.empty()) {
     recorded.emplace(check);
@@ -849,7 +1094,7 @@ int Main(int argc, char** argv) {
   Rows rows;
   for (const Section& section : kSections) {
     std::printf("=== %s\n", section.name);
-    for (bench::BenchResult& row : section.run(workers)) {
+    for (bench::BenchResult& row : section.run(options)) {
       row.name = std::string(section.name) + "." + row.name;
       if (row.unit == "claim") {
         std::printf("  %-62s %s\n", row.name.c_str(), row.value == 1.0 ? "holds" : "DOES NOT HOLD");

@@ -1,12 +1,25 @@
 #include "bench/replicate.h"
 
+#include "bench/harness.h"
+
 namespace diffusion {
 namespace bench {
 
-std::vector<std::unique_ptr<MemoryTraceSink>> MakeTraceBuffers(
-    size_t count, const std::string& trace_out, const std::function<bool(size_t)>& traced) {
-  std::vector<std::unique_ptr<MemoryTraceSink>> buffers(count);
+std::unique_ptr<TraceWriter> OpenTraceOut(const std::string& trace_out) {
   if (trace_out.empty()) {
+    return nullptr;
+  }
+  auto writer = std::make_unique<TraceWriter>(trace_out);
+  if (!writer->ok()) {
+    Fail("cannot write " + trace_out);
+  }
+  return writer;
+}
+
+std::vector<std::unique_ptr<MemoryTraceSink>> MakeTraceBuffers(
+    size_t count, bool tracing, const std::function<bool(size_t)>& traced) {
+  std::vector<std::unique_ptr<MemoryTraceSink>> buffers(count);
+  if (!tracing) {
     return buffers;
   }
   for (size_t i = 0; i < count; ++i) {
@@ -16,6 +29,22 @@ std::vector<std::unique_ptr<MemoryTraceSink>> MakeTraceBuffers(
     }
   }
   return buffers;
+}
+
+void WriteTraceBuffers(const std::vector<std::unique_ptr<MemoryTraceSink>>& buffers,
+                       const std::string& path, TraceWriter* writer) {
+  for (const auto& buffer : buffers) {
+    if (buffer == nullptr) {
+      continue;
+    }
+    for (const TraceEvent& event : buffer->events()) {
+      writer->OnEvent(event);
+    }
+  }
+  writer->Flush();
+  if (!writer->ok()) {
+    Fail("cannot write " + path);
+  }
 }
 
 }  // namespace bench

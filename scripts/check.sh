@@ -204,13 +204,18 @@ done
   --out=build/engine_j8.json >/dev/null
 cmp build/engine_j1.json build/engine_j8.json
 
-# The paper's table-only claims (EXPERIMENTS.md). The bench loop refreshed
+# The paper's claims (EXPERIMENTS.md). The bench loop refreshed
 # BENCH_paper.json; every section re-runs against it, rows and claim
-# verdicts alike, and the file is byte-identical at --jobs=1 and --jobs=8.
+# verdicts alike. Parallel replication must not change results: the file and
+# the trace of Figure 8's first replicate are byte-identical at --jobs=1 and
+# --jobs=8 (replication_test holds the Figure 9 and scaling-sweep traces).
 ./build/bench/paper_claims --check=BENCH_paper.json
-./build/bench/paper_claims --jobs=1 --out=build/paper_j1.json >/dev/null
-./build/bench/paper_claims --jobs=8 --out=build/paper_j8.json >/dev/null
+./build/bench/paper_claims --jobs=1 --out=build/paper_j1.json \
+  --trace-out=build/fig8_j1.jsonl >/dev/null
+./build/bench/paper_claims --jobs=8 --out=build/paper_j8.json \
+  --trace-out=build/fig8_j8.jsonl >/dev/null
 cmp build/paper_j1.json build/paper_j8.json
+cmp build/fig8_j1.jsonl build/fig8_j8.jsonl
 
 # Sharded-engine determinism gate: a single 10k-node run's deterministic
 # section (event counts, bytes, border frames, trace fingerprint) is
@@ -220,25 +225,6 @@ cmp build/paper_j1.json build/paper_j8.json
 ./build/bench/parallel_scaling --deterministic-only --threads=8 \
   --out=build/parallel_t8.json >/dev/null
 cmp build/parallel_t1.json build/parallel_t8.json
-
-# Parallel replication must not change results: the Figure-8 sweep's bench
-# JSON and merged trace are byte-identical at --jobs=1 and --jobs=8.
-./build/bench/fig8_aggregation --runs=2 --minutes=1 --jobs=1 \
-  --out=build/fig8_j1.json --trace-out=build/fig8_j1.jsonl >/dev/null
-./build/bench/fig8_aggregation --runs=2 --minutes=1 --jobs=8 \
-  --out=build/fig8_j8.json --trace-out=build/fig8_j8.jsonl >/dev/null
-cmp build/fig8_j1.json build/fig8_j8.json
-cmp build/fig8_j1.jsonl build/fig8_j8.jsonl
-
-# The same for the other traced sweeps: the Figure-9 and scaling-sweep
-# merged traces are byte-identical at --jobs=1 and --jobs=8.
-for sweep in fig9_nested_queries scaling_sweep; do
-  ./build/bench/$sweep --runs=2 --minutes=1 --jobs=1 \
-    --trace-out=build/${sweep}_j1.jsonl >/dev/null
-  ./build/bench/$sweep --runs=2 --minutes=1 --jobs=8 \
-    --trace-out=build/${sweep}_j8.jsonl >/dev/null
-  cmp build/${sweep}_j1.jsonl build/${sweep}_j8.jsonl
-done
 
 # Sharded-engine gates (docs/PERFORMANCE.md). The bench loop refreshed
 # BENCH_parallel.json; hold it to the schema and to the 4-thread speedup

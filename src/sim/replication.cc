@@ -4,9 +4,6 @@
 #include <exception>
 #include <thread>
 
-#include "src/trace/trace_writer.h"
-#include "src/util/logging.h"
-
 namespace diffusion {
 
 unsigned ReplicationPool::ResolveJobs(unsigned jobs) {
@@ -69,24 +66,6 @@ void ReplicationPool::Run(size_t count, const std::function<void(size_t)>& task)
   if (cancelled() && executed_.load(std::memory_order_relaxed) < count) {
     throw ReplicationCancelled();
   }
-}
-
-bool MergeTraceBuffers(const std::string& path,
-                       const std::vector<std::unique_ptr<MemoryTraceSink>>& buffers) {
-  TraceWriter writer(path);
-  if (!writer.ok()) {
-    DIFFUSION_LOG(kWarning) << "cannot open trace file " << path << "; merged trace dropped";
-    return false;
-  }
-  for (const auto& buffer : buffers) {
-    if (buffer == nullptr) {
-      continue;
-    }
-    for (const TraceEvent& event : buffer->events()) {
-      writer.OnEvent(event);
-    }
-  }
-  return true;
 }
 
 }  // namespace diffusion

@@ -12,8 +12,8 @@
 //   - each replicate owns a private Simulator/Rng/trace buffer — nothing in
 //     the library is shared across replicates (src/util/logging's level is
 //     the one process-wide knob, and it is atomic);
-//   - buffered per-replicate traces are merged to disk in index order after
-//     the pool joins (MergeTraceBuffers below).
+//   - buffered per-replicate traces are written to disk in index order after
+//     the pool joins (bench::RunReplicates, bench/replicate.h).
 //
 // jobs == 1 runs every replicate inline on the calling thread — exactly the
 // pre-pool serial behavior, no threads spawned.
@@ -24,12 +24,8 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <stdexcept>
-#include <string>
 #include <vector>
-
-#include "src/trace/trace.h"
 
 namespace diffusion {
 
@@ -84,14 +80,6 @@ class ReplicationPool {
   std::atomic<bool> cancelled_{false};
   std::atomic<size_t> executed_{0};
 };
-
-// Appends every buffered event of every non-null sink, in vector order, to a
-// JSONL trace file at `path` (truncating it first). The per-replicate
-// buffers arrive in seed order, so the merged file is byte-identical
-// regardless of how many workers produced them. Returns false (and logs)
-// when the file cannot be opened.
-bool MergeTraceBuffers(const std::string& path,
-                       const std::vector<std::unique_ptr<MemoryTraceSink>>& buffers);
 
 }  // namespace diffusion
 

@@ -12,6 +12,13 @@
 #include "src/testbed/testbed_world.h"
 
 namespace diffusion {
+namespace {
+
+// Per-fragment delivery on the Figure-7 testbed's calibrated disk channel:
+// the residual radio noise of Figures 8 and 9.
+constexpr double kTestbedLinkDelivery = 0.98;
+
+}  // namespace
 
 Fig8Result RunFig8(const Fig8Params& params) {
   const TestbedLayout layout = IsiTestbedLayout();
@@ -30,7 +37,7 @@ Fig8Result RunFig8(const Fig8Params& params) {
     }
     propagation = std::move(shadowed);
   } else {
-    propagation = MakePropagation(layout, params.link_delivery);
+    propagation = MakePropagation(layout, kTestbedLinkDelivery);
   }
   DiffusionConfig dconfig = TestbedDiffusionConfig();
   dconfig.exploratory_every = params.exploratory_every;
@@ -48,7 +55,7 @@ Fig8Result RunFig8(const Fig8Params& params) {
   } else if (params.strategy == AggregationStrategy::kCounting) {
     for (const auto& [id, node] : world.nodes()) {
       counting_filters.push_back(std::make_unique<CountingAggregationFilter>(
-          node.get(), SurveillanceDataFilterAttrs(sconfig), 10, params.counting_window));
+          node.get(), SurveillanceDataFilterAttrs(sconfig), 10, kCountingWindow));
     }
   }
 
@@ -93,6 +100,7 @@ Fig8Result RunFig8(const Fig8Params& params) {
 }
 
 Fig9Result RunFig9(const Fig9Params& params) {
+  constexpr SimDuration kWarmup = 60 * kSecond;
   const TestbedLayout layout = IsiTestbedLayout();
   // Audio and trigger publications are sparse (a few messages per minute):
   // their nodes run frequent exploratory rounds and a long reinforcement
@@ -106,7 +114,7 @@ Fig9Result RunFig9(const Fig9Params& params) {
   const RadioConfig rconfig = TestbedRadioConfig();
   const NodeId* const lights_end = kIsiLightNodes + params.lights;
   TestbedWorld world(
-      params.seed, layout, MakePropagation(layout, params.link_delivery),
+      params.seed, layout, MakePropagation(layout, kTestbedLinkDelivery),
       [&](NodeId id) {
         const bool is_light = std::find(kIsiLightNodes, lights_end, id) != lights_end;
         return NodeOptions{.diffusion = is_light ? light_config : sparse_config,
@@ -131,15 +139,15 @@ Fig9Result RunFig9(const Fig9Params& params) {
     light->Start();
   }
 
-  sim.RunUntil(params.warmup);
+  sim.RunUntil(kWarmup);
   const uint64_t bytes_at_warmup = world.TotalDiffusionBytes();
-  sim.RunUntil(params.warmup + params.duration);
+  sim.RunUntil(kWarmup + params.duration);
 
   // Count light-change events whose toggle epoch falls inside the window.
   const int32_t begin_epoch =
-      static_cast<int32_t>((params.warmup + nconfig.toggle_period - 1) / nconfig.toggle_period);
+      static_cast<int32_t>((kWarmup + nconfig.toggle_period - 1) / nconfig.toggle_period);
   const int32_t end_epoch =
-      static_cast<int32_t>((params.warmup + params.duration) / nconfig.toggle_period);
+      static_cast<int32_t>((kWarmup + params.duration) / nconfig.toggle_period);
 
   Fig9Result result;
   result.possible_events =
@@ -153,12 +161,16 @@ Fig9Result RunFig9(const Fig9Params& params) {
 }
 
 ScaleResult RunScaleExperiment(const ScaleParams& params) {
+  constexpr size_t kSinks = 5;
+  constexpr size_t kMessageBytes = 64;
+  constexpr double kRadioRange = 22.0;
+  constexpr SimDuration kWarmup = 30 * kSecond;
   // Draw random layouts until connected.
   TestbedLayout layout;
   Rng layout_rng(params.seed * 7919 + 3);
   for (int attempt = 0; attempt < 64; ++attempt) {
-    layout = RandomLayout(params.nodes, params.field_size, params.field_size,
-                          params.radio_range, &layout_rng);
+    layout = RandomLayout(params.nodes, params.field_size, params.field_size, kRadioRange,
+                          &layout_rng);
     bool connected = true;
     for (NodeId id : layout.node_ids) {
       if (HopDistance(layout, layout.node_ids.front(), id) < 0) {
@@ -174,14 +186,14 @@ ScaleResult RunScaleExperiment(const ScaleParams& params) {
   DiffusionConfig dconfig;
   dconfig.exploratory_every = params.exploratory_every;
   RadioConfig rconfig = SimulationRadioConfig();
-  rconfig.fragment_payload = params.message_bytes;
+  rconfig.fragment_payload = kMessageBytes;
   TestbedWorld world(params.seed, layout, MakePropagation(layout, 0.98),
                      NodeOptions{.diffusion = dconfig, .radio = rconfig}, params.trace_sink);
   Simulator& sim = world.sim();
 
   SurveillanceConfig sconfig;
   sconfig.event_interval = params.event_interval;
-  sconfig.message_bytes = params.message_bytes;
+  sconfig.message_bytes = kMessageBytes;
   if (params.suppression) {
     world.SuppressDuplicates(sconfig);
   }
@@ -193,12 +205,11 @@ ScaleResult RunScaleExperiment(const ScaleParams& params) {
     std::swap(shuffled[i - 1],
               shuffled[static_cast<size_t>(pick_rng.NextInt(0, static_cast<int64_t>(i) - 1))]);
   }
-  // `nodes` comes from the command line and may be below sources + sinks:
-  // keep at least one node for the sinks and never slice past the layout.
+  // `nodes` may be below sources + sinks: keep at least one node for the
+  // sinks and never slice past the layout.
   const size_t source_count =
       std::min(static_cast<size_t>(std::max(params.sources, 0)), shuffled.size() - 1);
-  const size_t sink_count =
-      std::min(static_cast<size_t>(std::max(params.sinks, 0)), shuffled.size() - source_count);
+  const size_t sink_count = std::min(kSinks, shuffled.size() - source_count);
   const auto sources_end = shuffled.begin() + static_cast<ptrdiff_t>(source_count);
   std::vector<NodeId> source_ids(shuffled.begin(), sources_end);
   std::vector<NodeId> sink_ids(sources_end, sources_end + static_cast<ptrdiff_t>(sink_count));
@@ -227,16 +238,16 @@ ScaleResult RunScaleExperiment(const ScaleParams& params) {
     sim.At(kSourceStart, [&source] { source->Start(); });
   }
 
-  sim.RunUntil(params.warmup);
+  sim.RunUntil(kWarmup);
   const uint64_t bytes_at_warmup = world.TotalDiffusionBytes();
   const size_t events_at_warmup = distinct.size();
-  sim.RunUntil(params.warmup + params.duration);
+  sim.RunUntil(kWarmup + params.duration);
 
   ScaleResult result;
   const uint64_t bytes = world.TotalDiffusionBytes() - bytes_at_warmup;
   result.distinct_events = distinct.size() - events_at_warmup;
-  const size_t possible = PossibleEvents(params.event_interval, params.warmup,
-                                         params.warmup + params.duration);
+  const size_t possible =
+      PossibleEvents(params.event_interval, kWarmup, kWarmup + params.duration);
   result.delivery_rate = Ratio(static_cast<double>(result.distinct_events), possible);
   result.bytes_per_event = Ratio(static_cast<double>(bytes), result.distinct_events);
   result.energy_per_event =
@@ -246,8 +257,13 @@ ScaleResult RunScaleExperiment(const ScaleParams& params) {
 }
 
 GeoResult RunGeoExperiment(const GeoParams& params) {
-  const TestbedLayout layout = GridLayout(params.grid, params.grid, params.spacing,
-                                          params.radio_range);
+  constexpr double kSpacing = 5.0;
+  constexpr double kRadioRange = 7.6;
+  // Corridor inflation. Must admit enough rows of the grid to keep path
+  // redundancy; ~2 row-spacings works well for this geometry.
+  constexpr double kSlack = 11.0;
+  constexpr SimDuration kWarmup = 60 * kSecond;
+  const TestbedLayout layout = GridLayout(params.grid, params.grid, kSpacing, kRadioRange);
   TestbedWorld world(params.seed, layout, MakePropagation(layout, 0.95),
                      NodeOptions{.radio = TestbedRadioConfig()});
   Simulator& sim = world.sim();
@@ -259,8 +275,8 @@ GeoResult RunGeoExperiment(const GeoParams& params) {
 
   SurveillanceConfig sconfig;
   sconfig.use_region = true;
-  sconfig.x_min = static_cast<double>(params.grid - 2) * params.spacing - 1.0;
-  sconfig.x_max = static_cast<double>(params.grid - 1) * params.spacing + 1.0;
+  sconfig.x_min = static_cast<double>(params.grid - 2) * kSpacing - 1.0;
+  sconfig.x_max = static_cast<double>(params.grid - 1) * kSpacing + 1.0;
   sconfig.y_min = -1.0;
   sconfig.y_max = 1.0;
   sconfig.sink_x = 0.0;
@@ -271,7 +287,7 @@ GeoResult RunGeoExperiment(const GeoParams& params) {
   if (params.geo_scope) {
     for (const auto& [id, node] : world.nodes()) {
       geo_filters.push_back(std::make_unique<GeoScopeFilter>(
-          node.get(), layout.positions.at(id), params.slack, 20));
+          node.get(), layout.positions.at(id), kSlack, 20));
     }
   }
 
@@ -287,16 +303,16 @@ GeoResult RunGeoExperiment(const GeoParams& params) {
     src_b.Start();
   });
 
-  sim.RunUntil(params.warmup);
+  sim.RunUntil(kWarmup);
   const uint64_t bytes_at_warmup = world.TotalDiffusionBytes();
   const size_t events_at_warmup = sink.distinct_events();
-  sim.RunUntil(params.warmup + params.duration);
+  sim.RunUntil(kWarmup + params.duration);
 
   GeoResult result;
   const uint64_t bytes = world.TotalDiffusionBytes() - bytes_at_warmup;
   const size_t events = sink.distinct_events() - events_at_warmup;
-  const size_t possible = PossibleEvents(sconfig.event_interval, params.warmup,
-                                         params.warmup + params.duration);
+  const size_t possible =
+      PossibleEvents(sconfig.event_interval, kWarmup, kWarmup + params.duration);
   result.bytes_per_event = Ratio(static_cast<double>(bytes), events);
   result.delivery_rate = Ratio(static_cast<double>(events), possible);
   for (const auto& filter : geo_filters) {

@@ -31,14 +31,15 @@ enum class AggregationStrategy {
   kCounting,
 };
 
+// AggregationStrategy::kCounting's hold window (§3.3).
+constexpr SimDuration kCountingWindow = 2 * kSecond;
+
 struct Fig8Params {
   int sources = 4;           // 1..4; uses the Figure-7 source nodes in order
   AggregationStrategy strategy = AggregationStrategy::kSuppression;
-  SimDuration counting_window = 2 * kSecond;
   SimDuration duration = 30 * kMinute;
   SimDuration warmup = 60 * kSecond;
   uint64_t seed = 1;
-  double link_delivery = 0.98;
   int exploratory_every = 10;  // 1-in-10 (§6.1)
   DiffusionVariant variant = DiffusionVariant::kTwoPhasePull;
   // Radio duty cycle (1.0 = always-on CSMA, the paper's testbed; lower
@@ -79,13 +80,12 @@ Fig8Result RunFig8(const Fig8Params& params);
 
 // ---- Figure 9: nested vs flat queries on the ISI testbed ----
 
+// Measured after a 60 s warmup.
 struct Fig9Params {
   int lights = 4;  // 1..4; uses the Figure-7 light nodes in order
   QueryMode mode = QueryMode::kNested;
   SimDuration duration = 20 * kMinute;
-  SimDuration warmup = 60 * kSecond;
   uint64_t seed = 1;
-  double link_delivery = 0.98;
   TraceSink* trace_sink = nullptr;  // see Fig8Params::trace_sink
 };
 
@@ -101,22 +101,21 @@ Fig9Result RunFig9(const Fig9Params& params);
 
 // ---- §6.1 scale/ratio ablation (the prior-simulation comparison) ----
 
+// A random field of 1.6 Mb/s radios with a 22 m range, 5 sinks and 64-byte
+// messages, as in the ns simulations §6.1 cites; measured after a 30 s
+// warmup.
 struct ScaleParams {
   size_t nodes = 50;
   int sources = 5;
-  int sinks = 5;
   bool suppression = true;
   // Exploratory-to-data ratio knobs: the testbed ran events every 6 s with
   // 1-in-10 exploratory (ratio 1:10); the earlier simulations ran data every
   // 0.5 s with exploratory every 50 s (ratio 1:100).
   SimDuration event_interval = 500 * kMillisecond;
   int exploratory_every = 100;
-  size_t message_bytes = 64;
   SimDuration duration = 5 * kMinute;
-  SimDuration warmup = 30 * kSecond;
   uint64_t seed = 1;
   double field_size = 100.0;
-  double radio_range = 22.0;
   TraceSink* trace_sink = nullptr;  // see Fig8Params::trace_sink
 };
 
@@ -137,16 +136,13 @@ ScaleResult RunScaleExperiment(const ScaleParams& params);
 
 // ---- Geo-scoped flooding ablation (§4.2 extension) on a grid ----
 
+// A grid at 5 m spacing whose 7.6 m radio range links each node to its four
+// neighbours (the diagonal is just out of range), measured after a 60 s
+// warmup.
 struct GeoParams {
-  size_t grid = 6;        // grid x grid nodes
-  double spacing = 5.0;
-  double radio_range = 7.6;  // 4-connected grid (diagonal just out of range)
+  size_t grid = 6;  // grid x grid nodes
   bool geo_scope = false;
-  // Corridor inflation. Must admit enough rows of the grid to keep path
-  // redundancy; ~2 row-spacings works well for the default geometry.
-  double slack = 11.0;
   SimDuration duration = 10 * kMinute;
-  SimDuration warmup = 60 * kSecond;
   uint64_t seed = 1;
 };
 

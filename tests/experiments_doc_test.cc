@@ -1,11 +1,13 @@
-// EXPERIMENTS.md quotes BENCH_paper.json, and this test keeps the two from
-// drifting apart. Row names sit next to the numbers, in HTML comments that
-// the rendered page does not show:
+// EXPERIMENTS.md quotes BENCH_paper.json and BENCH_fault.json, and this test
+// keeps them from drifting apart. Row names sit next to the numbers, in HTML
+// comments that the rendered page does not show:
 //
 //   1591 ± 86 <!-- row:propagation.disk_bytes_suppressed -->
 //       the number before the comment, within its table cell, reads as the
-//       row at the quoted precision; "mean ± ci" also checks the ci against
-//       NAME_ci95
+//       BENCH_paper.json row at the quoted precision; "mean ± ci" also
+//       checks the ci against NAME_ci95
+//   6.2 s <!-- fault:crash_time_to_repair -->
+//       the same, for a BENCH_fault.json row
 //   ✓ <!-- claim:geo_scope.claim_scoping_cuts_bytes -->
 //       the verdict row reads 1 (0 after a ✗)
 //
@@ -28,6 +30,7 @@ namespace {
 
 const std::string kSourceDir = DIFFUSION_SOURCE_DIR;
 const std::string kRow = "<!-- row:";
+const std::string kFault = "<!-- fault:";
 const std::string kClaim = "<!-- claim:";
 const std::string kCheck = "✓";
 const std::string kCross = "✗";
@@ -107,11 +110,12 @@ size_t Count(const std::string& text, const std::string& needle) {
 
 class ExperimentsDocTest : public testing::Test {
  protected:
-  // Expects `quoted` (thousands separators allowed) to be row `name` rounded
-  // to the decimals `quoted` shows.
-  void ExpectQuoted(std::string quoted, const std::string& name) const {
-    if (!recorded_.Has(name)) {
-      ADD_FAILURE() << "EXPERIMENTS.md quotes " << name << ", which BENCH_paper.json lacks";
+  // Expects `quoted` (thousands separators allowed) to be row `name` of
+  // `file` rounded to the decimals `quoted` shows.
+  static void ExpectQuoted(std::string quoted, const std::string& name,
+                           const bench::RecordedFile& file) {
+    if (!file.Has(name)) {
+      ADD_FAILURE() << "EXPERIMENTS.md quotes " << name << ", which its bench file lacks";
       return;
     }
     std::erase(quoted, ',');
@@ -119,28 +123,31 @@ class ExperimentsDocTest : public testing::Test {
     const int decimals =
         point == std::string::npos ? 0 : static_cast<int>(quoted.size() - point - 1);
     char rounded[64];
-    std::snprintf(rounded, sizeof(rounded), "%.*f", decimals, recorded_.Value(name));
+    std::snprintf(rounded, sizeof(rounded), "%.*f", decimals, file.Value(name));
     EXPECT_EQ(quoted, rounded) << "EXPERIMENTS.md quotes " << name << " as " << quoted;
   }
 
   const std::string doc_ = ReadFile(kSourceDir + "/EXPERIMENTS.md");
   const bench::RecordedFile recorded_{kSourceDir + "/BENCH_paper.json"};
+  const bench::RecordedFile fault_{kSourceDir + "/BENCH_fault.json"};
 };
 
 TEST_F(ExperimentsDocTest, QuotedNumbersReadAsTheirRows) {
-  const std::vector<std::pair<size_t, std::string>> rows = Comments(doc_, kRow);
-  EXPECT_FALSE(rows.empty());
-  for (const auto& [at, name] : rows) {
-    size_t end = at;
-    const std::string quoted = NumberBefore(doc_, &end);
-    if (quoted.empty()) {
-      ADD_FAILURE() << "EXPERIMENTS.md cites " << name << " after no number";
-    } else if (EndsWith(doc_, end, "±")) {
-      ExpectQuoted(quoted, name + "_ci95");
-      end = doc_.rfind("±", end);
-      ExpectQuoted(NumberBefore(doc_, &end), name);
-    } else {
-      ExpectQuoted(quoted, name);
+  for (const auto& [open, file] : {std::pair{kRow, &recorded_}, std::pair{kFault, &fault_}}) {
+    const std::vector<std::pair<size_t, std::string>> rows = Comments(doc_, open);
+    EXPECT_FALSE(rows.empty()) << "EXPERIMENTS.md quotes no " << open << " row";
+    for (const auto& [at, name] : rows) {
+      size_t end = at;
+      const std::string quoted = NumberBefore(doc_, &end);
+      if (quoted.empty()) {
+        ADD_FAILURE() << "EXPERIMENTS.md cites " << name << " after no number";
+      } else if (EndsWith(doc_, end, "±")) {
+        ExpectQuoted(quoted, name + "_ci95", *file);
+        end = doc_.rfind("±", end);
+        ExpectQuoted(NumberBefore(doc_, &end), name, *file);
+      } else {
+        ExpectQuoted(quoted, name, *file);
+      }
     }
   }
 }
@@ -175,7 +182,7 @@ TEST_F(ExperimentsDocTest, EveryCheckInAFoldedSectionCitesAVerdict) {
     EXPECT_NE(section.find(kRow), std::string::npos)
         << heading << ": quotes no BENCH_paper.json row";
   }
-  EXPECT_EQ(folded, 11u);
+  EXPECT_EQ(folded, 14u);
 }
 
 }  // namespace

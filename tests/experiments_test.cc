@@ -86,7 +86,7 @@ TEST(Fig8ExperimentTest, DeliveryInOperationalRange) {
   EXPECT_LE(result.delivery_rate, 1.0);
 }
 
-// The paper's shape on the cells bench/fig9_nested_queries reports by default
+// The paper's shape on the cells paper_claims' fig9 section reports
 // (three 20-minute runs, seeds 2000-2002): one run is a single draw of the
 // hidden-terminal losses, so the comparison is on the mean.
 TEST(Fig9ExperimentTest, NestedBeatsFlatWithFourSensors) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -226,6 +227,47 @@ TEST(ReplicationIntegrationTest, Fig8ReplicatesDeterministicAcrossJobs) {
   const std::string serial_bytes = FileBytes(serial_path);
   EXPECT_FALSE(serial_bytes.empty());
   EXPECT_EQ(serial_bytes, FileBytes(parallel_path));
+}
+
+// The merged trace of `count` traced replicates of `run`, at `jobs` workers.
+template <typename Result>
+std::string MergedTrace(unsigned jobs, size_t count, const std::string& name,
+                        const std::function<Result(size_t, TraceSink*)>& run) {
+  const std::string path = testing::TempDir() + "/" + name + "_j" + std::to_string(jobs) + ".jsonl";
+  bench::RunReplicates<Result>(jobs, count, path, [](size_t) { return true; }, run);
+  return FileBytes(path);
+}
+
+// Figure 9's nested, flat and triggered queries, traced.
+TEST(ReplicationIntegrationTest, Fig9TracesDeterministicAcrossJobs) {
+  const std::function<Fig9Result(size_t, TraceSink*)> run = [](size_t i, TraceSink* sink) {
+    Fig9Params params;
+    params.lights = 2;
+    const QueryMode modes[] = {QueryMode::kNested, QueryMode::kFlat, QueryMode::kFlatTriggered};
+    params.mode = modes[i % 3];
+    params.duration = 60 * kSecond;
+    params.seed = 2000 + i;
+    params.trace_sink = sink;
+    return RunFig9(params);
+  };
+  const std::string serial = MergedTrace(1, 4, "fig9", run);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, MergedTrace(4, 4, "fig9", run));
+}
+
+// The scalability sweep's random fields, traced.
+TEST(ReplicationIntegrationTest, ScaleTracesDeterministicAcrossJobs) {
+  const std::function<ScaleResult(size_t, TraceSink*)> run = [](size_t i, TraceSink* sink) {
+    ScaleParams params;
+    params.nodes = 30 + 10 * i;
+    params.duration = 30 * kSecond;
+    params.seed = 5000 + i;
+    params.trace_sink = sink;
+    return RunScaleExperiment(params);
+  };
+  const std::string serial = MergedTrace(1, 4, "scale", run);
+  EXPECT_FALSE(serial.empty());
+  EXPECT_EQ(serial, MergedTrace(4, 4, "scale", run));
 }
 
 }  // namespace

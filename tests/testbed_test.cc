@@ -1,9 +1,7 @@
-// Tests for the testbed layouts, the experiment harness, and the §6.1
-// analytic traffic model.
+// Tests for the testbed layouts and the §6.1 analytic traffic model.
 
 #include <gtest/gtest.h>
 
-#include "src/testbed/harness.h"
 #include "src/testbed/topology.h"
 #include "src/testbed/traffic_model.h"
 
@@ -83,16 +81,6 @@ TEST(LayoutBuildersTest, RandomLayoutInBounds) {
     EXPECT_GE(position.y, 0.0);
     EXPECT_LE(position.y, 60.0);
   }
-}
-
-TEST(HarnessTest, FormatWithCI) {
-  RunningStat stat;
-  stat.Add(10.0);
-  stat.Add(12.0);
-  stat.Add(14.0);
-  const std::string text = FormatWithCI(stat, 1);
-  EXPECT_NE(text.find("12.0"), std::string::npos);
-  EXPECT_NE(text.find("±"), std::string::npos);
 }
 
 // ---- §6.1 traffic model ----
