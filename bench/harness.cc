@@ -18,15 +18,14 @@ namespace {
 constexpr char kBenchJsonSchema[] = "diffusion-bench-v1";
 
 // Stores `text` in `target` when all of it reads as a T that is finite and
-// in [minimum, maximum]; false otherwise.
+// no less than `minimum`; false otherwise.
 template <typename T>
-bool StoreNumber(const std::string& text, double minimum, double maximum, T* target) {
+bool StoreNumber(const std::string& text, double minimum, T* target) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
   const double number = static_cast<double>(value);
-  if (error != std::errc() || stop != end || !(number >= minimum) || !(number <= maximum) ||
-      !std::isfinite(number)) {
+  if (error != std::errc() || stop != end || !(number >= minimum) || !std::isfinite(number)) {
     return false;
   }
   *target = value;
@@ -68,17 +67,14 @@ std::string ParseArgument(const std::string& arg, const std::vector<Flag>& flags
   }
   const std::string minimum = FormatValue(flag->minimum);
   if (int* const* target = std::get_if<int*>(&flag->value)) {
-    const double maximum = std::min<double>(flag->maximum, INT_MAX);
-    return StoreNumber(text, flag->minimum, maximum, *target)
+    return StoreNumber(text, flag->minimum, *target)
                ? ""
-               : arg + ": not a whole number in [" + minimum + ", " + FormatValue(maximum) + "]";
+               : arg + ": not a whole number in [" + minimum + ", " + std::to_string(INT_MAX) +
+                     "]";
   }
-  const std::string range = std::isinf(flag->maximum)
-                                ? ">= " + minimum
-                                : "in [" + minimum + ", " + FormatValue(flag->maximum) + "]";
-  return StoreNumber(text, flag->minimum, flag->maximum, std::get<double*>(flag->value))
+  return StoreNumber(text, flag->minimum, std::get<double*>(flag->value))
              ? ""
-             : arg + ": not a finite number " + range;
+             : arg + ": not a finite number >= " + minimum;
 }
 
 // The usage text: one line per flag with its form, help and default.
@@ -101,9 +97,6 @@ std::string Usage(const std::string& program, const std::vector<Flag>& flags) {
     usage += "  " + form + flag.help;
     if (flag.minimum > 0.0) {
       fallback += ", at least " + FormatValue(flag.minimum);
-    }
-    if (!std::isinf(flag.maximum)) {
-      fallback += ", at most " + FormatValue(flag.maximum);
     }
     usage += fallback.empty() ? "\n" : " (default " + fallback + ")\n";
   }
@@ -271,8 +264,6 @@ RecordedFile::RecordedFile(const std::string& path) : path_(path) {
     Fail(path + ": " + error);
   }
 }
-
-bool RecordedFile::Has(const std::string& name) const { return FindRow(rows_, name) != nullptr; }
 
 double RecordedFile::Value(const std::string& name) const {
   const BenchResult* row = FindRow(rows_, name);

@@ -25,7 +25,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <variant>
 #include <vector>
@@ -37,8 +36,8 @@ namespace bench {
 // value; the variable's value before parsing is the flag's default. The
 // variable's type fixes the form the flag takes:
 //   bool         --name       a switch; it takes no value
-//   int          --name=N     a whole number in [minimum, min(maximum, INT_MAX)]
-//   double       --name=X     a finite number in [minimum, maximum]
+//   int          --name=N     a whole number in [minimum, INT_MAX]
+//   double       --name=X     a finite number no less than minimum
 //   std::string  --name=TEXT  any text, the empty text included
 struct Flag {
   const char* name;
@@ -47,9 +46,6 @@ struct Flag {
   // The smallest value a number flag takes: a count that must be at least
   // one says so here, and ParseFlags refuses anything below it.
   double minimum = 0.0;
-  // The largest value a number flag takes, where the code it feeds has a
-  // ceiling; ParseFlags refuses anything above it.
-  double maximum = std::numeric_limits<double>::infinity();
 };
 
 // Parses argv[1..argc) against `flags`, storing each value in its variable.
@@ -105,8 +101,6 @@ class RecordedFile {
   // "diffusion-bench-v1", a non-empty "bench" name is present, and "results"
   // holds at least one row, each with a name, a unit and a finite value.
   explicit RecordedFile(const std::string& path);
-
-  bool Has(const std::string& name) const;
 
   // The recorded value of row `name`; exits with status 1 when there is none.
   double Value(const std::string& name) const;

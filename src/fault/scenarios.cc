@@ -1,7 +1,5 @@
 #include "src/fault/scenarios.h"
 
-#include <algorithm>
-#include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,42 +20,20 @@ namespace {
 const std::vector<NodeId> kPartitionSourceSide = {11, 13, 16, 22, 25, 20};
 const std::vector<NodeId> kPartitionSinkSide = {17, 37, 18, 21, 24, 28, 33, 39};
 
-}  // namespace
+constexpr double kLinkDelivery = 0.98;     // baseline per-link delivery probability
+constexpr double kDegradeDelivery = 0.25;  // per-link cap during the degrade window
+constexpr SimTime kWarmup = 60 * kSecond;  // measurement starts here
+constexpr SimTime kFaultAt = 4 * kMinute;  // crash instant / degrade & partition onset
+constexpr SimTime kHealAt = 7 * kMinute;   // degrade & partition end (unused by crash)
+constexpr SimTime kEndAt = 11 * kMinute;
+constexpr SimDuration kStaleSampleAfter = 30 * kSecond;  // kFaultAt + this: stale-gradient probe
 
-const char* FaultScenarioName(FaultScenario scenario) {
-  switch (scenario) {
-    case FaultScenario::kCrash:
-      return "crash";
-    case FaultScenario::kDegrade:
-      return "degrade";
-    case FaultScenario::kPartition:
-      return "partition";
-  }
-  return "unknown";
-}
-
-bool FaultScenarioFromName(const std::string& name, FaultScenario* scenario) {
-  if (name == "crash") {
-    *scenario = FaultScenario::kCrash;
-    return true;
-  }
-  if (name == "degrade") {
-    *scenario = FaultScenario::kDegrade;
-    return true;
-  }
-  if (name == "partition") {
-    *scenario = FaultScenario::kPartition;
-    return true;
-  }
-  return false;
-}
-
-FaultPlan BuiltinScenarioPlan(const FaultScenarioParams& params) {
+FaultPlan BuiltinScenarioPlan(FaultScenario scenario) {
   FaultPlan plan;
-  switch (params.scenario) {
+  switch (scenario) {
     case FaultScenario::kCrash: {
       FaultEvent crash;
-      crash.at = params.fault_at;
+      crash.at = kFaultAt;
       crash.kind = FaultEventKind::kCrashHottestRelay;
       // Never kill the sink, an active source, or bridge node 20 — 20 is a
       // cut vertex of the layout, and killing it tests partition behavior,
@@ -72,26 +48,26 @@ FaultPlan BuiltinScenarioPlan(const FaultScenarioParams& params) {
     }
     case FaultScenario::kDegrade: {
       FaultEvent degrade;
-      degrade.at = params.fault_at;
+      degrade.at = kFaultAt;
       degrade.kind = FaultEventKind::kNodeDegrade;
       degrade.node = kIsiAudioNode;  // 20: every source->sink path crosses it
-      degrade.delivery = params.degrade_delivery;
+      degrade.delivery = kDegradeDelivery;
       plan.events.push_back(degrade);
       FaultEvent heal;
-      heal.at = params.heal_at;
+      heal.at = kHealAt;
       heal.kind = FaultEventKind::kHeal;
       plan.events.push_back(heal);
       break;
     }
     case FaultScenario::kPartition: {
       FaultEvent split;
-      split.at = params.fault_at;
+      split.at = kFaultAt;
       split.kind = FaultEventKind::kPartition;
       split.group_a = kPartitionSourceSide;
       split.group_b = kPartitionSinkSide;
       plan.events.push_back(split);
       FaultEvent heal;
-      heal.at = params.heal_at;
+      heal.at = kHealAt;
       heal.kind = FaultEventKind::kHeal;
       plan.events.push_back(heal);
       break;
@@ -100,13 +76,27 @@ FaultPlan BuiltinScenarioPlan(const FaultScenarioParams& params) {
   return plan;
 }
 
+}  // namespace
+
+const char* FaultScenarioName(FaultScenario scenario) {
+  switch (scenario) {
+    case FaultScenario::kCrash:
+      return "crash";
+    case FaultScenario::kDegrade:
+      return "degrade";
+    case FaultScenario::kPartition:
+      return "partition";
+  }
+  return "unknown";
+}
+
 FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
   RecoveryObserver observer(kIsiSinkNode);
   TeeTraceSink tee(params.trace_sink, &observer);
 
   const TestbedLayout layout = IsiTestbedLayout();
   auto overlay =
-      std::make_unique<FaultOverlayPropagation>(MakePropagation(layout, params.link_delivery));
+      std::make_unique<FaultOverlayPropagation>(MakePropagation(layout, kLinkDelivery));
   FaultOverlayPropagation* overlay_ptr = overlay.get();
   const DiffusionConfig dconfig = TestbedDiffusionConfig();
   TestbedWorld world(params.seed, layout, std::move(overlay),
@@ -137,45 +127,23 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
         }
       });
 
-  std::vector<std::unique_ptr<SurveillanceSource>> sources;
-  const int source_count = std::min(std::max(params.sources, 1), 4);
-  for (int i = 0; i < source_count; ++i) {
-    const NodeId id = kIsiSourceNodes[i];
-    sources.push_back(
-        std::make_unique<SurveillanceSource>(world.node(id), sconfig, static_cast<int32_t>(id)));
-  }
-  for (auto& source : sources) {
-    sim.At(kSourceStart, [&source] { source->Start(); });
-  }
-
-  // The built-in plan, or the caller's override.
-  FaultPlan plan;
-  if (!params.plan_json.empty()) {
-    std::string error;
-    std::optional<FaultPlan> parsed = ParseFaultPlan(params.plan_json, &error);
-    if (!parsed.has_value()) {
-      std::cerr << "error: bad fault plan: " << error << "\n";
-      return FaultScenarioResult{};
-    }
-    plan = std::move(*parsed);
-  } else {
-    plan = BuiltinScenarioPlan(params);
-  }
+  const NodeId source_id = kIsiSourceNodes[0];
+  SurveillanceSource source(world.node(source_id), sconfig, static_cast<int32_t>(source_id));
+  sim.At(kSourceStart, [&source] { source.Start(); });
 
   // Repair is measured from the instant connectivity can return: the crash
   // itself (alternates exist throughout) or the heal (degrade/partition).
-  const SimTime repair_ref =
-      params.scenario == FaultScenario::kCrash ? params.fault_at : params.heal_at;
+  const SimTime repair_ref = params.scenario == FaultScenario::kCrash ? kFaultAt : kHealAt;
   sim.At(repair_ref, [&observer, repair_ref] { observer.MarkFault(repair_ref); });
   // MarkFault is scheduled before the plan: same-time events run in insertion
   // order, so the mark is in place when a fault lands at repair_ref.
-  injector.Schedule(plan);
+  injector.Schedule(BuiltinScenarioPlan(params.scenario));
 
   uint64_t stale_gradients = 0;
-  sim.At(params.fault_at + params.stale_sample_after,
+  sim.At(kFaultAt + kStaleSampleAfter,
          [&injector, &stale_gradients] { stale_gradients = injector.CountStaleGradients(); });
 
-  sim.RunUntil(params.end_at);
+  sim.RunUntil(kEndAt);
 
   // Window accounting over generated event sequences: "delivered" means the
   // first copy reached the sink at any later point.
@@ -208,16 +176,15 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
   if (params.scenario == FaultScenario::kCrash) {
     outage_end = result.time_to_repair_s >= 0.0
                      ? repair_ref + SecondsToDuration(result.time_to_repair_s)
-                     : params.end_at;
+                     : kEndAt;
   } else {
-    outage_end = params.heal_at;
+    outage_end = kHealAt;
   }
-  const SimTime post_start =
-      params.scenario == FaultScenario::kCrash ? outage_end : params.heal_at;
-  const SimTime post_end = params.end_at - 30 * kSecond;  // grace for in-flight events
+  const SimTime post_start = params.scenario == FaultScenario::kCrash ? outage_end : kHealAt;
+  const SimTime post_end = kEndAt - 30 * kSecond;  // grace for in-flight events
 
-  result.delivery_pre = window(params.warmup, params.fault_at).rate();
-  const WindowDelivery during = window(params.fault_at, outage_end);
+  result.delivery_pre = window(kWarmup, kFaultAt).rate();
+  const WindowDelivery during = window(kFaultAt, outage_end);
   result.delivery_during = during.rate();
   result.events_lost_during_outage = during.possible - during.delivered;
   result.delivery_post = window(post_start, post_end).rate();

@@ -1,54 +1,41 @@
 // Canned fault-recovery scenarios over the ISI testbed (Figure 7).
 //
-// Each scenario runs the §6.1 surveillance workload on the 14-node layout,
-// lets the network settle, injects a fault mid-run, and measures how the
-// paper's soft-state machinery repairs delivery with no dedicated recovery
-// protocol. The expectation being tested: time-to-repair is bounded by the
-// periodic re-excitation the protocol already pays for — the next exploratory
-// flood (every exploratory_every-th event) or interest refresh (every
-// interest_refresh), i.e. well under 2x the refresh period.
+// Each scenario runs the §6.1 surveillance workload on the 14-node layout
+// (sink 28, one source at node 25, 98% per-link delivery), lets the network
+// settle for 60 s, injects a fault at 4 min, and measures until 11 min how
+// the paper's soft-state machinery repairs delivery with no dedicated
+// recovery protocol. The expectation being tested: time-to-repair is bounded
+// by the periodic re-excitation the protocol already pays for — the next
+// exploratory flood (every exploratory_every-th event) or interest refresh
+// (every interest_refresh), i.e. well under 2x the refresh period.
 //
 //   crash      kill the busiest alive relay on the reinforced path (sink,
 //              sources and cut-vertex 20 excluded, so alternates exist);
 //              repair is measured from the crash instant
 //   degrade    cap every link through relay 20 — the bridge all
-//              source-to-sink traffic crosses — at a low delivery
-//              probability, then heal; repair is measured from the heal
+//              source-to-sink traffic crosses — at 25% delivery, then heal
+//              at 7 min; repair is measured from the heal
 //   partition  sever the source cluster {11,13,16,22,25,20} from the sink
-//              side, then heal; repair is measured from the heal
+//              side, then heal at 7 min; repair is measured from the heal
+//
+// A custom plan runs through the library directly: ParseFaultPlan and
+// FaultInjector::Schedule (src/fault/fault_plan.h, fault_injector.h).
 
 #ifndef SRC_FAULT_SCENARIOS_H_
 #define SRC_FAULT_SCENARIOS_H_
 
-#include <string>
-
 #include "src/fault/fault_plan.h"
 #include "src/trace/trace.h"
-#include "src/util/time.h"
 
 namespace diffusion {
 
 enum class FaultScenario { kCrash, kDegrade, kPartition };
 
 const char* FaultScenarioName(FaultScenario scenario);
-bool FaultScenarioFromName(const std::string& name, FaultScenario* scenario);
 
 struct FaultScenarioParams {
   FaultScenario scenario = FaultScenario::kCrash;
   uint64_t seed = 1;
-  int sources = 1;               // 1..4 of Figure 7's source nodes
-  double link_delivery = 0.98;   // baseline per-link delivery probability
-  double degrade_delivery = 0.25;  // per-link cap during the degrade window
-
-  SimTime warmup = 60 * kSecond;   // measurement starts here
-  SimTime fault_at = 4 * kMinute;  // crash instant / degrade & partition onset
-  SimTime heal_at = 7 * kMinute;   // degrade & partition end (unused by crash)
-  SimTime end_at = 11 * kMinute;
-  SimDuration stale_sample_after = 30 * kSecond;  // fault_at + this -> stale-gradient probe
-
-  // When non-empty, this diffusion-fault-plan-v1 JSON replaces the built-in
-  // plan; `scenario` then only chooses the repair reference point.
-  std::string plan_json;
 
   // Borrowed flight-recorder sink (null = untraced; the replication harness
   // injects a private per-replicate buffer); must outlive the run.
@@ -78,17 +65,14 @@ struct FaultScenarioResult {
   uint64_t reinforcements_after_fault = 0;
   uint64_t negative_reinforcements_after_fault = 0;
 
-  // Gradients still pointing at dead nodes, sampled stale_sample_after past
-  // the fault (nonzero only while crash damage has not aged out).
+  // Gradients still pointing at dead nodes, sampled 30 s past the fault
+  // (nonzero only while crash damage has not aged out).
   uint64_t stale_gradients_at_sample = 0;
 
   uint64_t deliveries_total = 0;  // every data arrival at the sink
 };
 
-// Returns the built-in plan `params` would run (for printing/export).
-FaultPlan BuiltinScenarioPlan(const FaultScenarioParams& params);
-
-// Runs one scenario to completion. Deterministic per (seed, plan): repeated
+// Runs one scenario to completion. Deterministic per (scenario, seed): repeated
 // runs produce identical results field-for-field.
 FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params);
 

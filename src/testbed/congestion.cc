@@ -16,36 +16,10 @@ namespace {
 // Well-behaved source ids stay below this; the flooder stamps its events
 // above it so the sink can attribute arrivals without ambiguity.
 constexpr int32_t kFlooderSourceId = 999;
+constexpr SimDuration kFlooderInterval = 250 * kMillisecond;
+constexpr double kLinkDelivery = 0.98;  // per-link delivery probability
 
 }  // namespace
-
-const char* CongestionScenarioName(CongestionScenario scenario) {
-  switch (scenario) {
-    case CongestionScenario::kLoadSweep:
-      return "load_sweep";
-    case CongestionScenario::kFlooder:
-      return "flooder";
-    case CongestionScenario::kFairness:
-      return "fairness";
-  }
-  return "unknown";
-}
-
-bool CongestionScenarioFromName(const std::string& name, CongestionScenario* scenario) {
-  if (name == "load_sweep") {
-    *scenario = CongestionScenario::kLoadSweep;
-    return true;
-  }
-  if (name == "flooder") {
-    *scenario = CongestionScenario::kFlooder;
-    return true;
-  }
-  if (name == "fairness") {
-    *scenario = CongestionScenario::kFairness;
-    return true;
-  }
-  return false;
-}
 
 TrafficPolicy ReferenceShapingPolicy() {
   TrafficPolicy policy;
@@ -72,7 +46,7 @@ TrafficPolicy ReferenceShapingPolicy() {
 
 CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
   const TestbedLayout layout = IsiTestbedLayout();
-  TestbedWorld world(params.seed, layout, MakePropagation(layout, params.link_delivery),
+  TestbedWorld world(params.seed, layout, MakePropagation(layout, kLinkDelivery),
                      NodeOptions{.diffusion = TestbedDiffusionConfig(),
                                  .radio = TestbedRadioConfig(),
                                  .traffic = params.policy},
@@ -144,7 +118,7 @@ CongestionRunResult RunCongestionScenario(const CongestionRunParams& params) {
   std::unique_ptr<SurveillanceSource> flooder;
   if (params.flooder) {
     SurveillanceConfig flood_config = sconfig;
-    flood_config.event_interval = params.flooder_interval;
+    flood_config.event_interval = kFlooderInterval;
     flooder = std::make_unique<SurveillanceSource>(world.node(kIsiSourceNodes[0]), flood_config,
                                                    kFlooderSourceId);
   }

@@ -14,24 +14,17 @@
 //               report the min/max delivery spread between them
 //
 // Every run is deterministic per (seed, params): a scenario is one
-// simulation, so bench/congestion_sweep.cc can fan replicates out over
-// --jobs with byte-identical output.
+// simulation, so bench/paper_claims.cc's congestion section can fan its runs
+// out over --jobs with byte-identical output.
 
 #ifndef SRC_TESTBED_CONGESTION_H_
 #define SRC_TESTBED_CONGESTION_H_
-
-#include <string>
 
 #include "src/core/traffic_policy.h"
 #include "src/trace/trace.h"
 #include "src/util/time.h"
 
 namespace diffusion {
-
-enum class CongestionScenario { kLoadSweep, kFlooder, kFairness };
-
-const char* CongestionScenarioName(CongestionScenario scenario);
-bool CongestionScenarioFromName(const std::string& name, CongestionScenario* scenario);
 
 // The shaping configuration the congestion suite holds up against "off":
 // both TrafficPolicy layers on (B1 jitter, B3 data and refresh buckets),
@@ -55,17 +48,16 @@ struct CongestionRunParams {
   TrafficPolicy policy{};
 
   // Adversary: the first Figure 7 source node turns hostile and publishes
-  // matching data every `flooder_interval` instead of participating in the
-  // workload (well-behaved sources then come from the remaining three).
+  // matching data every 250 ms (~24x the agreed rate) instead of
+  // participating in the workload (well-behaved sources then come from the
+  // remaining three).
   bool flooder = false;
-  SimDuration flooder_interval = 250 * kMillisecond;
 
   // Fairness probe: user node 39 subscribes alongside sink 28.
   bool second_sink = false;
 
   SimTime warmup = 60 * kSecond;  // measurement starts here
   SimTime end_at = 6 * kMinute;
-  double link_delivery = 0.98;  // per-link delivery probability
 
   // Borrowed flight-recorder sink (null = untraced; the replication harness
   // injects a private per-replicate buffer); must outlive the run.

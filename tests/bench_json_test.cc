@@ -44,8 +44,6 @@ void Load(const std::string& path) { static_cast<void>(RecordedFile(path)); }
 TEST(BenchJsonTest, ValidatesWhatBenchJsonWrites) {
   const RecordedFile file(WriteTemp("good", BenchJson("demo", kRows)));
   EXPECT_EQ(file.Value("delivery"), 87.5);
-  EXPECT_TRUE(file.Has("events"));
-  EXPECT_FALSE(file.Has("absent"));
   EXPECT_EXIT(file.Value("absent"), testing::ExitedWithCode(1), "FAIL: .* records no absent");
 }
 
@@ -174,7 +172,6 @@ TEST(BenchJsonTest, SpreadOfIsMinMedianMax) {
 struct DemoFlags {
   int runs = 3;
   int minutes = 20;
-  int sources = 1;
   double require_speedup = 0.0;
   double bound = 0.5;
   std::string out = "BENCH_demo.json";
@@ -184,7 +181,6 @@ struct DemoFlags {
   std::vector<Flag> Table() {
     return {{"runs", &runs, "replicates"},
             {"minutes", &minutes, "simulated minutes", 1},
-            {"sources", &sources, "active sources", 1, 4},
             {"require-speedup", &require_speedup, "ratchet"},
             {"bound", &bound, "a fraction", 0.25},
             {"out", &out, "output path"},
@@ -287,24 +283,12 @@ TEST(BenchFlagsTest, RefusesANumberBelowItsMinimum) {
   EXPECT_EQ(flags.bound, 0.25);
 }
 
-// A count the code it feeds clamps declares its maximum, so a value past it
-// is refused instead of run as a smaller one.
-TEST(BenchFlagsTest, RefusesANumberAboveItsMaximum) {
-  for (const char* arg : {"--sources=5", "--sources=0"}) {
-    ExpectRefused({arg}, "--sources=.*: not a whole number in \\[1, 4\\]");
-  }
-  DemoFlags flags;
-  Parse({"--sources=4"}, &flags);
-  EXPECT_EQ(flags.sources, 4);
-}
-
 TEST(BenchFlagsTest, UsageListsEveryFlagWithItsDefault) {
   DemoFlags flags;
   EXPECT_EXIT(Parse({"--help"}, &flags), testing::ExitedWithCode(2),
               "usage: demo_bench \\[flags\\]\n"
               "  --runs=N +replicates \\(default 3\\)\n"
               "  --minutes=N +simulated minutes \\(default 20, at least 1\\)\n"
-              "  --sources=N +active sources \\(default 1, at least 1, at most 4\\)\n"
               "  --require-speedup=X +ratchet \\(default 0\\)\n"
               "  --bound=X +a fraction \\(default 0.5, at least 0.25\\)\n"
               "  --out=TEXT +output path \\(default BENCH_demo.json\\)\n"

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/replicate.h"
+#include "src/fault/scenarios.h"
 #include "src/sim/replication.h"
 #include "src/testbed/experiments.h"
 #include "src/trace/trace.h"
@@ -268,6 +269,36 @@ TEST(ReplicationIntegrationTest, ScaleTracesDeterministicAcrossJobs) {
   const std::string serial = MergedTrace(1, 4, "scale", run);
   EXPECT_FALSE(serial.empty());
   EXPECT_EQ(serial, MergedTrace(4, 4, "scale", run));
+}
+
+// The fault scenarios fanned out as paper_claims runs them, the first (the
+// crash) traced: its JSONL is the record that explains the outage, so it
+// holds the one injected fault, which crashes relay 17 at 4 min.
+TEST(ReplicationIntegrationTest, FaultCrashTraceDeterministicAcrossJobs) {
+  const auto trace = [](unsigned jobs) {
+    const std::string path =
+        testing::TempDir() + "/fault_crash_j" + std::to_string(jobs) + ".jsonl";
+    bench::RunReplicates<FaultScenarioResult>(
+        jobs, 3, path, nullptr, [](size_t i, TraceSink* sink) {
+          const FaultScenario scenarios[] = {FaultScenario::kCrash, FaultScenario::kDegrade,
+                                             FaultScenario::kPartition};
+          FaultScenarioParams params;
+          params.scenario = scenarios[i];
+          params.trace_sink = sink;
+          return RunFaultScenario(params);
+        });
+    return FileBytes(path);
+  };
+  const std::string serial = trace(1);
+  EXPECT_EQ(serial, trace(4));
+  size_t faults = 0;
+  for (size_t at = serial.find("\"kind\":\"fault_injected\""); at != std::string::npos;
+       at = serial.find("\"kind\":\"fault_injected\"", at + 1)) {
+    ++faults;
+  }
+  EXPECT_EQ(faults, 1u);
+  EXPECT_NE(serial.find("{\"t\":240000000,\"kind\":\"fault_injected\",\"node\":17,"),
+            std::string::npos);
 }
 
 }  // namespace
