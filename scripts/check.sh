@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification pipeline: hygiene, configure, build, test, run every
-# benchmark.
+# benchmark. The committed BENCH_*.json files are only checked, never
+# rewritten; fresh bench output lands in build/bench-out/.
 #
 #   scripts/check.sh            full pipeline (includes the diffusion-lint gate)
 #   scripts/check.sh --lint     just diffusion-lint over src/bench/tests/examples
@@ -157,65 +158,64 @@ run_analyze
 
 ctest --test-dir build --output-on-failure
 note_ran tests
-# The bench targets by name: a reused build tree can still hold the binaries
-# of bench targets that no longer exist.
-for b in paper_claims engine_throughput matching_hotpath parallel_scaling; do
-  echo "===== build/bench/$b"
-  "./build/bench/$b"
-done
-
-# The bench loop above re-emitted BENCH_matching.json (refreshing the
-# checked-in artifact); hold it to the diffusion-bench-v1 schema so drift
-# fails here and not in CI. The file carries the million-filter inequality
-# section: the recorded candidate-set reduction must stay at least 10x over
-# the pre-index any-scan baseline.
+# The committed bench files first. Each --check re-runs its bench's
+# deterministic rows and must reproduce every recorded one, so a drifted
+# committed row fails here. paper_claims also exits 1 when one of its four
+# required verdicts (crash repair within its bound, shaping gain >= 2x,
+# 18-minute flooder degradation <= 0.2, two-sink fairness >= 0.6) reads 0
+# (EXPERIMENTS.md, docs/FAULT_INJECTION.md, docs/CONGESTION.md). The matching
+# file's recorded candidate-set reduction must stay at least 10x over the
+# pre-index any-scan baseline, and the parallel file's 4-thread speedup at
+# least 2x (waived when the file was recorded on fewer than 4 hardware
+# threads).
 ./build/bench/matching_hotpath --check=BENCH_matching.json --require-reduction=10
-
-# Engine-throughput gate (docs/PERFORMANCE.md). The bench loop refreshed
-# BENCH_engine.json; hold it to the schema and re-run its deterministic
-# section (event counts, bytes, trace fingerprint), which must reproduce
-# every recorded row.
 ./build/bench/engine_throughput --check=BENCH_engine.json
+./build/bench/paper_claims --check=BENCH_paper.json
+./build/bench/parallel_scaling --check=BENCH_parallel.json --require-speedup=2.0
+
+# Fresh runs go to build/bench-out/, never over the committed files, and
+# each is held to the same schema and gates. The targets are named: a reused
+# build tree can still hold the binaries of bench targets that no longer
+# exist.
+out=build/bench-out
+mkdir -p "${out}"
+./build/bench/matching_hotpath --out="${out}/BENCH_matching.json" --require-reduction=10
+./build/bench/matching_hotpath --check="${out}/BENCH_matching.json" --require-reduction=10
+./build/bench/engine_throughput --out="${out}/BENCH_engine.json"
+./build/bench/engine_throughput --check="${out}/BENCH_engine.json"
 
 # Engine determinism gate: the deterministic section is byte-identical at
 # --jobs=1 and --jobs=8.
 ./build/bench/engine_throughput --deterministic-only --jobs=1 \
-  --out=build/engine_j1.json >/dev/null
+  --out="${out}/engine_j1.json" >/dev/null
 ./build/bench/engine_throughput --deterministic-only --jobs=8 \
-  --out=build/engine_j8.json >/dev/null
-cmp build/engine_j1.json build/engine_j8.json
+  --out="${out}/engine_j8.json" >/dev/null
+cmp "${out}/engine_j1.json" "${out}/engine_j8.json"
 
-# The paper's claims (EXPERIMENTS.md, docs/FAULT_INJECTION.md,
-# docs/CONGESTION.md). The bench loop refreshed BENCH_paper.json; every
-# section re-runs against it, rows and claim verdicts alike, and the four
-# required verdicts (crash repair within its bound, shaping gain >= 2x,
-# 18-minute flooder degradation <= 0.2, two-sink fairness >= 0.6) fail the
-# run when one reads 0. Parallel replication must not change results: the
-# file and the trace of Figure 8's first replicate are byte-identical at
-# --jobs=1 and --jobs=8 (replication_test holds the Figure 9, scaling-sweep
-# and fault-crash traces).
-./build/bench/paper_claims --check=BENCH_paper.json
-./build/bench/paper_claims --jobs=1 --out=build/paper_j1.json \
-  --trace-out=build/fig8_j1.jsonl >/dev/null
-./build/bench/paper_claims --jobs=8 --out=build/paper_j8.json \
-  --trace-out=build/fig8_j8.jsonl >/dev/null
-cmp build/paper_j1.json build/paper_j8.json
-cmp build/fig8_j1.jsonl build/fig8_j8.jsonl
+# Parallel replication must not change results: the file and the trace of
+# Figure 8's first replicate are byte-identical at --jobs=1 and --jobs=8
+# (replication_test holds the Figure 9, scaling-sweep and fault-crash
+# traces).
+./build/bench/paper_claims --jobs=1 --out="${out}/paper_j1.json" \
+  --trace-out="${out}/fig8_j1.jsonl" >/dev/null
+./build/bench/paper_claims --jobs=8 --out="${out}/BENCH_paper.json" \
+  --trace-out="${out}/fig8_j8.jsonl" >/dev/null
+cmp "${out}/paper_j1.json" "${out}/BENCH_paper.json"
+cmp "${out}/fig8_j1.jsonl" "${out}/fig8_j8.jsonl"
 
 # Sharded-engine determinism gate: a single 10k-node run's deterministic
 # section (event counts, bytes, border frames, trace fingerprint) is
 # byte-identical at --threads=1 and --threads=8.
 ./build/bench/parallel_scaling --deterministic-only --threads=1 \
-  --out=build/parallel_t1.json >/dev/null
+  --out="${out}/parallel_t1.json" >/dev/null
 ./build/bench/parallel_scaling --deterministic-only --threads=8 \
-  --out=build/parallel_t8.json >/dev/null
-cmp build/parallel_t1.json build/parallel_t8.json
+  --out="${out}/parallel_t8.json" >/dev/null
+cmp "${out}/parallel_t1.json" "${out}/parallel_t8.json"
 
-# Sharded-engine gates (docs/PERFORMANCE.md). The bench loop refreshed
-# BENCH_parallel.json; hold it to the schema and to the 4-thread speedup
-# ratchet (waived automatically when the file was recorded on fewer than 4
-# hardware threads). It runs after the determinism gates above so a missed
-# ratchet never hides a determinism result.
-./build/bench/parallel_scaling --check=BENCH_parallel.json --require-speedup=2.0
+# Sharded-engine gates (docs/PERFORMANCE.md): the fresh scaling sweep holds
+# the 4-thread speedup ratchet. It runs after the determinism gates above so
+# a missed ratchet never hides a determinism result.
+./build/bench/parallel_scaling --out="${out}/BENCH_parallel.json" --require-speedup=2.0
+./build/bench/parallel_scaling --check="${out}/BENCH_parallel.json" --require-speedup=2.0
 note_ran benches
 echo "ALL CHECKS PASSED"

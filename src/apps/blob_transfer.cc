@@ -20,13 +20,11 @@ AttributeVector BlobBaseInterest(int32_t object_id) {
 
 // ---- BlobSender ----
 
-BlobSender::BlobSender(DiffusionNode* node, int32_t object_id, std::vector<uint8_t> object,
-                       BlobSenderConfig config)
-    : node_(node), object_id_(object_id), config_(config) {
-  const size_t chunk = std::max<size_t>(config_.chunk_bytes, 1);
+BlobSender::BlobSender(DiffusionNode* node, int32_t object_id, std::vector<uint8_t> object)
+    : node_(node), object_id_(object_id) {
   for (size_t offset = 0; offset < object.size() || (object.empty() && offset == 0);
-       offset += chunk) {
-    const size_t end = std::min(object.size(), offset + chunk);
+       offset += kBlobChunkBytes) {
+    const size_t end = std::min(object.size(), offset + kBlobChunkBytes);
     chunks_.emplace_back(object.begin() + offset, object.begin() + end);
     if (object.empty()) {
       break;
@@ -170,7 +168,7 @@ void BlobSender::PumpQueue() {
   SendChunk(index);
   // If the send failed (chunk re-queued), back off harder.
   const bool making_progress = send_queue_.size() <= queue_before;
-  const SimDuration delay = making_progress ? config_.chunk_interval : kSecond;
+  const SimDuration delay = making_progress ? kBlobChunkInterval : kSecond;
   if (!send_queue_.empty()) {
     pump_event_ = node_->simulator().After(delay, [this] { PumpQueue(); });
   }

@@ -49,19 +49,16 @@ enum BlobKey : AttrKey {
 
 inline constexpr char kTypeBlob[] = "blob";
 
-struct BlobSenderConfig {
-  size_t chunk_bytes = 64;
-  // Pacing between chunk transmissions; a burst of dozens of messages would
-  // just queue-drop at the 13 kb/s MAC.
-  SimDuration chunk_interval = 250 * kMillisecond;
-};
+inline constexpr size_t kBlobChunkBytes = 64;
+// Pacing between chunk transmissions; a burst of dozens of messages would
+// just queue-drop at the 13 kb/s MAC.
+inline constexpr SimDuration kBlobChunkInterval = 250 * kMillisecond;
 
 // Offers one object to the network and serves repair interests forever
 // (the object is persistent).
 class BlobSender {
  public:
-  BlobSender(DiffusionNode* node, int32_t object_id, std::vector<uint8_t> object,
-             BlobSenderConfig config = BlobSenderConfig{});
+  BlobSender(DiffusionNode* node, int32_t object_id, std::vector<uint8_t> object);
   ~BlobSender();
 
   BlobSender(const BlobSender&) = delete;
@@ -81,7 +78,6 @@ class BlobSender {
 
   DiffusionNode* node_;
   int32_t object_id_;
-  BlobSenderConfig config_;
   std::vector<std::vector<uint8_t>> chunks_;
   PublicationHandle publication_ = kInvalidHandle;
   FilterHandle interest_filter_ = kInvalidHandle;

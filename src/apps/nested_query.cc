@@ -87,10 +87,8 @@ void LightSensor::Tick() {
   if (node_->Send(publication_, extra) == ApiResult::kOk) {
     ++reports_sent_;
   }
-  SimDuration next = config_.light_report_interval;
-  if (config_.report_jitter > 0) {
-    next += rng_.NextInt(-config_.report_jitter / 2, config_.report_jitter / 2);
-  }
+  const SimDuration next =
+      kLightReportInterval + rng_.NextInt(-kLightReportJitter / 2, kLightReportJitter / 2);
   tick_event_ = node_->simulator().After(next, [this] {
     tick_event_ = kInvalidEventId;
     Tick();

@@ -41,13 +41,15 @@ enum class QueryMode {
   kFlatTriggered,
 };
 
+// A light sensor reports every kLightReportInterval ± kLightReportJitter/2.
+// Real sensors' report clocks drift; exact 2-s ticks would phase-lock with
+// the 60-s interest refreshes and toggle boundaries.
+inline constexpr SimDuration kLightReportInterval = 2 * kSecond;
+inline constexpr SimDuration kLightReportJitter = 400 * kMillisecond;
+
 struct NestedQueryConfig {
-  SimDuration light_report_interval = 2 * kSecond;
   SimDuration toggle_period = 60 * kSecond;  // "every minute on the minute"
   size_t message_bytes = 100;
-  // Real sensors' report clocks drift; exact 2-s ticks would phase-lock with
-  // the 60-s interest refreshes and toggle boundaries.
-  SimDuration report_jitter = 400 * kMillisecond;
 };
 
 // Uniquely identifies one light-change event: which light, which toggle

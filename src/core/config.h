@@ -28,11 +28,18 @@ enum class DiffusionVariant {
   kOnePhasePull,
 };
 
+// How often a sink re-floods its interests ("interest messages sent every
+// 60s and flooded from each node", §6.1).
+inline constexpr SimDuration kInterestRefresh = 60 * kSecond;
+
+// Gradients expire if not refreshed; tolerates two lost refreshes.
+inline constexpr SimDuration kGradientLifetime = 150 * kSecond;
+
+// Duplicate/loop-suppression cache capacity (packet ids).
+inline constexpr size_t kDataCacheSize = 4096;
+
 struct DiffusionConfig {
   DiffusionVariant variant = DiffusionVariant::kTwoPhasePull;
-  // How often a sink re-floods its interests ("interest messages sent every
-  // 60s and flooded from each node", §6.1).
-  SimDuration interest_refresh = 60 * kSecond;
 
   // Refresh timers are jittered by ±(fraction/2)·period. Unjittered periodic
   // soft-state timers phase-lock across nodes: two sinks' refresh floods
@@ -41,9 +48,6 @@ struct DiffusionConfig {
   // cites [31]).
   double refresh_jitter_fraction = 0.2;
 
-  // Gradients expire if not refreshed; default tolerates two lost refreshes.
-  SimDuration gradient_lifetime = 150 * kSecond;
-
   // Every Nth data message from a source is exploratory ("1 out of every 10
   // data messages", §6.1). The first message of a publication is always
   // exploratory so paths get established.
@@ -51,9 +55,6 @@ struct DiffusionConfig {
 
   // Hop budget for flooded interests and exploratory data.
   uint8_t flood_ttl = 16;
-
-  // Duplicate/loop-suppression cache capacity (packet ids).
-  size_t data_cache_size = 4096;
 
   // How long a reinforced gradient stays reinforced without re-reinforcement.
   // Exploratory rounds re-reinforce winning paths; a path whose upstream died

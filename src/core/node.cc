@@ -75,7 +75,7 @@ DiffusionNode::DiffusionNode(Simulator* sim, Channel* channel, NodeId id, NodeOp
       traffic_(options.traffic),
       radio_(sim, channel, id, options.EffectiveRadio()),
       filter_api_(this),
-      seen_packets_(options.diffusion.data_cache_size),
+      seen_packets_(kDataCacheSize),
       rng_(sim->rng().Fork()) {
   radio_.SetReceiveCallback(
       [this](NodeId from, const WireBody& body) { OnRadioReceive(from, body); });
@@ -505,7 +505,7 @@ void DiffusionNode::CoreProcess(Message& message) {
 
 void DiffusionNode::ProcessInterest(Message& message) {
   const SimTime now = sim_->now();
-  const SimTime expires = now + config_.gradient_lifetime;
+  const SimTime expires = now + kGradientLifetime;
 
   // Task-aware interest handling: remember the interest, set up a gradient
   // toward whoever sent it. Gradient setup happens for *every* copy of a
@@ -722,7 +722,7 @@ void DiffusionNode::ProcessPositiveReinforcement(Message& message) {
   if (message.last_hop != kBroadcastId) {
     const bool gradient_is_new = entry->FindGradient(message.last_hop) == nullptr;
     Gradient& gradient =
-        entry->AddOrRefreshGradient(message.last_hop, now + config_.gradient_lifetime);
+        entry->AddOrRefreshGradient(message.last_hop, now + kGradientLifetime);
     gradient.reinforced = true;
     gradient.reinforced_until = now + config_.reinforcement_lifetime;
     if (sim_->tracing()) {
@@ -779,7 +779,7 @@ SimDuration DiffusionNode::JitterWindowFor(MessageType type) const {
     case MessageType::kInterest:
     case MessageType::kPositiveReinforcement:
     case MessageType::kNegativeReinforcement:
-      return traffic_.jitter.control_window;
+      return kControlJitterWindow;
     case MessageType::kData:
       return traffic_.jitter.data_window;
     case MessageType::kExploratoryData:
@@ -897,7 +897,7 @@ void DiffusionNode::ScheduleRefresh(SubscriptionHandle handle) {
   if (it == subscriptions_.end()) {
     return;
   }
-  const SimDuration base = config_.interest_refresh;
+  const SimDuration base = kInterestRefresh;
   const SimDuration jitter =
       static_cast<SimDuration>(config_.refresh_jitter_fraction * static_cast<double>(base));
   const SimDuration period = base - jitter / 2 + (jitter > 0 ? rng_.NextInt(0, jitter) : 0);

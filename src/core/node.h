@@ -137,7 +137,7 @@ class DiffusionNode {
   // filter — nothing can ever tear it down).
 
   // Subscribes to data matching `attrs`. Floods an interest (and re-floods
-  // every interest_refresh) unless the subscription is for interests
+  // every kInterestRefresh) unless the subscription is for interests
   // themselves (contains a formal on the class attribute matching
   // "class IS interest"), which only watches locally arriving interests.
   [[nodiscard]] SubscriptionHandle Subscribe(AttributeSet attrs, DataCallback callback);

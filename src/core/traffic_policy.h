@@ -31,10 +31,12 @@ namespace diffusion {
 // Forwarded floods already carry DiffusionConfig::forward_delay_jitter; this
 // layer desynchronizes the *sources* of traffic — originated interests and
 // data, and hop-by-hop reinforcements — which otherwise phase-lock when many
-// nodes react to the same event.
+// nodes react to the same event. Interests and reinforcements always use
+// kControlJitterWindow; the data windows are tunable.
+inline constexpr SimDuration kControlJitterWindow = 20 * kMillisecond;
+
 struct TxJitterPolicy {
   bool enabled = false;
-  SimDuration control_window = 20 * kMillisecond;   // interests, reinforcements
   SimDuration data_window = 50 * kMillisecond;      // regular data
   SimDuration refresh_window = 100 * kMillisecond;  // exploratory data
 };

@@ -59,7 +59,7 @@ class FaultInjector {
 
   // Gradients on living nodes that still point at a dead neighbor — the
   // soft-state staleness the paper's refresh/expiry timers exist to bound.
-  // These age out within gradient_lifetime without any repair protocol.
+  // These age out within kGradientLifetime without any repair protocol.
   size_t CountStaleGradients() const;
 
  private:

@@ -3,44 +3,21 @@
 // The paper's testbed was failure-prone by construction — hidden terminals,
 // no ARQ, nodes that dropped off mid-experiment (§6.4) — yet a simulator only
 // exercises the protocol's repair machinery if something actually breaks. A
-// FaultPlan is a time-ordered list of fault events (node crash/reboot, link
-// degradation and blackout, network partition and heal) parsed from a small
-// JSON spec. FaultInjector executes the plan through the ordinary
-// EventScheduler, so a faulted run is exactly as reproducible per seed as a
-// healthy one.
-//
-// Spec format ("diffusion-fault-plan-v1", see docs/FAULT_INJECTION.md):
-//
-//   {
-//     "schema": "diffusion-fault-plan-v1",
-//     "events": [
-//       {"at_ms": 240000, "kind": "crash", "node": 17},
-//       {"at_ms": 240000, "kind": "crash_hottest_relay", "exclude": [28, 25, 20]},
-//       {"at_ms": 420000, "kind": "reboot", "node": 17},
-//       {"at_ms": 240000, "kind": "link_degrade", "from": 20, "to": 17,
-//        "delivery": 0.25, "symmetric": true},
-//       {"at_ms": 240000, "kind": "node_degrade", "node": 20, "delivery": 0.25},
-//       {"at_ms": 240000, "kind": "link_blackout", "from": 20, "to": 17},
-//       {"at_ms": 420000, "kind": "link_restore", "from": 20, "to": 17},
-//       {"at_ms": 240000, "kind": "partition",
-//        "group_a": [11, 13, 16, 22, 25, 20], "group_b": [17, 37, 18, 21, 24, 28, 33, 39]},
-//       {"at_ms": 420000, "kind": "heal"}
-//     ]
-//   }
+// FaultPlan is a list of fault events (node crash/reboot, link degradation
+// and blackout, network partition and heal) built in C++, as
+// BuiltinScenarioPlan (src/fault/scenarios.cc) builds its three.
+// FaultInjector executes the plan through the ordinary EventScheduler, so a
+// faulted run is exactly as reproducible per seed as a healthy one.
 
 #ifndef SRC_FAULT_FAULT_PLAN_H_
 #define SRC_FAULT_FAULT_PLAN_H_
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "src/radio/position.h"
 #include "src/util/time.h"
 
 namespace diffusion {
-
-inline constexpr char kFaultPlanSchema[] = "diffusion-fault-plan-v1";
 
 enum class FaultEventKind : uint8_t {
   kCrash = 0,          // node dies (DiffusionNode::Kill + channel detach)
@@ -57,10 +34,6 @@ enum class FaultEventKind : uint8_t {
   kHeal,               // clear every link-level override (not node state)
 };
 
-// Stable snake_case name ("crash", "link_degrade", ...) used by the JSON spec.
-const char* FaultEventKindName(FaultEventKind kind);
-bool FaultEventKindFromName(const std::string& name, FaultEventKind* kind);
-
 struct FaultEvent {
   SimTime at = 0;
   FaultEventKind kind = FaultEventKind::kCrash;
@@ -74,19 +47,10 @@ struct FaultEvent {
 };
 
 struct FaultPlan {
-  // Sorted by `at`; ties keep spec order (and execute in that order).
+  // Any order. FaultInjector::Schedule runs the events in (`at`, list
+  // index) order: the scheduler breaks same-time ties by insertion order.
   std::vector<FaultEvent> events;
 };
-
-// Parses the diffusion-fault-plan-v1 spec. On failure returns nullopt and,
-// when `error` is non-null, stores a one-line diagnosis.
-std::optional<FaultPlan> ParseFaultPlan(const std::string& json, std::string* error);
-
-// Reads `path` and parses it.
-std::optional<FaultPlan> LoadFaultPlan(const std::string& path, std::string* error);
-
-// Canonical JSON for `plan`; round-trips through ParseFaultPlan.
-std::string FaultPlanToJson(const FaultPlan& plan);
 
 }  // namespace diffusion
 

@@ -98,9 +98,10 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
   auto overlay =
       std::make_unique<FaultOverlayPropagation>(MakePropagation(layout, kLinkDelivery));
   FaultOverlayPropagation* overlay_ptr = overlay.get();
-  const DiffusionConfig dconfig = TestbedDiffusionConfig();
   TestbedWorld world(params.seed, layout, std::move(overlay),
-                     NodeOptions{.diffusion = dconfig, .radio = TestbedRadioConfig()}, &tee);
+                     NodeOptions{.diffusion = TestbedDiffusionConfig(),
+                                 .radio = TestbedRadioConfig()},
+                     &tee);
   Simulator& sim = world.sim();
 
   SurveillanceConfig sconfig;
@@ -167,8 +168,7 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioParams& params) {
       break;
     }
   }
-  result.interest_refresh_s = DurationToSeconds(dconfig.interest_refresh);
-  result.repair_bound_s = 2.0 * result.interest_refresh_s;
+  result.repair_bound_s = 2.0 * DurationToSeconds(kInterestRefresh);
 
   // The outage window: crash = fault to first post-fault delivery (or the
   // run's end when repair never happened); degrade/partition = fault to heal.

@@ -7,7 +7,7 @@
 // recovery protocol. The expectation being tested: time-to-repair is bounded
 // by the periodic re-excitation the protocol already pays for — the next
 // exploratory flood (every exploratory_every-th event) or interest refresh
-// (every interest_refresh), i.e. well under 2x the refresh period.
+// (every kInterestRefresh), i.e. well under 2x the refresh period.
 //
 //   crash      kill the busiest alive relay on the reinforced path (sink,
 //              sources and cut-vertex 20 excluded, so alternates exist);
@@ -18,8 +18,9 @@
 //   partition  sever the source cluster {11,13,16,22,25,20} from the sink
 //              side, then heal at 7 min; repair is measured from the heal
 //
-// A custom plan runs through the library directly: ParseFaultPlan and
-// FaultInjector::Schedule (src/fault/fault_plan.h, fault_injector.h).
+// A custom plan runs through the library directly: build a FaultPlan and
+// hand it to FaultInjector::Schedule (src/fault/fault_plan.h,
+// fault_injector.h).
 
 #ifndef SRC_FAULT_SCENARIOS_H_
 #define SRC_FAULT_SCENARIOS_H_
@@ -50,8 +51,7 @@ struct FaultScenarioResult {
   // Seconds from the repair reference (crash instant, or heal for
   // degrade/partition) to the first subsequent sink delivery; -1 = never.
   double time_to_repair_s = -1.0;
-  double repair_bound_s = 0.0;      // 2x interest_refresh, the acceptance bound
-  double interest_refresh_s = 0.0;
+  double repair_bound_s = 0.0;  // 2x kInterestRefresh, the acceptance bound
 
   // Fraction of generated events delivered (eventually) per window:
   // pre = [warmup, fault), during = the outage window (crash: fault..repair;

@@ -46,7 +46,6 @@ bool MicroNode::SendData(MicroTag tag, int32_t value) {
   message.has_value = true;
   message.value = value;
   CacheCheckAndInsert(message.origin, message.origin_seq);
-  ++stats_.data_sent;
   HandleData(message, kBroadcastId);
   return true;
 }
@@ -147,7 +146,6 @@ void MicroNode::FloodInterest(MicroTag tag) {
   message.ttl = 8;
   message.tag = tag;
   CacheCheckAndInsert(message.origin, message.origin_seq);
-  ++stats_.interests_sent;
   Transmit(message);
 }
 

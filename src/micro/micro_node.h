@@ -21,8 +21,6 @@
 namespace diffusion {
 
 struct MicroStats {
-  uint64_t interests_sent = 0;
-  uint64_t data_sent = 0;
   uint64_t forwarded = 0;
   uint64_t delivered = 0;
   uint64_t cache_drops = 0;

@@ -16,8 +16,7 @@ double EvaluateLinkQuality(const LinkQuality& quality, SimTime now) {
   if (quality.period <= 0) {
     return quality.delivery_probability;
   }
-  const SimDuration offset = ((now - quality.phase) % quality.period + quality.period) %
-                             quality.period;
+  const SimDuration offset = (now % quality.period + quality.period) % quality.period;
   const SimDuration on_window =
       static_cast<SimDuration>(quality.on_fraction * static_cast<double>(quality.period));
   return offset < on_window ? quality.delivery_probability : 0.0;

@@ -66,8 +66,7 @@ struct LinkQuality {
   // Intermittent links (§6.4) alternate between working and dead phases.
   bool intermittent = false;
   SimDuration period = 60 * kSecond;
-  double on_fraction = 0.5;
-  SimDuration phase = 0;  // offset of the on-window start within the period
+  double on_fraction = 0.5;  // each period opens with its on-window
 };
 
 // Unit-disk reachability from positions, with optional per-link quality

@@ -52,25 +52,25 @@ double ShadowingPropagation::LinkMarginDb(NodeId from, NodeId to) const {
   // Margin relative to the reference range: positive inside, negative
   // beyond, scaled by the path-loss exponent.
   const double mean_margin =
-      10.0 * config_.path_loss_exponent * std::log10(config_.reference_range / distance);
+      10.0 * kPathLossExponent * std::log10(config_.reference_range / distance);
   return mean_margin + ShadowDb(from, to);
 }
 
 bool ShadowingPropagation::Reaches(NodeId from, NodeId to) const {
-  return LinkMarginDb(from, to) > -config_.full_margin_db;
+  return LinkMarginDb(from, to) > -kFullMarginDb;
 }
 
 double ShadowingPropagation::DeliveryProbability(NodeId from, NodeId to, SimTime /*now*/) const {
   const double margin = LinkMarginDb(from, to);
-  if (margin <= -config_.full_margin_db) {
+  if (margin <= -kFullMarginDb) {
     return 0.0;
   }
-  if (margin >= config_.full_margin_db) {
-    return config_.max_delivery;
+  if (margin >= kFullMarginDb) {
+    return kMaxShadowedDelivery;
   }
-  // Linear ramp through the gray zone: 0 at -full_margin, max at +full_margin.
-  const double fraction = (margin + config_.full_margin_db) / (2.0 * config_.full_margin_db);
-  return fraction * config_.max_delivery;
+  // Linear ramp through the gray zone: 0 at -kFullMarginDb, max at +kFullMarginDb.
+  const double fraction = (margin + kFullMarginDb) / (2.0 * kFullMarginDb);
+  return fraction * kMaxShadowedDelivery;
 }
 
 }  // namespace diffusion

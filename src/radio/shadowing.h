@@ -19,18 +19,19 @@
 
 namespace diffusion {
 
+// Path-loss exponent; 2 = free space, 3-4 = indoor/obstructed.
+inline constexpr double kPathLossExponent = 3.0;
+// Margin (dB) mapping to delivery probability: links with margin >=
+// kFullMarginDb deliver at kMaxShadowedDelivery; at 0 dB they deliver at
+// 50%; below -kFullMarginDb they are unreachable.
+inline constexpr double kFullMarginDb = 6.0;
+inline constexpr double kMaxShadowedDelivery = 0.98;
+
 struct ShadowingConfig {
   // Distance at which the mean link is exactly marginal (0 dB margin).
   double reference_range = 10.0;
-  // Path-loss exponent; 2 = free space, 3-4 = indoor/obstructed.
-  double path_loss_exponent = 3.0;
   // Standard deviation of the shadowing term, in dB. Zero gives a hard disk.
   double shadowing_sigma_db = 4.0;
-  // Margin (dB) mapping to delivery probability: links with margin >=
-  // `full_margin_db` deliver at `max_delivery`; at 0 dB they deliver at 50%;
-  // below `-full_margin_db` they are unreachable.
-  double full_margin_db = 6.0;
-  double max_delivery = 0.98;
   // Symmetric links share one shadowing draw; asymmetric links draw per
   // direction (§6.4 observed both).
   bool symmetric_shadowing = false;
@@ -42,7 +43,7 @@ class ShadowingPropagation : public PropagationModel {
 
   void SetPosition(NodeId node, Position position);
 
-  // Received margin (dB) for the directed link; > -full_margin_db means the
+  // Received margin (dB) for the directed link; > -kFullMarginDb means the
   // transmission puts detectable energy at the receiver.
   double LinkMarginDb(NodeId from, NodeId to) const;
 

@@ -56,7 +56,7 @@ struct CongestionRunParams {
   // Fairness probe: user node 39 subscribes alongside sink 28.
   bool second_sink = false;
 
-  SimTime warmup = 60 * kSecond;  // measurement starts here
+  // Events count from 60 s (the warmup) to 30 s before the end.
   SimTime end_at = 6 * kMinute;
 
   // Borrowed flight-recorder sink (null = untraced; the replication harness
@@ -65,19 +65,16 @@ struct CongestionRunParams {
 };
 
 struct CongestionRunResult {
-  // Well-behaved events with a generation instant inside the measurement
-  // window, and how many of them the primary sink (eventually) saw.
-  uint64_t events_possible = 0;
+  // How many well-behaved events generated inside the measurement window the
+  // primary sink (eventually) saw, and their share of those generated.
   uint64_t events_delivered = 0;
-  double delivery = 0.0;  // events_delivered / events_possible
+  double delivery = 0.0;
 
-  // Second sink's view of the same events (zero unless second_sink).
-  uint64_t events_delivered_second = 0;
+  // Second sink's delivery of the same events (zero unless second_sink).
   double delivery_second = 0.0;
 
   // Flooder pressure actually applied (zero unless flooder).
   uint64_t flooder_events_generated = 0;
-  uint64_t flooder_events_delivered = 0;
 
   // Network-wide totals over the whole run.
   double bytes_sent = 0.0;  // diffusion-layer bytes, all nodes

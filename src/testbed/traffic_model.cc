@@ -2,17 +2,16 @@
 
 namespace diffusion {
 
-double ModelInterestMessagesPerEvent(const TrafficModelParams& params) {
+double ModelInterestMessagesPerEvent() {
   // One flood (a transmission per node) per interest period, normalized to
   // the event period: 14 * (6/60) = 1.4 messages per event in the testbed.
-  return static_cast<double>(params.num_nodes) * static_cast<double>(params.data_period) /
-         static_cast<double>(params.interest_period);
+  return static_cast<double>(kModelNodes) * static_cast<double>(kModelDataPeriod) /
+         static_cast<double>(kModelInterestPeriod);
 }
 
-double ModelDataMessagesPerEvent(const TrafficModelParams& params, int sources,
-                                 AggregationModel model) {
-  const double data_fraction = 1.0 - params.exploratory_fraction;
-  const double hops = static_cast<double>(params.path_hops);
+double ModelDataMessagesPerEvent(int sources, AggregationModel model) {
+  const double data_fraction = 1.0 - kModelExploratoryFraction;
+  const double hops = static_cast<double>(kModelPathHops);
   switch (model) {
     case AggregationModel::kNone:
       return data_fraction * static_cast<double>(sources) * hops;
@@ -24,40 +23,38 @@ double ModelDataMessagesPerEvent(const TrafficModelParams& params, int sources,
   return 0.0;
 }
 
-double ModelExploratoryMessagesPerEvent(const TrafficModelParams& params, int sources,
-                                        AggregationModel model) {
-  const double flood = static_cast<double>(params.num_nodes);
+double ModelExploratoryMessagesPerEvent(int sources, AggregationModel model) {
+  const double flood = static_cast<double>(kModelNodes);
   switch (model) {
     case AggregationModel::kNone:
-      return params.exploratory_fraction * static_cast<double>(sources) * flood;
+      return kModelExploratoryFraction * static_cast<double>(sources) * flood;
     case AggregationModel::kIdeal:
     case AggregationModel::kFirstHop:
       // Duplicate suppression merges the concurrent floods into one.
-      return params.exploratory_fraction * flood;
+      return kModelExploratoryFraction * flood;
   }
   return 0.0;
 }
 
-double ModelReinforcementMessagesPerEvent(const TrafficModelParams& params, int sources,
-                                          AggregationModel model) {
-  const double hops = static_cast<double>(params.path_hops);
+double ModelReinforcementMessagesPerEvent(int sources, AggregationModel model) {
+  const double hops = static_cast<double>(kModelPathHops);
   switch (model) {
     case AggregationModel::kNone:
-      return params.exploratory_fraction * static_cast<double>(sources) * hops;
+      return kModelExploratoryFraction * static_cast<double>(sources) * hops;
     case AggregationModel::kIdeal:
-      return params.exploratory_fraction * hops;
+      return kModelExploratoryFraction * hops;
     case AggregationModel::kFirstHop:
-      return params.exploratory_fraction * (static_cast<double>(sources) + hops - 1.0);
+      return kModelExploratoryFraction * (static_cast<double>(sources) + hops - 1.0);
   }
   return 0.0;
 }
 
-double ModelBytesPerEvent(const TrafficModelParams& params, int sources, AggregationModel model) {
-  const double messages = ModelInterestMessagesPerEvent(params) +
-                          ModelDataMessagesPerEvent(params, sources, model) +
-                          ModelExploratoryMessagesPerEvent(params, sources, model) +
-                          ModelReinforcementMessagesPerEvent(params, sources, model);
-  return messages * params.message_bytes;
+double ModelBytesPerEvent(int sources, AggregationModel model) {
+  const double messages = ModelInterestMessagesPerEvent() +
+                          ModelDataMessagesPerEvent(sources, model) +
+                          ModelExploratoryMessagesPerEvent(sources, model) +
+                          ModelReinforcementMessagesPerEvent(sources, model);
+  return messages * kModelMessageBytes;
 }
 
 }  // namespace diffusion

@@ -20,14 +20,13 @@
 
 namespace diffusion {
 
-struct TrafficModelParams {
-  size_t num_nodes = 14;       // flood cost: one transmission per node
-  int path_hops = 5;           // reinforced path length, source to sink
-  double message_bytes = 127;  // "we approximate all messages as 127B long"
-  SimDuration interest_period = 60 * kSecond;
-  SimDuration data_period = 6 * kSecond;      // one event per 6 s
-  double exploratory_fraction = 0.1;          // 1 in 10 data messages
-};
+// The testbed the model describes (Figure 7, §6.1).
+inline constexpr size_t kModelNodes = 14;          // flood cost: one transmission per node
+inline constexpr int kModelPathHops = 5;           // reinforced path length, source to sink
+inline constexpr double kModelMessageBytes = 127;  // "we approximate all messages as 127B long"
+inline constexpr SimDuration kModelInterestPeriod = 60 * kSecond;
+inline constexpr SimDuration kModelDataPeriod = 6 * kSecond;  // one event per 6 s
+inline constexpr double kModelExploratoryFraction = 0.1;      // 1 in 10 data messages
 
 enum class AggregationModel {
   // Every source's copy travels the whole path; floods don't merge.
@@ -43,16 +42,13 @@ enum class AggregationModel {
 };
 
 // Expected diffusion bytes transmitted network-wide per distinct event.
-double ModelBytesPerEvent(const TrafficModelParams& params, int sources, AggregationModel model);
+double ModelBytesPerEvent(int sources, AggregationModel model);
 
 // The individual terms (messages per event), exposed for tests and tables.
-double ModelInterestMessagesPerEvent(const TrafficModelParams& params);
-double ModelDataMessagesPerEvent(const TrafficModelParams& params, int sources,
-                                 AggregationModel model);
-double ModelExploratoryMessagesPerEvent(const TrafficModelParams& params, int sources,
-                                        AggregationModel model);
-double ModelReinforcementMessagesPerEvent(const TrafficModelParams& params, int sources,
-                                          AggregationModel model);
+double ModelInterestMessagesPerEvent();
+double ModelDataMessagesPerEvent(int sources, AggregationModel model);
+double ModelExploratoryMessagesPerEvent(int sources, AggregationModel model);
+double ModelReinforcementMessagesPerEvent(int sources, AggregationModel model);
 
 }  // namespace diffusion
 

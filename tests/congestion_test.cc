@@ -228,7 +228,6 @@ TEST(TrafficPolicyEquivalenceTest, DisabledLayersAreByteIdenticalToSeed) {
   MemoryTraceSink disabled_trace;
   CongestionRunParams params;
   params.end_at = 2 * kMinute;
-  params.warmup = 30 * kSecond;
   params.trace_sink = &baseline_trace;
   const CongestionRunResult baseline = RunCongestionScenario(params);
   params.policy = disabled;
@@ -254,11 +253,10 @@ TEST(CongestionGoldenTest, ShapedLoadRunIsPinned) {
   params.sources = 5;
   params.event_interval = 750 * kMillisecond;
   params.policy = ReferenceShapingPolicy();
-  params.warmup = 30 * kSecond;
   params.end_at = 4 * kMinute;
   params.trace_sink = &trace;
   const CongestionRunResult result = RunCongestionScenario(params);
-  EXPECT_EQ(result.events_delivered, 101u);
+  EXPECT_EQ(result.events_delivered, 86u);
   EXPECT_EQ(result.bytes_sent, 324512.0);
   EXPECT_EQ(result.mac_drops_rate_limited, 1162u);
   EXPECT_EQ(trace.fingerprint(), 8190362410333844u);
@@ -271,11 +269,10 @@ TEST(CongestionGoldenTest, ShapedFlooderRunIsPinned) {
   params.sources = 3;
   params.flooder = true;
   params.policy = ReferenceShapingPolicy();
-  params.warmup = 30 * kSecond;
   params.end_at = 4 * kMinute;
   params.trace_sink = &trace;
   const CongestionRunResult result = RunCongestionScenario(params);
-  EXPECT_EQ(result.events_delivered, 21u);
+  EXPECT_EQ(result.events_delivered, 19u);
   EXPECT_EQ(result.bytes_sent, 237980.0);
   EXPECT_EQ(result.mac_drops_rate_limited, 946u);
   EXPECT_EQ(trace.fingerprint(), 3832821811805202u);

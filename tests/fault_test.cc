@@ -1,10 +1,11 @@
 // Fault injection subsystem (src/fault): node lifecycle under the scheduler's
-// cancel-compaction path, cold reboot re-subscription, plan parsing, scenario
+// cancel-compaction path, cold reboot re-subscription, plan ordering, scenario
 // determinism, and channel stats across a detach/attach blackout.
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <iterator>
+#include <set>
 
 #include "src/core/node.h"
 #include "src/fault/fault_injector.h"
@@ -127,70 +128,54 @@ TEST(FaultTest, RebootedNodeResubscribesAndRedrawsGradientsFromScratch) {
   EXPECT_EQ(delivered, 2);
 }
 
-TEST(FaultTest, FaultPlanParsesSortsAndRoundTrips) {
-  const std::string json = R"({
-    "schema": "diffusion-fault-plan-v1",
-    "events": [
-      {"at_ms": 420000, "kind": "heal"},
-      {"at_ms": 240000, "kind": "partition",
-       "group_a": [11, 13], "group_b": [28, 21]},
-      {"at_ms": 120000, "kind": "link_degrade", "from": 20, "to": 17,
-       "delivery": 0.25, "symmetric": false},
-      {"at_ms": 60000, "kind": "crash_hottest_relay", "exclude": [28, 20]},
-      {"at_ms": 30000, "kind": "crash", "node": 17}
-    ]
-  })";
-  std::string error;
-  std::optional<FaultPlan> plan = ParseFaultPlan(json, &error);
-  ASSERT_TRUE(plan.has_value()) << error;
-  ASSERT_EQ(plan->events.size(), 5u);
-  // Sorted by time.
-  EXPECT_EQ(plan->events.front().kind, FaultEventKind::kCrash);
-  EXPECT_EQ(plan->events.front().at, 30 * kSecond);
-  EXPECT_EQ(plan->events.back().kind, FaultEventKind::kHeal);
-  EXPECT_EQ(plan->events[2].delivery, 0.25);
-  EXPECT_FALSE(plan->events[2].symmetric);
-  EXPECT_EQ(plan->events[1].exclude, (std::vector<NodeId>{28, 20}));
-
-  // Canonical form reparses to the same plan.
-  const std::string canonical = FaultPlanToJson(*plan);
-  std::optional<FaultPlan> reparsed = ParseFaultPlan(canonical, &error);
-  ASSERT_TRUE(reparsed.has_value()) << error;
-  ASSERT_EQ(reparsed->events.size(), plan->events.size());
-  for (size_t i = 0; i < plan->events.size(); ++i) {
-    EXPECT_EQ(reparsed->events[i].at, plan->events[i].at);
-    EXPECT_EQ(reparsed->events[i].kind, plan->events[i].kind);
-    EXPECT_EQ(reparsed->events[i].node, plan->events[i].node);
-    EXPECT_EQ(reparsed->events[i].from, plan->events[i].from);
-    EXPECT_EQ(reparsed->events[i].to, plan->events[i].to);
-    EXPECT_EQ(reparsed->events[i].delivery, plan->events[i].delivery);
-    EXPECT_EQ(reparsed->events[i].symmetric, plan->events[i].symmetric);
-    EXPECT_EQ(reparsed->events[i].group_a, plan->events[i].group_a);
-    EXPECT_EQ(reparsed->events[i].group_b, plan->events[i].group_b);
+// A plan may list its events in any order: Schedule runs them by time, and
+// events at one instant in list order (the scheduler breaks ties by
+// insertion order).
+TEST(FaultTest, UnsortedPlanRunsInTimeThenListOrder) {
+  Simulator sim(4);
+  auto channel = MakeCliqueChannel(&sim, 3);
+  DiffusionNode a(&sim, channel.get(), 1, NodeOptions{.radio = FastRadio()});
+  DiffusionNode b(&sim, channel.get(), 2, NodeOptions{.radio = FastRadio()});
+  DiffusionNode c(&sim, channel.get(), 3, NodeOptions{.radio = FastRadio()});
+  FaultInjector injector(&sim, channel.get(), /*overlay=*/nullptr);
+  for (DiffusionNode* node : {&a, &b, &c}) {
+    injector.AddNode(node);
   }
-}
 
-TEST(FaultTest, FaultPlanRejectsMalformedSpecs) {
-  std::string error;
-  // Unknown kind.
-  EXPECT_FALSE(ParseFaultPlan(
-                   R"({"events": [{"at_ms": 1, "kind": "meteor_strike"}]})", &error)
-                   .has_value());
-  EXPECT_FALSE(error.empty());
-  // Delivery out of range.
-  EXPECT_FALSE(ParseFaultPlan(
-                   R"({"events": [{"at_ms": 1, "kind": "node_degrade", "node": 2,
-                       "delivery": 1.5}]})",
-                   &error)
-                   .has_value());
-  // Wrong schema string.
-  EXPECT_FALSE(
-      ParseFaultPlan(R"({"schema": "other-v2", "events": []})", &error).has_value());
-  // Partition without groups.
-  EXPECT_FALSE(
-      ParseFaultPlan(R"({"events": [{"at_ms": 1, "kind": "partition"}]})", &error).has_value());
-  // Not JSON at all.
-  EXPECT_FALSE(ParseFaultPlan("=== banner ===", &error).has_value());
+  const auto event = [](SimTime at, FaultEventKind kind, NodeId node) {
+    FaultEvent fault;
+    fault.at = at;
+    fault.kind = kind;
+    fault.node = node;
+    return fault;
+  };
+  FaultPlan plan;
+  plan.events = {
+      event(30 * kSecond, FaultEventKind::kReboot, 2),
+      event(20 * kSecond, FaultEventKind::kCrash, 3),
+      event(10 * kSecond, FaultEventKind::kCrash, 1),
+      event(20 * kSecond, FaultEventKind::kReboot, 1),
+      event(10 * kSecond, FaultEventKind::kCrash, 2),
+  };
+  injector.Schedule(plan);
+  sim.RunUntil(kMinute);
+
+  const struct {
+    SimTime at;
+    FaultEventKind kind;
+    NodeId node;
+  } expected[] = {
+      {10 * kSecond, FaultEventKind::kCrash, 1},  {10 * kSecond, FaultEventKind::kCrash, 2},
+      {20 * kSecond, FaultEventKind::kCrash, 3},  {20 * kSecond, FaultEventKind::kReboot, 1},
+      {30 * kSecond, FaultEventKind::kReboot, 2},
+  };
+  ASSERT_EQ(injector.executed().size(), std::size(expected));
+  for (size_t i = 0; i < std::size(expected); ++i) {
+    EXPECT_EQ(injector.executed()[i].at, expected[i].at) << "fault " << i;
+    EXPECT_EQ(injector.executed()[i].kind, expected[i].kind) << "fault " << i;
+    EXPECT_EQ(injector.executed()[i].node, expected[i].node) << "fault " << i;
+  }
+  EXPECT_EQ(injector.dead(), (std::set<NodeId>{3}));
 }
 
 TEST(FaultTest, OverlaySeversDegradesAndHeals) {
@@ -324,9 +309,9 @@ TEST(FaultTest, InjectorTracksDeadNodesAndStaleGradients) {
   EXPECT_FALSE(injector.IsDead(1));
   EXPECT_TRUE(sink.alive());
 
-  // The stale gradients age out within gradient_lifetime — soft state needs
+  // The stale gradients age out within kGradientLifetime — soft state needs
   // no teardown protocol.
-  sim.RunUntil(10 * kSecond + sink.config().gradient_lifetime + kMinute);
+  sim.RunUntil(10 * kSecond + kGradientLifetime + kMinute);
   EXPECT_EQ(injector.CountStaleGradients(), 0u);
 }
 

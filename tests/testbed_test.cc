@@ -88,9 +88,8 @@ TEST(LayoutBuildersTest, RandomLayoutInBounds) {
 TEST(TrafficModelTest, PaperIdealAggregationIsFlat990) {
   // "We expect aggregation to provide a flat 990 B/event independent of the
   // number of sources."
-  const TrafficModelParams params;
   for (int sources = 1; sources <= 4; ++sources) {
-    const double bytes = ModelBytesPerEvent(params, sources, AggregationModel::kIdeal);
+    const double bytes = ModelBytesPerEvent(sources, AggregationModel::kIdeal);
     EXPECT_NEAR(bytes, 990.0, 5.0) << sources << " sources";
   }
 }
@@ -98,36 +97,32 @@ TEST(TrafficModelTest, PaperIdealAggregationIsFlat990) {
 TEST(TrafficModelTest, NoAggregationRisesTo3289) {
   // "Bytes sent per event increase from 990 to 3289 B/event without
   // aggregation as the number of sources rise from 1 to 4."
-  const TrafficModelParams params;
-  const double one = ModelBytesPerEvent(params, 1, AggregationModel::kNone);
-  const double four = ModelBytesPerEvent(params, 4, AggregationModel::kNone);
+  const double one = ModelBytesPerEvent(1, AggregationModel::kNone);
+  const double four = ModelBytesPerEvent(4, AggregationModel::kNone);
   EXPECT_NEAR(one, 990.0, 5.0);
   EXPECT_NEAR(four, 3289.0, 150.0);  // paper's own rounding is loose
   EXPECT_GT(four / one, 3.0);
 }
 
 TEST(TrafficModelTest, InterestTermMatchesHandComputation) {
-  const TrafficModelParams params;
   // 14 nodes * 6s/60s = 1.4 messages per event.
-  EXPECT_NEAR(ModelInterestMessagesPerEvent(params), 1.4, 1e-9);
+  EXPECT_NEAR(ModelInterestMessagesPerEvent(), 1.4, 1e-9);
 }
 
 TEST(TrafficModelTest, FirstHopAggregationBetweenIdealAndNone) {
-  const TrafficModelParams params;
   for (int sources = 2; sources <= 4; ++sources) {
-    const double ideal = ModelBytesPerEvent(params, sources, AggregationModel::kIdeal);
-    const double first_hop = ModelBytesPerEvent(params, sources, AggregationModel::kFirstHop);
-    const double none = ModelBytesPerEvent(params, sources, AggregationModel::kNone);
+    const double ideal = ModelBytesPerEvent(sources, AggregationModel::kIdeal);
+    const double first_hop = ModelBytesPerEvent(sources, AggregationModel::kFirstHop);
+    const double none = ModelBytesPerEvent(sources, AggregationModel::kNone);
     EXPECT_LT(ideal, first_hop);
     EXPECT_LT(first_hop, none);
   }
 }
 
 TEST(TrafficModelTest, MonotoneInSources) {
-  const TrafficModelParams params;
   double last = 0;
   for (int sources = 1; sources <= 8; ++sources) {
-    const double bytes = ModelBytesPerEvent(params, sources, AggregationModel::kNone);
+    const double bytes = ModelBytesPerEvent(sources, AggregationModel::kNone);
     EXPECT_GT(bytes, last);
     last = bytes;
   }
