@@ -148,6 +148,12 @@ cmake -S perfbench -B build/perfbench
 cmake --build build/perfbench -j "$(nproc)" --target perfbench perfbench_test
 note_ran perfbench-build
 
+# The paired-runs tool behind every claimed benchmark gain: its usage, and
+# its summary (medians, quartiles, wins, the gain rule) on a fixed list.
+python3 scripts/perf_pairs.py --help >/dev/null
+python3 scripts/perf_pairs.py --self-test
+note_ran perf-pairs
+
 # Project-specific static analysis: the tree must be diffusion-lint clean.
 ./build/tools/diffusion_lint src bench tests examples
 note_ran lint

@@ -38,15 +38,15 @@ inline constexpr SimDuration kGradientLifetime = 150 * kSecond;
 // Duplicate/loop-suppression cache capacity (packet ids).
 inline constexpr size_t kDataCacheSize = 4096;
 
+// Refresh timers are jittered by ±(fraction/2)·period. Unjittered periodic
+// soft-state timers phase-lock across nodes: two sinks' refresh floods then
+// meet at the same relay on every cycle and half-duplex/collision losses
+// repeat deterministically (cf. the scalable-timers work the paper cites
+// [31]).
+inline constexpr double kRefreshJitterFraction = 0.2;
+
 struct DiffusionConfig {
   DiffusionVariant variant = DiffusionVariant::kTwoPhasePull;
-
-  // Refresh timers are jittered by ±(fraction/2)·period. Unjittered periodic
-  // soft-state timers phase-lock across nodes: two sinks' refresh floods
-  // then meet at the same relay on every cycle and half-duplex/collision
-  // losses repeat deterministically (cf. the scalable-timers work the paper
-  // cites [31]).
-  double refresh_jitter_fraction = 0.2;
 
   // Every Nth data message from a source is exploratory ("1 out of every 10
   // data messages", §6.1). The first message of a publication is always

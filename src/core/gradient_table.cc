@@ -16,35 +16,6 @@ Gradient* InterestEntry::FindGradient(NodeId neighbor) {
   return nullptr;
 }
 
-Gradient& InterestEntry::AddOrRefreshGradient(NodeId neighbor, SimTime new_expires) {
-  if (Gradient* existing = FindGradient(neighbor)) {
-    existing->expires = std::max(existing->expires, new_expires);
-    return *existing;
-  }
-  gradients.push_back(Gradient{neighbor, new_expires, false, 0});
-  return gradients.back();
-}
-
-void InterestEntry::ExpireGradients(
-    SimTime now, const std::function<void(const InterestEntry&, const Gradient&)>* observer) {
-  for (Gradient& gradient : gradients) {
-    if (gradient.reinforced && gradient.reinforced_until < now) {
-      gradient.reinforced = false;
-    }
-  }
-  gradients.erase(std::remove_if(gradients.begin(), gradients.end(),
-                                 [&](const Gradient& g) {
-                                   if (g.expires >= now) {
-                                     return false;
-                                   }
-                                   if (observer != nullptr && *observer) {
-                                     (*observer)(*this, g);
-                                   }
-                                   return true;
-                                 }),
-                  gradients.end());
-}
-
 bool InterestEntry::HasReinforcedGradient() const {
   for (const Gradient& gradient : gradients) {
     if (gradient.reinforced) {
@@ -81,6 +52,7 @@ InterestEntry& GradientTable::InsertOrRefresh(const AttributeSet& attrs, SimTime
     existing->expires = std::max(existing->expires, expires);
     return *existing;
   }
+  NoteDeadline(expires);
   InterestEntry entry;
   entry.attrs = attrs;
   entry.expires = expires;
@@ -88,6 +60,23 @@ InterestEntry& GradientTable::InsertOrRefresh(const AttributeSet& attrs, SimTime
   hash_col_.push_back(entries_.back().attrs.hash());
   entry_col_.push_back(&entries_.back());
   return entries_.back();
+}
+
+Gradient& GradientTable::AddOrRefreshGradient(InterestEntry& entry, NodeId neighbor,
+                                               SimTime expires) {
+  if (Gradient* existing = entry.FindGradient(neighbor)) {
+    existing->expires = std::max(existing->expires, expires);
+    return *existing;
+  }
+  NoteDeadline(expires);
+  entry.gradients.push_back(Gradient{neighbor, expires, false, 0});
+  return entry.gradients.back();
+}
+
+void GradientTable::Reinforce(Gradient& gradient, SimTime until) {
+  gradient.reinforced = true;
+  gradient.reinforced_until = until;
+  NoteDeadline(until);
 }
 
 size_t GradientTable::MemoryBytes() const {
@@ -104,16 +93,49 @@ void GradientTable::EraseColumn(size_t index) {
 }
 
 void GradientTable::Expire(SimTime now) {
+  if (now <= deadline_) {
+    return;
+  }
+  // The walk recomputes the deadline over what survives it. An entry with
+  // gradients cannot be dropped before its last gradient expires, and
+  // gradients leave only here, so only a gradientless entry's own expiry
+  // counts.
+  deadline_ = kNoDeadline;
   size_t index = 0;
   for (auto it = entries_.begin(); it != entries_.end();) {
-    it->ExpireGradients(now, &expiry_observer_);
-    if (!it->is_local && it->expires < now && it->gradients.empty()) {
+    std::vector<Gradient>& gradients = it->gradients;
+    for (Gradient& gradient : gradients) {
+      if (gradient.reinforced && gradient.reinforced_until < now) {
+        gradient.reinforced = false;
+      }
+    }
+    gradients.erase(std::remove_if(gradients.begin(), gradients.end(),
+                                   [&](const Gradient& g) {
+                                     if (g.expires >= now) {
+                                       return false;
+                                     }
+                                     if (expiry_observer_) {
+                                       expiry_observer_(*it, g);
+                                     }
+                                     return true;
+                                   }),
+                    gradients.end());
+    if (!it->is_local && it->expires < now && gradients.empty()) {
       it = entries_.erase(it);
       EraseColumn(index);
-    } else {
-      ++it;
-      ++index;
+      continue;
     }
+    if (!it->is_local && gradients.empty()) {
+      NoteDeadline(it->expires);
+    }
+    for (const Gradient& gradient : gradients) {
+      NoteDeadline(gradient.expires);
+      if (gradient.reinforced) {
+        NoteDeadline(gradient.reinforced_until);
+      }
+    }
+    ++it;
+    ++index;
   }
 }
 

@@ -5,10 +5,23 @@
 // the node keeps one entry with a gradient per neighbor that sent the
 // interest. A gradient records direction (data matching this interest flows
 // to that neighbor), demand status (reinforced or not), and freshness.
+//
+// Expiry runs on every received message and every publish, but almost never
+// has work to do: lifetimes are minutes long. So the table keeps a deadline,
+// a time at or before the first moment an Expire call could drop or change
+// anything, and Expire returns at once until `now` passes it. The deadline
+// is the earliest of every gradient's `expires`, every reinforced gradient's
+// `reinforced_until` and every gradientless non-local entry's `expires` (an
+// entry goes only with its last gradient). Only a write that lowers one of
+// those can move it earlier, so those writes go through the table
+// (InsertOrRefresh, AddOrRefreshGradient, Reinforce); a write that raises
+// one, clears `reinforced` or marks an entry local leaves the deadline
+// early, which costs one walk that then recomputes it.
 
 #ifndef SRC_CORE_GRADIENT_TABLE_H_
 #define SRC_CORE_GRADIENT_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -71,13 +84,6 @@ struct InterestEntry {
   NodeId preferred_interest_from = kBroadcastId;
 
   Gradient* FindGradient(NodeId neighbor);
-  // Inserts or refreshes a gradient toward `neighbor`.
-  Gradient& AddOrRefreshGradient(NodeId neighbor, SimTime expires);
-  // Drops expired gradients and stale reinforcement flags. When `observer`
-  // is non-null it is invoked for each dropped gradient (tracing hook).
-  void ExpireGradients(
-      SimTime now, const std::function<void(const InterestEntry&, const Gradient&)>* observer =
-                       nullptr);
   bool HasReinforcedGradient() const;
 };
 
@@ -97,8 +103,17 @@ class GradientTable {
   // its expiry to at least `expires`.
   InterestEntry& InsertOrRefresh(const AttributeSet& attrs, SimTime expires);
 
-  // Removes entries and gradients that have expired. Local entries persist
-  // until unsubscribed regardless of expiry.
+  // Inserts a gradient on `entry` toward `neighbor`, or refreshes the
+  // existing one's expiry to at least `expires`.
+  Gradient& AddOrRefreshGradient(InterestEntry& entry, NodeId neighbor, SimTime expires);
+
+  // Marks `gradient` reinforced until `until` (full-rate data flows on it).
+  void Reinforce(Gradient& gradient, SimTime until);
+
+  // Removes entries and gradients that have expired, and clears stale
+  // reinforcement flags. Local entries persist until unsubscribed
+  // regardless of expiry. Returns at once while `now` is at or before the
+  // deadline (see the file comment).
   void Expire(SimTime now);
 
   // Removes a local entry (unsubscribe). Returns true if found.
@@ -110,6 +125,7 @@ class GradientTable {
     entries_.clear();
     hash_col_.clear();
     entry_col_.clear();
+    deadline_ = kNoDeadline;
   }
 
   size_t size() const { return entries_.size(); }
@@ -120,9 +136,10 @@ class GradientTable {
   size_t MemoryBytes() const;
 
   // Iteration support (e.g. for the debugging/monitoring filter). Callers
-  // may mutate entry *contents* (gradients, reinforcement flags) but must
-  // not insert/erase entries or reassign attrs — structural changes go
-  // through the table API so the probe columns below stay in sync.
+  // may mutate entry *contents* but must not insert/erase entries or
+  // reassign attrs — structural changes go through the table API so the
+  // probe columns below stay in sync — and must not lower an expiry time
+  // except through the table, so the deadline stays at or before it.
   std::list<InterestEntry>& entries() { return entries_; }
   const std::list<InterestEntry>& entries() const { return entries_; }
 
@@ -133,8 +150,12 @@ class GradientTable {
   }
 
  private:
+  static constexpr SimTime kNoDeadline = INT64_MAX;
+
   // Drops the column slot at `index` (after the matching list erase).
   void EraseColumn(size_t index);
+  // Lowers the deadline to `time` if that is earlier.
+  void NoteDeadline(SimTime time) { deadline_ = std::min(deadline_, time); }
 
   // std::list keeps InterestEntry* stable across insert/erase.
   std::list<InterestEntry> entries_;
@@ -146,6 +167,7 @@ class GradientTable {
   std::vector<uint64_t> hash_col_;
   std::vector<InterestEntry*> entry_col_;
   std::function<void(const InterestEntry&, const Gradient&)> expiry_observer_;
+  SimTime deadline_ = kNoDeadline;
 };
 
 }  // namespace diffusion

@@ -97,8 +97,8 @@ DiffusionNode::~DiffusionNode() {
       sim_->Cancel(subscription.duration_event);
     }
   }
-  for (EventId event : pending_transmits_) {
-    sim_->Cancel(event);
+  for (const PendingTransmit& pending : pending_transmits_) {
+    sim_->Cancel(pending.event);
   }
 }
 
@@ -289,7 +289,7 @@ NodeMemory DiffusionNode::MemoryBytes() const {
       .data_cache = seen_packets_.MemoryBytes(),
       .match_indexes = IndexBytes(filter_index_) + IndexBytes(subscription_index_),
       .other = MapBytes(subscriptions_) + MapBytes(publications_) + MapBytes(filters_) +
-               VectorBytes(neighbors_) + HashSetBytes(pending_transmits_),
+               VectorBytes(neighbors_) + VectorBytes(pending_transmits_),
       .radio = radio_.MemoryBytes(),
   };
 }
@@ -342,8 +342,8 @@ void DiffusionNode::Kill() {
   // (heap entries are compacted when dead entries outnumber live ones), so a
   // mid-burst kill releases the cancelled callbacks' captured messages
   // without an O(n) queue rebuild per event.
-  for (EventId event : pending_transmits_) {
-    sim_->Cancel(event);
+  for (const PendingTransmit& pending : pending_transmits_) {
+    sim_->Cancel(pending.event);
   }
   pending_transmits_.clear();
   for (auto& [handle, subscription] : subscriptions_) {
@@ -374,6 +374,7 @@ void DiffusionNode::Reboot() {
   gradients_.Clear();
   seen_packets_.Clear();
   neighbors_.clear();
+  first_neighbor_count_ = 0;
   alive_ = true;
   radio_.Revive();
   // The application's boot path re-installs its tasks: every flooding
@@ -391,9 +392,15 @@ void DiffusionNode::OnRadioReceive(NodeId from, const WireBody& body) {
   if (!alive_) {
     return;
   }
-  if (auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), from);
-      it == neighbors_.end() || *it != from) {
-    neighbors_.insert(it, from);
+  const auto first_end = first_neighbors_.begin() + first_neighbor_count_;
+  if (std::find(first_neighbors_.begin(), first_end, from) == first_end) {
+    if (auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(), from);
+        it == neighbors_.end() || *it != from) {
+      neighbors_.insert(it, from);
+      if (first_neighbor_count_ < first_neighbors_.size()) {
+        first_neighbors_[first_neighbor_count_++] = from;
+      }
+    }
   }
   if (const auto* structured = dynamic_cast<const MessageBody*>(&body)) {
     // Copying the message is cheap: the attribute storage is shared
@@ -515,7 +522,7 @@ void DiffusionNode::ProcessInterest(Message& message) {
   const bool locally_originated = message.origin == id_ && message.last_hop == kBroadcastId;
   if (message.last_hop != kBroadcastId) {
     const bool gradient_is_new = entry.FindGradient(message.last_hop) == nullptr;
-    Gradient& gradient = entry.AddOrRefreshGradient(message.last_hop, expires);
+    Gradient& gradient = gradients_.AddOrRefreshGradient(entry, message.last_hop, expires);
     if (gradient_is_new && sim_->tracing()) {
       sim_->Trace(TraceEvent{now, TraceEventKind::kGradientCreated, id_, message.last_hop,
                              message.PacketId(), 0});
@@ -722,9 +729,8 @@ void DiffusionNode::ProcessPositiveReinforcement(Message& message) {
   if (message.last_hop != kBroadcastId) {
     const bool gradient_is_new = entry->FindGradient(message.last_hop) == nullptr;
     Gradient& gradient =
-        entry->AddOrRefreshGradient(message.last_hop, now + kGradientLifetime);
-    gradient.reinforced = true;
-    gradient.reinforced_until = now + config_.reinforcement_lifetime;
+        gradients_.AddOrRefreshGradient(*entry, message.last_hop, now + kGradientLifetime);
+    gradients_.Reinforce(gradient, now + config_.reinforcement_lifetime);
     if (sim_->tracing()) {
       if (gradient_is_new) {
         sim_->Trace(TraceEvent{now, TraceEventKind::kGradientCreated, id_, message.last_hop,
@@ -797,13 +803,7 @@ void DiffusionNode::TransmitShaped(Message message) {
     return;
   }
   ++stats_.transmits_jittered;
-  const SimDuration delay = rng_.NextInt(0, window);
-  auto id_holder = std::make_shared<EventId>(kInvalidEventId);
-  *id_holder = sim_->After(delay, [this, message = std::move(message), id_holder] {
-    pending_transmits_.erase(*id_holder);
-    TransmitMessage(message);
-  });
-  pending_transmits_.insert(*id_holder);
+  TransmitLater(rng_.NextInt(0, window), std::move(message));
 }
 
 void DiffusionNode::TransmitAfterJitter(Message message) {
@@ -811,13 +811,19 @@ void DiffusionNode::TransmitAfterJitter(Message message) {
     TransmitMessage(message);
     return;
   }
-  const SimDuration delay = rng_.NextInt(0, config_.forward_delay_jitter);
-  auto id_holder = std::make_shared<EventId>(kInvalidEventId);
-  *id_holder = sim_->After(delay, [this, message = std::move(message), id_holder] {
-    pending_transmits_.erase(*id_holder);
+  TransmitLater(rng_.NextInt(0, config_.forward_delay_jitter), std::move(message));
+}
+
+void DiffusionNode::TransmitLater(SimDuration delay, Message message) {
+  const uint64_t token = next_transmit_token_++;
+  const EventId event = sim_->After(delay, [this, token, message = std::move(message)] {
+    auto it = std::find_if(pending_transmits_.begin(), pending_transmits_.end(),
+                           [token](const PendingTransmit& p) { return p.token == token; });
+    *it = pending_transmits_.back();
+    pending_transmits_.pop_back();
     TransmitMessage(message);
   });
-  pending_transmits_.insert(*id_holder);
+  pending_transmits_.push_back(PendingTransmit{token, event});
 }
 
 namespace {
@@ -899,8 +905,8 @@ void DiffusionNode::ScheduleRefresh(SubscriptionHandle handle) {
   }
   const SimDuration base = kInterestRefresh;
   const SimDuration jitter =
-      static_cast<SimDuration>(config_.refresh_jitter_fraction * static_cast<double>(base));
-  const SimDuration period = base - jitter / 2 + (jitter > 0 ? rng_.NextInt(0, jitter) : 0);
+      static_cast<SimDuration>(kRefreshJitterFraction * static_cast<double>(base));
+  const SimDuration period = base - jitter / 2 + rng_.NextInt(0, jitter);
   it->second.refresh_event = sim_->After(period, [this, handle] {
     auto sub_it = subscriptions_.find(handle);
     if (sub_it == subscriptions_.end()) {

@@ -20,12 +20,12 @@
 #ifndef SRC_CORE_NODE_H_
 #define SRC_CORE_NODE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/api_result.h"
@@ -266,6 +266,10 @@ class DiffusionNode {
   // originated traffic (forwards already go through TransmitAfterJitter).
   void TransmitShaped(Message message);
 
+  // Transmits `message` after `delay`, as a pending transmit that Kill and
+  // the destructor cancel.
+  void TransmitLater(SimDuration delay, Message message);
+
   // The TxJitterPolicy window for a message type (0 = transmit immediately).
   SimDuration JitterWindowFor(MessageType type) const;
 
@@ -309,12 +313,25 @@ class DiffusionNode {
   std::unique_ptr<MatchIndex> subscription_index_;
 
   std::vector<NodeId> neighbors_;  // sorted
-  std::unordered_set<EventId> pending_transmits_;
+  // Scheduled transmits not yet run. A node has few at once, so a firing
+  // transmit finds its own entry by token with a scan: no hash node and no
+  // shared id holder per forwarded message.
+  struct PendingTransmit {
+    uint64_t token;
+    EventId event;
+  };
+  std::vector<PendingTransmit> pending_transmits_;
+  uint64_t next_transmit_token_ = 0;
   Rng rng_;
 
   uint32_t next_handle_ = 1;
   uint32_t next_origin_seq_ = 1;
   bool alive_ = true;
+  // The first neighbors heard, also in neighbors_. They sit beside alive_,
+  // which every receive reads, so a message from one of them finds its
+  // sender known without reading neighbors_' heap array.
+  uint8_t first_neighbor_count_ = 0;
+  std::array<NodeId, 4> first_neighbors_{};
   NodeStats stats_;
 };
 

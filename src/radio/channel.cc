@@ -1,6 +1,7 @@
 #include "src/radio/channel.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "src/util/memory_bytes.h"
@@ -64,7 +65,8 @@ const std::vector<uint32_t>& Channel::ReceiversOf(uint32_t sender_slot) {
 
 void Channel::Attach(ChannelEndpoint* endpoint) {
   ++epoch_;
-  ReceiverSlot& slot = slots_[SlotIndex(endpoint->node_id())];
+  endpoint->channel_slot_ = SlotIndex(endpoint->node_id());
+  ReceiverSlot& slot = slots_[endpoint->channel_slot_];
   slot.endpoint = endpoint;
   // NodeStatsSinceAttach reports this attachment's traffic free of
   // pre-fault history.
@@ -170,9 +172,12 @@ Channel::ActiveTx* Channel::ResolveTx(uint64_t tx_id) {
   return &slab.tx;
 }
 
-void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
+void Channel::Transmit(const ChannelEndpoint& endpoint, Fragment fragment,
+                       SimDuration duration) {
+  const uint32_t sender_slot = endpoint.channel_slot_;
+  assert(sender_slot < slots_.size() && slots_[sender_slot].node == endpoint.node_id());
+  const NodeId sender = endpoint.node_id();
   const uint64_t tx_id = AllocTx();
-  const uint32_t sender_slot = SlotIndex(sender);  // the frame's one id lookup
   ++stats_.transmissions;
   ++slots_[sender_slot].stats.transmissions;
 
@@ -214,7 +219,7 @@ void Channel::Transmit(NodeId sender, Fragment fragment, SimDuration duration) {
   }
 
   if (transmit_observer_ != nullptr) {
-    transmit_observer_->OnTransmit(sender, tx.fragment, tx.start, duration);
+    transmit_observer_->OnTransmit(sender_slot, sender, tx.fragment, tx.start, duration);
   }
 
   tx_slabs_[static_cast<uint32_t>(tx_id & 0xffffffff) - 1].tx = std::move(tx);

@@ -9,6 +9,7 @@
 #ifndef SRC_RADIO_CHANNEL_H_
 #define SRC_RADIO_CHANNEL_H_
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -35,6 +36,13 @@ class ChannelEndpoint {
   // Called when a frame decodes successfully at this node. `airtime` is how
   // long the radio spent receiving it (for energy accounting).
   virtual void OnFrameDelivered(const Fragment& fragment, SimDuration airtime) = 0;
+
+ private:
+  friend class Channel;
+  // This node's slot in the channel it was last attached to, recorded by
+  // Channel::Attach so that Transmit indexes the sender (UINT32_MAX before
+  // the first Attach).
+  uint32_t channel_slot_ = UINT32_MAX;
 };
 
 // Observes every transmission as it starts. The sharded simulation core
@@ -43,8 +51,11 @@ class ChannelEndpoint {
 class TransmitObserver {
  public:
   virtual ~TransmitObserver() = default;
-  virtual void OnTransmit(NodeId sender, const Fragment& fragment, SimTime start,
-                          SimDuration duration) = 0;
+  // `sender_slot` is the sender's slot in the observed channel: fixed per
+  // node id for the channel's life, so an observer may key per-sender state
+  // by it.
+  virtual void OnTransmit(uint32_t sender_slot, NodeId sender, const Fragment& fragment,
+                          SimTime start, SimDuration duration) = 0;
 };
 
 struct ChannelStats {
@@ -67,6 +78,8 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
  public:
   Channel(Simulator* sim, std::unique_ptr<PropagationModel> propagation);
 
+  // Attaches `endpoint` and records its node's slot in it. An endpoint is
+  // attached to one channel at a time.
   void Attach(ChannelEndpoint* endpoint);
 
   // Detaches `node` and scrubs its in-flight receptions: transmissions still
@@ -82,9 +95,10 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   // transmission's start, so a link severed mid-flight stops counting.
   bool CarrierBusyAt(NodeId node) const;
 
-  // Puts `fragment` on the air for `duration`. Reception outcomes resolve
-  // when the transmission ends.
-  void Transmit(NodeId sender, Fragment fragment, SimDuration duration);
+  // Puts `fragment` on the air from `sender`, which has been attached here
+  // (it may have detached since), for `duration`. Reception outcomes
+  // resolve when the transmission ends.
+  void Transmit(const ChannelEndpoint& sender, Fragment fragment, SimDuration duration);
 
   // Installs (or clears, with nullptr) the transmission observer. Called for
   // every Transmit, after the transmission is on the air — i.e. on the
@@ -176,12 +190,13 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
   };
 
   // Per-node state, as receiver and as sender. Slots are assigned once per
-  // node id, at its first Attach or first frame (local or remote), and
-  // survive detach/reattach, so the counters do too; in_air and the list
-  // keep their capacity. The id -> slot map is consulted at Attach, Detach,
-  // once per frame for the sender and once per candidate in a list build,
-  // so its cost is independent of the largest node id and nothing on the
-  // per-reception path looks it up.
+  // node id, at its first Attach or first remote frame, and survive
+  // detach/reattach, so the counters do too; in_air and the list keep their
+  // capacity. Attach hands the slot to the endpoint, so a local frame finds
+  // its sender by index. The id -> slot map is consulted at Attach, Detach,
+  // once per remote frame and once per candidate in a list build, so its
+  // cost is independent of the largest node id and nothing on the local
+  // frame or per-reception path looks it up.
   struct ReceiverSlot {
     NodeId node = 0;
     ChannelEndpoint* endpoint = nullptr;  // null while detached

@@ -47,7 +47,9 @@ std::optional<Reassembler::Completed> Reassembler::Add(const Fragment& fragment,
   if (fragment.index >= fragment.count) {
     return std::nullopt;
   }
-  Purge(now);
+  if (now - oldest_ > timeout_) {
+    Purge(now);
+  }
   const uint64_t key = MakeKey(fragment.src, fragment.message_seq);
   size_t i = 0;
   while (i < live_ && partials_[i].key != key) {
@@ -72,13 +74,21 @@ std::optional<Reassembler::Completed> Reassembler::Add(const Fragment& fragment,
     fresh.dst = fragment.dst;
     fresh.count = fragment.count;
     fresh.received = 0;
-    fresh.have.assign(fragment.count, false);
+    fresh.bits = 0;
+    if (fragment.count > kInlineFragments) {
+      fresh.wide.assign((fragment.count + kInlineFragments - 1) / kInlineFragments, 0);
+    }
     // Every fragment of a message shares its body; track arrival only.
     fresh.body = fragment.body;
+    oldest_ = std::min(oldest_, now);
   }
   Partial& partial = partials_[i];
-  if (!partial.have[fragment.index]) {
-    partial.have[fragment.index] = true;
+  uint64_t& word = partial.count <= kInlineFragments
+                       ? partial.bits
+                       : partial.wide[fragment.index / kInlineFragments];
+  const uint64_t bit = uint64_t{1} << (fragment.index % kInlineFragments);
+  if ((word & bit) == 0) {
+    word |= bit;
     ++partial.received;
   }
   if (partial.received < partial.count) {
@@ -90,10 +100,12 @@ std::optional<Reassembler::Completed> Reassembler::Add(const Fragment& fragment,
 }
 
 void Reassembler::Purge(SimTime now) {
+  oldest_ = INT64_MAX;
   for (size_t i = 0; i < live_;) {
     if (now - partials_[i].first_seen > timeout_) {
       Drop(i);
     } else {
+      oldest_ = std::min(oldest_, partials_[i].first_seen);
       ++i;
     }
   }
@@ -102,7 +114,7 @@ void Reassembler::Purge(SimTime now) {
 size_t Reassembler::MemoryBytes() const {
   size_t bytes = VectorBytes(partials_);
   for (const Partial& partial : partials_) {
-    bytes += VectorBytes(partial.have);
+    bytes += VectorBytes(partial.wide);
   }
   return bytes;
 }
@@ -111,6 +123,7 @@ void Reassembler::Clear() {
   while (live_ > 0) {
     Drop(live_ - 1);
   }
+  oldest_ = INT64_MAX;
 }
 
 void Reassembler::Drop(size_t i) {

@@ -60,9 +60,14 @@ std::vector<Fragment> SplitMessage(NodeId src, NodeId dst, uint32_t message_seq,
 // surfaces, matching the no-ARQ radio.
 //
 // A receiver holds few partial messages at once, so they live in a flat
-// vector searched linearly. A finished or purged partial keeps its storage
-// for the next one, and a one-fragment message never becomes a partial:
-// reassembly allocates nothing once the vector has grown.
+// vector searched linearly. Each partial keeps its received-fragment bits in
+// one word of its own slot for up to 64 fragments (no radio here splits a
+// message into more than six); only a longer message, up to kMaxFragments,
+// puts its bits in a heap vector. A finished or purged partial keeps its storage for the
+// next one, and a one-fragment message never becomes a partial: reassembly
+// allocates nothing once the vector has grown. The reassembler also keeps
+// the earliest `first_seen` of its partials, so Add walks them for a purge
+// only once the oldest can have timed out.
 class Reassembler {
  public:
   explicit Reassembler(SimDuration timeout) : timeout_(timeout) {}
@@ -87,19 +92,22 @@ class Reassembler {
 
   size_t pending() const { return live_; }
 
-  // Heap bytes held: every partial slot, live or spare, with its
-  // received-fragment bitmap. Bodies are shared with the sender's fragments
-  // and pooled by the simulator, so they are not counted.
+  // Heap bytes held: every partial slot, live or spare, with the bitmap of
+  // any message over 64 fragments. Bodies are shared with the sender's
+  // fragments and pooled by the simulator, so they are not counted.
   size_t MemoryBytes() const;
 
  private:
+  static constexpr size_t kInlineFragments = 64;
+
   struct Partial {
     uint64_t key = 0;  // MakeKey(src, message_seq)
     SimTime first_seen = 0;
     NodeId dst = 0;
     uint16_t count = 0;
     uint16_t received = 0;
-    std::vector<bool> have;
+    uint64_t bits = 0;           // fragments received, when count <= 64
+    std::vector<uint64_t> wide;  // fragments received, when count > 64
     BodyRef body;
   };
   static uint64_t MakeKey(NodeId src, uint32_t seq) {
@@ -112,6 +120,8 @@ class Reassembler {
   // partials_[0, live_) are pending, in no order; the rest are spare.
   std::vector<Partial> partials_;
   size_t live_ = 0;
+  // At or before every live partial's first_seen (INT64_MAX with none).
+  SimTime oldest_ = INT64_MAX;
 };
 
 }  // namespace diffusion

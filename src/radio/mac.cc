@@ -218,7 +218,7 @@ void CsmaMac::Attempt() {
                            (static_cast<uint64_t>(fragment.src) << 32) | fragment.message_seq,
                            static_cast<int64_t>(fragment.WireSize())});
   }
-  channel_->Transmit(endpoint_->node_id(), std::move(fragment), airtime);
+  channel_->Transmit(*endpoint_, std::move(fragment), airtime);
   sim_->After(airtime, [this] { FinishTransmit(); });
 }
 

@@ -35,10 +35,22 @@ RegionBridge::~RegionBridge() {
   }
 }
 
-void RegionBridge::OnRegionTransmit(int src_region, NodeId sender, const Fragment& fragment,
-                                    SimTime start, SimDuration duration) {
-  for (int dst : matrix_->RemoteTargets(sender)) {
-    pool_.Post(src_region, dst, sender, fragment, start, duration);
+void RegionBridge::Observer::OnTransmit(uint32_t sender_slot, NodeId sender,
+                                        const Fragment& fragment, SimTime start,
+                                        SimDuration duration) {
+  if (sender_slot >= targets_by_slot_.size()) {
+    targets_by_slot_.resize(sender_slot + 1, nullptr);
+  }
+  const std::vector<int>*& targets = targets_by_slot_[sender_slot];
+  if (targets == nullptr) {
+    targets = &bridge_->matrix_->RemoteTargets(sender);
+  }
+  // Channel::Transmit runs on the owning region's worker thread, which
+  // makes this thread the mailbox writer for region_. Deleting this Assert
+  // fails the clang -Wthread-safety build: Post REQUIRES the writer role.
+  bridge_->pool_.writer_role().Assert();
+  for (int dst : *targets) {
+    bridge_->pool_.Post(region_, dst, sender, fragment, start, duration);
   }
 }
 

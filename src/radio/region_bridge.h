@@ -61,28 +61,22 @@ class RegionBridge : public RegionCoupler {
   void RegisterMetrics(MetricsRegistry* registry) const;
 
  private:
-  // One per region; forwards transmissions into the bridge with the region
-  // id attached. Runs on the region's worker thread.
+  // One per region; posts that region's border frames. Runs on the region's
+  // worker thread, which alone touches its per-slot target cache.
   class Observer : public TransmitObserver {
    public:
     Observer(RegionBridge* bridge, int region) : bridge_(bridge), region_(region) {}
-    void OnTransmit(NodeId sender, const Fragment& fragment, SimTime start,
-                    SimDuration duration) override {
-      // Channel::Transmit runs on the owning region's worker thread, which
-      // makes this thread the mailbox writer for src_region (= region_).
-      // Deleting this Assert fails the clang -Wthread-safety build: the
-      // OnRegionTransmit call below REQUIRES the writer role.
-      bridge_->pool_.writer_role().Assert();
-      bridge_->OnRegionTransmit(region_, sender, fragment, start, duration);
-    }
+    void OnTransmit(uint32_t sender_slot, NodeId sender, const Fragment& fragment,
+                    SimTime start, SimDuration duration) override;
 
    private:
     RegionBridge* bridge_;
     int region_;
+    // Per channel slot, the sender's RegionLinkMatrix::RemoteTargets, looked
+    // up at the slot's first frame; null until then. A slot keeps its node
+    // id for the channel's life, so an entry never goes stale.
+    std::vector<const std::vector<int>*> targets_by_slot_ DIFFUSION_REGION_PINNED;
   };
-
-  void OnRegionTransmit(int src_region, NodeId sender, const Fragment& fragment, SimTime start,
-                        SimDuration duration) DIFFUSION_REQUIRES(pool_.writer_role());
 
   const RegionLinkMatrix* matrix_;
   std::vector<Channel*> channels_;

@@ -365,7 +365,6 @@ TEST(RefreshJitterTest, RefreshPeriodsVaryWithinBounds) {
   Simulator sim(10);
   auto channel = MakeCliqueChannel(&sim, 2);
   DiffusionConfig config;
-  config.refresh_jitter_fraction = 0.2;
   DiffusionNode sink(&sim, channel.get(), 1,
                      NodeOptions{.diffusion = config, .radio = FastRadio()});
   DiffusionNode observer(&sim, channel.get(), 2,

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <list>
+#include <tuple>
 #include <unordered_set>
 
 #include "src/core/data_cache.h"
@@ -234,11 +237,11 @@ TEST(GradientTableTest, MatchDataFindsCompatibleInterests) {
 TEST(GradientTableTest, GradientRefreshAndExpiry) {
   GradientTable table;
   InterestEntry& entry = table.InsertOrRefresh(LightQuery(), 100);
-  entry.AddOrRefreshGradient(7, 50);
-  entry.AddOrRefreshGradient(8, 150);
-  entry.AddOrRefreshGradient(7, 80);  // refresh extends
+  table.AddOrRefreshGradient(entry, 7, 50);
+  table.AddOrRefreshGradient(entry, 8, 150);
+  table.AddOrRefreshGradient(entry, 7, 80);  // refresh extends
   ASSERT_EQ(entry.gradients.size(), 2u);
-  entry.ExpireGradients(81);
+  table.Expire(81);
   ASSERT_EQ(entry.gradients.size(), 1u);
   EXPECT_EQ(entry.gradients[0].neighbor, 8u);
 }
@@ -246,13 +249,183 @@ TEST(GradientTableTest, GradientRefreshAndExpiry) {
 TEST(GradientTableTest, ReinforcementFlagDecays) {
   GradientTable table;
   InterestEntry& entry = table.InsertOrRefresh(LightQuery(), 1000);
-  Gradient& gradient = entry.AddOrRefreshGradient(7, 1000);
-  gradient.reinforced = true;
-  gradient.reinforced_until = 100;
+  Gradient& gradient = table.AddOrRefreshGradient(entry, 7, 1000);
+  table.Reinforce(gradient, 100);  // ends before every expiry in the table
+  table.Expire(100);
   EXPECT_TRUE(entry.HasReinforcedGradient());
-  entry.ExpireGradients(101);
+  table.Expire(101);
   EXPECT_FALSE(entry.HasReinforcedGradient());
   ASSERT_EQ(entry.gradients.size(), 1u);  // gradient itself survives
+}
+
+// The reference for the expiry deadline: a gradient table whose Expire
+// walks every entry on every call. Entries are keyed by a small integer.
+class ReferenceGradientTable {
+ public:
+  struct Entry {
+    int key;
+    SimTime expires;
+    bool is_local = false;
+    std::vector<Gradient> gradients;
+  };
+  // (entry key, neighbor, reinforced) per dropped gradient, in order.
+  using Dropped = std::vector<std::tuple<int, NodeId, bool>>;
+
+  Entry* Find(int key) {
+    for (Entry& entry : entries) {
+      if (entry.key == key) {
+        return &entry;
+      }
+    }
+    return nullptr;
+  }
+  Entry& InsertOrRefresh(int key, SimTime expires) {
+    if (Entry* existing = Find(key)) {
+      existing->expires = std::max(existing->expires, expires);
+      return *existing;
+    }
+    entries.push_back(Entry{key, expires, false, {}});
+    return entries.back();
+  }
+  Gradient& AddOrRefreshGradient(Entry& entry, NodeId neighbor, SimTime expires) {
+    for (Gradient& gradient : entry.gradients) {
+      if (gradient.neighbor == neighbor) {
+        gradient.expires = std::max(gradient.expires, expires);
+        return gradient;
+      }
+    }
+    entry.gradients.push_back(Gradient{neighbor, expires, false, 0});
+    return entry.gradients.back();
+  }
+  void Expire(SimTime now) {
+    for (auto it = entries.begin(); it != entries.end();) {
+      for (Gradient& gradient : it->gradients) {
+        if (gradient.reinforced && gradient.reinforced_until < now) {
+          gradient.reinforced = false;
+        }
+      }
+      std::vector<Gradient> kept;
+      for (const Gradient& gradient : it->gradients) {
+        if (gradient.expires >= now) {
+          kept.push_back(gradient);
+        } else {
+          dropped.emplace_back(it->key, gradient.neighbor, gradient.reinforced);
+        }
+      }
+      it->gradients = std::move(kept);
+      if (!it->is_local && it->expires < now && it->gradients.empty()) {
+        it = entries.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  bool RemoveLocal(int key) {
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
+      if (it->is_local && it->key == key) {
+        entries.erase(it);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::list<Entry> entries;
+  Dropped dropped;
+};
+
+AttributeVector KeyedInterest(int key) {
+  return {Attribute::Int32(kKeySequence, AttrOp::kIs, key)};
+}
+
+// Holds `table` to `reference`: the same entries in the same order, each
+// with the same fields and gradients.
+void ExpectSameTables(const GradientTable& table, const ReferenceGradientTable& reference) {
+  ASSERT_EQ(table.size(), reference.entries.size());
+  auto ref = reference.entries.begin();
+  for (const InterestEntry& entry : table.entries()) {
+    EXPECT_EQ(SequenceOf(entry.attrs.items()), ref->key);
+    EXPECT_EQ(entry.expires, ref->expires);
+    EXPECT_EQ(entry.is_local, ref->is_local);
+    ASSERT_EQ(entry.gradients.size(), ref->gradients.size());
+    for (size_t i = 0; i < entry.gradients.size(); ++i) {
+      const Gradient& got = entry.gradients[i];
+      const Gradient& want = ref->gradients[i];
+      EXPECT_EQ(got.neighbor, want.neighbor);
+      EXPECT_EQ(got.expires, want.expires);
+      EXPECT_EQ(got.reinforced, want.reinforced);
+      EXPECT_EQ(got.reinforced_until, want.reinforced_until);
+    }
+    ++ref;
+  }
+}
+
+TEST(GradientTableTest, DeadlineExpiryMatchesFullWalk) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    GradientTable table;
+    ReferenceGradientTable reference;
+    ReferenceGradientTable::Dropped dropped;
+    table.SetExpiryObserver([&dropped](const InterestEntry& entry, const Gradient& gradient) {
+      dropped.emplace_back(SequenceOf(entry.attrs.items()), gradient.neighbor,
+                           gradient.reinforced);
+    });
+    SimTime now = 0;
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const int key = static_cast<int>(rng.NextInt(0, 5));
+      const NodeId neighbor = static_cast<NodeId>(rng.NextInt(1, 4));
+      InterestEntry* entry = table.FindExact(KeyedInterest(key));
+      ReferenceGradientTable::Entry* ref = reference.Find(key);
+      ASSERT_EQ(entry == nullptr, ref == nullptr);
+      switch (rng.NextInt(0, 6)) {
+        case 0: {  // insert or refresh, sometimes as a local subscription
+          const SimTime expires = now + rng.NextInt(0, 60);
+          const bool local = rng.NextBool(0.2);
+          table.InsertOrRefresh(KeyedInterest(key), expires).is_local |= local;
+          reference.InsertOrRefresh(key, expires).is_local |= local;
+          break;
+        }
+        case 1:  // add or refresh a gradient
+          if (entry != nullptr) {
+            const SimTime expires = now + rng.NextInt(0, 60);
+            table.AddOrRefreshGradient(*entry, neighbor, expires);
+            reference.AddOrRefreshGradient(*ref, neighbor, expires);
+          }
+          break;
+        case 2:  // reinforce, often until before every expiry in the table
+          if (entry != nullptr) {
+            const SimTime until = now + rng.NextInt(0, 20);
+            table.Reinforce(table.AddOrRefreshGradient(*entry, neighbor, now + 60), until);
+            Gradient& gradient = reference.AddOrRefreshGradient(*ref, neighbor, now + 60);
+            gradient.reinforced = true;
+            gradient.reinforced_until = until;
+          }
+          break;
+        case 3:  // negative reinforcement clears the flag in place
+          if (entry != nullptr && entry->FindGradient(neighbor) != nullptr) {
+            entry->FindGradient(neighbor)->reinforced = false;
+            for (Gradient& gradient : ref->gradients) {
+              if (gradient.neighbor == neighbor) {
+                gradient.reinforced = false;
+              }
+            }
+          }
+          break;
+        case 4:
+          EXPECT_EQ(table.RemoveLocal(KeyedInterest(key)), reference.RemoveLocal(key));
+          break;
+        default:  // time passes, then an expiry pass
+          now += rng.NextInt(0, 15);
+          table.Expire(now);
+          reference.Expire(now);
+          break;
+      }
+      ASSERT_EQ(dropped, reference.dropped);
+      ExpectSameTables(table, reference);
+    }
+  }
 }
 
 TEST(GradientTableTest, ExpireKeepsLocalEntries) {

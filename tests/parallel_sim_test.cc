@@ -27,6 +27,7 @@
 #include "src/apps/surveillance.h"
 #include "src/core/node.h"
 #include "src/radio/channel.h"
+#include "src/radio/region_bridge.h"
 #include "src/radio/region_mailbox.h"
 #include "src/radio/region_map.h"
 #include "src/sim/sharded_engine.h"
@@ -146,6 +147,97 @@ class TestWireBody final : public WireBody {
 
   std::vector<uint8_t> bytes_;
 };
+
+// An endpoint that only has to be there: alive, idle, deaf to content.
+class SilentEndpoint : public ChannelEndpoint {
+ public:
+  explicit SilentEndpoint(NodeId id) : id_(id) {}
+  NodeId node_id() const override { return id_; }
+  bool IsAlive() const override { return true; }
+  bool IsTransmitting() const override { return false; }
+  void OnFrameDelivered(const Fragment&, SimDuration) override {}
+
+ private:
+  NodeId id_;
+};
+
+// The bridge keeps each sender's border targets per channel slot. For every
+// node of a grid, the regions one frame of its lands in must be exactly
+// RegionLinkMatrix::RemoteTargets, before and after the node detaches and a
+// fresh endpoint attaches under its id.
+TEST(RegionBridgeTest, BorderTargetsMatchTheMatrixPerNode) {
+  for (const auto& [side, target_regions] : {std::pair{10, 4}, std::pair{12, 16}}) {
+    SCOPED_TRACE(testing::Message() << target_regions << " regions");
+    const TestbedLayout layout =
+        GridLayout(static_cast<size_t>(side), static_cast<size_t>(side), 10.0, 12.0);
+    const RegionMap map(layout.node_ids, layout.positions, target_regions);
+    ASSERT_EQ(map.regions(), target_regions);
+    const RegionLinkMatrix matrix(map, *MakePropagation(layout, 1.0), TestbedRadioConfig().mac);
+    std::vector<std::unique_ptr<Simulator>> sims;
+    std::vector<std::unique_ptr<Channel>> channels;
+    std::vector<Channel*> channel_ptrs;
+    for (int region = 0; region < map.regions(); ++region) {
+      sims.push_back(std::make_unique<Simulator>(static_cast<uint64_t>(region) + 1));
+      channels.push_back(
+          std::make_unique<Channel>(sims.back().get(), MakePropagation(layout, 1.0)));
+      channel_ptrs.push_back(channels.back().get());
+    }
+    RegionBridge bridge(&matrix, channel_ptrs);
+    std::vector<std::unique_ptr<SilentEndpoint>> endpoints;
+    std::map<NodeId, SilentEndpoint*> endpoint_of;
+    auto attach = [&](NodeId id) {
+      endpoints.push_back(std::make_unique<SilentEndpoint>(id));
+      channels[static_cast<size_t>(map.RegionOf(id))]->Attach(endpoints.back().get());
+      endpoint_of[id] = endpoints.back().get();
+    };
+    for (NodeId id : layout.node_ids) {
+      attach(id);
+    }
+
+    SimTime now = 0;
+    // The regions other than the sender's that receive its one frame.
+    auto landed_in = [&](NodeId id) {
+      now += kSecond;
+      for (const auto& sim : sims) {
+        sim->RunUntil(now);
+      }
+      const int home = map.RegionOf(id);
+      Fragment frame;
+      frame.src = id;
+      frame.payload_len = 4;
+      frame.body = ByteBody::Make(&sims[static_cast<size_t>(home)]->slot_pool(), {1, 2, 3, 4});
+      channels[static_cast<size_t>(home)]->Transmit(*endpoint_of[id], std::move(frame),
+                                                    kMillisecond);
+      sims[static_cast<size_t>(home)]->RunUntil(now + 10 * kMillisecond);
+      std::vector<int> regions;
+      for (int dst = 0; dst < map.regions(); ++dst) {
+        if (dst == home) {
+          continue;
+        }
+        bridge.DrainInto(dst, now + 10 * kMillisecond);
+        // Nothing else is pending there, so each event is one border frame.
+        const size_t frames = sims[static_cast<size_t>(dst)]->RunUntil(now + 20 * kMillisecond);
+        EXPECT_LE(frames, 1u) << "node " << id << " into region " << dst;
+        if (frames == 1) {
+          regions.push_back(dst);
+        }
+      }
+      return regions;
+    };
+
+    size_t border_nodes = 0;
+    for (NodeId id : layout.node_ids) {
+      EXPECT_EQ(landed_in(id), matrix.RemoteTargets(id)) << "node " << id;
+      border_nodes += matrix.RemoteTargets(id).empty() ? 0 : 1;
+    }
+    EXPECT_GT(border_nodes, 0u);
+    for (NodeId id : layout.node_ids) {
+      channels[static_cast<size_t>(map.RegionOf(id))]->Detach(id);
+      attach(id);
+      EXPECT_EQ(landed_in(id), matrix.RemoteTargets(id)) << "node " << id << " reattached";
+    }
+  }
+}
 
 TEST(RegionMailboxTest, DrainMergesAcrossSourcesInOrder) {
   RegionMailboxPool pool(3);

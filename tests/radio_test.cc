@@ -508,6 +508,151 @@ TEST(FragmentationTest, OneFragmentMessageSupersedesStalePartial) {
   EXPECT_EQ(reassembler.pending(), 1u);
 }
 
+// Reassembly as its header states it, over ordered maps and sets: refuse a
+// fragment whose index is not below its count; purge partials older than
+// the timeout; restart a partial whose count changed; complete a
+// one-fragment message at once; complete a partial when every index has
+// arrived.
+class ReferenceReassembler {
+ public:
+  struct Done {
+    NodeId src;
+    NodeId dst;
+    const WireBody* body;
+    bool operator==(const Done&) const = default;
+  };
+
+  explicit ReferenceReassembler(SimDuration timeout) : timeout_(timeout) {}
+
+  std::optional<Done> Add(const Fragment& fragment, SimTime now) {
+    if (fragment.index >= fragment.count) {
+      return std::nullopt;
+    }
+    std::erase_if(partials_, [&](const auto& item) {
+      return now - item.second.first_seen > timeout_;
+    });
+    const auto key = std::make_pair(fragment.src, fragment.message_seq);
+    auto it = partials_.find(key);
+    if (it != partials_.end() && it->second.count != fragment.count) {
+      partials_.erase(it);
+      it = partials_.end();
+    }
+    if (fragment.count == 1) {
+      return Done{fragment.src, fragment.dst, fragment.body.get()};
+    }
+    if (it == partials_.end()) {
+      it = partials_.emplace(key, Partial{now, fragment.dst, fragment.count, {},
+                                          fragment.body.get()})
+               .first;
+    }
+    Partial& partial = it->second;
+    partial.have.insert(fragment.index);
+    if (partial.have.size() < partial.count) {
+      return std::nullopt;
+    }
+    const Done done{fragment.src, partial.dst, partial.body};
+    partials_.erase(it);
+    return done;
+  }
+
+  size_t pending() const { return partials_.size(); }
+
+ private:
+  struct Partial {
+    SimTime first_seen;
+    NodeId dst;
+    uint16_t count;
+    std::set<uint16_t> have;
+    const WireBody* body;
+  };
+  SimDuration timeout_;
+  std::map<std::pair<NodeId, uint32_t>, Partial> partials_;
+};
+
+TEST(FragmentationTest, MatchesReferenceModelOverRandomStreams) {
+  constexpr SimDuration kTimeout = kSecond;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Simulator sim(seed);
+    Rng rng(seed);
+    Reassembler reassembler(kTimeout);
+    ReferenceReassembler reference(kTimeout);
+    // Messages in flight. Few senders and sequence numbers make keys repeat,
+    // so a new message can take over a live key with a different count.
+    std::vector<Fragment> messages;
+    auto start_message = [&](uint16_t count) {
+      Fragment message;
+      message.src = static_cast<NodeId>(rng.NextInt(1, 4));
+      message.dst = static_cast<NodeId>(rng.NextInt(1, 4));
+      message.message_seq = static_cast<uint32_t>(rng.NextInt(0, 3));
+      message.count = count;
+      message.body = ByteBody::Make(&sim.slot_pool(), std::vector<uint8_t>(1, 0));
+      messages.push_back(std::move(message));
+    };
+    // Adds to both; true when the fragment completed a message.
+    auto add = [&](const Fragment& fragment, SimTime now) {
+      const std::optional<Reassembler::Completed> got = reassembler.Add(fragment, now);
+      const std::optional<ReferenceReassembler::Done> want = reference.Add(fragment, now);
+      EXPECT_EQ(got.has_value(), want.has_value());
+      if (got.has_value() && want.has_value()) {
+        EXPECT_EQ((ReferenceReassembler::Done{got->src, got->dst, got->body.get()}), *want);
+      }
+      EXPECT_EQ(reassembler.pending(), reference.pending());
+      return got.has_value();
+    };
+    SimTime now = 0;
+    for (int step = 0; step < 6000; ++step) {
+      SCOPED_TRACE(testing::Message() << "step " << step);
+      const int64_t op = rng.NextInt(0, 99);
+      if (op < 8 || messages.empty()) {
+        start_message(op == 0 ? uint16_t{65535} : static_cast<uint16_t>(rng.NextInt(1, 70)));
+        continue;
+      }
+      if (op < 10) {
+        now += rng.NextInt(kTimeout / 4, 2 * kTimeout);  // partials age out
+        continue;
+      }
+      now += rng.NextInt(0, kTimeout / 200);
+      Fragment fragment = messages[rng.NextInt(0, static_cast<int64_t>(messages.size()) - 1)];
+      // Index mostly among a small message's own; sometimes at or past its
+      // count, which must be refused.
+      const int64_t top = std::min<int64_t>(fragment.count, 70);
+      fragment.index = static_cast<uint16_t>(
+          op < 13 ? rng.NextInt(fragment.count, fragment.count + 2) : rng.NextInt(0, top - 1));
+      if (op == 13) {
+        fragment.count = 0;
+        fragment.index = 0;
+      }
+      add(fragment, now);
+      if (HasFailure()) {
+        return;
+      }
+    }
+    // A message of the largest count, in shuffled order with duplicates and
+    // other senders' traffic between, completes exactly once, at its last
+    // missing index.
+    start_message(65535);
+    Fragment wide = messages.back();
+    std::vector<uint16_t> order(65535);
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<uint16_t>(i);
+    }
+    std::shuffle(order.begin(), order.end(), rng);
+    for (size_t i = 0; i < order.size(); ++i) {
+      wide.index = order[i];
+      ASSERT_EQ(add(wide, now), i + 1 == order.size()) << "fragment " << i;
+      if (i % 97 == 0) {
+        add(wide, now);  // a duplicate
+        Fragment other = messages[rng.NextInt(0, static_cast<int64_t>(messages.size()) - 2)];
+        if (other.src != wide.src || other.message_seq != wide.message_seq) {
+          other.index = static_cast<uint16_t>(rng.NextInt(0, std::min<int>(other.count, 70) - 1));
+          add(other, now);
+        }
+      }
+    }
+  }
+}
+
 // ---- Radio / channel / MAC end-to-end ----
 
 TEST(RadioTest, DeliversAcrossOneHop) {
@@ -740,6 +885,13 @@ class FrameDriver {
     channel_->Attach(endpoints_.back().get());
   }
 
+  // The latest endpoint attached under `id`.
+  const RecordingEndpoint& endpoint(NodeId id) const {
+    auto it = std::find_if(endpoints_.rbegin(), endpoints_.rend(),
+                           [id](const auto& endpoint) { return endpoint->node_id() == id; });
+    return **it;
+  }
+
   // Transmits one frame from `sender`; while it is on the air, records which
   // other known ids sense carrier and which the channel attempted to reach.
   // Returns the ids that decoded it.
@@ -753,7 +905,7 @@ class FrameDriver {
     for (NodeId id : ids_) {
       attempted_before.push_back(channel_->NodeStats(id).receptions_attempted);
     }
-    channel_->Transmit(sender, TestFrame(sender), kFrameAirtime);
+    channel_->Transmit(endpoint(sender), TestFrame(sender), kFrameAirtime);
     sensed_.clear();
     attempted_.clear();
     for (size_t i = 0; i < ids_.size(); ++i) {
@@ -841,8 +993,8 @@ TEST(ChannelTest, DetachMidFlightScrubsReceptions) {
   Fragment frame_b;
   frame_b.src = 2;
   frame_b.payload_len = 20;
-  sim.After(0, [&] { channel->Transmit(1, frame_a, 10 * kMillisecond); });
-  sim.After(kMillisecond, [&] { channel->Transmit(2, frame_b, 10 * kMillisecond); });
+  sim.After(0, [&] { channel->Transmit(tx_a, frame_a, 10 * kMillisecond); });
+  sim.After(kMillisecond, [&] { channel->Transmit(tx_b, frame_b, 10 * kMillisecond); });
 
   // Node 3 detaches mid-flight and re-attaches (fresh endpoint, same id)
   // before either transmission ends.
@@ -874,7 +1026,7 @@ TEST(ChannelTest, DetachedReceiverStopsMidFlightCleanly) {
   Fragment frame;
   frame.src = 1;
   frame.payload_len = 20;
-  sim.After(0, [&] { channel->Transmit(1, frame, 10 * kMillisecond); });
+  sim.After(0, [&] { channel->Transmit(sender, frame, 10 * kMillisecond); });
   sim.After(5 * kMillisecond, [&] { channel->Detach(2); });
   sim.RunUntil(kSecond);
 
@@ -1103,7 +1255,7 @@ TEST(ChannelTest, CandidateListBuildProbesOnlyNearbyEndpoints) {
     Channel channel(&sim, std::move(owned));
     FrameDriver driver(&sim, &channel, ids);
     const uint64_t before = counting->reaches();
-    channel.Transmit(50, TestFrame(50), kFrameAirtime);  // builds node 50's list
+    channel.Transmit(driver.endpoint(50), TestFrame(50), kFrameAirtime);  // builds 50's list
     probes[forward] = counting->reaches() - before;
     sim.RunUntil(sim.now() + 2 * kFrameAirtime);
     delivered[forward] = driver.Send(50);
@@ -1200,7 +1352,7 @@ DifferentialOutcome RunReceiverDifferential(uint64_t seed, std::unique_ptr<Propa
       std::vector<NodeId> candidates = reached(sender);
       log.clear();
       const uint64_t attempted_before = channel.stats().receptions_attempted;
-      channel.Transmit(sender, TestFrame(sender), kFrameAirtime);
+      channel.Transmit(*pick->second, TestFrame(sender), kFrameAirtime);
       EXPECT_EQ(channel.stats().receptions_attempted - attempted_before, candidates.size());
       if (rng.NextBool(0.3)) {
         if (rng.NextBool(0.5)) {
@@ -1465,7 +1617,7 @@ TEST(ChannelTest, TransmitFromDeliveryCallbackBuildsListsSafely) {
       }
       fired = true;
       for (NodeId sender = 3; sender <= kNodes; ++sender) {
-        channel.Transmit(sender, TestFrame(sender), kFrameAirtime);
+        channel.Transmit(*endpoints[sender - 1], TestFrame(sender), kFrameAirtime);
       }
     });
 
@@ -1477,7 +1629,7 @@ TEST(ChannelTest, TransmitFromDeliveryCallbackBuildsListsSafely) {
       EXPECT_EQ(endpoints[1]->delivered(), 1);
       EXPECT_EQ(channel.stats().collisions, kNodes - 2);
     } else {
-      channel.Transmit(1, TestFrame(1), kFrameAirtime);
+      channel.Transmit(*endpoints[0], TestFrame(1), kFrameAirtime);
       sim.RunUntil(sim.now() + kFrameAirtime);
       // The first frame had ended, so none of its receivers lost it to the
       // transmissions its delivery set off.
