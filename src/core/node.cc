@@ -787,9 +787,9 @@ SimDuration DiffusionNode::JitterWindowFor(MessageType type) const {
     case MessageType::kNegativeReinforcement:
       return kControlJitterWindow;
     case MessageType::kData:
-      return traffic_.jitter.data_window;
+      return kDataJitterWindow;
     case MessageType::kExploratoryData:
-      return traffic_.jitter.refresh_window;
+      return kRefreshJitterWindow;
   }
   return 0;
 }

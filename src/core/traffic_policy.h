@@ -31,14 +31,17 @@ namespace diffusion {
 // Forwarded floods already carry DiffusionConfig::forward_delay_jitter; this
 // layer desynchronizes the *sources* of traffic — originated interests and
 // data, and hop-by-hop reinforcements — which otherwise phase-lock when many
-// nodes react to the same event. Interests and reinforcements always use
-// kControlJitterWindow; the data windows are tunable.
+// nodes react to the same event. The window is fixed per message type:
+// interests and reinforcements use kControlJitterWindow, regular data
+// kDataJitterWindow and exploratory data kRefreshJitterWindow. The wide data
+// window also spreads the sources' token-bucket phases apart (see
+// ReferenceShapingPolicy in src/testbed/congestion.cc).
 inline constexpr SimDuration kControlJitterWindow = 20 * kMillisecond;
+inline constexpr SimDuration kDataJitterWindow = 450 * kMillisecond;
+inline constexpr SimDuration kRefreshJitterWindow = 300 * kMillisecond;
 
 struct TxJitterPolicy {
   bool enabled = false;
-  SimDuration data_window = 50 * kMillisecond;      // regular data
-  SimDuration refresh_window = 100 * kMillisecond;  // exploratory data
 };
 
 // The unified shaping configuration: the node-level jitter plus the

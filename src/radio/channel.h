@@ -102,8 +102,8 @@ class DIFFUSION_THREAD_COMPATIBLE Channel {
 
   // Installs (or clears, with nullptr) the transmission observer. Called for
   // every Transmit, after the transmission is on the air — i.e. on the
-  // thread that owns this channel's region, which is what lets the observer
-  // assert the mailbox writer role (src/radio/region_bridge.h). Install and
+  // thread that owns this channel's region, which makes that thread the one
+  // writer of the observer's outbox (src/radio/region_bridge.h). Install and
   // clear on the barrier/setup side only.
   void set_transmit_observer(TransmitObserver* observer) { transmit_observer_ = observer; }
 

@@ -88,9 +88,7 @@ double RegionMap::DistanceToRect(const Position& position, const Rect& rect) {
 }
 
 RegionLinkMatrix::RegionLinkMatrix(const RegionMap& map, const DiskPropagation& propagation,
-                                   const MacConfig& mac)
-    : regions_(map.regions()) {
-  linked_.assign(static_cast<size_t>(regions_) * static_cast<size_t>(regions_), false);
+                                   const MacConfig& mac) {
   const double bits = static_cast<double>(Fragment::kHeaderBytes + mac.frame_overhead_bytes) * 8.0;
   min_frame_airtime_ = std::max<SimDuration>(
       1, static_cast<SimDuration>(bits / mac.bitrate_bps * static_cast<double>(kSecond)));
@@ -99,12 +97,13 @@ RegionLinkMatrix::RegionLinkMatrix(const RegionMap& map, const DiskPropagation& 
   // range if larger — conservative) touches the region's cell, or it has an
   // explicit link override onto one of the region's nodes.
   const double reach = std::max(propagation.range(), propagation.inter_floor_range());
-  for (int src = 0; src < regions_; ++src) {
+  const int regions = map.regions();
+  for (int src = 0; src < regions; ++src) {
     for (NodeId node : map.nodes_in(src)) {
       std::vector<int> targets;
       const Position* position = propagation.GetPosition(node);
       if (position != nullptr) {
-        for (int dst = 0; dst < regions_; ++dst) {
+        for (int dst = 0; dst < regions; ++dst) {
           if (dst == src || map.nodes_in(dst).empty()) {
             continue;
           }
@@ -122,16 +121,9 @@ RegionLinkMatrix::RegionLinkMatrix(const RegionMap& map, const DiskPropagation& 
       }
       std::sort(targets.begin(), targets.end());
       if (!targets.empty()) {
-        for (int dst : targets) {
-          linked_[static_cast<size_t>(src) * static_cast<size_t>(regions_) +
-                  static_cast<size_t>(dst)] = true;
-        }
         remote_targets_[node] = std::move(targets);
       }
     }
-  }
-  for (bool linked : linked_) {
-    linked_pairs_ += linked ? 1 : 0;
   }
 }
 

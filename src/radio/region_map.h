@@ -3,13 +3,12 @@
 // RegionMap cuts the node field into a rows×cols grid of rectangular cells
 // over the DiskPropagation coordinates; every node belongs to exactly one
 // cell (a region). RegionLinkMatrix then derives, conservatively, which
-// region pairs can exchange frames at all — a node can transmit into another
-// region iff some point of that region's cell is within radio range of it,
-// or it holds an explicit link-quality override into the region — and the
-// smallest frame airtime, which bounds the conservative lookahead window:
-// any window no longer than the minimum on-air duration guarantees a frame
-// started inside window k cannot finish before barrier k+1 (see
-// src/sim/sharded_engine.h).
+// other regions each node can transmit into — some point of the region's
+// cell is within radio range of it, or it holds an explicit link-quality
+// override onto one of the region's nodes — and the smallest frame airtime,
+// which bounds the conservative lookahead window: any window no longer than
+// the minimum on-air duration guarantees a frame started inside window k
+// cannot finish before barrier k+1 (see src/sim/sharded_engine.h).
 
 #ifndef SRC_RADIO_REGION_MAP_H_
 #define SRC_RADIO_REGION_MAP_H_
@@ -69,21 +68,16 @@ class RegionMap {
   std::vector<std::vector<NodeId>> members_;
 };
 
-// Which region pairs are coupled, which remote regions each node can
-// transmit into, and the lookahead the radio configuration supports.
+// Which remote regions each node can transmit into, and the lookahead the
+// radio configuration supports.
 class RegionLinkMatrix {
  public:
   // `propagation` supplies geometry (positions, range, overrides) and `mac`
-  // the timing (bitrate, per-frame overhead). The matrix is a conservative
-  // superset: a listed pair may never exchange a frame, but an unlisted pair
-  // cannot — unlisted pairs get no mailbox at all.
+  // the timing (bitrate, per-frame overhead). The targets are a conservative
+  // superset: a listed region may never hear the node, but an unlisted one
+  // cannot — the bridge hands it none of the node's frames.
   RegionLinkMatrix(const RegionMap& map, const DiskPropagation& propagation,
                    const MacConfig& mac);
-
-  bool Linked(int src_region, int dst_region) const {
-    return linked_[static_cast<size_t>(src_region) * static_cast<size_t>(regions_) +
-                   static_cast<size_t>(dst_region)];
-  }
 
   // Regions other than the node's own that a transmission from `node` may
   // reach, ascending. Empty for interior nodes — the common case, making the
@@ -95,16 +89,10 @@ class RegionLinkMatrix {
   // cross-region delivery past its true finish time.
   SimDuration min_frame_airtime() const { return min_frame_airtime_; }
 
-  // Count of linked ordered region pairs (src != dst), for stats/tests.
-  int linked_pairs() const { return linked_pairs_; }
-
  private:
-  int regions_;
-  std::vector<bool> linked_;
   std::vector<int> empty_;
   std::unordered_map<NodeId, std::vector<int>> remote_targets_;
   SimDuration min_frame_airtime_;
-  int linked_pairs_ = 0;
 };
 
 }  // namespace diffusion

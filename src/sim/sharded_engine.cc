@@ -179,9 +179,7 @@ uint64_t ShardedEngine::RunUntil(SimTime end) {
     const SimTime bound = std::min<SimTime>(cursor_ + window_, end + 1);
     RunWindow(bound);
     if (coupler_ != nullptr) {
-      for (int r = 0; r < regions(); ++r) {
-        coupler_->DrainInto(r, bound);
-      }
+      coupler_->Drain(bound);
     }
     MergeTraces();
     ++windows_run_;

@@ -5,8 +5,9 @@
 // Simulator (pairing-heap scheduler, arena, RNG stream, trace buffer) and
 // advances independently inside half-open time windows [k·L, (k+1)·L). At
 // each window boundary every region has reached the same time, and a
-// RegionCoupler hands cross-region work over — single-threaded, in a fixed
-// (time, source region, sequence) order — before the next window starts.
+// RegionCoupler hands cross-region work over in one call — single-threaded,
+// in a fixed (time, source region, sequence) order — before the next window
+// starts.
 //
 // Idle windows cost nothing. Before each window the barrier thread peeks
 // every region's earliest pending event; whole windows before it would run,
@@ -57,16 +58,16 @@ class RegionCoupler {
  public:
   virtual ~RegionCoupler() = default;
 
-  // Drains everything posted toward `dst_region` during the window that just
-  // ended and schedules it into that region's simulator at or after
-  // `barrier`. Runs on the barrier thread with every region quiescent,
-  // invoked for regions in ascending order.
+  // Drains everything the regions posted during the window that just ended
+  // and schedules it into the destination regions' simulators at or after
+  // `barrier`. Runs once per barrier, on the barrier thread, with every
+  // region quiescent.
   //
   // Only barriers closing a window in which some region may have run an
   // event call it: the engine skips windows with no pending event. A
   // coupler must therefore only relay work that region events posted and
   // never originate work of its own (a timer, a post made outside a window).
-  virtual void DrainInto(int dst_region, SimTime barrier) = 0;
+  virtual void Drain(SimTime barrier) = 0;
 };
 
 // Seed of region `region`'s Simulator under run seed `seed`. Region 0 keeps

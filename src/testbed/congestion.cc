@@ -29,8 +29,6 @@ TrafficPolicy ReferenceShapingPolicy() {
   // admits a different subset of the (synchronized) event sequence and the
   // sink's coverage is the union.
   policy.jitter.enabled = true;
-  policy.jitter.data_window = 450 * kMillisecond;
-  policy.jitter.refresh_window = 300 * kMillisecond;
   // B3: bound data and refresh bytes per node; control has no bucket.
   // The data bucket polices ingress only: metering transit at every relay
   // compounds into heavy end-to-end loss for multi-hop flows, while

@@ -215,7 +215,6 @@ TEST(TrafficPolicyEquivalenceTest, DisabledLayersAreByteIdenticalToSeed) {
   // no matter what values sit behind the disabled flags.
   TrafficPolicy disabled;
   disabled.jitter.enabled = false;
-  disabled.jitter.data_window = 9 * kSecond;
   disabled.mac.data.enabled = false;
   disabled.mac.data.rate_bytes_per_s = 1.0;
   disabled.mac.data.burst_bytes = 1.0;

@@ -127,8 +127,8 @@ TEST(LintRulesTest, RawNewDeleteExceptions) {
             std::vector<std::string>{"DL005"});
   EXPECT_TRUE(LintContent("src/x.cc", "Foo(const Foo&) = delete;\n").empty());
   EXPECT_TRUE(LintContent("src/util/arena.h", "char* p = new char[64];\n").empty());
-  EXPECT_TRUE(
-      LintContent("src/radio/region_mailbox.cc", "char* p = new char[64];\n").empty());
+  EXPECT_EQ(RuleIds(LintContent("src/radio/region_mailbox.cc", "char* p = new char[64];\n")),
+            std::vector<std::string>{"DL005"});
 }
 
 TEST(LintRulesTest, FilterCallbackMustSendOrDocumentDrop) {

@@ -1,5 +1,5 @@
 // Differential tests for the sharded parallel simulation core: the spatial
-// partition, the conservative-window engine, the cross-region mailboxes, and
+// partition, the conservative-window engine, the cross-region bridge, and
 // the multi-region TestbedWorld. The load-bearing properties are
 //   (a) one region reproduces the monolithic sequential run byte-for-byte,
 //   (b) output is invariant under the thread count — the determinism gate
@@ -20,6 +20,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,7 +30,6 @@
 #include "src/core/node.h"
 #include "src/radio/channel.h"
 #include "src/radio/region_bridge.h"
-#include "src/radio/region_mailbox.h"
 #include "src/radio/region_map.h"
 #include "src/sim/sharded_engine.h"
 #include "src/testbed/testbed_world.h"
@@ -91,21 +92,24 @@ TEST(RegionLinkMatrixTest, LinksReachableCellsOnly) {
   const auto propagation = MakePropagation(layout, 1.0);
   const RegionLinkMatrix matrix(map, *propagation, TestbedRadioConfig().mac);
 
-  // Adjacent cells share an edge: nodes near it reach across.
-  EXPECT_TRUE(matrix.Linked(0, 1));
-  // Opposite corners of a 3x3 grid over a 90 m field are far beyond the
-  // 12 m disk.
-  EXPECT_FALSE(matrix.Linked(0, 8));
-  EXPECT_GT(matrix.linked_pairs(), 0);
+  // Adjacent cells share an edge: some node of region 0 near it reaches
+  // across. Opposite corners of a 3x3 grid over a 90 m field are far beyond
+  // the 12 m disk, so no node of region 0 reaches region 8.
+  auto targets_from_region_0 = [&](int dst) {
+    return std::any_of(map.nodes_in(0).begin(), map.nodes_in(0).end(), [&](NodeId node) {
+      const std::vector<int>& targets = matrix.RemoteTargets(node);
+      return std::find(targets.begin(), targets.end(), dst) != targets.end();
+    });
+  };
+  EXPECT_TRUE(targets_from_region_0(1));
+  EXPECT_FALSE(targets_from_region_0(8));
   EXPECT_GT(matrix.min_frame_airtime(), 0);
 
-  // A border node has remote targets; the grid center (spacing 10, range 12,
-  // 30 m cells) cannot reach a foreign cell.
-  bool any_remote = false;
+  // No node targets its own region.
   for (NodeId node : layout.node_ids) {
-    any_remote = any_remote || !matrix.RemoteTargets(node).empty();
+    const std::vector<int>& targets = matrix.RemoteTargets(node);
+    EXPECT_EQ(std::find(targets.begin(), targets.end(), map.RegionOf(node)), targets.end());
   }
-  EXPECT_TRUE(any_remote);
 }
 
 TEST(RegionLinkMatrixTest, LinkOverrideCouplesDistantRegions) {
@@ -117,12 +121,12 @@ TEST(RegionLinkMatrixTest, LinkOverrideCouplesDistantRegions) {
   const RegionMap map(layout.node_ids, layout.positions, 2);
   auto propagation = MakePropagation(layout, 1.0);
   const RegionLinkMatrix before(map, *propagation, TestbedRadioConfig().mac);
-  EXPECT_FALSE(before.Linked(map.RegionOf(1), map.RegionOf(2)));
+  EXPECT_TRUE(before.RemoteTargets(1).empty());
 
   propagation->SetLinkQuality(1, 2, LinkQuality{.delivery_probability = 1.0});
   const RegionLinkMatrix after(map, *propagation, TestbedRadioConfig().mac);
-  EXPECT_TRUE(after.Linked(map.RegionOf(1), map.RegionOf(2)));
-  EXPECT_FALSE(after.Linked(map.RegionOf(2), map.RegionOf(1)));
+  EXPECT_EQ(after.RemoteTargets(1), std::vector<int>{map.RegionOf(2)});
+  EXPECT_TRUE(after.RemoteTargets(2).empty());
 }
 
 TEST(RegionSeedTest, RegionZeroKeepsRunSeed) {
@@ -132,7 +136,8 @@ TEST(RegionSeedTest, RegionZeroKeepsRunSeed) {
   EXPECT_NE(RegionSeed(42, 1), RegionSeed(43, 1));
 }
 
-// Stack-owned WireBody for the mailbox tests.
+// Stack-owned WireBody for the bridge tests; records when its last
+// reference drops.
 class TestWireBody final : public WireBody {
  public:
   explicit TestWireBody(std::vector<uint8_t> bytes) : bytes_(std::move(bytes)) {}
@@ -141,11 +146,13 @@ class TestWireBody final : public WireBody {
   void AppendBytes(std::vector<uint8_t>* out) const override {
     out->insert(out->end(), bytes_.begin(), bytes_.end());
   }
+  bool released() const { return released_; }
 
  private:
-  void Recycle() override {}  // storage lives on the test's stack
+  void Recycle() override { released_ = true; }  // storage lives on the test's stack
 
   std::vector<uint8_t> bytes_;
+  bool released_ = false;
 };
 
 // An endpoint that only has to be there: alive, idle, deaf to content.
@@ -209,12 +216,12 @@ TEST(RegionBridgeTest, BorderTargetsMatchTheMatrixPerNode) {
       channels[static_cast<size_t>(home)]->Transmit(*endpoint_of[id], std::move(frame),
                                                     kMillisecond);
       sims[static_cast<size_t>(home)]->RunUntil(now + 10 * kMillisecond);
+      bridge.Drain(now + 10 * kMillisecond);
       std::vector<int> regions;
       for (int dst = 0; dst < map.regions(); ++dst) {
         if (dst == home) {
           continue;
         }
-        bridge.DrainInto(dst, now + 10 * kMillisecond);
         // Nothing else is pending there, so each event is one border frame.
         const size_t frames = sims[static_cast<size_t>(dst)]->RunUntil(now + 20 * kMillisecond);
         EXPECT_LE(frames, 1u) << "node " << id << " into region " << dst;
@@ -239,96 +246,259 @@ TEST(RegionBridgeTest, BorderTargetsMatchTheMatrixPerNode) {
   }
 }
 
-TEST(RegionMailboxTest, DrainMergesAcrossSourcesInOrder) {
-  RegionMailboxPool pool(3);
-  // The test thread legitimately plays both sides of the barrier: with no
-  // engine running, every call here happens "between windows".
-  pool.writer_role().Assert();
-  pool.barrier_role().Assert();
-  pool.Link(0, 1);
-  pool.Link(2, 1);
+// One successful reception, as a receiving endpoint saw it.
+struct Delivery {
+  NodeId receiver;
+  NodeId sender;
+  SimTime at;
+  uint32_t body_offset;
+  uint16_t payload_len;
+  std::vector<uint8_t> bytes;  // the whole body the fragment rides on
+  const WireBody* body;
+};
 
-  TestWireBody body({1, 2, 3});
+// Logs every frame it decodes, with its region's clock.
+class RecordingEndpoint : public ChannelEndpoint {
+ public:
+  RecordingEndpoint(NodeId id, const Simulator* sim, std::vector<Delivery>* log)
+      : id_(id), sim_(sim), log_(log) {}
+  NodeId node_id() const override { return id_; }
+  bool IsAlive() const override { return true; }
+  bool IsTransmitting() const override { return false; }
+  void OnFrameDelivered(const Fragment& fragment, SimDuration) override {
+    Delivery delivery{.receiver = id_,
+                      .sender = fragment.src,
+                      .at = sim_->now(),
+                      .body_offset = fragment.body_offset,
+                      .payload_len = fragment.payload_len,
+                      .bytes = {},
+                      .body = fragment.body.get()};
+    fragment.body->AppendBytes(&delivery.bytes);
+    log_->push_back(std::move(delivery));
+  }
+
+ private:
+  NodeId id_;
+  const Simulator* sim_;
+  std::vector<Delivery>* log_;
+};
+
+// A RegionBridge over one channel per region of `layout` (range 12, every
+// link delivers), with a recording endpoint on every node and one delivery
+// log per region. Regions run one after another on the test thread.
+class BridgedRegions {
+ public:
+  BridgedRegions(const TestbedLayout& layout, int target_regions)
+      : map_(layout.node_ids, layout.positions, target_regions),
+        matrix_(map_, *MakePropagation(layout, 1.0), TestbedRadioConfig().mac),
+        logs_(static_cast<size_t>(map_.regions())) {
+    std::vector<Channel*> channel_ptrs;
+    for (int region = 0; region < map_.regions(); ++region) {
+      sims_.push_back(std::make_unique<Simulator>(static_cast<uint64_t>(region) + 1));
+      channels_.push_back(
+          std::make_unique<Channel>(sims_.back().get(), MakePropagation(layout, 1.0)));
+      channel_ptrs.push_back(channels_.back().get());
+    }
+    bridge_ = std::make_unique<RegionBridge>(&matrix_, channel_ptrs);
+    for (NodeId id : layout.node_ids) {
+      const size_t region = static_cast<size_t>(map_.RegionOf(id));
+      endpoints_[id] =
+          std::make_unique<RecordingEndpoint>(id, sims_[region].get(), &logs_[region]);
+      channels_[region]->Attach(endpoints_[id].get());
+    }
+  }
+
+  const RegionMap& map() const { return map_; }
+  const RegionLinkMatrix& matrix() const { return matrix_; }
+  RegionBridge& bridge() { return *bridge_; }
+  Simulator& sim_of(NodeId id) { return *sims_[static_cast<size_t>(map_.RegionOf(id))]; }
+  const std::vector<Delivery>& log(int region) const {
+    return logs_[static_cast<size_t>(region)];
+  }
+
+  // Transmits `fragment` from `sender` in its region, now.
+  void Transmit(NodeId sender, Fragment fragment, SimDuration airtime) {
+    channels_[static_cast<size_t>(map_.RegionOf(sender))]->Transmit(
+        *endpoints_.at(sender), std::move(fragment), airtime);
+  }
+  // Schedules that transmission in the sender's region at `at`.
+  void TransmitAt(NodeId sender, SimTime at, Fragment fragment, SimDuration airtime) {
+    sim_of(sender).At(at, [this, sender, fragment = std::move(fragment), airtime] {
+      Transmit(sender, fragment, airtime);
+    });
+  }
+
+  // One barrier, as the sharded engine runs it: every region up to
+  // `barrier`, the drain, then every region through the barrier itself.
+  void Barrier(SimTime barrier) {
+    for (const auto& sim : sims_) {
+      sim->RunUntil(barrier - 1);
+    }
+    bridge_->Drain(barrier);
+    for (const auto& sim : sims_) {
+      sim->RunUntil(barrier);
+    }
+  }
+
+ private:
+  RegionMap map_;
+  RegionLinkMatrix matrix_;
+  std::vector<std::unique_ptr<Simulator>> sims_;
+  std::vector<std::unique_ptr<Channel>> channels_;
+  std::unique_ptr<RegionBridge> bridge_;
+  std::vector<std::vector<Delivery>> logs_;
+  std::map<NodeId, std::unique_ptr<RecordingEndpoint>> endpoints_;
+};
+
+Fragment FragmentOf(NodeId src, TestWireBody* body, uint16_t payload_len) {
   Fragment fragment;
-  fragment.src = 7;
-  fragment.message_seq = 1;
-  fragment.body = BodyRef(&body);
-  fragment.payload_len = 3;
-  pool.Post(2, 1, 20, fragment, 500, 10);
-  pool.Post(0, 1, 10, fragment, 500, 10);  // same start: src region 0 first
-  pool.Post(0, 1, 11, fragment, 100, 10);
-
-  EXPECT_TRUE(pool.HasPending(1));
-  std::vector<const BorderFrame*> drained;
-  pool.DrainInto(1, &drained);
-  ASSERT_EQ(drained.size(), 3u);
-  EXPECT_EQ(drained[0]->sender, 11u);
-  EXPECT_EQ(drained[1]->sender, 10u);
-  EXPECT_EQ(drained[2]->sender, 20u);
-  EXPECT_EQ(drained[0]->bytes, std::vector<uint8_t>({1, 2, 3}));
-  EXPECT_EQ(drained[0]->fragment.payload_len, 3u);
-  EXPECT_FALSE(pool.HasPending(1));
-  EXPECT_EQ(pool.posted_to(1), 3u);
-
-  // Slots recycle: a second round reuses them and drains cleanly.
-  pool.Post(0, 1, 12, fragment, 900, 10);
-  pool.DrainInto(1, &drained);
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_EQ(drained[0]->sender, 12u);
-  EXPECT_EQ(pool.posted_to(1), 4u);
+  fragment.src = src;
+  fragment.body = BodyRef(body);
+  fragment.payload_len = payload_len;
+  return fragment;
 }
 
-TEST(RegionMailboxTest, FlattensZeroCopyBodies) {
-  RegionMailboxPool pool(2);
-  pool.writer_role().Assert();
-  pool.barrier_role().Assert();
-  pool.Link(0, 1);
+// Three 30 m columns on a line (range 12): senders 10 and 12 sit at the
+// east edge of region 0 and senders 20 and 21 at the west edge of region 2,
+// each reaching region 1 only; receiver 1 hears the first pair and
+// receiver 2 the second. Nodes 90 and 91 pin the field's ends.
+TestbedLayout ThreeColumnLayout() {
+  TestbedLayout layout;
+  layout.radio_range = 12.0;
+  const std::pair<NodeId, double> nodes[] = {{90, 0.0},  {10, 25.0}, {12, 26.0}, {1, 35.0},
+                                             {2, 55.0},  {20, 62.0}, {21, 63.0}, {91, 90.0}};
+  for (const auto& [id, x] : nodes) {
+    layout.node_ids.push_back(id);
+    layout.positions[id] = Position{x, 0.0};
+  }
+  return layout;
+}
+
+TEST(RegionBridgeTest, DrainMergesAcrossSourcesInOrder) {
+  BridgedRegions world(ThreeColumnLayout(), 3);
+  ASSERT_EQ(world.map().regions(), 3);
+  for (NodeId sender : {10u, 12u}) {
+    ASSERT_EQ(world.map().RegionOf(sender), 0);
+    ASSERT_EQ(world.matrix().RemoteTargets(sender), std::vector<int>{1});
+  }
+  for (NodeId sender : {20u, 21u}) {
+    ASSERT_EQ(world.map().RegionOf(sender), 2);
+    ASSERT_EQ(world.matrix().RemoteTargets(sender), std::vector<int>{1});
+  }
+
+  // Each region posts in its own time order; region 2 starts first, and
+  // both regions post a frame starting at 500 us. Every frame finishes long
+  // before the barrier, so all four deliveries land at the barrier itself,
+  // in drain order.
+  TestWireBody body({1, 2, 3});
+  world.TransmitAt(10, 500, FragmentOf(10, &body, 3), 10);
+  world.TransmitAt(12, 700, FragmentOf(12, &body, 3), 10);
+  world.TransmitAt(20, 100, FragmentOf(20, &body, 3), 10);
+  world.TransmitAt(21, 500, FragmentOf(21, &body, 3), 10);
+  world.Barrier(kMillisecond);
+
+  std::vector<NodeId> senders;
+  for (const Delivery& delivery : world.log(1)) {
+    EXPECT_EQ(delivery.at, kMillisecond);
+    EXPECT_EQ(delivery.bytes, std::vector<uint8_t>({1, 2, 3}));
+    EXPECT_EQ(delivery.payload_len, 3u);
+    senders.push_back(delivery.sender);
+  }
+  // By start; the tie at 500 us goes to the lower source region.
+  EXPECT_EQ(senders, (std::vector<NodeId>{20, 10, 21, 12}));
+  EXPECT_EQ(world.bridge().frames_handed_off(), 4u);
+  EXPECT_EQ(world.bridge().deliveries_clamped_in(1), 4u);
+
+  // Slots recycle: a second window reuses them and drains only its own
+  // frame, on time this time (it finishes after the barrier).
+  world.TransmitAt(20, 1900 * kMicrosecond, FragmentOf(20, &body, 3), 200);
+  world.Barrier(2 * kMillisecond);
+  EXPECT_EQ(world.log(1).size(), 4u);
+  world.Barrier(3 * kMillisecond);
+  ASSERT_EQ(world.log(1).size(), 5u);
+  EXPECT_EQ(world.log(1).back().sender, 20u);
+  EXPECT_EQ(world.log(1).back().at, 2100 * kMicrosecond);
+  EXPECT_EQ(world.bridge().frames_handed_off(), 5u);
+  EXPECT_EQ(world.bridge().deliveries_clamped(), 4u);
+}
+
+TEST(RegionBridgeTest, FlattensZeroCopyBodies) {
+  BridgedRegions world(ThreeColumnLayout(), 3);
 
   // A fragment must cross as plain bytes: its header and byte range plus
-  // its message's materialized image, no body reference.
+  // its message's materialized image, no reference to the source's body.
   TestWireBody body({9, 8, 7, 6, 5, 4});
-  Fragment fragment;
-  fragment.body = BodyRef(&body);
+  Fragment fragment = FragmentOf(10, &body, 3);
   fragment.body_offset = 2;
-  fragment.payload_len = 3;
-  pool.Post(0, 1, 1, fragment, 10, 5);
+  world.TransmitAt(10, 100, std::move(fragment), 10);
+  world.sim_of(10).RunUntil(500);
+  // The frame left the air at its sender and waits for the barrier: the
+  // outbox holds no reference, so the body is back with its owner.
+  EXPECT_TRUE(body.released());
 
-  std::vector<const BorderFrame*> drained;
-  pool.DrainInto(1, &drained);
-  ASSERT_EQ(drained.size(), 1u);
-  EXPECT_FALSE(drained[0]->fragment.body);
-  EXPECT_EQ(drained[0]->bytes, std::vector<uint8_t>({9, 8, 7, 6, 5, 4}));
-  EXPECT_EQ(drained[0]->fragment.body_offset, 2u);
-  EXPECT_EQ(drained[0]->fragment.payload_len, 3u);
+  world.Barrier(kMillisecond);
+  ASSERT_EQ(world.log(1).size(), 1u);
+  const Delivery& delivery = world.log(1)[0];
+  EXPECT_NE(delivery.body, &body);
+  EXPECT_EQ(delivery.bytes, std::vector<uint8_t>({9, 8, 7, 6, 5, 4}));
+  EXPECT_EQ(delivery.body_offset, 2u);
+  EXPECT_EQ(delivery.payload_len, 3u);
 }
 
-// Pins the invariant diffusion-lint DL009 checks statically and the clang
-// writer-role annotation checks at compile time: a second thread posting
-// into the same (src, dst) mailbox within one window trips the dynamic
-// owner check in RegionMailboxPool::Post and aborts.
-TEST(RegionMailboxDeathTest, SecondWriterTripsOwnerCheck) {
+TEST(RegionBridgeTest, FrameReachesEveryTargetRegionWithOneImage) {
+  // Four 30 m cells; node 5 sits 1.4 m from the corner they share, within
+  // range of one receiver in each foreign cell.
+  TestbedLayout layout;
+  layout.radio_range = 12.0;
+  const std::tuple<NodeId, double, double> nodes[] = {
+      {90, 0.0, 0.0}, {91, 60.0, 0.0}, {92, 0.0, 60.0}, {93, 60.0, 60.0},
+      {5, 29.0, 29.0}, {6, 35.0, 25.0}, {7, 25.0, 35.0}, {8, 35.0, 35.0}};
+  for (const auto& [id, x, y] : nodes) {
+    layout.node_ids.push_back(id);
+    layout.positions[id] = Position{x, y};
+  }
+  BridgedRegions world(layout, 4);
+  ASSERT_EQ(world.map().RegionOf(5), 0);
+  const std::vector<int> targets = world.matrix().RemoteTargets(5);
+  ASSERT_EQ(targets, (std::vector<int>{1, 2, 3}));
+
+  TestWireBody body({4, 3, 2, 1, 0});
+  Fragment fragment = FragmentOf(5, &body, 2);
+  fragment.body_offset = 1;
+  world.TransmitAt(5, 100, std::move(fragment), 10);
+  world.Barrier(kMillisecond);
+
+  EXPECT_EQ(world.bridge().frames_handed_off(), targets.size());
+  std::vector<NodeId> receivers;
+  for (int region : targets) {
+    for (const Delivery& delivery : world.log(region)) {
+      EXPECT_EQ(delivery.sender, 5u);
+      EXPECT_EQ(delivery.bytes, std::vector<uint8_t>({4, 3, 2, 1, 0}));
+      EXPECT_EQ(delivery.body_offset, 1u);
+      EXPECT_EQ(delivery.payload_len, 2u);
+      receivers.push_back(delivery.receiver);
+    }
+  }
+  EXPECT_EQ(receivers, (std::vector<NodeId>{6, 7, 8}));
+}
+
+// Pins the invariant diffusion-lint DL009 checks statically: a second
+// thread transmitting in one region within one window trips the outbox's
+// owner check and aborts.
+TEST(RegionBridgeDeathTest, SecondWriterTripsOwnerCheck) {
 #if defined(DIFFUSION_TEST_TSAN)
   GTEST_SKIP() << "death tests are unsupported under TSan";
 #else
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  RegionMailboxPool pool(2);
-  pool.writer_role().Assert();
-  pool.barrier_role().Assert();
-  pool.Link(0, 1);
-  TestWireBody body({1});
-  Fragment fragment;
-  fragment.body = BodyRef(&body);
-  fragment.payload_len = 1;
-  pool.Post(0, 1, 1, fragment, 10, 5);  // pins the mailbox to this thread
+  TestWireBody body({1});  // outlives the frames still on the air in `world`
+  BridgedRegions world(ThreeColumnLayout(), 3);
+  world.Transmit(10, FragmentOf(10, &body, 1), 5);  // pins region 0's outbox
   EXPECT_DEATH(
       {
-        // In threadsafe style the child re-runs the test body, so the Post
-        // above pinned the mailbox to the child's main thread; this fresh
-        // thread is necessarily a second writer.
-        std::thread second([&pool, &fragment] {
-          pool.writer_role().Assert();
-          pool.Post(0, 1, 2, fragment, 20, 5);
-        });
+        // In threadsafe style the child re-runs the test body, so the
+        // transmit above pinned the outbox to the child's main thread; this
+        // fresh thread is necessarily a second writer.
+        std::thread second([&world, &body] { world.Transmit(12, FragmentOf(12, &body, 1), 5); });
         second.join();
       },
       "single-writer violation");
@@ -694,15 +864,11 @@ TEST(ShardedEngineTest, RegionExceptionReachesRunUntilCaller) {
 
 // ---- idle-window skipping ----------------------------------------------------
 
-// Records the barrier time of every DrainInto call (region 0's, one per
-// executed barrier) and relays nothing.
+// Records the barrier time of every Drain call (one per executed barrier)
+// and relays nothing.
 class BarrierLog : public RegionCoupler {
  public:
-  void DrainInto(int dst_region, SimTime barrier) override {
-    if (dst_region == 0) {
-      barriers.push_back(barrier);
-    }
-  }
+  void Drain(SimTime barrier) override { barriers.push_back(barrier); }
   std::vector<SimTime> barriers;
 };
 
@@ -815,17 +981,18 @@ class ChainWorkload : public RegionCoupler {
     });
   }
 
-  void DrainInto(int dst_region, SimTime barrier) override {
-    Simulator* sim = sims_[static_cast<size_t>(dst_region)];
-    for (auto& row : outbox_) {
-      std::vector<Posted>& posted = row[static_cast<size_t>(dst_region)];
-      for (const Posted& message : posted) {
-        const int64_t label = message.label;
-        sim->At(std::max(barrier, message.arrive), [this, sim, dst_region, label] {
-          logs_[static_cast<size_t>(dst_region)].push_back(Logged{sim->now(), label});
-        });
+  void Drain(SimTime barrier) override {
+    for (size_t dst = 0; dst < sims_.size(); ++dst) {
+      Simulator* sim = sims_[dst];
+      for (auto& row : outbox_) {
+        for (const Posted& message : row[dst]) {
+          const int64_t label = message.label;
+          sim->At(std::max(barrier, message.arrive), [this, sim, dst, label] {
+            logs_[dst].push_back(Logged{sim->now(), label});
+          });
+        }
+        row[dst].clear();
       }
-      posted.clear();
     }
   }
 
@@ -887,9 +1054,7 @@ class EveryWindowReference {
       for (const auto& sim : sims_) {
         sim->RunUntil(bound - 1);
       }
-      for (int r = 0; r < static_cast<int>(sims_.size()); ++r) {
-        coupler->DrainInto(r, bound);
-      }
+      coupler->Drain(bound);
       cursor_ = bound;
     }
   }

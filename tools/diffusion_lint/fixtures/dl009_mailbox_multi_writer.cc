@@ -1,9 +1,9 @@
 // diffusion-lint: scope(src)
-// DL009 fixture: each (src, dst) mailbox has exactly one writer per window.
+// DL009 fixture: each region's mailbox has exactly one writer per window.
 // One file posting with more than one source symbol is one component writing
 // on behalf of several regions — the static half of the contract whose
-// dynamic half (the owner check in RegionMailboxPool::Post) aborts at
-// runtime.
+// dynamic half (the owner check in RegionBridge::Observer::OnTransmit)
+// aborts at runtime.
 #include <cstdint>
 
 namespace fixture {

@@ -25,7 +25,7 @@ void Suppressed() {
   worker.join();
 }
 
-// Clean: thread::id is a plain value — the mailbox owner check compares ids
+// Clean: thread::id is a plain value — the outbox owner check compares ids
 // without ever spawning anything.
 bool SameThread(std::thread::id a, std::thread::id b) { return a == b; }
 

@@ -942,12 +942,10 @@ void CheckIgnoredResult(const std::string& file, const Preprocessed& pp,
 }
 
 // DL005 — ownership lives in containers and unique_ptr; raw new/delete is
-// reserved for designated allocators: arena files (*arena*) and the region
-// mailbox pool (*region_mailbox*), which recycles border-frame slots.
+// reserved for the designated allocator: arena files (*arena*).
 void CheckRawNewDelete(const std::string& file, const Preprocessed& pp,
                        std::vector<Diagnostic>* out) {
-  if (file.find("arena") != std::string::npos ||
-      file.find("region_mailbox") != std::string::npos) {
+  if (file.find("arena") != std::string::npos) {
     return;
   }
   const std::string& code = pp.code;
@@ -991,8 +989,8 @@ void CheckRawNewDelete(const std::string& file, const Preprocessed& pp,
         if (is_expression && !deleted_function) {
           Emit(out, file, pp.LineAt(at), kRules[4],
                std::string("raw '") + word +
-                   "' outside a designated allocator (*arena*, *region_mailbox*); use "
-                   "containers or std::make_unique");
+                   "' outside a designated allocator (*arena*); use containers or "
+                   "std::make_unique");
         }
       }
       at = code.find(word, at + len);
@@ -1221,10 +1219,11 @@ void CheckUnannotatedConcurrentMembers(const std::string& file, const Preprocess
   }
 }
 
-// DL009 — each (src, dst) mailbox has exactly one writer per window. A file
+// DL009 — each region's mailbox has exactly one writer per window. A file
 // whose Post() calls name more than one source symbol is one component
 // posting on behalf of several regions — the single-writer contract the
-// dynamic owner check in RegionMailboxPool::Post aborts on at runtime.
+// dynamic owner check in RegionBridge::Observer::OnTransmit aborts on at
+// runtime.
 // Tests legitimately post several literal regions from one thread, so the
 // rule applies to src/ only.
 void CheckMailboxSingleWriter(const std::string& file, const Preprocessed& pp, Scope scope,
