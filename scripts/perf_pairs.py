@@ -10,8 +10,10 @@ Usage, from anywhere:
 Each checkout builds perfbench into its own CARGO_TARGET_DIR
 (<checkout>/.bench_build), so the two builds never share objects. Pair i runs
 both sides on seed --seed + i; even pairs run the parent first, odd pairs the
-change. For every end-to-end metric in the change's BENCHMARK.json the
-summary prints each side's median and quartiles, how many pairs the change
+change. As each pair ends it prints one line: the pair's seed, the side that
+ran first and both sides' value of every end-to-end metric in the change's
+BENCHMARK.json, parent first. For every such metric the closing summary
+prints each side's median and quartiles, how many pairs the change
 won (ties count for neither side) and the parent's interquartile range. A
 metric reads "gain" when the change won at least nine tenths of the pairs and
 the medians differ, in the better direction, by more than the parent's IQR
@@ -64,6 +66,18 @@ def summarise(metrics, parent_runs, change_runs):
     return lines
 
 
+def pair_line(index, seed, first, metrics, parent, change):
+    """One line for pair `index`: its seed, the side that ran first and, per
+    metric, the parent's value -> the change's. A failed side reads "failed"."""
+    def value(run, name):
+        if run is None:
+            return "failed"
+        return "%.6g" % run[name] if name in run else "-"
+    cells = ["%s %s -> %s" % (name, value(parent, name), value(change, name))
+             for name, _ in metrics]
+    return "pair %d seed %d, %s first: %s" % (index, seed, first, ", ".join(cells))
+
+
 def run_side(checkout, workload, seed, seconds):
     """One perfbench run; its metric values, or None when it failed."""
     env = dict(os.environ, CARGO_TARGET_DIR=os.path.join(checkout, ".bench_build"))
@@ -96,6 +110,18 @@ def self_test():
     got = summarise(metrics, parent, change)
     if got != expected:
         print("self-test FAILED:\n  got      %s\n  expected %s" % (got, expected), file=sys.stderr)
+        return 1
+    pairs = [
+        pair_line(2, 702, "parent", metrics, parent[2], change[2]),
+        pair_line(3, 703, "change", metrics, parent[3], change[3]),
+    ]
+    expected_pairs = [
+        "pair 2 seed 702, parent first: speed 98 -> 125, rss 10 -> 10.5",
+        "pair 3 seed 703, change first: speed 102 -> failed, rss 10 -> failed",
+    ]
+    if pairs != expected_pairs:
+        print("self-test FAILED:\n  got      %s\n  expected %s" % (pairs, expected_pairs),
+              file=sys.stderr)
         return 1
     change[3] = {"speed": 119, "rss": 10.0}
     change[7]["speed"] = 121
@@ -135,9 +161,8 @@ def main():
         results = {}
         for side, checkout in order:
             results[side] = run_side(checkout, args.workload, seed, args.seconds)
-            value = results[side] and results[side].get(metrics[0][0])
-            print("pair %d seed %d %s: %s=%s" % (i, seed, side, metrics[0][0], value),
-                  file=sys.stderr)
+        print(pair_line(i, seed, order[0][0], metrics, results["parent"], results["change"]),
+              flush=True)
         parent_runs.append(results["parent"])
         change_runs.append(results["change"])
     for line in summarise(metrics, parent_runs, change_runs):

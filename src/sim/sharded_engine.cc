@@ -5,10 +5,28 @@
 namespace diffusion {
 namespace {
 
-// Parks until `value` differs from `old` and returns what it became.
+// Polls a waiter makes before it parks. Parking costs field10k's barrier a
+// 5-7 µs futex wake-up; 1,024 `pause`s last about 25 µs on an Intel Xeon
+// (less where `pause` is short), so a share that ends within that spell
+// hands over without a system call.
+constexpr int kPollsBeforePark = 1024;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+// Waits until `value` differs from `old` and returns what it became: first
+// up to kPollsBeforePark polls when `poll` is set, then parks in
+// std::atomic::wait.
 template <typename T>
-T AwaitChange(const std::atomic<T>& value, T old) {
+T AwaitChange(const std::atomic<T>& value, T old, bool poll) {
   T now = value.load(std::memory_order_acquire);
+  for (int i = 0; poll && now == old && i < kPollsBeforePark; ++i) {
+    CpuRelax();
+    now = value.load(std::memory_order_acquire);
+  }
   while (now == old) {
     value.wait(old, std::memory_order_acquire);
     now = value.load(std::memory_order_acquire);
@@ -39,7 +57,8 @@ unsigned ShardedEngine::ResolveThreads(const ShardedEngineConfig& config) {
 
 ShardedEngine::ShardedEngine(const ShardedEngineConfig& config)
     : window_(config.window > 0 ? config.window : 1 * kMillisecond),
-      threads_(ResolveThreads(config)) {
+      threads_(ResolveThreads(config)),
+      poll_(threads_ <= std::thread::hardware_concurrency()) {
   const int regions = std::max(1, config.regions);
   sims_.reserve(static_cast<size_t>(regions));
   for (int r = 0; r < regions; ++r) {
@@ -92,7 +111,7 @@ void ShardedEngine::RunShare(unsigned tid, SimTime bound) {
 void ShardedEngine::WorkerLoop(unsigned tid) {
   uint32_t seen = 0;
   for (;;) {
-    seen = AwaitChange(generation_, seen);
+    seen = AwaitChange(generation_, seen, poll_);
     if (stop_.load(std::memory_order_relaxed)) {
       return;
     }
@@ -113,7 +132,7 @@ void ShardedEngine::RunWindow(SimTime bound) {
     generation_.notify_all();
     RunShare(threads_ - 1, bound);
     for (unsigned left = running_.load(std::memory_order_acquire); left != 0;) {
-      left = AwaitChange(running_, left);
+      left = AwaitChange(running_, left, poll_);
     }
   }
   for (size_t r = 0; r < worker_errors_.size(); ++r) {

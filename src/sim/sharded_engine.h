@@ -33,7 +33,12 @@
 //
 // The barrier is lock-free: a release increment of a generation counter
 // starts a window and a release decrement of a running count ends each
-// worker's share. Waiting threads park in std::atomic::wait.
+// worker's share. A waiting thread polls the counter for a bounded spell
+// (a few µs to tens of µs, about one futex wake-up) and then parks in
+// std::atomic::wait; a window that closes within the spell hands over
+// without a system call. An engine with more threads than the host has
+// hardware threads parks at once, so a poller never holds the core a
+// descheduled peer needs.
 
 #ifndef SRC_SIM_SHARDED_ENGINE_H_
 #define SRC_SIM_SHARDED_ENGINE_H_
@@ -140,6 +145,8 @@ class ShardedEngine {
 
   const SimDuration window_;
   const unsigned threads_;
+  // Waiters poll before parking only when every thread can hold a core.
+  const bool poll_;
   // Each region's simulator (and its per-region slots below) is touched by
   // exactly one worker inside a window; the barrier's release/acquire
   // handoff publishes it to the next owner between windows.

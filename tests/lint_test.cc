@@ -28,15 +28,17 @@ std::vector<std::string> RuleIds(const std::vector<Diagnostic>& diags) {
 
 TEST(LintRulesTest, CatalogIsStable) {
   const std::vector<RuleInfo>& rules = Rules();
-  ASSERT_EQ(rules.size(), 10u);
+  ASSERT_EQ(rules.size(), 9u);
   EXPECT_STREQ(rules[0].id, "DL001");
   EXPECT_STREQ(rules[0].name, "wall-clock");
   EXPECT_STREQ(rules[5].id, "DL006");
   EXPECT_STREQ(rules[5].name, "filter-drop");
   EXPECT_STREQ(rules[6].id, "DL007");
   EXPECT_STREQ(rules[6].name, "pooled-body-cross-thread");
-  EXPECT_STREQ(rules[9].id, "DL010");
-  EXPECT_STREQ(rules[9].name, "thread-outside-sim");
+  EXPECT_STREQ(rules[7].id, "DL008");
+  // DL009 is retired; its ID stays unused.
+  EXPECT_STREQ(rules[8].id, "DL010");
+  EXPECT_STREQ(rules[8].name, "thread-outside-sim");
 }
 
 TEST(LintRulesTest, WallClockFlaggedInSrcNotBench) {
@@ -179,11 +181,16 @@ TEST(LintRulesTest, ConcurrentClassMembersMustDeclareProtection) {
   const std::string annotated =
       "class Engine {\n"
       "  std::mutex mu_;\n"
-      "  uint64_t generation_ DIFFUSION_GUARDED_BY(mu_) = 0;\n"
       "  std::vector<int> events_ DIFFUSION_REGION_PINNED;\n"
       "  uint64_t cursor_ DIFFUSION_BARRIER_OWNED = 0;\n"
       "  const unsigned threads_ = 1;\n"
       "  std::atomic<bool> stop_{false};\n"
+      "};\n";
+  // Only the two ownership markers count; the repo defines no lock macro.
+  const std::string undefined_macro =
+      "class Engine {\n"
+      "  std::mutex mu_;\n"
+      "  uint64_t generation_ DIFFUSION_GUARDED_BY(mu_) = 0;\n"
       "};\n";
   const std::string no_primitive =
       "class Ledger {\n"
@@ -191,28 +198,9 @@ TEST(LintRulesTest, ConcurrentClassMembersMustDeclareProtection) {
       "};\n";
   EXPECT_EQ(RuleIds(LintContent("src/x.h", bad)), std::vector<std::string>{"DL008"});
   EXPECT_TRUE(LintContent("src/x.h", annotated).empty());
+  EXPECT_EQ(RuleIds(LintContent("src/x.h", undefined_macro)),
+            std::vector<std::string>{"DL008"});
   EXPECT_TRUE(LintContent("src/x.h", no_primitive).empty());
-}
-
-TEST(LintRulesTest, MailboxPostsWithOneSourceSymbol) {
-  const std::string bad =
-      "void Bridge::Run(int src_region, uint64_t sender) {\n"
-      "  pool_.Post(src_region, 1, sender);\n"
-      "  pool_.Post(0, 1, sender);\n"
-      "}\n";
-  const std::string single =
-      "void Bridge::Run(int src_region, uint64_t sender) {\n"
-      "  pool_.Post(src_region, 1, sender);\n"
-      "  pool_.Post(src_region, 2, sender);\n"
-      "}\n";
-  const std::string not_a_mailbox =
-      "void Bridge::Run(uint64_t sender) {\n"
-      "  queue_.Post(1, sender);\n"
-      "  queue_.Post(2, sender);\n"
-      "}\n";
-  EXPECT_EQ(RuleIds(LintContent("src/x.cc", bad)), std::vector<std::string>{"DL009"});
-  EXPECT_TRUE(LintContent("src/x.cc", single).empty());
-  EXPECT_TRUE(LintContent("src/x.cc", not_a_mailbox).empty());
 }
 
 TEST(LintRulesTest, ThreadCreationOnlyInsideSimCore) {

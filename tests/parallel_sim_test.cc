@@ -482,7 +482,7 @@ TEST(RegionBridgeTest, FrameReachesEveryTargetRegionWithOneImage) {
   EXPECT_EQ(receivers, (std::vector<NodeId>{6, 7, 8}));
 }
 
-// Pins the invariant diffusion-lint DL009 checks statically: a second
+// Pins the outbox's single-writer contract at runtime: a second
 // thread transmitting in one region within one window trips the outbox's
 // owner check and aborts.
 TEST(RegionBridgeDeathTest, SecondWriterTripsOwnerCheck) {
@@ -1107,6 +1107,47 @@ TEST(ShardedEngineTest, SkippingMatchesEveryWindowReference) {
         EXPECT_EQ(engine.region_sim(r).now(), kEnd);
       }
     }
+  }
+}
+
+// Thousands of barriers with about one event each, so nearly all host time
+// is the window handoff. Waiters poll before parking at 2 threads and at the
+// hardware thread count, and park at once one thread above it; every
+// region's log must equal the one-thread log either way.
+TEST(ShardedEngineTest, ManyShortWindowsMatchOneThread) {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  const int regions = static_cast<int>(cores) + 1;
+  auto run = [regions](unsigned threads, uint64_t* barriers) {
+    ShardedEngineConfig config;
+    config.regions = regions;
+    config.threads = threads;
+    config.window = 2 * kMillisecond;
+    config.seed = 7;
+    ShardedEngine engine(config);
+    EXPECT_EQ(engine.threads(), threads);
+    std::vector<Simulator*> sims;
+    for (int r = 0; r < regions; ++r) {
+      sims.push_back(&engine.region_sim(r));
+    }
+    ChainWorkload workload(sims);
+    engine.set_coupler(&workload);
+    workload.Start();
+    engine.RunUntil(40 * kSecond);
+    *barriers = engine.barriers_run();
+    return workload.logs();
+  };
+
+  // At 5 regions: 2,958 barriers for 3,908 logged events.
+  uint64_t barriers = 0;
+  const std::vector<std::vector<ChainWorkload::Logged>> expected = run(1, &barriers);
+  ASSERT_GT(barriers, 2000u);
+  for (unsigned threads : {2u, cores, cores + 1}) {
+    if (threads < 2) {
+      continue;
+    }
+    uint64_t threaded_barriers = 0;
+    EXPECT_EQ(run(threads, &threaded_barriers), expected) << "threads " << threads;
+    EXPECT_EQ(threaded_barriers, barriers) << "threads " << threads;
   }
 }
 

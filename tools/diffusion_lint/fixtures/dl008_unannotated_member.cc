@@ -1,9 +1,8 @@
 // diffusion-lint: scope(src)
 // DL008 fixture: a class that owns a mutex or threads is a concurrency
 // boundary, so every other data member must declare its protection — const,
-// std::atomic, DIFFUSION_GUARDED_BY a capability, or an ownership marker
-// (DIFFUSION_REGION_PINNED / DIFFUSION_BARRIER_OWNED) naming the handoff
-// discipline that protects it instead.
+// std::atomic, or an ownership marker (DIFFUSION_REGION_PINNED /
+// DIFFUSION_BARRIER_OWNED) naming the handoff discipline that protects it.
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -19,7 +18,6 @@ class Engine {
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  uint64_t generation_ DIFFUSION_GUARDED_BY(mu_) = 0;
   std::vector<uint64_t> events_ DIFFUSION_REGION_PINNED;
   uint64_t cursor_ DIFFUSION_BARRIER_OWNED = 0;
   const unsigned threads_ = 1;

@@ -327,7 +327,7 @@ size_t MatchDelimiter(const std::string& code, size_t open) {
 
 // ---- symbol harvesting (class definitions + data members) ----------------
 //
-// The concurrency rules (DL007-DL009) need to know which class a member
+// The concurrency rules (DL007, DL008) need to know which class a member
 // belongs to, not just that a token occurs somewhere in the file. This is a
 // lightweight per-file symbol table in the same lexical spirit as the rest
 // of the linter: class bodies are found by brace matching, and the depth-1
@@ -479,8 +479,8 @@ void ProcessMemberStatement(const Preprocessed& pp, std::string text, size_t off
   }
   const int line = pp.LineAt(offset + first);
   // Split out annotation macros so an annotated member still parses as
-  // (type, name) and so the '(' of DIFFUSION_GUARDED_BY(mu_) does not make
-  // the member look like a function declaration.
+  // (type, name) and so the '(' of a macro with arguments does not make the
+  // member look like a function declaration.
   std::string annotations;
   size_t at = text.find("DIFFUSION_");
   while (at != std::string::npos) {
@@ -620,10 +620,8 @@ const RuleInfo kRules[] = {
      "pooled/zero-copy payload stored in a cross-thread struct without a flatten in the "
      "posting path"},
     {"DL008", "unannotated-concurrent-member",
-     "mutable member of a thread-owning class that is neither const, atomic, annotated, "
-     "nor ownership-marked"},
-    {"DL009", "mailbox-multi-writer",
-     "mailbox Post() called with more than one source symbol in one file (single-writer)"},
+     "mutable member of a thread-owning class that is neither const, atomic, nor "
+     "ownership-marked"},
     {"DL010", "thread-outside-sim",
      "thread creation or thread-local state outside the simulation core (src/sim)"},
 };
@@ -1176,9 +1174,9 @@ void CheckBodyRefCrossThread(const std::string& file, const Preprocessed& pp,
 
 // DL008 — a class that owns a mutex, a condition variable or threads is a
 // concurrency boundary: every other data member must declare its protection.
-// Accepted: const, std::atomic, DIFFUSION_GUARDED_BY/PT_GUARDED_BY a
-// capability, or an ownership marker (DIFFUSION_REGION_PINNED /
-// DIFFUSION_BARRIER_OWNED) naming the handoff discipline instead.
+// Accepted: const, std::atomic, or an ownership marker
+// (DIFFUSION_REGION_PINNED / DIFFUSION_BARRIER_OWNED) naming the handoff
+// discipline. The repo defines no lock annotation, so no other macro counts.
 void CheckUnannotatedConcurrentMembers(const std::string& file, const Preprocessed& pp,
                                        Scope scope, std::vector<Diagnostic>* out) {
   if (scope != Scope::kSrc) {
@@ -1200,7 +1198,8 @@ void CheckUnannotatedConcurrentMembers(const std::string& file, const Preprocess
       if (IsConcurrencyPrimitive(member.text)) {
         continue;  // the primitive itself is the boundary, not guarded data
       }
-      if (!member.annotations.empty()) {
+      if (ContainsWord(member.annotations, "DIFFUSION_REGION_PINNED") ||
+          ContainsWord(member.annotations, "DIFFUSION_BARRIER_OWNED")) {
         continue;
       }
       size_t head_end = std::min(member.text.find('='), member.text.find('{'));
@@ -1213,94 +1212,9 @@ void CheckUnannotatedConcurrentMembers(const std::string& file, const Preprocess
       }
       Emit(out, file, member.line, kRules[7],
            "member '" + MemberName(member.text) + "' of thread-owning class '" + cls.name +
-               "' is neither const, atomic, DIFFUSION_GUARDED_BY a capability, nor "
-               "ownership-marked (DIFFUSION_REGION_PINNED / DIFFUSION_BARRIER_OWNED)");
+               "' is neither const, atomic, nor ownership-marked "
+               "(DIFFUSION_REGION_PINNED / DIFFUSION_BARRIER_OWNED)");
     }
-  }
-}
-
-// DL009 — each region's mailbox has exactly one writer per window. A file
-// whose Post() calls name more than one source symbol is one component
-// posting on behalf of several regions — the single-writer contract the
-// dynamic owner check in RegionBridge::Observer::OnTransmit aborts on at
-// runtime.
-// Tests legitimately post several literal regions from one thread, so the
-// rule applies to src/ only.
-void CheckMailboxSingleWriter(const std::string& file, const Preprocessed& pp, Scope scope,
-                              std::vector<Diagnostic>* out) {
-  if (scope != Scope::kSrc) {
-    return;
-  }
-  const std::string& code = pp.code;
-  struct PostSite {
-    std::string arg;
-    int line;
-  };
-  std::vector<PostSite> sites;
-  size_t at = code.find("Post(");
-  while (at != std::string::npos) {
-    if (at > 0 && IsIdentChar(code[at - 1])) {
-      at = code.find("Post(", at + 1);
-      continue;
-    }
-    size_t obj_end;
-    if (at >= 1 && code[at - 1] == '.') {
-      obj_end = at - 1;
-    } else if (at >= 2 && code[at - 2] == '-' && code[at - 1] == '>') {
-      obj_end = at - 2;
-    } else {
-      at = code.find("Post(", at + 1);
-      continue;
-    }
-    size_t obj_begin = obj_end;
-    while (obj_begin > 0 && IsIdentChar(code[obj_begin - 1])) {
-      --obj_begin;
-    }
-    std::string object = code.substr(obj_begin, obj_end - obj_begin);
-    std::transform(object.begin(), object.end(), object.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    if (object.find("pool") == std::string::npos &&
-        object.find("mailbox") == std::string::npos) {
-      at = code.find("Post(", at + 1);
-      continue;
-    }
-    const size_t open = at + std::char_traits<char>::length("Post");
-    const size_t close = MatchDelimiter(code, open);
-    if (close == std::string::npos) {
-      break;
-    }
-    // First argument — the source region symbol — at nesting depth 0.
-    std::string arg;
-    int depth = 0;
-    for (size_t i = open + 1; i < close; ++i) {
-      const char c = code[i];
-      if (c == '(' || c == '[' || c == '{' || c == '<') {
-        ++depth;
-      } else if (c == ')' || c == ']' || c == '}' || c == '>') {
-        --depth;
-      } else if (c == ',' && depth == 0) {
-        break;
-      }
-      if (!std::isspace(static_cast<unsigned char>(c))) {
-        arg += c;
-      }
-    }
-    sites.push_back(PostSite{arg, pp.LineAt(at)});
-    at = code.find("Post(", close);
-  }
-  if (sites.size() < 2) {
-    return;
-  }
-  const std::string& first = sites.front().arg;
-  std::set<std::string> reported;
-  for (const PostSite& site : sites) {
-    if (site.arg == first || reported.count(site.arg) > 0) {
-      continue;
-    }
-    reported.insert(site.arg);
-    Emit(out, file, site.line, kRules[8],
-         "mailbox posted with source '" + site.arg + "' while this file also posts with "
-         "source '" + first + "'; a (src, dst) mailbox has exactly one writer per window");
   }
 }
 
@@ -1318,7 +1232,7 @@ void CheckThreadOutsideSim(const std::string& file, const Preprocessed& pp, Scop
   }
   const std::string& code = pp.code;
   auto flag = [&](int line, const std::string& what) {
-    Emit(out, file, line, kRules[9],
+    Emit(out, file, line, kRules[8],
          "'" + what + "' creates or pins a thread outside the simulation core; thread "
          "ownership belongs to src/sim (ShardedEngine workers, ReplicationPool)");
   };
@@ -1379,7 +1293,6 @@ std::vector<Diagnostic> LintContent(const std::string& path, const std::string& 
   CheckFilterDrop(path, pp, &diagnostics);
   CheckBodyRefCrossThread(path, pp, sibling_pp.get(), &diagnostics);
   CheckUnannotatedConcurrentMembers(path, pp, scope, &diagnostics);
-  CheckMailboxSingleWriter(path, pp, scope, &diagnostics);
   CheckThreadOutsideSim(path, pp, scope, &diagnostics);
 
   diagnostics.erase(

@@ -7,11 +7,11 @@
 // silently ignored, allocation goes through owned containers rather than raw
 // new/delete, and a filter callback owns the message it is handed — every
 // path must re-inject it or deliberately drop it (§2.3 of the paper). The
-// sharded parallel core adds ownership contracts (DL007-DL010): pooled
-// zero-copy payloads must be flattened before crossing threads, members of
-// thread-owning classes must declare their protection (const / atomic /
-// DIFFUSION_* annotations from src/util/thread_annotations.h), region
-// mailboxes have exactly one writer, and only src/sim may own threads.
+// sharded parallel core adds ownership contracts (DL007, DL008, DL010):
+// pooled zero-copy payloads must be flattened before crossing threads,
+// members of thread-owning classes must declare their protection (const /
+// atomic / an ownership marker from src/util/thread_annotations.h), and only
+// src/sim may own threads.
 // diffusion-lint encodes those contracts as lexical rules cheap enough to run
 // on every build.
 //
